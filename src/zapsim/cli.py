@@ -3,8 +3,6 @@
 Verbs: propagate, xcorr, eta-scan, depth-scan, wigner, sample.  Each takes
 ``--config PATH``, repeatable ``--set section.key=value`` overrides, and
 ``--out DIR``.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
-Worker parallelism for scans follows the ZAPSIM_THREADS environment
-variable; outputs do not depend on it.
 """
 
 from __future__ import annotations

@@ -119,10 +119,6 @@ def _parse_opt_float(text: str) -> float | None:
     return float(text)
 
 
-def _parse_opt_eta(text: str) -> float | None:
-    return _parse_opt_float(text)
-
-
 _PARSERS = {
     "grid.n": int,
     "grid.dt_fs": float,
@@ -143,7 +139,7 @@ _PARSERS = {
     "sampling.seed": int,
     "wigner.half_width": float,
     "wigner.n_side": int,
-    "wigner.eta": _parse_opt_eta,
+    "wigner.eta": _parse_opt_float,
     "output.directory": str,
     "output.format": str,
 }

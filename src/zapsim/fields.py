@@ -103,13 +103,6 @@ class Grid:
         arr.flags.writeable = False
         return arr
 
-    @cached_property
-    def t_signed(self) -> np.ndarray:
-        """Time samples folded to (-window/2, window/2]; index 0 maps to 0."""
-        arr = ((self.t + 0.5 * self.window) % self.window) - 0.5 * self.window
-        arr.flags.writeable = False
-        return arr
-
 
 def _validate_amp(grid: Grid, amp) -> np.ndarray:
     out = np.asarray(amp, dtype=np.complex128)

@@ -2,8 +2,8 @@
 
 Every emitted file starts with ``#``-prefixed header lines echoing the
 resolved configuration, so a run can be reproduced from any of its outputs.
-Numeric columns carry 12 significant digits.  Outputs are deterministic for
-a fixed config and seed, independent of the worker count.
+Numeric columns carry 12 significant digits.  Outputs are byte-identical
+across reruns with a fixed config and seed.
 """
 
 from __future__ import annotations

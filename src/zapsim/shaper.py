@@ -33,7 +33,7 @@ from .fields import (
     to_time,
 )
 from .medium import MediumParams, SpectralFilter, energy_transmission, propagate
-from .modes import delay_overlaps, normalize, _check_normalized
+from .modes import _check_normalized, _lattice_overlaps, _spectral_product, _support, normalize
 
 __all__ = [
     "ShaperConfig",
@@ -44,12 +44,6 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299792458.0
-
-# Delay search used when maximizing efficiency over the free LO delay.
-_SEARCH_START = -1e-12
-_SEARCH_STOP = 10e-12
-_SEARCH_STEP = 50e-15
-
 
 @dataclass(frozen=True)
 class ShaperConfig:
@@ -144,18 +138,29 @@ def achievable_lo(target: TemporalField, cfg: ShaperConfig) -> TemporalField:
 
 
 def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
-    """max over delay of |<lo(tau)|sig>|^2, refined to machine precision."""
-    coarse = np.arange(_SEARCH_START, _SEARCH_STOP + 0.5 * _SEARCH_STEP, _SEARCH_STEP)
-    vals = np.abs(delay_overlaps(lo_spec, sig_spec, coarse))
-    k = int(np.argmax(vals))
-    lo_b = coarse[max(0, k - 1)]
-    hi_b = coarse[min(coarse.size - 1, k + 1)]
+    """max over delay of |<lo(tau)|sig>|^2, refined to machine precision.
 
-    def neg(tau: float) -> float:
-        return -np.abs(delay_overlaps(lo_spec, sig_spec, [tau])[0]) ** 2
+    The coarse maximum is taken over every dt-lattice delay within
+    +-window/4, all from one FFT of the spectral product; the exact direct
+    sum is then maximized within one time step of it.
+    """
+    grid = lo_spec.grid
+    g = _spectral_product(lo_spec, sig_spec)
+    corr = np.abs(_lattice_overlaps(g, grid))
+    quarter = grid.n // 4
+    corr[quarter + 1 : grid.n - quarter] = -1.0
+    k = int(np.argmax(corr))
+    tau = (k if k <= quarter else k - grid.n) * grid.dt
+    g, freqs = _support(g, grid.freqs)
+    phase = -2j * np.pi * freqs
 
-    res = minimize_scalar(neg, bounds=(lo_b, hi_b), method="bounded", options={"xatol": 1e-18})
-    return float(max(-res.fun, vals[k] ** 2))
+    def neg(t: float) -> float:
+        return -np.abs(grid.df * np.sum(g * np.exp(phase * t))) ** 2
+
+    res = minimize_scalar(
+        neg, bounds=(tau - grid.dt, tau + grid.dt), method="bounded", options={"xatol": 1e-18}
+    )
+    return float(max(-res.fun, corr[k] ** 2))
 
 
 def _propagated_mode(input_field: TemporalField, m: MediumParams):

@@ -19,6 +19,8 @@ from zapsim import (
     visibility_curve,
 )
 
+from zapsim.modes import delay_overlaps
+
 from conftest import random_field
 
 LN2 = np.log(2.0)
@@ -236,17 +238,47 @@ class TestPeakEta:
         assert peak_eta(flat) == (1.0, 0.4)
 
 
-class TestWorkerIndependence:
-    def test_results_identical_across_worker_counts(self, mid_grid, mid_pulse, lobed_signal, monkeypatch):
+class TestDeterminism:
+    def test_results_identical_across_reruns(self, mid_grid, mid_pulse, lobed_signal):
         delays = np.linspace(-0.5e-12, 2e-12, 64)
-        monkeypatch.setenv("ZAPSIM_THREADS", "1")
-        serial = visibility_curve(lobed_signal, mid_pulse, delays).ys
-        monkeypatch.setenv("ZAPSIM_THREADS", "4")
-        parallel = visibility_curve(lobed_signal, mid_pulse, delays).ys
-        assert np.array_equal(serial, parallel)
+        first = visibility_curve(lobed_signal, mid_pulse, delays).ys
+        second = visibility_curve(lobed_signal, mid_pulse, delays).ys
+        assert np.array_equal(first, second)
 
-    def test_invalid_thread_count_rejected(self, monkeypatch, mid_grid, mid_pulse):
-        monkeypatch.setenv("ZAPSIM_THREADS", "zero")
-        delays = np.linspace(-0.1e-12, 0.1e-12, 32)
-        with pytest.raises(ValueError):
-            visibility_curve(mid_pulse, mid_pulse, delays)
+
+class TestScanPaths:
+    """Both delay_overlaps paths against the plain direct-sum definition."""
+
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        # 164 ps window, 1 ps line lifetime: reshaped yet quick to sum directly
+        pulse = normalize(gaussian_pulse(make_grid(2**14, 10e-15), 100e-15))
+        lo_spec = to_spectrum(pulse)
+        sig = normalize(to_time(propagate(lo_spec, MediumParams(depth=30.0, t2=1e-12))))
+        return lo_spec, to_spectrum(sig)
+
+    @staticmethod
+    def direct_sum(lo_spec, sig_spec, delays):
+        grid = lo_spec.grid
+        g = np.conj(lo_spec.amp) * sig_spec.amp
+        return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in delays])
+
+    @pytest.mark.parametrize(
+        "delays, on_lattice",
+        [
+            (np.linspace(-1e-12, 8e-12, 451), True),
+            (np.arange(-0.5e-12, 3e-12, 10e-15), True),
+            (np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), True),
+            (np.array([1.2e-12, -0.4e-12, 0.3e-12]), True),
+            (np.array([0.3e-12]), True),
+            (np.linspace(-1e-12, 8e-12, 400), False),
+        ],
+        ids=["linspace", "arange", "off-lattice-start", "unsorted", "single", "off-lattice-step"],
+    )
+    def test_matches_direct_sum(self, spectra, delays, on_lattice):
+        lo_spec, sig_spec = spectra
+        steps = (delays - delays[0]) / lo_spec.grid.dt
+        assert (np.max(np.abs(steps - np.rint(steps))) < 1e-10) == on_lattice
+        want = self.direct_sum(lo_spec, sig_spec, delays)
+        got = delay_overlaps(lo_spec, sig_spec, delays)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -5,6 +5,7 @@ from zapsim import (
     MediumParams,
     ShaperConfig,
     achievable_lo,
+    delay_field,
     max_shaped_eta,
     max_unshaped_eta,
     normalize,
@@ -15,6 +16,7 @@ from zapsim import (
     to_spectrum,
     to_time,
 )
+from zapsim.shaper import _best_projection
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -123,6 +125,15 @@ class TestAchievableLo:
         a = achievable_lo(target, ShaperConfig(pixel_width=tiny))
         b = achievable_lo(target, ShaperConfig())
         assert np.allclose(a.amp, b.amp, rtol=0.0, atol=1e-12)
+
+
+class TestBestProjection:
+    @pytest.mark.parametrize("tau", [20e-12, -3e-12, 2e-12, 2.0037e-12])
+    def test_finds_a_delayed_copy_anywhere_in_the_window(self, mid_mode, tau):
+        # the search spans +-window/4, not a fixed delay range
+        lo_spec = to_spectrum(mid_mode)
+        sig_spec = to_spectrum(delay_field(mid_mode, tau))
+        assert _best_projection(lo_spec, sig_spec) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMaxEta:
