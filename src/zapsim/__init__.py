@@ -13,6 +13,7 @@ from .fields import (
     TemporalField,
     gaussian_pulse,
     make_grid,
+    normalize,
     pulse_area,
     pulse_energy,
     to_spectrum,
@@ -26,12 +27,12 @@ from .medium import (
     propagate,
     temperature_presets,
     transfer_function,
+    transmit,
 )
 from .modes import (
     ScanCurve,
     delay_field,
     eta_curve,
-    normalize,
     overlap,
     peak_eta,
     visibility_curve,
@@ -65,6 +66,7 @@ __all__ = [
     "TemporalField",
     "gaussian_pulse",
     "make_grid",
+    "normalize",
     "pulse_area",
     "pulse_energy",
     "to_spectrum",
@@ -76,10 +78,10 @@ __all__ = [
     "propagate",
     "temperature_presets",
     "transfer_function",
+    "transmit",
     "ScanCurve",
     "delay_field",
     "eta_curve",
-    "normalize",
     "overlap",
     "peak_eta",
     "visibility_curve",

@@ -46,7 +46,6 @@ class ScenarioConfig:
     wigner_n_side: int = 121
     wigner_eta: float | None = None
     output_directory: str = "out"
-    output_format: str = "csv"
 
     # -- derived builders ------------------------------------------------
 
@@ -141,7 +140,6 @@ _PARSERS = {
     "wigner.n_side": int,
     "wigner.eta": _parse_opt_float,
     "output.directory": str,
-    "output.format": str,
 }
 
 _KEY_TO_FIELD = {key: key.replace(".", "_") for key in _PARSERS}
@@ -204,6 +202,10 @@ def _fail(key: str, why: str):
 
 
 def validate(cfg: ScenarioConfig) -> None:
+    for key in sorted(_KEY_TO_FIELD):
+        val = getattr(cfg, _KEY_TO_FIELD[key])
+        if isinstance(val, float) and not np.isfinite(val):
+            _fail(key, f"must be finite, got {val}")
     n = cfg.grid_n
     if n < 2 or (n & (n - 1)) != 0:
         _fail("grid.n", f"must be a power of two >= 2, got {n}")
@@ -225,13 +227,16 @@ def validate(cfg: ScenarioConfig) -> None:
     else:
         spec = cfg.medium_preset.strip().lower()
         if spec != "all":
-            for tok in cfg.medium_preset.split(","):
+            tokens = cfg.medium_preset.split(",")
+            for tok in tokens:
                 try:
                     idx = int(tok)
                 except ValueError:
                     _fail("medium.preset", f"expected 'all' or preset indices, got {tok!r}")
                 if not 1 <= idx <= 5:
                     _fail("medium.preset", f"preset index must be 1..5, got {idx}")
+            if len({int(tok) for tok in tokens}) < len(tokens):
+                _fail("medium.preset", "a preset is listed twice")
 
     if not cfg.shaper_resolution_nm > 0:
         _fail("shaper.resolution_nm", f"must be positive, got {cfg.shaper_resolution_nm}")
@@ -258,5 +263,3 @@ def validate(cfg: ScenarioConfig) -> None:
         _fail("wigner.n_side", f"must be >= 2, got {cfg.wigner_n_side}")
     if cfg.wigner_eta is not None and not 0.0 <= cfg.wigner_eta <= 1.0:
         _fail("wigner.eta", f"must lie in [0, 1], got {cfg.wigner_eta}")
-    if cfg.output_format != "csv":
-        _fail("output.format", f"only 'csv' is supported, got {cfg.output_format!r}")

@@ -31,6 +31,7 @@ __all__ = [
     "to_time",
     "pulse_area",
     "pulse_energy",
+    "normalize",
 ]
 
 LN2 = float(np.log(2.0))
@@ -208,3 +209,11 @@ def pulse_energy(f: TemporalField | SpectralField) -> float:
     if isinstance(f, SpectralField):
         return float(f.grid.df * np.sum(np.abs(f.amp) ** 2))
     raise TypeError(f"expected TemporalField or SpectralField, got {type(f).__name__}")
+
+
+def normalize(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
+    """Scale a field, in either domain, to unit energy."""
+    e = pulse_energy(f)
+    if e <= 0.0:
+        raise ValueError("cannot normalize a zero field")
+    return type(f)(f.grid, f.amp / np.sqrt(e))

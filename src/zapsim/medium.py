@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,9 @@ from .fields import (
     Grid,
     GridAdequacyWarning,
     SpectralField,
+    TemporalField,
+    normalize,
+    pulse_energy,
     to_time,
 )
 
@@ -33,7 +37,9 @@ __all__ = [
     "MediumParams",
     "SpectralFilter",
     "MediumPreset",
+    "Transmitted",
     "transfer_function",
+    "transmit",
     "propagate",
     "energy_transmission",
     "temperature_presets",
@@ -92,6 +98,26 @@ class MediumPreset(NamedTuple):
     params: MediumParams
 
 
+@dataclass(frozen=True)
+class Transmitted:
+    """F*H for one medium and its envelope; on first use, the spectrum of the
+    unit-energy output mode (by Parseval) and the energy transmission T_E."""
+
+    spectrum: SpectralField
+    field: TemporalField
+    input_energy: float
+
+    @cached_property
+    def mode(self) -> SpectralField:
+        return normalize(self.spectrum)
+
+    @cached_property
+    def transmission(self) -> float:
+        if self.input_energy <= 0.0:
+            raise ValueError("energy transmission of a zero-energy field is undefined")
+        return pulse_energy(self.spectrum) / self.input_energy
+
+
 def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:
     """Sample H(nu) = exp[-depth / (1 - i 2 pi (nu - nu_a) T2)] on the grid.
 
@@ -107,8 +133,8 @@ def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:
     return SpectralFilter(grid, values)
 
 
-def _warn_grid_adequacy(out: SpectralField, m: MediumParams) -> None:
-    grid = out.grid
+def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
+    grid = field.grid
     samples = m.line_fwhm / grid.df
     if samples < MIN_SAMPLES_PER_LINE:
         warnings.warn(
@@ -117,7 +143,7 @@ def _warn_grid_adequacy(out: SpectralField, m: MediumParams) -> None:
             GridAdequacyWarning,
             stacklevel=3,
         )
-    amp_t = np.abs(to_time(out).amp)
+    amp_t = np.abs(field.amp)
     peak = amp_t.max()
     if peak > 0.0:
         edge = max(amp_t[0], amp_t[-1]) / peak
@@ -130,16 +156,22 @@ def _warn_grid_adequacy(out: SpectralField, m: MediumParams) -> None:
             )
 
 
-def propagate(F: SpectralField, m: MediumParams) -> SpectralField:
-    """Apply the medium transfer function to a spectral field.
+def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
+    """Send a spectral field through the medium: one H(nu), one inverse FFT.
 
     Emits a :class:`GridAdequacyWarning` when the line is under-sampled or
     the output field has not decayed at the window edges.
     """
     filt = transfer_function(F.grid, m)
-    out = SpectralField(F.grid, F.amp * filt.values)
-    _warn_grid_adequacy(out, m)
-    return out
+    spectrum = SpectralField(F.grid, F.amp * filt.values)
+    field = to_time(spectrum)
+    _warn_grid_adequacy(field, m)
+    return Transmitted(spectrum, field, pulse_energy(F))
+
+
+def propagate(F: SpectralField, m: MediumParams) -> SpectralField:
+    """Apply the medium transfer function to a spectral field (see :func:`transmit`)."""
+    return transmit(F, m).spectrum
 
 
 def energy_transmission(F: SpectralField, m: MediumParams) -> float:

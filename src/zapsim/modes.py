@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, pulse_energy, to_spectrum, to_time
-from .medium import MediumParams, energy_transmission, propagate
+from .fields import SpectralField, TemporalField, normalize, pulse_energy, to_spectrum, to_time
+from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
     "ScanCurve",
@@ -77,14 +77,6 @@ class ScanCurve:
         meta = dict(self.meta)
         meta["peak_normalized"] = True
         return ScanCurve(self.xs, self.ys / peak, meta)
-
-
-def normalize(f: TemporalField) -> TemporalField:
-    """Scale a field to unit energy."""
-    e = pulse_energy(f)
-    if e <= 0.0:
-        raise ValueError("cannot normalize a zero field")
-    return TemporalField(f.grid, f.amp / np.sqrt(e))
 
 
 def _check_normalized(f, name: str) -> None:
@@ -182,6 +174,12 @@ def _check_delays(grid, delays) -> np.ndarray:
     return delays
 
 
+def _visibility_scan(lo_spec: SpectralField, sig_spec: SpectralField, delays: np.ndarray) -> ScanCurve:
+    ys = np.abs(delay_overlaps(lo_spec, sig_spec, delays))
+    meta = {"kind": "visibility", "delay_step_s": float(delays[1] - delays[0]) if delays.size > 1 else 0.0}
+    return ScanCurve(delays, ys, meta)
+
+
 def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve:
     """Field cross-correlation magnitude |<lo(tau)|sig>| versus delay.
 
@@ -192,11 +190,29 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     if sig.grid != lo.grid:
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
-    sig_spec = to_spectrum(normalize(sig))
-    lo_spec = to_spectrum(normalize(lo))
-    ys = np.abs(delay_overlaps(lo_spec, sig_spec, delays))
-    meta = {"kind": "visibility", "delay_step_s": float(delays[1] - delays[0]) if delays.size > 1 else 0.0}
-    return ScanCurve(delays, ys, meta)
+    return _visibility_scan(to_spectrum(normalize(lo)), to_spectrum(normalize(sig)), delays)
+
+
+def _check_eta_base(eta_base: float) -> None:
+    if not (0.0 <= eta_base <= 1.0):
+        raise ValueError(f"eta_base must lie in [0, 1], got {eta_base!r}")
+
+
+def _eta(eta_base: float, out: Transmitted, proj):
+    """Detected fraction eta_base * T_E * |<lo|out>|^2, given the projection."""
+    return eta_base * out.transmission * proj
+
+
+def _eta_scan(out: Transmitted, lo_spec: SpectralField, m: MediumParams, eta_base: float, delays):
+    proj = np.abs(delay_overlaps(lo_spec, out.mode, delays)) ** 2
+    meta = {
+        "kind": "eta",
+        "eta_base": float(eta_base),
+        "transmission": float(out.transmission),
+        "depth": float(m.depth),
+        "t2_s": float(m.t2),
+    }
+    return ScanCurve(delays, _eta(eta_base, out, proj), meta)
 
 
 def eta_curve(
@@ -216,26 +232,12 @@ def eta_curve(
     mode.  eta_base lumps every delay-independent loss (state preparation,
     detector efficiency, electronic noise).
     """
-    if not (0.0 <= eta_base <= 1.0):
-        raise ValueError(f"eta_base must lie in [0, 1], got {eta_base!r}")
+    _check_eta_base(eta_base)
     if input_field.grid != lo.grid:
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
-    f_in = to_spectrum(normalize(input_field))
-    t_e = energy_transmission(f_in, m)
-    out_spec = propagate(f_in, m)
-    out_norm = to_spectrum(normalize(to_time(out_spec)))
-    lo_spec = to_spectrum(normalize(lo))
-    proj = np.abs(delay_overlaps(lo_spec, out_norm, delays)) ** 2
-    ys = eta_base * t_e * proj
-    meta = {
-        "kind": "eta",
-        "eta_base": float(eta_base),
-        "transmission": float(t_e),
-        "depth": float(m.depth),
-        "t2_s": float(m.t2),
-    }
-    return ScanCurve(delays, ys, meta)
+    out = transmit(to_spectrum(normalize(input_field)), m)
+    return _eta_scan(out, to_spectrum(normalize(lo)), m, eta_base, delays)
 
 
 def peak_eta(curve: ScanCurve) -> tuple[float, float]:

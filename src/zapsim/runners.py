@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .fields import GridAdequacyWarning, pulse_area, to_spectrum, to_time
-from .medium import MediumPreset, energy_transmission, propagate
-from .modes import eta_curve, normalize, visibility_curve
+from .fields import GridAdequacyWarning, normalize, pulse_area, to_spectrum
+from .medium import MediumPreset, transmit
+from .modes import _check_delays, _eta_scan, _visibility_scan
 from .quantum import (
     HeraldedState,
     estimate_eta,
@@ -25,7 +25,7 @@ from .quantum import (
     wigner,
     wigner_grid,
 )
-from .shaper import max_shaped_eta, max_unshaped_eta
+from .shaper import _shaped_eta, _unshaped_eta, achievable_lo
 
 __all__ = [
     "run_propagate",
@@ -75,22 +75,6 @@ def _write_sidecar(path: Path, cfg: ScenarioConfig, verb: str, sections: list[tu
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _grid_notes(grid) -> list[str]:
-    return [
-        f"grid.window_ns = {_fmt(grid.window * 1e9)}",
-        f"grid.df_mhz = {_fmt(grid.df / 1e6)}",
-    ]
-
-
-def _propagate_recorded(spec_in, params):
-    """Propagate and capture grid-adequacy warnings as text."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", GridAdequacyWarning)
-        out = propagate(spec_in, params)
-    notes = [str(w.message) for w in caught if issubclass(w.category, GridAdequacyWarning)]
-    return out, notes
-
-
 def _medium_lines(entry: MediumPreset, notes: list[str], extras: dict) -> list[str]:
     body = [
         f"depth = {_fmt(entry.params.depth)}",
@@ -102,136 +86,105 @@ def _medium_lines(entry: MediumPreset, notes: list[str], extras: dict) -> list[s
     return body
 
 
+def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, spec_in, row) -> list:
+    """Transmit ``spec_in`` through each medium once; ``row(entry, out)`` returns
+    (result, sidecar values).  The sidecar ``<stem>_params.txt`` lists each
+    medium's values and grid-adequacy warnings, in the order they were raised.
+    """
+    grid = spec_in.grid
+    results = []
+    grid_lines = [f"grid.window_ns = {_fmt(grid.window * 1e9)}", f"grid.df_mhz = {_fmt(grid.df / 1e6)}"]
+    sections = [("grid", grid_lines)]
+    for entry in cfg.media():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GridAdequacyWarning)
+            out = transmit(spec_in, entry.params)
+        notes = [str(w.message) for w in caught if issubclass(w.category, GridAdequacyWarning)]
+        result, extras = row(entry, out)
+        del out  # free this medium's arrays before the next transmission
+        results.append(result)
+        sections.append((entry.label, _medium_lines(entry, notes, extras)))
+    _write_sidecar(out_dir / f"{stem}_params.txt", cfg, verb, sections)
+    return results
+
+
 def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the transmitted time-domain envelope around the pulse for each medium."""
-    grid = cfg.make_grid()
-    pulse = normalize(cfg.make_pulse(grid))
+    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
     spec_in = to_spectrum(pulse)
-    center = grid.t[int(np.argmax(np.abs(pulse.amp)))]
-    lo_t = center + cfg.scan_delay_min_ps * 1e-12
-    hi_t = center + cfg.scan_delay_max_ps * 1e-12
-    sel = (grid.t >= lo_t) & (grid.t <= hi_t)
+    t = pulse.grid.t
+    center = t[int(np.argmax(np.abs(pulse.amp)))]
+    sel = (t >= center + cfg.scan_delay_min_ps * 1e-12) & (t <= center + cfg.scan_delay_max_ps * 1e-12)
 
-    paths = []
-    sections = [("grid", _grid_notes(grid))]
-    for entry in cfg.media():
-        spec_out, notes = _propagate_recorded(spec_in, entry.params)
-        t_e = energy_transmission(spec_in, entry.params)
-        field_out = to_time(spec_out)
-        ratio = abs(pulse_area(field_out)) / abs(pulse_area(pulse))
-        rows = [
-            ((t - center) * 1e12, abs(a), a.real, a.imag)
-            for t, a in zip(grid.t[sel], field_out.amp[sel])
-        ]
+    def row(entry, out):
+        ratio = abs(pulse_area(out.field)) / abs(pulse_area(pulse))
+        extras = {"transmission": out.transmission, "area_ratio": ratio}
+        rows = [((ts - center) * 1e12, abs(a), a.real, a.imag) for ts, a in zip(t[sel], out.field.amp[sel])]
         path = out_dir / f"propagated_{entry.label}.csv"
-        header = _header_lines(
-            cfg,
-            "propagate",
-            {"medium.label": entry.label, "transmission": t_e, "area_ratio": ratio},
-        )
+        header = _header_lines(cfg, "propagate", {"medium.label": entry.label, **extras})
         _write_csv(path, header, ["t_ps", "amp_abs", "amp_re", "amp_im"], rows)
-        paths.append(path)
-        sections.append(
-            (entry.label, _medium_lines(entry, notes, {"transmission": t_e, "area_ratio": ratio}))
-        )
-    _write_sidecar(out_dir / "propagate_params.txt", cfg, "propagate", sections)
-    return paths
+        return path, extras
+
+    return _each_medium(cfg, out_dir, "propagate", "propagate", spec_in, row)
 
 
 def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the classical fringe-visibility delay scan for each medium."""
-    grid = cfg.make_grid()
-    pulse = cfg.make_pulse(grid)
-    spec_in = to_spectrum(normalize(pulse))
-    delays = cfg.delays()
+    spec_in = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    delays = _check_delays(spec_in.grid, cfg.delays())
 
-    paths = []
-    sections = [("grid", _grid_notes(grid))]
-    for entry in cfg.media():
-        spec_out, notes = _propagate_recorded(spec_in, entry.params)
-        sig = to_time(spec_out)
-        curve = visibility_curve(sig, pulse, delays)
-        norm = curve.peak_normalized()
-        rows = list(zip(curve.xs * 1e12, curve.ys, norm.ys))
+    def row(entry, out):
+        curve = _visibility_scan(spec_in, out.mode, delays)
+        rows = list(zip(curve.xs * 1e12, curve.ys, curve.peak_normalized().ys))
         path = out_dir / f"xcorr_{entry.label}.csv"
         header = _header_lines(cfg, "xcorr", {"medium.label": entry.label})
         _write_csv(path, header, ["delay_ps", "visibility", "visibility_norm"], rows)
-        paths.append(path)
-        sections.append((entry.label, _medium_lines(entry, notes, {})))
-    _write_sidecar(out_dir / "xcorr_params.txt", cfg, "xcorr", sections)
-    return paths
+        return path, {}
+
+    return _each_medium(cfg, out_dir, "xcorr", "xcorr", spec_in, row)
 
 
 def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the homodyne efficiency delay scan (un-modulated LO) per medium."""
-    grid = cfg.make_grid()
-    pulse = cfg.make_pulse(grid)
-    delays = cfg.delays()
+    spec_in = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    delays = _check_delays(spec_in.grid, cfg.delays())
 
-    paths = []
-    sections = [("grid", _grid_notes(grid))]
-    for entry in cfg.media():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", GridAdequacyWarning)
-            curve = eta_curve(pulse, entry.params, pulse, cfg.detection_eta_base, delays)
-        notes = [str(w.message) for w in caught if issubclass(w.category, GridAdequacyWarning)]
+    def row(entry, out):
+        curve = _eta_scan(out, spec_in, entry.params, cfg.detection_eta_base, delays)
         clamped = curve.ys < LOG_FLOOR
         log_eta = np.log10(np.maximum(curve.ys, LOG_FLOOR))
         rows = list(zip(curve.xs * 1e12, curve.ys, log_eta, clamped))
+        extras = {"transmission": curve.meta["transmission"]}
         path = out_dir / f"eta_scan_{entry.label}.csv"
-        header = _header_lines(
-            cfg,
-            "eta-scan",
-            {"medium.label": entry.label, "transmission": curve.meta["transmission"]},
-        )
+        header = _header_lines(cfg, "eta-scan", {"medium.label": entry.label, **extras})
         _write_csv(path, header, ["delay_ps", "eta", "log10_eta", "log_clamped"], rows)
-        paths.append(path)
-        sections.append(
-            (entry.label, _medium_lines(entry, notes, {"transmission": curve.meta["transmission"]}))
-        )
-    _write_sidecar(out_dir / "eta_scan_params.txt", cfg, "eta-scan", sections)
-    return paths
+        return path, extras
+
+    return _each_medium(cfg, out_dir, "eta-scan", "eta_scan", spec_in, row)
 
 
 def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit peak efficiency per medium, with and without LO shaping."""
-    grid = cfg.make_grid()
-    pulse = cfg.make_pulse(grid)
-    spec_in = to_spectrum(normalize(pulse))
+    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
+    spec_in = to_spectrum(pulse)
     shaper_cfg = cfg.shaper_config()
+    # the shaped input LO does not depend on the medium
+    lo_in = to_spectrum(achievable_lo(pulse, shaper_cfg)) if cfg.shaper_enabled else None
+    eta_base = cfg.detection_eta_base
 
-    rows = []
-    sections = [("grid", _grid_notes(grid))]
-    for entry in cfg.media():
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", GridAdequacyWarning)
-            unshaped = max_unshaped_eta(pulse, entry.params, cfg.detection_eta_base)
-            if cfg.shaper_enabled:
-                shaped = max_shaped_eta(pulse, entry.params, shaper_cfg, cfg.detection_eta_base)
-            else:
-                shaped = unshaped
-        notes = [str(w.message) for w in caught if issubclass(w.category, GridAdequacyWarning)]
-        t_e = energy_transmission(spec_in, entry.params)
-        rows.append((entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e))
-        sections.append(
-            (
-                entry.label,
-                _medium_lines(
-                    entry,
-                    sorted(set(notes)),
-                    {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e},
-                ),
-            )
-        )
+    def row(entry, out):
+        # shaped first: it builds its LO before out.mode takes memory
+        shaped = None if lo_in is None else _shaped_eta(out, lo_in, shaper_cfg, eta_base)
+        unshaped = _unshaped_eta(out, spec_in, eta_base)
+        shaped = unshaped if shaped is None else shaped
+        t_e = out.transmission
+        extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
+        return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras
+
+    rows = _each_medium(cfg, out_dir, "depth-scan", "efficiency_vs_depth", spec_in, row)
     path = out_dir / "efficiency_vs_depth.csv"
-    header = _header_lines(cfg, "depth-scan")
-    _write_csv(
-        path,
-        header,
-        ["preset", "depth", "t2_ps", "eta_unshaped", "eta_shaped", "transmission"],
-        rows,
-    )
-    _write_sidecar(out_dir / "efficiency_vs_depth_params.txt", cfg, "depth-scan", sections)
+    columns = ["preset", "depth", "t2_ps", "eta_unshaped", "eta_shaped", "transmission"]
+    _write_csv(path, _header_lines(cfg, "depth-scan"), columns, rows)
     return [path]
 
 

@@ -29,11 +29,12 @@ from .fields import (
     Grid,
     SpectralField,
     TemporalField,
+    normalize,
     to_spectrum,
     to_time,
 )
-from .medium import MediumParams, SpectralFilter, energy_transmission, propagate
-from .modes import _check_normalized, _lattice_overlaps, _spectral_product, _support, normalize
+from .medium import MediumParams, SpectralFilter, Transmitted, transmit
+from .modes import _check_eta_base, _check_normalized, _eta, _lattice_overlaps, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
@@ -163,11 +164,14 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     return float(max(-res.fun, corr[k] ** 2))
 
 
-def _propagated_mode(input_field: TemporalField, m: MediumParams):
-    f_in = to_spectrum(normalize(input_field))
-    t_e = energy_transmission(f_in, m)
-    out = normalize(to_time(propagate(f_in, m)))
-    return out, t_e
+def _unshaped_eta(out: Transmitted, lo_in: SpectralField, eta_base: float) -> float:
+    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
+
+
+def _shaped_eta(out: Transmitted, lo_in: SpectralField, cfg: ShaperConfig, eta_base: float) -> float:
+    """Best of the LO shaped to the transmitted mode and ``lo_in``, the shaped input."""
+    own = _best_projection(to_spectrum(achievable_lo(normalize(out.field), cfg)), out.mode)
+    return float(_eta(eta_base, out, max(own, _best_projection(lo_in, out.mode))))
 
 
 def max_shaped_eta(
@@ -179,27 +183,19 @@ def max_shaped_eta(
     """Best homodyne efficiency with the shaped local oscillator.
 
     The shaper target is the transmitted mode itself (the unconstrained
-    projection maximizer); the plain input mode is kept as a fallback
+    projection maximizer); the shaped input mode is kept as a fallback
     candidate so the result can never fall below the unshaped detection.
     Returns eta_base * T_E * |<lo|out>|^2 maximized over LO delay and the
     two candidates.
     """
-    if not (0.0 <= eta_base <= 1.0):
-        raise ValueError(f"eta_base must lie in [0, 1], got {eta_base!r}")
-    out, t_e = _propagated_mode(input_field, m)
-    out_spec = to_spectrum(out)
-    best = 0.0
-    for candidate in (achievable_lo(out, cfg), achievable_lo(normalize(input_field), cfg)):
-        proj = _best_projection(to_spectrum(candidate), out_spec)
-        best = max(best, proj)
-    return float(eta_base * t_e * best)
+    _check_eta_base(eta_base)
+    mode_in = normalize(input_field)
+    out = transmit(to_spectrum(mode_in), m)
+    return _shaped_eta(out, to_spectrum(achievable_lo(mode_in, cfg)), cfg, eta_base)
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
-    if not (0.0 <= eta_base <= 1.0):
-        raise ValueError(f"eta_base must lie in [0, 1], got {eta_base!r}")
-    out, t_e = _propagated_mode(input_field, m)
-    lo_spec = to_spectrum(normalize(input_field))
-    proj = _best_projection(lo_spec, to_spectrum(out))
-    return float(eta_base * t_e * proj)
+    _check_eta_base(eta_base)
+    lo_in = to_spectrum(normalize(input_field))
+    return _unshaped_eta(transmit(lo_in, m), lo_in, eta_base)

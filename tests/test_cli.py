@@ -127,6 +127,20 @@ class TestExitCodes:
         assert code == 1
         assert "detection.eta_base" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, settings",
+        [
+            ("wigner", ["wigner.half_width=inf"]),
+            ("depth-scan", ["shaper.pixel_nm=inf"]),
+            ("propagate", ["medium.depth=none", "medium.t2_ps=none", "medium.preset=1,1"]),
+        ],
+    )
+    def test_bad_value_is_one_and_writes_nothing(self, scenario, tmp_path, capsys, verb, settings):
+        sets = [arg for s in settings for arg in ("--set", s)]
+        assert run(scenario, tmp_path / "out", verb, *sets) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unknown_key_is_one(self, scenario, tmp_path):
         assert run(scenario, tmp_path / "out", "xcorr", "--set", "nope.nope=1") == 1
 

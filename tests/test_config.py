@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,33 @@ class TestValidation:
     def test_output_format(self):
         with pytest.raises(ConfigError, match="output.format"):
             parse_config_text("output.format = parquet\n")
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "grid.dt_fs",
+            "pulse.fwhm_fs",
+            "pulse.detuning_ghz",
+            "medium.depth",
+            "medium.t2_ps",
+            "shaper.resolution_nm",
+            "shaper.pixel_nm",
+            "shaper.span_nm",
+            "detection.eta_base",
+            "scan.delay_min_ps",
+            "scan.delay_max_ps",
+            "wigner.half_width",
+            "wigner.eta",
+        ],
+    )
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(repr(key)) + ".*finite"):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_duplicate_preset_rejected(self):
+        with pytest.raises(ConfigError, match="medium.preset.*twice"):
+            parse_config_text("medium.preset = 2,4,2\n")
 
 
 class TestBuilders:

@@ -11,11 +11,13 @@ from zapsim import (
     make_grid,
     normalize,
     propagate,
+    pulse_energy,
     pulse_area,
     temperature_presets,
     to_spectrum,
     to_time,
     transfer_function,
+    transmit,
 )
 
 LN2 = np.log(2.0)
@@ -284,3 +286,31 @@ class TestCausality:
         post = mags[(default_grid.t > center + 0.2e-12) & (default_grid.t < center + 100e-12)]
         assert pre.max() < 1e-6 * peak
         assert post.max() > 1e-2 * peak
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+class TestTransmit:
+    @pytest.mark.parametrize("preset_idx", [0, 2, 4])
+    def test_matches_the_separate_calls(self, mid_mode, preset_idx):
+        params = temperature_presets()[preset_idx].params
+        f = to_spectrum(mid_mode)
+        out = transmit(f, params)
+        assert np.array_equal(out.spectrum.amp, propagate(f, params).amp)
+        assert np.array_equal(out.field.amp, to_time(out.spectrum).amp)
+        assert out.transmission == pytest.approx(energy_transmission(f, params), rel=1e-12)
+        assert pulse_energy(out.mode) == pytest.approx(1.0, abs=1e-12)
+        round_trip = to_spectrum(normalize(to_time(propagate(f, params)))).amp
+        assert np.max(np.abs(out.mode.amp - round_trip)) <= 1e-12 * np.max(np.abs(round_trip))
+
+    def test_warns_like_propagate(self):
+        grid = make_grid(2**12, 10e-15)
+        f = to_spectrum(gaussian_pulse(grid, 100e-15))
+        with pytest.warns(GridAdequacyWarning, match="window edges"):
+            transmit(f, MediumParams(depth=30.0, t2=100e-12))
+
+    def test_zero_field_has_no_transmission(self, small_grid):
+        f = SpectralField(small_grid, np.zeros(small_grid.n))
+        out = transmit(f, MediumParams(depth=1.0, t2=1e-12))
+        assert not np.any(out.spectrum.amp)
+        with pytest.raises(ValueError, match="zero-energy"):
+            out.transmission

@@ -1,6 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from zapsim import (
+    energy_transmission,
+    eta_curve,
+    max_shaped_eta,
+    max_unshaped_eta,
+    normalize,
+    to_spectrum,
+)
 from zapsim.config import parse_config_text
 from zapsim.runners import (
     run_efficiency_vs_depth,
@@ -122,3 +132,35 @@ class TestPropagateRunner:
         header = [l for l in path.read_text().splitlines() if l.startswith("#")]
         area_line = next(l for l in header if "area_ratio" in l)
         assert float(area_line.split("=")[1]) == pytest.approx(np.exp(-10.0), rel=1e-6)
+
+
+class TestRunnersMatchLibrary:
+    """The runners share the library's code, so they print the library's numbers."""
+
+    @pytest.fixture(scope="class")
+    def small_cfg(self):
+        return parse_config_text("grid.n = 32768\nscan.delay_steps = 91\n")
+
+    def test_depth_scan_matches_max_eta(self, small_cfg, tmp_path):
+        (path,) = run_efficiency_vs_depth(small_cfg, tmp_path)
+        pulse = small_cfg.make_pulse(small_cfg.make_grid())
+        eta_base = small_cfg.detection_eta_base
+        media = small_cfg.media()
+        assert len(media) == 5
+        for k, entry in enumerate(media):
+            unshaped = max_unshaped_eta(pulse, entry.params, eta_base)
+            shaped = max_shaped_eta(pulse, entry.params, small_cfg.shaper_config(), eta_base)
+            t_e = energy_transmission(to_spectrum(normalize(pulse)), entry.params)
+            # printed with 12 significant digits
+            assert column(path, "eta_unshaped")[k] == float(f"{unshaped:.12g}")
+            assert column(path, "eta_shaped")[k] == float(f"{shaped:.12g}")
+            assert column(path, "transmission")[k] == pytest.approx(t_e, rel=1e-12)
+
+    def test_eta_scan_matches_eta_curve(self, small_cfg, tmp_path):
+        cfg = replace(small_cfg, medium_preset="2,5")
+        paths = run_eta_scan(cfg, tmp_path)
+        pulse = cfg.make_pulse(cfg.make_grid())
+        for path, entry in zip(paths, cfg.media()):
+            curve = eta_curve(pulse, entry.params, pulse, cfg.detection_eta_base, cfg.delays())
+            want = np.array([float(f"{y:.12g}") for y in curve.ys])
+            assert np.array_equal(column(path, "eta"), want)
