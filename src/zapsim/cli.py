@@ -15,6 +15,17 @@ from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 from . import runners
 
 
+# verb -> (help text, runner in zapsim.runners, looked up when the verb runs)
+_VERBS = {
+    "propagate": ("transmitted envelope per medium", "run_propagate"),
+    "xcorr": ("fringe-visibility delay scans", "run_xcorr"),
+    "eta-scan": ("homodyne efficiency delay scans", "run_eta_scan"),
+    "depth-scan": ("peak efficiency versus optical depth", "run_efficiency_vs_depth"),
+    "wigner": ("Wigner map of the measured mixture", "run_wigner"),
+    "sample": ("synthetic quadrature samples", "run_sample"),
+}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
     sub.add_argument(
@@ -32,14 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zapsim", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    for verb, help_text in [
-        ("propagate", "transmitted envelope per medium"),
-        ("xcorr", "fringe-visibility delay scans"),
-        ("eta-scan", "homodyne efficiency delay scans"),
-        ("depth-scan", "peak efficiency versus optical depth"),
-        ("wigner", "Wigner map of the measured mixture"),
-        ("sample", "synthetic quadrature samples"),
-    ]:
+    for verb, (help_text, _) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
         if verb in ("wigner", "sample"):
@@ -68,20 +72,8 @@ def main(argv=None) -> int:
         cfg = _load(args)
         out_dir = Path(cfg.output_directory)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.verb == "propagate":
-            paths = runners.run_propagate(cfg, out_dir)
-        elif args.verb == "xcorr":
-            paths = runners.run_xcorr(cfg, out_dir)
-        elif args.verb == "eta-scan":
-            paths = runners.run_eta_scan(cfg, out_dir)
-        elif args.verb == "depth-scan":
-            paths = runners.run_efficiency_vs_depth(cfg, out_dir)
-        elif args.verb == "wigner":
-            paths = runners.run_wigner(cfg, out_dir, eta=args.eta, from_samples=args.from_samples)
-        elif args.verb == "sample":
-            paths = runners.run_sample(cfg, out_dir, eta=args.eta)
-        else:  # pragma: no cover - argparse enforces the verb set
-            raise ConfigError(f"unknown verb {args.verb!r}")
+        options = {k: v for k, v in vars(args).items() if k in ("eta", "from_samples")}
+        paths = getattr(runners, _VERBS[args.verb][1])(cfg, out_dir, **options)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

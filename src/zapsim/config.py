@@ -244,6 +244,8 @@ def validate(cfg: ScenarioConfig) -> None:
         _fail("shaper.pixel_nm", f"must be positive, got {cfg.shaper_pixel_nm}")
     if cfg.shaper_span_nm is not None and not cfg.shaper_span_nm > cfg.shaper_resolution_nm:
         _fail("shaper.span_nm", "must exceed shaper.resolution_nm")
+    if None not in (cfg.shaper_pixel_nm, cfg.shaper_span_nm) and not cfg.shaper_pixel_nm < cfg.shaper_span_nm:
+        _fail("shaper.pixel_nm", "must be below shaper.span_nm")
     if not 0.0 <= cfg.detection_eta_base <= 1.0:
         _fail("detection.eta_base", f"must lie in [0, 1], got {cfg.detection_eta_base}")
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.optimize import minimize_scalar
 
 from .fields import (
     LN2,
@@ -71,6 +69,8 @@ class ShaperConfig:
             raise ValueError(
                 f"span {self.span!r} must exceed the resolution FWHM {self.resolution_fwhm!r}"
             )
+        if None not in (self.span, self.pixel_width) and not (self.pixel_width < self.span):
+            raise ValueError(f"pixel width {self.pixel_width!r} must be below the span {self.span!r}")
 
     def _to_freq(self, width: float) -> float:
         return SPEED_OF_LIGHT * width / self.center_wavelength**2
@@ -108,6 +108,14 @@ def _resolution_window(grid: Grid, center: float, dnu: float) -> np.ndarray:
     return np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
 
 
+def _box_average(x: np.ndarray, size: int) -> np.ndarray:
+    """Circular mean over bins i - size//2 ... i - size//2 + size - 1 (uniform_filter1d, mode="wrap")."""
+    if size == 1:
+        return x
+    sums = np.cumsum(np.take(x, np.arange(-(size // 2) - 1, x.size + size - size // 2 - 1), mode="wrap"))
+    return (sums[size:] - sums[: x.size]) / size
+
+
 def achievable_lo(target: TemporalField, cfg: ShaperConfig) -> TemporalField:
     """Closest mode to ``target`` the shaper can actually produce.
 
@@ -127,11 +135,9 @@ def achievable_lo(target: TemporalField, cfg: ShaperConfig) -> TemporalField:
             spec[np.abs(grid.freqs) > 0.5 * cfg.span_hz] = 0.0
         if cfg.pixel_width_hz is not None:
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
-            if size > 1:
-                spec = (
-                    uniform_filter1d(spec.real, size=size, mode="wrap")
-                    + 1j * uniform_filter1d(spec.imag, size=size, mode="wrap")
-                )
+            if size > grid.n:
+                raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
+            spec = _box_average(spec, size)
         amp = to_time(SpectralField(grid, spec)).amp
 
     window = _resolution_window(grid, grid.t[k_peak], cfg.resolution_fwhm_hz)
@@ -142,8 +148,9 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     """max over delay of |<lo(tau)|sig>|^2, refined to machine precision.
 
     The coarse maximum is taken over every dt-lattice delay within
-    +-window/4, all from one FFT of the spectral product; the exact direct
-    sum is then maximized within one time step of it.
+    +-window/4, all from one FFT of the spectral product.  Newton steps on
+    |df * sum g * exp(-2*pi*i*nu*tau)|^2, with both tau-derivatives summed
+    exactly, refine it within one time step; the largest value seen is returned.
     """
     grid = lo_spec.grid
     g = _spectral_product(lo_spec, sig_spec)
@@ -151,27 +158,31 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     quarter = grid.n // 4
     corr[quarter + 1 : grid.n - quarter] = -1.0
     k = int(np.argmax(corr))
-    tau = (k if k <= quarter else k - grid.n) * grid.dt
+    best = float(corr[k] ** 2)
+    start = (k if k <= quarter else k - grid.n) * grid.dt
     g, freqs = _support(g, grid.freqs)
     phase = -2j * np.pi * freqs
-
-    def neg(t: float) -> float:
-        return -np.abs(grid.df * np.sum(g * np.exp(phase * t))) ** 2
-
-    res = minimize_scalar(
-        neg, bounds=(tau - grid.dt, tau + grid.dt), method="bounded", options={"xatol": 1e-18}
-    )
-    return float(max(-res.fun, corr[k] ** 2))
+    terms = grid.df * np.stack((g, g * phase, g * phase**2))
+    x = 0.0  # offset from the lattice maximum, kept within one time step
+    for _ in range(8):  # at the default scenario Newton stops within 4 steps
+        a, a1, a2 = terms @ np.exp(phase * (start + x))
+        best = max(best, float(abs(a) ** 2))
+        half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
+        new = min(max(x - (np.conj(a) * a1).real / half_d2, -grid.dt), grid.dt) if half_d2 < 0.0 else x
+        if abs(new - x) <= 1e-9 * grid.dt:
+            break
+        x = new
+    return best
 
 
 def _unshaped_eta(out: Transmitted, lo_in: SpectralField, eta_base: float) -> float:
     return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
 
 
-def _shaped_eta(out: Transmitted, lo_in: SpectralField, cfg: ShaperConfig, eta_base: float) -> float:
-    """Best of the LO shaped to the transmitted mode and ``lo_in``, the shaped input."""
+def _shaped_eta(out: Transmitted, unshaped: float, cfg: ShaperConfig, eta_base: float) -> float:
+    """Efficiency with the LO shaped to the transmitted mode, or ``unshaped`` where that is higher."""
     own = _best_projection(to_spectrum(achievable_lo(normalize(out.field), cfg)), out.mode)
-    return float(_eta(eta_base, out, max(own, _best_projection(lo_in, out.mode))))
+    return max(float(_eta(eta_base, out, own)), unshaped)
 
 
 def max_shaped_eta(
@@ -183,15 +194,15 @@ def max_shaped_eta(
     """Best homodyne efficiency with the shaped local oscillator.
 
     The shaper target is the transmitted mode itself (the unconstrained
-    projection maximizer); the shaped input mode is kept as a fallback
-    candidate so the result can never fall below the unshaped detection.
-    Returns eta_base * T_E * |<lo|out>|^2 maximized over LO delay and the
-    two candidates.
+    projection maximizer).  Returns eta_base * T_E * |<lo|out>|^2 maximized
+    over LO delay; where the un-modulated input pulse detects more than the
+    shaped LO, that LO is used instead, so the result is never below
+    :func:`max_unshaped_eta`.
     """
     _check_eta_base(eta_base)
-    mode_in = normalize(input_field)
-    out = transmit(to_spectrum(mode_in), m)
-    return _shaped_eta(out, to_spectrum(achievable_lo(mode_in, cfg)), cfg, eta_base)
+    lo_in = to_spectrum(normalize(input_field))
+    out = transmit(lo_in, m)
+    return _shaped_eta(out, _unshaped_eta(out, lo_in, eta_base), cfg, eta_base)
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +138,8 @@ class TestExitCodes:
             ("wigner", ["wigner.half_width=inf"]),
             ("depth-scan", ["shaper.pixel_nm=inf"]),
             ("propagate", ["medium.depth=none", "medium.t2_ps=none", "medium.preset=1,1"]),
+            ("depth-scan", ["shaper.pixel_nm=100"]),
+            ("depth-scan", ["shaper.pixel_nm=1e9", "shaper.span_nm=none"]),
         ],
     )
     def test_bad_value_is_one_and_writes_nothing(self, scenario, tmp_path, capsys, verb, settings):
@@ -173,3 +180,13 @@ class TestDeterminism:
         assert (out_a / "quadrature_samples.txt").read_bytes() != (
             out_b / "quadrature_samples.txt"
         ).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, zapsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -82,6 +82,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="shaper.span_nm"):
             parse_config_text("shaper.resolution_nm = 2\nshaper.span_nm = 1\n")
 
+    def test_pixel_must_be_below_span(self):
+        with pytest.raises(ConfigError, match="shaper.pixel_nm"):
+            parse_config_text("shaper.pixel_nm = 60\n")
+
     def test_output_format(self):
         with pytest.raises(ConfigError, match="output.format"):
             parse_config_text("output.format = parquet\n")

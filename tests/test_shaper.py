@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.ndimage import uniform_filter1d
+from scipy.optimize import minimize_scalar
 
 from zapsim import (
     MediumParams,
     ShaperConfig,
     achievable_lo,
     delay_field,
+    energy_transmission,
+    gaussian_pulse,
+    make_grid,
     max_shaped_eta,
     max_unshaped_eta,
     normalize,
@@ -15,8 +21,10 @@ from zapsim import (
     temperature_presets,
     to_spectrum,
     to_time,
+    transmit,
 )
-from zapsim.shaper import _best_projection
+from zapsim.modes import _lattice_overlaps, _spectral_product, _support
+from zapsim.shaper import _best_projection, _box_average
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -31,6 +39,24 @@ def transmitted_mode(pulse, params):
 def preset_modes(mid_pulse):
     presets = temperature_presets()
     return {i: transmitted_mode(mid_pulse, presets[i].params) for i in (0, 2, 4)}
+
+
+def brent_projection(lo_spec, sig_spec):
+    """Oracle: the lattice maximum refined by bounded Brent within one time step."""
+    grid = lo_spec.grid
+    g = _spectral_product(lo_spec, sig_spec)
+    corr = np.abs(_lattice_overlaps(g, grid))
+    quarter = grid.n // 4
+    corr[quarter + 1 : grid.n - quarter] = -1.0
+    k = int(np.argmax(corr))
+    tau = (k if k <= quarter else k - grid.n) * grid.dt
+    g, freqs = _support(g, grid.freqs)
+
+    def neg(t):
+        return -np.abs(grid.df * np.sum(g * np.exp(-2j * np.pi * freqs * t))) ** 2
+
+    res = minimize_scalar(neg, bounds=(tau - grid.dt, tau + grid.dt), method="bounded", options={"xatol": 1e-18})
+    return max(-res.fun, corr[k] ** 2)
 
 
 class TestShaperConfig:
@@ -48,6 +74,11 @@ class TestShaperConfig:
             ShaperConfig(pixel_width=-1e-9)
         with pytest.raises(ValueError):
             ShaperConfig(resolution_fwhm=2e-9, span=1e-9)
+
+    def test_pixel_must_be_below_span(self):
+        with pytest.raises(ValueError, match="pixel"):
+            ShaperConfig(pixel_width=60e-9, span=60e-9)
+        assert ShaperConfig(pixel_width=1e-6, span=None).pixel_width == 1e-6
 
     def test_optional_widths(self):
         cfg = ShaperConfig(pixel_width=None, span=None)
@@ -126,6 +157,23 @@ class TestAchievableLo:
         b = achievable_lo(target, ShaperConfig())
         assert np.allclose(a.amp, b.amp, rtol=0.0, atol=1e-12)
 
+    def test_pixel_wider_than_grid_rejected(self, preset_modes):
+        target = preset_modes[2]
+        with pytest.raises(ValueError, match="pixel"):
+            achievable_lo(target, ShaperConfig(pixel_width=1.0, span=None))
+
+
+class TestBoxAverage:
+    @pytest.mark.parametrize("size", [2, 3, 4, 5171])
+    def test_matches_scipy_wrap_filter(self, preset_modes, size):
+        x = to_spectrum(preset_modes[4]).amp
+        ref = uniform_filter1d(x.real, size, mode="wrap") + 1j * uniform_filter1d(x.imag, size, mode="wrap")
+        assert np.max(np.abs(_box_average(x, size) - ref)) <= 1e-12 * np.abs(x).max()
+
+    def test_size_one_is_exact_noop(self, preset_modes):
+        x = to_spectrum(preset_modes[4]).amp
+        assert np.array_equal(_box_average(x, 1), x)
+
 
 class TestBestProjection:
     @pytest.mark.parametrize("tau", [20e-12, -3e-12, 2e-12, 2.0037e-12])
@@ -134,6 +182,21 @@ class TestBestProjection:
         lo_spec = to_spectrum(mid_mode)
         sig_spec = to_spectrum(delay_field(mid_mode, tau))
         assert _best_projection(lo_spec, sig_spec) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tau", [20e-12, -3e-12, 2e-12, 2.0037e-12])
+    def test_delayed_copy_not_below_brent(self, mid_mode, tau):
+        lo_spec = to_spectrum(mid_mode)
+        sig_spec = to_spectrum(delay_field(mid_mode, tau))
+        assert _best_projection(lo_spec, sig_spec) >= brent_projection(lo_spec, sig_spec) - 1e-15
+
+    @pytest.mark.parametrize("preset_idx", [0, 4])
+    def test_transmitted_mode_not_below_brent(self, preset_idx):
+        grid = make_grid(2**16, 10e-15)
+        spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
+        out = transmit(spec, temperature_presets()[preset_idx].params)
+        shaped = to_spectrum(achievable_lo(normalize(out.field), ShaperConfig()))
+        for lo_spec in (spec, shaped):
+            assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
 
 
 class TestMaxEta:
@@ -180,3 +243,24 @@ class TestMaxEta:
             max_shaped_eta(mid_pulse, params, ShaperConfig(), -0.1)
         with pytest.raises(ValueError):
             max_unshaped_eta(mid_pulse, params, 1.5)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    preset_idx=st.integers(0, 4),
+    resolution_nm=st.floats(0.2, 2.0),
+    pixel_nm=st.none() | st.floats(0.05, 5.0),
+    span_nm=st.sampled_from([None, 60.0]),
+)
+def test_shaped_between_unshaped_and_transmitted_fraction(preset_idx, resolution_nm, pixel_nm, span_nm):
+    grid = make_grid(2**16, 10e-15)
+    pulse = gaussian_pulse(grid, 100e-15)
+    params = temperature_presets()[preset_idx].params
+    cfg = ShaperConfig(
+        resolution_fwhm=resolution_nm * 1e-9,
+        pixel_width=None if pixel_nm is None else pixel_nm * 1e-9,
+        span=None if span_nm is None else span_nm * 1e-9,
+    )
+    shaped = max_shaped_eta(pulse, params, cfg, 0.62)
+    cap = 0.62 * energy_transmission(to_spectrum(normalize(pulse)), params)
+    assert max_unshaped_eta(pulse, params, 0.62) <= shaped <= cap + 1e-12
