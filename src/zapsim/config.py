@@ -238,14 +238,11 @@ def validate(cfg: ScenarioConfig) -> None:
             if len({int(tok) for tok in tokens}) < len(tokens):
                 _fail("medium.preset", "a preset is listed twice")
 
-    if not cfg.shaper_resolution_nm > 0:
-        _fail("shaper.resolution_nm", f"must be positive, got {cfg.shaper_resolution_nm}")
-    if cfg.shaper_pixel_nm is not None and not cfg.shaper_pixel_nm > 0:
-        _fail("shaper.pixel_nm", f"must be positive, got {cfg.shaper_pixel_nm}")
-    if cfg.shaper_span_nm is not None and not cfg.shaper_span_nm > cfg.shaper_resolution_nm:
-        _fail("shaper.span_nm", "must exceed shaper.resolution_nm")
-    if None not in (cfg.shaper_pixel_nm, cfg.shaper_span_nm) and not cfg.shaper_pixel_nm < cfg.shaper_span_nm:
-        _fail("shaper.pixel_nm", "must be below shaper.span_nm")
+    try:
+        cfg.shaper_config()  # the shaper width rules live in ShaperConfig
+    except ValueError as exc:  # its message starts with the width it rejects
+        keys = {"resolution": "shaper.resolution_nm", "pixel": "shaper.pixel_nm", "span": "shaper.span_nm"}
+        _fail(keys[str(exc).split()[0]], str(exc))
     if not 0.0 <= cfg.detection_eta_base <= 1.0:
         _fail("detection.eta_base", f"must lie in [0, 1], got {cfg.detection_eta_base}")
 

@@ -41,10 +41,6 @@ class GridAdequacyWarning(UserWarning):
     """Grid sampling or windowing is marginal for the requested physics."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform time grid with its matching centered detuning grid.
@@ -65,7 +61,7 @@ class Grid:
     dt: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 2:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"grid size must be a power of two >= 2, got {self.n!r}")
         if not (self.dt > 0.0) or not np.isfinite(self.dt):
             raise ValueError(f"time step must be positive and finite, got {self.dt!r}")

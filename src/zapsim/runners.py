@@ -25,7 +25,7 @@ from .quantum import (
     wigner,
     wigner_grid,
 )
-from .shaper import _shaped_eta, _unshaped_eta
+from .shaper import _shaped_eta, _unshaped_eta, achievable_lo
 
 __all__ = [
     "run_propagate",
@@ -165,13 +165,16 @@ def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit peak efficiency per medium, with and without LO shaping."""
-    spec_in = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
+    spec_in = to_spectrum(pulse)
     shaper_cfg = cfg.shaper_config()
+    # the shaped input LO does not depend on the medium
+    lo_in = to_spectrum(achievable_lo(pulse, shaper_cfg)) if cfg.shaper_enabled else None
     eta_base = cfg.detection_eta_base
 
     def row(entry, out):
         unshaped = _unshaped_eta(out, spec_in, eta_base)
-        shaped = _shaped_eta(out, unshaped, shaper_cfg, eta_base) if cfg.shaper_enabled else unshaped
+        shaped = unshaped if lo_in is None else _shaped_eta(out, lo_in, unshaped, shaper_cfg, eta_base)
         t_e = out.transmission
         extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
         return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras

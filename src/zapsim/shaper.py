@@ -67,10 +67,10 @@ class ShaperConfig:
             raise ValueError(f"pixel width must be positive, got {self.pixel_width!r}")
         if self.span is not None and not (self.span > self.resolution_fwhm):
             raise ValueError(
-                f"span {self.span!r} must exceed the resolution FWHM {self.resolution_fwhm!r}"
+                f"span {self.span:g} m must exceed the resolution FWHM {self.resolution_fwhm:g} m"
             )
         if None not in (self.span, self.pixel_width) and not (self.pixel_width < self.span):
-            raise ValueError(f"pixel width {self.pixel_width!r} must be below the span {self.span!r}")
+            raise ValueError(f"pixel width {self.pixel_width:g} m must be below the span {self.span:g} m")
 
     def _to_freq(self, width: float) -> float:
         return SPEED_OF_LIGHT * width / self.center_wavelength**2
@@ -179,30 +179,30 @@ def _unshaped_eta(out: Transmitted, lo_in: SpectralField, eta_base: float) -> fl
     return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
 
 
-def _shaped_eta(out: Transmitted, unshaped: float, cfg: ShaperConfig, eta_base: float) -> float:
-    """Efficiency with the LO shaped to the transmitted mode, or ``unshaped`` where that is higher."""
-    own = _best_projection(to_spectrum(achievable_lo(normalize(out.field), cfg)), out.mode)
-    return max(float(_eta(eta_base, out, own)), unshaped)
-
-
-def max_shaped_eta(
-    input_field: TemporalField,
-    m: MediumParams,
-    cfg: ShaperConfig,
-    eta_base: float,
+def _shaped_eta(
+    out: Transmitted, shaped_in: SpectralField, unshaped: float, cfg: ShaperConfig, eta_base: float
 ) -> float:
+    """Best of the LO shaped to the transmitted mode, ``shaped_in`` (the shaped input) and ``unshaped``."""
+    own = _best_projection(to_spectrum(achievable_lo(normalize(out.field), cfg)), out.mode)
+    return max(float(_eta(eta_base, out, max(own, _best_projection(shaped_in, out.mode)))), unshaped)
+
+
+def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfig, eta_base: float) -> float:
     """Best homodyne efficiency with the shaped local oscillator.
 
     The shaper target is the transmitted mode itself (the unconstrained
-    projection maximizer).  Returns eta_base * T_E * |<lo|out>|^2 maximized
-    over LO delay; where the un-modulated input pulse detects more than the
-    shaped LO, that LO is used instead, so the result is never below
-    :func:`max_unshaped_eta`.
+    projection maximizer); the shaped input mode, which can detect more
+    once a coarse pixel has averaged the target, is a second candidate.
+    Returns eta_base * T_E * |<lo|out>|^2 maximized over LO delay and the two
+    candidates, or :func:`max_unshaped_eta` where the un-modulated pulse
+    detects more, so shaped >= unshaped by construction.
     """
     _check_eta_base(eta_base)
-    lo_in = to_spectrum(normalize(input_field))
+    mode_in = normalize(input_field)
+    lo_in = to_spectrum(mode_in)
     out = transmit(lo_in, m)
-    return _shaped_eta(out, _unshaped_eta(out, lo_in, eta_base), cfg, eta_base)
+    shaped_in = to_spectrum(achievable_lo(mode_in, cfg))
+    return _shaped_eta(out, shaped_in, _unshaped_eta(out, lo_in, eta_base), cfg, eta_base)
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:

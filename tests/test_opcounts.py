@@ -16,7 +16,7 @@ from zapsim.cli import main
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
 # most numpy FFTs one medium may cost, per verb
-FFT_BUDGET = {"propagate": 1, "xcorr": 2, "eta-scan": 2, "depth-scan": 6}
+FFT_BUDGET = {"propagate": 1, "xcorr": 2, "eta-scan": 2, "depth-scan": 7}
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -55,5 +55,5 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     assert five["h"] == 5 and one["h"] == 1
     assert (five["fft"] - one["fft"]) / 4 <= FFT_BUDGET[verb]
     if verb == "depth-scan":
-        # one shaped LO per medium
-        assert five["lo"] == 5
+        # one shaped LO per medium plus the medium-independent input LO
+        assert five["lo"] == 5 + 1
