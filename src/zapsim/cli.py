@@ -2,7 +2,8 @@
 
 Verbs: propagate, xcorr, eta-scan, depth-scan, wigner, sample.  Each takes
 ``--config PATH``, repeatable ``--set section.key=value`` overrides, and
-``--out DIR``.  Exit codes: 0 success, 1 configuration error, 2 I/O error.
+``--out DIR``.  Exit codes: 0 success, 1 configuration error, 2 I/O error;
+a failed run removes the output directories it created while they are empty.
 """
 
 from __future__ import annotations
@@ -66,23 +67,37 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
+def _remove_empty(created: list[Path]) -> None:
+    """Remove the directories a failed run created, deepest first, stopping at one that is not empty."""
+    for path in created:
+        try:
+            path.rmdir()
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created: list[Path] = []
     try:
         cfg = _load(args)
         out_dir = Path(cfg.output_directory)
+        created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
         options = {k: v for k, v in vars(args).items() if k in ("eta", "from_samples")}
         paths = getattr(runners, _VERBS[args.verb][1])(cfg, out_dir, **options)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    for path in paths:
-        print(path)
-    return 0
+        code = 2
+    else:
+        for path in paths:
+            print(path)
+        return 0
+    _remove_empty(created)
+    return code
 
 
 if __name__ == "__main__":

@@ -101,7 +101,8 @@ class MediumPreset(NamedTuple):
 @dataclass(frozen=True)
 class Transmitted:
     """F*H for one medium and its envelope; on first use, the spectrum of the
-    unit-energy output mode (by Parseval) and the energy transmission T_E."""
+    unit-energy output mode (by Parseval), the output energy and the energy
+    transmission T_E."""
 
     spectrum: SpectralField
     field: TemporalField
@@ -112,10 +113,14 @@ class Transmitted:
         return normalize(self.spectrum)
 
     @cached_property
+    def energy(self) -> float:
+        return pulse_energy(self.spectrum)
+
+    @cached_property
     def transmission(self) -> float:
         if self.input_energy <= 0.0:
             raise ValueError("energy transmission of a zero-energy field is undefined")
-        return pulse_energy(self.spectrum) / self.input_energy
+        return self.energy / self.input_energy
 
 
 def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:

@@ -1,17 +1,19 @@
 """Mode normalization, complex overlaps, and delay scans.
 
 Delays are applied as spectral phase ramps exp(2*pi*i*nu*tau), which shifts
-an envelope later by tau with sub-sample accuracy.  All overlap integrals are
-evaluated in the frequency domain, where a delayed-mode projection reduces to
+an envelope later by tau with sub-sample accuracy, so a delayed-mode
+projection is
 
     <lo(tau)|sig> = df * sum_nu conj(LO(nu)) * S(nu) * exp(-2*pi*i*nu*tau)
+                  = dt * sum_t conj(lo(t - tau)) * sig(t)      (circular in t)
 
-so a scan over many delays reuses one spectral product g = conj(LO) * S.
-When every delay sits on the time-step lattice tau_0 + k*dt (the uniform
-scans the CLI builds, with a step that is a multiple of dt), the sum is a
-DFT in k: one FFT of g * exp(-2*pi*i*nu*tau_0) yields every delay at once.
-Any other delay set falls back to the exact direct sum, evaluated one delay
-at a time over the support of g.
+A scan whose delays are all whole multiples of dt (the uniform scans the CLI
+builds, with a start and step that are multiples of dt) is the second sum at
+integer lags: a correlation over the few samples where the LO is nonzero,
+costing less than one transform.  Delays on a lattice tau_0 + k*dt with tau_0
+off it, or an LO too wide for the correlation, take one FFT of the spectral
+product g = conj(LO) * S times exp(-2*pi*i*nu*tau_0).  Any other delay set
+falls back to the exact first sum, one delay at a time over the support of g.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-6
 
-# |g| below this fraction of its peak contributes < ~1e-14 to any overlap;
-# truncating the spectral product to its support speeds up direct sums.
+# |g| (or |lo| in time) below this fraction of its peak contributes < ~1e-14
+# to any overlap; truncating to the support speeds up direct sums.
 _SUPPORT_CUTOFF = 1e-20
 
 # Largest distance from the dt lattice, in units of dt, at which a delay is
@@ -114,15 +116,25 @@ def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> np.nda
     return g
 
 
-def _support(g: np.ndarray, freqs: np.ndarray):
-    """g and freqs cut to the span where |g| exceeds _SUPPORT_CUTOFF of its peak."""
+def _support(g: np.ndarray, xs: np.ndarray):
+    """g and its abscissae xs cut to the span where |g| exceeds _SUPPORT_CUTOFF of its peak."""
     mag = np.abs(g)
     peak = mag.max()
     if peak == 0.0:
-        return g[:1] * 0.0, freqs[:1]
+        return g[:1] * 0.0, xs[:1]
     idx = np.nonzero(mag > peak * _SUPPORT_CUTOFF)[0]
     lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
-    return g[lo_i:hi_i], freqs[lo_i:hi_i]
+    return g[lo_i:hi_i], xs[lo_i:hi_i]
+
+
+def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
+    """exp(-2*pi*i*(nu0 + j*df)*tau) for j < count, as the outer product of two
+    ~sqrt(count) exponentials: as accurate as one full-length np.exp, far cheaper."""
+    cols = max(1, int(np.ceil(np.sqrt(count))))
+    rows = -(-count // cols)
+    col = np.exp(-2j * np.pi * (df * tau) * np.arange(cols))
+    row = np.exp(-2j * np.pi * tau * (nu0 + (cols * df) * np.arange(rows)))
+    return np.multiply.outer(row, col).ravel()[:count]
 
 
 def _lattice_overlaps(g: np.ndarray, grid, tau0: float = 0.0) -> np.ndarray:
@@ -143,23 +155,67 @@ def _lattice_overlaps(g: np.ndarray, grid, tau0: float = 0.0) -> np.ndarray:
     return out
 
 
-def delay_overlaps(lo_spec: SpectralField, sig_spec: SpectralField, delays) -> np.ndarray:
-    """<lo(tau)|sig> for each tau, given the two mode spectra.
+def _time_support(f: TemporalField) -> tuple[np.ndarray, int]:
+    """A copy of f over its support, first to last sample above _SUPPORT_CUTOFF of its peak,
+    and the index of the first: all a time-domain scan keeps of its LO."""
+    amp, t = _support(f.amp, f.grid.t)
+    return amp.copy(), int(np.rint(t[0] / f.grid.dt))
 
-    Both spectra are assumed to belong to unit-energy modes; the result for
-    tau = 0 then equals the plain overlap.  Delays on the dt lattice cost one
-    FFT in all; any other delay set costs one support-length sum per delay.
+
+def _time_correlation(lo_support: tuple[np.ndarray, int], sig: TemporalField, delays: np.ndarray):
+    """dt * sum_u conj(lo[u]) * sig[(u + k) mod n] at each lag k = delay / dt, over the LO's support.
+
+    None (use the spectral path) when a delay is off the dt lattice or
+    support length times lag span exceeds the n*log2(n) cost of a transform,
+    as for a support that wraps the window edge (length n) in any scan
+    spanning more than log2(n) lags.
     """
-    g = _spectral_product(lo_spec, sig_spec)
+    grid = sig.grid
+    steps = delays / grid.dt
+    lags = np.rint(steps)
+    if not delays.size or np.any(np.abs(steps - lags) > _LATTICE_TOL):
+        return None
+    lo, first = lo_support
+    lags = lags.astype(np.int64)
+    k0 = int(lags.min())
+    span = int(lags.max()) - k0 + 1
+    if lo.size * span > grid.n * np.log2(grid.n):
+        return None
+    window = np.take(sig.amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
+    # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
+    return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
+
+
+def delay_overlaps(
+    lo_spec: SpectralField, sig_spec: SpectralField, delays, lo_support=None, sig: TemporalField | None = None
+) -> np.ndarray:
+    """<lo(tau)|sig> for each tau, given the LO mode spectrum and the signal spectrum.
+
+    The LO is a unit-energy mode and the result is linear in the signal, so
+    for a unit-energy signal the result at tau = 0 is the plain overlap.
+    With the LO's :func:`_time_support` and the signal in time as ``sig``,
+    delays that are all multiples of dt are correlated in time.  Otherwise
+    delays on a dt lattice cost one FFT in all, and any other delay set one
+    support-length sum per delay.
+    """
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
+    if lo_support is not None and sig is not None:
+        out = _time_correlation(lo_support, sig, delays)
+        if out is not None:
+            return out
+    g = _spectral_product(lo_spec, sig_spec)
     grid = lo_spec.grid
     steps = (delays - delays[:1]) / grid.dt
     lags = np.rint(steps)
     if delays.size and np.all(np.abs(steps - lags) <= _LATTICE_TOL):
         return _lattice_overlaps(g, grid, float(delays[0]))[lags.astype(np.int64) % grid.n]
     g, freqs = _support(g, grid.freqs)
-    phase = -2j * np.pi * freqs
-    return np.array([grid.df * np.sum(g * np.exp(phase * tau)) for tau in delays])
+    return np.array([grid.df * (g * _phasors(freqs[0], grid.df, g.size, tau)).sum() for tau in delays])
+
+
+def _transmitted_overlaps(lo_spec: SpectralField, lo_support, out: Transmitted, delays) -> np.ndarray:
+    """<lo(tau)|mode of out>: overlaps with the transmitted field, scaled by 1/sqrt of its energy."""
+    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / np.sqrt(out.energy)
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -174,10 +230,9 @@ def _check_delays(grid, delays) -> np.ndarray:
     return delays
 
 
-def _visibility_scan(lo_spec: SpectralField, sig_spec: SpectralField, delays: np.ndarray) -> ScanCurve:
-    ys = np.abs(delay_overlaps(lo_spec, sig_spec, delays))
+def _visibility_scan(overlaps: np.ndarray, delays: np.ndarray) -> ScanCurve:
     meta = {"kind": "visibility", "delay_step_s": float(delays[1] - delays[0]) if delays.size > 1 else 0.0}
-    return ScanCurve(delays, ys, meta)
+    return ScanCurve(delays, np.abs(overlaps), meta)
 
 
 def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve:
@@ -190,7 +245,9 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     if sig.grid != lo.grid:
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
-    return _visibility_scan(to_spectrum(normalize(lo)), to_spectrum(normalize(sig)), delays)
+    lo, sig = normalize(lo), normalize(sig)
+    overlaps = delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays, _time_support(lo), sig)
+    return _visibility_scan(overlaps, delays)
 
 
 def _check_eta_base(eta_base: float) -> None:
@@ -203,8 +260,8 @@ def _eta(eta_base: float, out: Transmitted, proj):
     return eta_base * out.transmission * proj
 
 
-def _eta_scan(out: Transmitted, lo_spec: SpectralField, m: MediumParams, eta_base: float, delays):
-    proj = np.abs(delay_overlaps(lo_spec, out.mode, delays)) ** 2
+def _eta_scan(out: Transmitted, overlaps: np.ndarray, m: MediumParams, eta_base: float, delays):
+    proj = np.abs(overlaps) ** 2
     meta = {
         "kind": "eta",
         "eta_base": float(eta_base),
@@ -237,7 +294,9 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     out = transmit(to_spectrum(normalize(input_field)), m)
-    return _eta_scan(out, to_spectrum(normalize(lo)), m, eta_base, delays)
+    lo = normalize(lo)
+    overlaps = _transmitted_overlaps(to_spectrum(lo), _time_support(lo), out, delays)
+    return _eta_scan(out, overlaps, m, eta_base, delays)
 
 
 def peak_eta(curve: ScanCurve) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .fields import GridAdequacyWarning, normalize, pulse_area, to_spectrum
 from .medium import MediumPreset, transmit
-from .modes import _check_delays, _eta_scan, _visibility_scan
+from .modes import _check_delays, _eta_scan, _time_support, _transmitted_overlaps, _visibility_scan
 from .quantum import (
     HeraldedState,
     estimate_eta,
@@ -128,13 +128,20 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     return _each_medium(cfg, out_dir, "propagate", "propagate", spec_in, row)
 
 
+def _input_lo(cfg: ScenarioConfig):
+    """The unit-energy input pulse's spectrum and :func:`_time_support`, the LO of the delay scans;
+    the full pulse is not kept through the medium loop."""
+    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
+    return to_spectrum(pulse), _time_support(pulse)
+
+
 def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the classical fringe-visibility delay scan for each medium."""
-    spec_in = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    spec_in, lo_support = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        curve = _visibility_scan(spec_in, out.mode, delays)
+        curve = _visibility_scan(_transmitted_overlaps(spec_in, lo_support, out, delays), delays)
         rows = list(zip(curve.xs * 1e12, curve.ys, curve.peak_normalized().ys))
         path = out_dir / f"xcorr_{entry.label}.csv"
         header = _header_lines(cfg, "xcorr", {"medium.label": entry.label})
@@ -146,11 +153,12 @@ def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the homodyne efficiency delay scan (un-modulated LO) per medium."""
-    spec_in = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    spec_in, lo_support = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        curve = _eta_scan(out, spec_in, entry.params, cfg.detection_eta_base, delays)
+        overlaps = _transmitted_overlaps(spec_in, lo_support, out, delays)
+        curve = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays)
         clamped = curve.ys < LOG_FLOOR
         log_eta = np.log10(np.maximum(curve.ys, LOG_FLOOR))
         rows = list(zip(curve.xs * 1e12, curve.ys, log_eta, clamped))
@@ -169,7 +177,7 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     spec_in = to_spectrum(pulse)
     shaper_cfg = cfg.shaper_config()
     # the shaped input LO does not depend on the medium
-    lo_in = to_spectrum(achievable_lo(pulse, shaper_cfg)) if cfg.shaper_enabled else None
+    lo_in = to_spectrum(achievable_lo(pulse, shaper_cfg, spec_in)) if cfg.shaper_enabled else None
     eta_base = cfg.detection_eta_base
 
     def row(entry, out):

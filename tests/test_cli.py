@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zapsim.cli import main
+from zapsim.cli import _remove_empty, main
 
 # small, fast, warning-free scenario: 164 ps window, 1 ps line lifetime
 FAST_SCENARIO = """
@@ -147,6 +147,21 @@ class TestExitCodes:
         assert run(scenario, tmp_path / "out", verb, *sets) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_failed_run_removes_the_directory_it_created(self, scenario, tmp_path):
+        sets = ["--set", "shaper.pixel_nm=1e9", "--set", "shaper.span_nm=none"]
+        out = tmp_path / "new" / "out"
+        assert run(scenario, out, "depth-scan", *sets) == 1
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run(scenario, kept, "depth-scan", *sets) == 1
+        assert kept.is_dir()
+        created = tmp_path / "created"
+        created.mkdir()
+        (created / "partial.csv").write_text("t_ps\n", encoding="utf-8")
+        _remove_empty([created, tmp_path])
+        assert (created / "partial.csv").exists()
 
     def test_unknown_key_is_one(self, scenario, tmp_path):
         assert run(scenario, tmp_path / "out", "xcorr", "--set", "nope.nope=1") == 1

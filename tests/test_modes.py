@@ -19,7 +19,8 @@ from zapsim import (
     visibility_curve,
 )
 
-from zapsim.modes import delay_overlaps
+from zapsim import ShaperConfig, achievable_lo
+from zapsim.modes import _phasors, _time_correlation, _time_support, delay_overlaps
 
 from conftest import random_field
 
@@ -246,16 +247,29 @@ class TestDeterminism:
         assert np.array_equal(first, second)
 
 
+LATTICE_DELAYS = {
+    "linspace": np.linspace(-1e-12, 8e-12, 451),
+    "arange": np.arange(-0.5e-12, 3e-12, 10e-15),
+    "unsorted": np.array([1.2e-12, -0.4e-12, 0.3e-12]),
+    "single": np.array([0.3e-12]),
+    "negative-start": np.arange(-0.6e-12, 2e-12, 30e-15),
+}
+
+
 class TestScanPaths:
-    """Both delay_overlaps paths against the plain direct-sum definition."""
+    """Every delay_overlaps path against the plain direct-sum definition."""
 
     @pytest.fixture(scope="class")
-    def spectra(self):
+    def fields(self):
         # 164 ps window, 1 ps line lifetime: reshaped yet quick to sum directly
         pulse = normalize(gaussian_pulse(make_grid(2**14, 10e-15), 100e-15))
-        lo_spec = to_spectrum(pulse)
-        sig = normalize(to_time(propagate(lo_spec, MediumParams(depth=30.0, t2=1e-12))))
-        return lo_spec, to_spectrum(sig)
+        sig = normalize(to_time(propagate(to_spectrum(pulse), MediumParams(depth=30.0, t2=1e-12))))
+        return pulse, sig
+
+    @pytest.fixture(scope="class")
+    def spectra(self, fields):
+        pulse, sig = fields
+        return to_spectrum(pulse), to_spectrum(sig)
 
     @staticmethod
     def direct_sum(lo_spec, sig_spec, delays):
@@ -282,3 +296,45 @@ class TestScanPaths:
         want = self.direct_sum(lo_spec, sig_spec, delays)
         got = delay_overlaps(lo_spec, sig_spec, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_DELAYS))
+    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "complex-lo"])
+    def test_time_correlation_matches_direct_sum(self, fields, name, detuning):
+        pulse, sig = fields
+        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
+        delays = LATTICE_DELAYS[name]
+        want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
+        got = _time_correlation(_time_support(lo), sig, delays)
+        assert got is not None
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        spectra = to_spectrum(lo), to_spectrum(sig)
+        assert np.array_equal(delay_overlaps(*spectra, delays, _time_support(lo), sig), got)
+
+    def test_off_lattice_start_not_correlated(self, fields):
+        pulse, sig = fields
+        delays = np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151)
+        assert _time_correlation(_time_support(pulse), sig, delays) is None
+
+    @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
+    def test_wide_or_wrapping_lo_takes_fft_path(self, fields, lo_kind):
+        pulse, sig = fields
+        delays = LATTICE_DELAYS["linspace"]
+        if lo_kind == "shaped":
+            lo = achievable_lo(sig, ShaperConfig())
+        else:
+            # the pulse peaks at sample n/8; rolled to sample 0 it wraps the window edge
+            lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
+            delays = delays + pulse.grid.window / 8
+        assert _time_correlation(_time_support(lo), sig, delays) is None
+        want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
+        got = delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays, _time_support(lo), sig)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tau, tol", [(3e-12, 1e-13), (2**19 * 10e-15 / 4, 1e-10)])
+    def test_phasors_match_exp(self, tau, tol):
+        # the support of the default 100 fs pulse's spectral product on the default grid
+        freqs = make_grid(2**19, 10e-15).freqs
+        band = freqs[np.abs(freqs) <= 18e12]
+        df = freqs[1] - freqs[0]
+        got = _phasors(band[0], df, band.size, tau)
+        assert np.max(np.abs(got - np.exp(-2j * np.pi * band * tau))) <= tol

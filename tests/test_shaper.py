@@ -155,6 +155,14 @@ class TestAchievableLo:
         b = achievable_lo(target, ShaperConfig())
         assert np.allclose(a.amp, b.amp, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("cfg", [ShaperConfig(), ShaperConfig(pixel_width=2.0e-9)], ids=["span", "pixel"])
+    def test_given_spectrum_same_lo_and_left_unchanged(self, preset_modes, cfg):
+        target = preset_modes[2]
+        spec = to_spectrum(target)
+        before = spec.amp.copy()
+        assert np.array_equal(achievable_lo(target, cfg, spec).amp, achievable_lo(target, cfg).amp)
+        assert np.array_equal(spec.amp, before)
+
     def test_pixel_wider_than_grid_rejected(self, preset_modes):
         target = preset_modes[2]
         with pytest.raises(ValueError, match="pixel"):
