@@ -168,7 +168,7 @@ def gaussian_pulse(
         center_t = grid.window / 8.0
     x = grid.t - center_t
     env = np.exp(-2.0 * LN2 * (x / fwhm_t) ** 2)
-    amp = env * np.exp(-2j * np.pi * detuning * x)
+    amp = env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env + 0j
     return TemporalField(grid, amp)
 
 

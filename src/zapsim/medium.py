@@ -28,7 +28,6 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
-    normalize,
     pulse_energy,
     to_time,
 )
@@ -110,7 +109,9 @@ class Transmitted:
 
     @cached_property
     def mode(self) -> SpectralField:
-        return normalize(self.spectrum)
+        if self.energy <= 0.0:
+            raise ValueError("cannot normalize a zero field")
+        return SpectralField(self.spectrum.grid, self.spectrum.amp / np.sqrt(self.energy))
 
     @cached_property
     def energy(self) -> float:

@@ -218,6 +218,15 @@ def _transmitted_overlaps(lo_spec: SpectralField, lo_support, out: Transmitted, 
     return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / np.sqrt(out.energy)
 
 
+def _field_overlaps(lo: TemporalField, sig: TemporalField, delays, sig_spec: SpectralField | None = None):
+    """:func:`delay_overlaps` of an LO and a signal given in time; their spectra
+    (``sig_spec`` if the caller holds it) are built only when the time correlation declines."""
+    out = _time_correlation(_time_support(lo), sig, delays)
+    if out is None:
+        out = delay_overlaps(to_spectrum(lo), to_spectrum(sig) if sig_spec is None else sig_spec, delays)
+    return out
+
+
 def _check_delays(grid, delays) -> np.ndarray:
     delays = np.asarray(delays, dtype=np.float64)
     if delays.ndim != 1 or delays.size == 0:
@@ -246,7 +255,7 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
     lo, sig = normalize(lo), normalize(sig)
-    overlaps = delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays, _time_support(lo), sig)
+    overlaps = _field_overlaps(lo, sig, delays)
     return _visibility_scan(overlaps, delays)
 
 
@@ -294,8 +303,7 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     out = transmit(to_spectrum(normalize(input_field)), m)
-    lo = normalize(lo)
-    overlaps = _transmitted_overlaps(to_spectrum(lo), _time_support(lo), out, delays)
+    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / np.sqrt(out.energy)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 
 

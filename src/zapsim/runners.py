@@ -25,7 +25,7 @@ from .quantum import (
     wigner,
     wigner_grid,
 )
-from .shaper import _shaped_eta, _unshaped_eta, achievable_lo
+from .shaper import _efficiencies, _shaped_input
 
 __all__ = [
     "run_propagate",
@@ -177,12 +177,12 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     spec_in = to_spectrum(pulse)
     shaper_cfg = cfg.shaper_config()
     # the shaped input LO does not depend on the medium
-    lo_in = to_spectrum(achievable_lo(pulse, shaper_cfg, spec_in)) if cfg.shaper_enabled else None
+    shaped_in = _shaped_input(pulse, spec_in, shaper_cfg) if cfg.shaper_enabled else None
+    del pulse  # only its spectrum is needed through the medium loop
     eta_base = cfg.detection_eta_base
 
     def row(entry, out):
-        unshaped = _unshaped_eta(out, spec_in, eta_base)
-        shaped = unshaped if lo_in is None else _shaped_eta(out, lo_in, unshaped, shaper_cfg, eta_base)
+        unshaped, shaped = _efficiencies(out, spec_in, eta_base, shaper_cfg, shaped_in)
         t_e = out.transmission
         extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
         return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras

@@ -32,9 +32,7 @@ from .fields import (
     to_time,
 )
 from .medium import MediumParams, SpectralFilter, Transmitted, transmit
-from .modes import (
-    _check_eta_base, _check_normalized, _eta, _lattice_overlaps, _phasors, _spectral_product, _support
-)
+from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
@@ -104,10 +102,26 @@ def resolution_kernel(grid: Grid, cfg: ShaperConfig) -> SpectralFilter:
     return SpectralFilter(grid, values.astype(np.complex128))
 
 
-def _resolution_window(grid: Grid, center: float, dnu: float) -> np.ndarray:
-    # time-domain image of the unit-area Gaussian kernel, centered on the pulse
-    tsig = ((grid.t - center + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
-    return np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
+# np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))
+_EXP_UNDERFLOW = -746.0
+
+
+def _resolution_window(grid: Grid, k_center: int, dnu: float):
+    """Time-domain image of the unit-area Gaussian kernel, centered on sample ``k_center``.
+
+    Returns the sample indices where it can be nonzero and its values there.
+    The exponent falls below -746, where exp is exactly 0, beyond 49 ps of
+    the center at the default resolution (about 9,800 of 2^19 samples), so
+    only that span is evaluated; the indices are ``slice(None)`` when the
+    span covers the grid.
+    """
+    reach = np.sqrt(-_EXP_UNDERFLOW * 4.0 * LN2) / (np.pi * dnu * grid.dt) + 2.0  # in samples, with margin
+    if 2.0 * reach + 1.0 >= grid.n:
+        keep = slice(None)
+    else:
+        keep = np.arange(k_center - int(reach), k_center + int(reach) + 1) % grid.n
+    tsig = ((grid.t[keep] - grid.t[k_center] + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
+    return keep, np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
 
 
 def _box_average(x: np.ndarray, size: int) -> np.ndarray:
@@ -127,17 +141,22 @@ def achievable_lo(
     width is configured, smoothed by the resolution kernel, and renormalized.
     With ideal resolution (kernel much narrower than the grid spacing) the
     target is returned unchanged up to normalization.  A caller that already
-    holds the target's spectrum passes it as ``spectrum`` to save a transform.
+    holds the target's unit-energy spectrum passes it as ``spectrum`` to save
+    a transform; the target may then have any energy, since the result is
+    renormalized and its peak, which centers the window, does not move.
     """
-    _check_normalized(target, "shaper target")
+    _check_normalized(target if spectrum is None else spectrum, "shaper target")
     grid = target.grid
     k_peak = int(np.argmax(np.abs(target.amp)))
     amp = target.amp
 
     if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
-        spec = (to_spectrum(target) if spectrum is None else spectrum).amp.copy()
-        if cfg.span_hz is not None:
-            spec[np.abs(grid.freqs) > 0.5 * cfg.span_hz] = 0.0
+        source = (to_spectrum(target) if spectrum is None else spectrum).amp
+        spec = source.copy() if cfg.span_hz is None else np.zeros_like(source)
+        if cfg.span_hz is not None:  # keep the ascending bins with |nu| <= span / 2
+            edge = 0.5 * cfg.span_hz
+            inside = slice(np.searchsorted(grid.freqs, -edge), np.searchsorted(grid.freqs, edge, side="right"))
+            spec[inside] = source[inside]
         if cfg.pixel_width_hz is not None:
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
             if size > grid.n:
@@ -145,60 +164,134 @@ def achievable_lo(
             spec = _box_average(spec, size)
         amp = to_time(SpectralField(grid, spec)).amp
 
-    window = _resolution_window(grid, grid.t[k_peak], cfg.resolution_fwhm_hz)
-    return normalize(TemporalField(grid, amp * window))
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
+    windowed = amp[keep] * window
+    energy = grid.dt * np.sum(np.abs(windowed) ** 2)  # the LO is zero outside keep
+    if energy <= 0.0:
+        raise ValueError("cannot normalize a zero field")
+    windowed /= np.sqrt(energy)
+    if amp is target.amp:
+        amp = np.zeros_like(amp)
+    else:
+        amp.fill(0.0)  # the transform's own output array becomes the windowed LO
+    amp[keep] = windowed
+    return TemporalField(grid, amp)
+
+
+# Most Newton starts in one search, highest samples first.  The loss bound
+# admits 1-2 samples at the default scenario; a pulse barely resolved by dt
+# can admit every sample, and each start costs a few support-length sums.
+_MAX_STARTS = 8
+
+# Slack, in units of |overlap|, on the bound that lets the shaped input LO be
+# skipped: covers Newton's stopping tolerance and round-off in the distance.
+_SKIP_SLACK = 1e-9
+
+
+def _even_lag_overlaps(g: np.ndarray, grid: Grid) -> np.ndarray:
+    """The overlaps of ``modes._lattice_overlaps`` at the even lags 2m*dt, stored at index
+    m mod n/2, from one half-length FFT: fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m]."""
+    half = grid.n // 2
+    out = np.fft.fft(g[:half] + g[half:])
+    out *= grid.df
+    return out
 
 
 def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     """max over delay of |<lo(tau)|sig>|^2, refined to machine precision.
 
-    The coarse maximum is taken over every dt-lattice delay within
-    +-window/4, all from one FFT of the spectral product.  Newton steps on
-    |A(tau)|^2, A = df * sum g * exp(-2*pi*i*nu*tau), refine it within one
-    time step; the largest value seen is returned.  Each step sums A and both
-    tau-derivatives exactly over the support of g, from one product h of g
-    with the phasors of :func:`_phasors`.  The sums are ufunc reductions:
-    a BLAS dot product here (h @ phase) runs on OpenBLAS's own threads and
-    nearly doubles the CPU time of a depth scan for no gain in wall time.
+    With g = conj(LO) * S, f(tau) = |A(tau)|^2, A = df * sum g * exp(-2*pi*i*nu*tau).
+    The coarse search samples f at the even lags 2m*dt within +-window/4,
+    all from one half-length FFT (:func:`_even_lag_overlaps`).
+    On the support of g, |f''| <= 2*(2*pi)^2*(M1^2 + M0*M2) with
+    Mk = df * sum |g| * |nu - nu_c|^k about the centroid nu_c of |g|, so the
+    sample nearest the true maximum, at most dt from it, falls short of it by
+    at most L = (2*pi*dt)^2 * (M1^2 + M0*M2).  Newton steps on f, each kept
+    within 2*dt of its start, refine from every sample within L of the best
+    sample (at most ``_MAX_STARTS``), so a nearly tied peak that the lattice
+    undersamples is not lost; the largest value seen is returned.  Each step
+    sums A and both tau-derivatives exactly over the support of g, from one
+    product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
+    reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
+    threads and nearly doubles the CPU time of a depth scan for no gain in
+    wall time.
     """
     grid = lo_spec.grid
     g = _spectral_product(lo_spec, sig_spec)
-    corr = np.abs(_lattice_overlaps(g, grid))
-    quarter = grid.n // 4
-    corr[quarter + 1 : grid.n - quarter] = -1.0
-    k = int(np.argmax(corr))
-    best = float(corr[k] ** 2)
-    start = (k if k <= quarter else k - grid.n) * grid.dt
+    half, eighth = grid.n // 2, grid.n // 8
+    coarse = np.abs(_even_lag_overlaps(g, grid)) ** 2
+    coarse[eighth + 1 : half - eighth] = -1.0  # keep the lags |2m| <= n/4
+    best = float(coarse.max())
+
     g, freqs = _support(g, grid.freqs)
     g = g * grid.df
+    mag = np.abs(g)
+    m0 = mag.sum()
+    if m0 == 0.0:  # disjoint spectra: every overlap is 0
+        return best
+    dev = np.abs(freqs - (mag * freqs).sum() / m0)
+    mag *= dev
+    m1 = mag.sum()
+    mag *= dev
+    loss = (2.0 * np.pi * grid.dt) ** 2 * (m1**2 + m0 * mag.sum())
+    starts = np.nonzero(coarse >= best - loss)[0]
+    starts = starts[np.argsort(-coarse[starts], kind="stable")[:_MAX_STARTS]]
+
     phase = -2j * np.pi * freqs
-    x = 0.0  # offset from the lattice maximum, kept within one time step
-    for _ in range(8):  # at the default scenario Newton stops within 4 steps
-        h = g * _phasors(freqs[0], grid.df, g.size, start + x)
-        a = h.sum()
-        h *= phase
-        a1 = h.sum()
-        h *= phase
-        a2 = h.sum()
-        best = max(best, float(abs(a) ** 2))
-        half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
-        new = min(max(x - (np.conj(a) * a1).real / half_d2, -grid.dt), grid.dt) if half_d2 < 0.0 else x
-        if abs(new - x) <= 1e-9 * grid.dt:
-            break
-        x = new
+    for m in starts:
+        start = 2 * (int(m) if m <= eighth else int(m) - half) * grid.dt
+        x = 0.0  # offset from the start, kept within two time steps
+        for _ in range(8):  # at the default scenario Newton stops within 4 steps
+            h = g * _phasors(freqs[0], grid.df, g.size, start + x)
+            a = h.sum()
+            h *= phase
+            a1 = h.sum()
+            h *= phase
+            a2 = h.sum()
+            best = max(best, float(abs(a) ** 2))
+            half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
+            new = x
+            if half_d2 < 0.0:
+                new = min(max(x - (np.conj(a) * a1).real / half_d2, -2.0 * grid.dt), 2.0 * grid.dt)
+            if abs(new - x) <= 1e-9 * grid.dt:
+                break
+            x = new
     return best
 
 
-def _unshaped_eta(out: Transmitted, lo_in: SpectralField, eta_base: float) -> float:
-    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
+def _shaped_input(mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig) -> tuple[SpectralField, float]:
+    """The shaped input LO s = achievable_lo(u) of the input LO u (spectrum ``lo_in``), and its
+    distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
+    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo_in))
+    inner = abs(lo_in.grid.df * (np.conj(lo_in.amp) * shaped.amp).sum())
+    return shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
 
 
-def _shaped_eta(
-    out: Transmitted, shaped_in: SpectralField, unshaped: float, cfg: ShaperConfig, eta_base: float
-) -> float:
-    """Best of the LO shaped to the transmitted mode, ``shaped_in`` (the shaped input) and ``unshaped``."""
-    own = _best_projection(to_spectrum(achievable_lo(normalize(out.field), cfg, out.mode)), out.mode)
-    return max(float(_eta(eta_base, out, max(own, _best_projection(shaped_in, out.mode)))), unshaped)
+def _efficiencies(
+    out: Transmitted,
+    lo_in: SpectralField,
+    eta_base: float,
+    cfg: ShaperConfig | None = None,
+    shaped_in: tuple[SpectralField, float] | None = None,
+) -> tuple[float, float]:
+    """(unshaped, shaped) efficiency for one medium; shaped is unshaped when ``shaped_in``
+    (from :func:`_shaped_input`) is None.
+
+    The shaped efficiency is the best of the LO shaped to the transmitted
+    mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
+    so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
+    (Cauchy-Schwarz): the search over s is skipped when that bound on its
+    result cannot reach the own-mode LO's.
+    """
+    p_in = _best_projection(lo_in, out.mode)
+    unshaped = float(_eta(eta_base, out, p_in))
+    if shaped_in is None:
+        return unshaped, unshaped
+    spectrum, distance = shaped_in
+    best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, out.mode)), out.mode)
+    if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
+        best = max(best, _best_projection(spectrum, out.mode))
+    return unshaped, max(float(_eta(eta_base, out, best)), unshaped)
 
 
 def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfig, eta_base: float) -> float:
@@ -215,12 +308,11 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
     mode_in = normalize(input_field)
     lo_in = to_spectrum(mode_in)
     out = transmit(lo_in, m)
-    shaped_in = to_spectrum(achievable_lo(mode_in, cfg, lo_in))
-    return _shaped_eta(out, shaped_in, _unshaped_eta(out, lo_in, eta_base), cfg, eta_base)
+    return _efficiencies(out, lo_in, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
     lo_in = to_spectrum(normalize(input_field))
-    return _unshaped_eta(transmit(lo_in, m), lo_in, eta_base)
+    return _efficiencies(transmit(lo_in, m), lo_in, eta_base)[0]

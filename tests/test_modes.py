@@ -165,16 +165,18 @@ class TestVisibilityCurve:
 
     def test_against_time_domain_oracle(self, mid_grid, mid_pulse, lobed_signal):
         # direct Riemann-sum cross-correlation with an analytically shifted LO,
-        # fully independent of the spectral phase-ramp scan path
+        # fully independent of the time-correlation and spectral scan paths;
+        # delays on the lattice, then off it
         center = mid_grid.window / 8
-        taus = np.array([-0.2e-12, 0.1e-12, 0.27e-12, 1.0e-12, 2.26e-12])
-        curve = visibility_curve(lobed_signal, mid_pulse, taus)
         sig = normalize(lobed_signal)
-        for tau, got in zip(taus, curve.ys):
-            lo = np.exp(-2.0 * LN2 * ((mid_grid.t - center - tau) / 100e-15) ** 2)
-            lo = lo / np.sqrt(mid_grid.dt * np.sum(lo**2))
-            want = abs(mid_grid.dt * np.sum(np.conj(lo) * sig.amp))
-            assert got == pytest.approx(want, abs=1e-9)
+        for offset in (0.0, 3.7e-15):
+            taus = np.array([-0.2e-12, 0.1e-12, 0.27e-12, 1.0e-12, 2.26e-12]) + offset
+            curve = visibility_curve(lobed_signal, mid_pulse, taus)
+            for tau, got in zip(taus, curve.ys):
+                lo = np.exp(-2.0 * LN2 * ((mid_grid.t - center - tau) / 100e-15) ** 2)
+                lo = lo / np.sqrt(mid_grid.dt * np.sum(lo**2))
+                want = abs(mid_grid.dt * np.sum(np.conj(lo) * sig.amp))
+                assert got == pytest.approx(want, abs=1e-9)
 
     def test_lobes_align_with_field_envelope(self, mid_grid, mid_pulse, lobed_signal):
         center = mid_grid.window / 8
@@ -225,6 +227,15 @@ class TestEtaCurve:
         cap = curve.meta["eta_base"] * curve.meta["transmission"]
         assert np.all(curve.ys <= cap + 1e-12)
         assert np.all(curve.ys >= 0.0)
+
+
+    @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+    def test_off_lattice_delays_agree_with_the_lattice_scan(self, mid_grid, mid_pulse):
+        # a 1e-9 dt shift leaves the lattice, so the scan takes the spectral path
+        delays = np.arange(-20, 300) * 10e-15
+        on = eta_curve(mid_pulse, PRESET3, mid_pulse, 0.62, delays)
+        off = eta_curve(mid_pulse, PRESET3, mid_pulse, 0.62, delays + 1e-9 * mid_grid.dt)
+        assert np.max(np.abs(off.ys - on.ys)) < 1e-9 * on.ys.max()
 
 
 class TestPeakEta:

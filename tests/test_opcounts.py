@@ -1,9 +1,12 @@
 """Operation counts per medium: each medium is propagated once per verb.
 
-Counts numpy FFTs, H(nu) evaluations, shaper LO builds and full-grid
-complex exponentials while the four physics verbs run on a 2^14 grid, once
-with all five presets and once with preset 1; the difference divided by
-four is the per-medium cost, free of the per-run set-up.
+Counts numpy FFTs, H(nu) evaluations, shaper LO builds, best-delay searches
+and full-grid complex exponentials while the four physics verbs run on a
+2^14 grid, once with all five presets and once with preset 1; the
+difference divided by four is the per-medium cost, free of the per-run
+set-up.  FFTs are counted as work, m*log2(m) / (n*log2(n)) for a length-m
+transform on the n-point grid, so a half-length transform counts as less
+than half of a full one.
 """
 
 import numpy as np
@@ -11,24 +14,30 @@ import pytest
 
 import zapsim.medium
 import zapsim.shaper
+from zapsim import MediumParams, eta_curve, gaussian_pulse, make_grid, visibility_curve
 from zapsim.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
-# most numpy FFTs one medium may cost, per verb
-FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 6}
+# most FFT work (in full-grid transforms) one medium may cost, per verb
+FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 4.0}
 
 GRID_N = 16384
 
 
-def _count_calls(monkeypatch, owner, name, counts):
-    """Count calls of ``owner.name`` through every binding of it in numpy.fft and zapsim."""
+def _fft_work(x, *args, **kwargs):
+    m = np.size(x)
+    return m * np.log2(m) / (GRID_N * np.log2(GRID_N))
+
+
+def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs: 1):
+    """Count calls of ``owner.name``, each adding ``weight(*args)``, through every binding of it in numpy.fft and zapsim."""
     import sys
 
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        counts[name] += 1
+        counts[name] += weight(*args, **kwargs)
         return fn(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -51,12 +60,13 @@ def _count_full_grid_exp(monkeypatch, counts):
 
 
 def _run_counted(monkeypatch, tmp_path, verb, preset):
-    counts = dict.fromkeys(["fft", "ifft", "transfer_function", "achievable_lo", "exp"], 0)
+    counts = dict.fromkeys(["fft", "ifft", "transfer_function", "achievable_lo", "_best_projection", "exp"], 0)
     with monkeypatch.context() as mp:
-        _count_calls(mp, np.fft, "fft", counts)
-        _count_calls(mp, np.fft, "ifft", counts)
+        _count_calls(mp, np.fft, "fft", counts, _fft_work)
+        _count_calls(mp, np.fft, "ifft", counts, _fft_work)
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
+        _count_calls(mp, zapsim.shaper, "_best_projection", counts)
         _count_full_grid_exp(mp, counts)
         out = str(tmp_path / preset)
         code = main([verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"])
@@ -65,6 +75,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset):
         "fft": counts["fft"] + counts["ifft"],
         "h": counts["transfer_function"],
         "lo": counts["achievable_lo"],
+        "search": counts["_best_projection"],
         "exp": counts["exp"],
     }
 
@@ -80,3 +91,21 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     if verb == "depth-scan":
         # one shaped LO per medium plus the medium-independent input LO
         assert five["lo"] == 5 + 1
+        # the input LO and the own-mode LO; the shaped input LO provably loses at the default shaper
+        assert (five["search"] - one["search"]) / 4 <= 2
+
+
+def test_lattice_curves_transform_only_the_propagation(monkeypatch):
+    # a lattice scan is a time correlation: no LO or signal spectrum is built
+    grid = make_grid(GRID_N, 10e-15)
+    pulse = gaussian_pulse(grid, 100e-15)
+    delays = np.arange(-40, 400) * 20e-15
+    counts = dict.fromkeys(["fft", "ifft"], 0)
+    with monkeypatch.context() as mp:
+        _count_calls(mp, np.fft, "fft", counts)
+        _count_calls(mp, np.fft, "ifft", counts)
+        visibility_curve(pulse, pulse, delays)
+        assert counts == {"fft": 0, "ifft": 0}
+        eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays)
+    # the input spectrum and the transmitted field
+    assert counts == {"fft": 1, "ifft": 1}

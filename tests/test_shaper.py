@@ -3,9 +3,11 @@ import pytest
 from scipy.ndimage import uniform_filter1d
 from scipy.optimize import minimize_scalar
 
+import zapsim.shaper
 from zapsim import (
     MediumParams,
     ShaperConfig,
+    SpectralField,
     achievable_lo,
     delay_field,
     gaussian_pulse,
@@ -22,7 +24,9 @@ from zapsim import (
     transmit,
 )
 from zapsim.modes import _lattice_overlaps, _spectral_product, _support
-from zapsim.shaper import _best_projection, _box_average
+from zapsim.shaper import (
+    _best_projection, _box_average, _efficiencies, _even_lag_overlaps, _resolution_window, _shaped_input
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -40,21 +44,25 @@ def preset_modes(mid_pulse):
 
 
 def brent_projection(lo_spec, sig_spec):
-    """Oracle: the lattice maximum refined by bounded Brent within one time step."""
+    """Oracle: bounded Brent within one time step of every local maximum of the dt-lattice
+    overlaps within +-window/4 that reaches half the largest."""
     grid = lo_spec.grid
     g = _spectral_product(lo_spec, sig_spec)
-    corr = np.abs(_lattice_overlaps(g, grid))
+    corr = np.abs(_lattice_overlaps(g, grid)) ** 2
     quarter = grid.n // 4
     corr[quarter + 1 : grid.n - quarter] = -1.0
-    k = int(np.argmax(corr))
-    tau = (k if k <= quarter else k - grid.n) * grid.dt
+    peaks = (corr >= np.roll(corr, 1)) & (corr >= np.roll(corr, -1)) & (corr >= 0.5 * corr.max())
     g, freqs = _support(g, grid.freqs)
 
     def neg(t):
         return -np.abs(grid.df * np.sum(g * np.exp(-2j * np.pi * freqs * t))) ** 2
 
-    res = minimize_scalar(neg, bounds=(tau - grid.dt, tau + grid.dt), method="bounded", options={"xatol": 1e-18})
-    return max(-res.fun, corr[k] ** 2)
+    best = corr.max()
+    for k in np.nonzero(peaks)[0]:
+        tau = (k if k <= quarter else k - grid.n) * grid.dt
+        bounds = (tau - grid.dt, tau + grid.dt)
+        best = max(best, -minimize_scalar(neg, bounds=bounds, method="bounded", options={"xatol": 1e-18}).fun)
+    return best
 
 
 class TestShaperConfig:
@@ -205,6 +213,50 @@ class TestBestProjection:
             assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
 
 
+    def test_even_lags_fold_to_a_half_length_transform(self, preset_modes):
+        lo_spec = to_spectrum(achievable_lo(preset_modes[4], ShaperConfig()))
+        g = _spectral_product(lo_spec, to_spectrum(preset_modes[4]))
+        full = _lattice_overlaps(g.copy(), lo_spec.grid)
+        even = _even_lag_overlaps(g, lo_spec.grid)
+        assert even.size == g.size // 2
+        assert np.max(np.abs(even - full[::2])) <= 1e-13 * np.abs(full).max()
+
+    def test_nearly_tied_peaks_not_below_brent(self):
+        # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
+        # peaks wrongly when one sits between samples, so refining only its maximum falls short
+        grid = make_grid(2**14, 10e-15)
+        lo_spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
+        rng = np.random.default_rng(7)
+        short = []
+        for case in range(200):
+            t1 = rng.uniform(-3e-12, 3e-12)
+            t2 = t1 + rng.uniform(0.5e-12, 3e-12)
+            weight = rng.uniform(0.995, 1.005) * np.exp(2j * np.pi * rng.uniform())
+            amp = lo_spec.amp * (np.exp(2j * np.pi * grid.freqs * t1) + weight * np.exp(2j * np.pi * grid.freqs * t2))
+            sig_spec = SpectralField(grid, amp / np.sqrt(grid.df * np.sum(np.abs(amp) ** 2)))
+            if _best_projection(lo_spec, sig_spec) < brent_projection(lo_spec, sig_spec) - 1e-15:
+                short.append(case)
+        assert short == []
+
+
+class TestResolutionWindow:
+    @pytest.mark.parametrize("cfg", [ShaperConfig(), IDEAL], ids=["default", "ideal"])
+    @pytest.mark.parametrize("k_center", [65536, 7, 2**19 - 3])
+    def test_span_is_the_full_evaluation(self, default_grid, cfg, k_center):
+        # exp is exactly 0 outside the span, and the span's values are bit for bit the full ones
+        grid, dnu = default_grid, cfg.resolution_fwhm_hz
+        tsig = ((grid.t - grid.t[k_center] + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
+        full = np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * np.log(2.0)))
+        keep, values = _resolution_window(grid, k_center, dnu)
+        window = np.zeros(grid.n)
+        window[keep] = values
+        assert np.array_equal(window.view(np.uint64), full.view(np.uint64))
+        if cfg is IDEAL:
+            assert keep == slice(None)
+        else:
+            assert keep.size < grid.n // 50
+
+
 class TestMaxEta:
     def test_no_medium_recovers_eta_base(self, mid_pulse):
         m = MediumParams(depth=0.0, t2=1e-12)
@@ -265,3 +317,26 @@ def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_n
     shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), out.mode)
     floor = max(max_unshaped_eta(pulse, params, 0.62), shaped_in)
     assert floor <= max_shaped_eta(pulse, params, cfg, 0.62) <= 0.62 * out.transmission + 1e-12
+
+
+@pytest.mark.parametrize("pixel_nm", [None, 2.0, 3.0])
+def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
+    grid = make_grid(2**16, 10e-15)
+    pulse = normalize(gaussian_pulse(grid, 100e-15))
+    cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
+    lo_in = to_spectrum(pulse)
+    shaped, distance = _shaped_input(pulse, lo_in, cfg)
+    searches = []
+    monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
+    for preset in temperature_presets():
+        out = transmit(lo_in, preset.params)
+        del searches[:]
+        skipping = _efficiencies(out, lo_in, 0.62, cfg, (shaped, distance))
+        skipped = 3 - len(searches)
+        # an infinite distance never proves the shaped input LO loses
+        assert skipping == _efficiencies(out, lo_in, 0.62, cfg, (shaped, np.inf))
+        # the shaped input LO is kept for a coarse pixel and provably loses without one
+        assert skipped == (1 if pixel_nm is None else 0)
+        # the bound the skip rests on: |<s(tau)|out>| <= |<u(tau)|out>| + distance
+        bound = (np.sqrt(_best_projection(lo_in, out.mode)) + distance) ** 2
+        assert _best_projection(shaped, out.mode) <= bound
