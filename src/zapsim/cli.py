@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .config import ConfigError, ScenarioConfig, _assign, validate
 from . import runners
 
 
@@ -59,12 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.overrides:
-        cfg = apply_overrides(cfg, args.overrides)
-    if args.out:
-        cfg = apply_overrides(cfg, [f"output.directory={args.out}"])
-    return cfg
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    cfg = _assign(_assign(ScenarioConfig(), text.splitlines()), args.overrides, overrides=True)
+    if args.out:  # a path, not a config line: a '#' in it is no comment
+        cfg = replace(cfg, output_directory=args.out)
+    return validate(cfg)
 
 
 def _remove_empty(created: list[Path]) -> None:

@@ -12,8 +12,10 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
-from .fields import Grid, TemporalField, gaussian_pulse, make_grid
+from .fields import Grid, TemporalField, _check_pulse, gaussian_pulse, make_grid
 from .medium import MediumParams, MediumPreset, temperature_presets
+from .modes import _check_delays, _check_eta_base
+from .quantum import HeraldedState, _check_sample_size, _check_wigner_axis
 from .shaper import ShaperConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config_text", "apply_overrides"]
@@ -60,16 +62,7 @@ class ScenarioConfig:
         )
 
     def media(self) -> list[MediumPreset]:
-        if self.medium_depth is not None:
-            params = MediumParams(depth=self.medium_depth, t2=self.medium_t2_ps * 1e-12)
-            return [MediumPreset("custom", None, params)]
-        presets = temperature_presets()
-        if self.medium_preset.strip().lower() == "all":
-            return presets
-        picked = []
-        for tok in self.medium_preset.split(","):
-            picked.append(presets[int(tok) - 1])
-        return picked
+        return _media(self)
 
     def shaper_config(self) -> ShaperConfig:
         return ShaperConfig(
@@ -88,8 +81,8 @@ class ScenarioConfig:
     def to_lines(self) -> list[str]:
         """Deterministic ``section.key = value`` echo of the full config."""
         out = []
-        for key in sorted(_KEY_TO_FIELD):
-            val = getattr(self, _KEY_TO_FIELD[key])
+        for key in sorted(_PARSERS):
+            val = getattr(self, key.replace(".", "_"))
             if val is None:
                 rendered = "none"
             elif isinstance(val, bool):
@@ -100,6 +93,23 @@ class ScenarioConfig:
                 rendered = str(val)
             out.append(f"{key} = {rendered}")
         return out
+
+
+def _media(cfg: ScenarioConfig) -> list[MediumPreset]:
+    """The custom medium of medium.depth and medium.t2_ps, or the presets medium.preset names."""
+    if (cfg.medium_depth is None) != (cfg.medium_t2_ps is None):
+        raise ValueError("medium.depth and medium.t2_ps must be set together")
+    if cfg.medium_depth is not None:
+        return [MediumPreset("custom", None, MediumParams(depth=cfg.medium_depth, t2=cfg.medium_t2_ps * 1e-12))]
+    presets = temperature_presets()
+    if cfg.medium_preset.strip().lower() == "all":
+        return presets
+    picked = [int(tok) - 1 for tok in cfg.medium_preset.split(",")]
+    if not set(picked) <= set(range(len(presets))):
+        raise ValueError(f"preset indices must be 1..{len(presets)}, got {cfg.medium_preset!r}")
+    if len(set(picked)) < len(picked):
+        raise ValueError("a preset is listed twice")
+    return [presets[i] for i in picked]
 
 
 def _parse_bool(text: str) -> bool:
@@ -118,147 +128,93 @@ def _parse_opt_float(text: str) -> float | None:
     return float(text)
 
 
-_PARSERS = {
-    "grid.n": int,
-    "grid.dt_fs": float,
-    "pulse.fwhm_fs": float,
-    "pulse.detuning_ghz": float,
-    "medium.preset": str,
-    "medium.depth": _parse_opt_float,
-    "medium.t2_ps": _parse_opt_float,
-    "shaper.resolution_nm": float,
-    "shaper.pixel_nm": _parse_opt_float,
-    "shaper.span_nm": _parse_opt_float,
-    "shaper.enabled": _parse_bool,
-    "detection.eta_base": float,
-    "scan.delay_min_ps": float,
-    "scan.delay_max_ps": float,
-    "scan.delay_steps": int,
-    "sampling.n_samples": int,
-    "sampling.seed": int,
-    "wigner.half_width": float,
-    "wigner.n_side": int,
-    "wigner.eta": _parse_opt_float,
-    "output.directory": str,
-}
-
-_KEY_TO_FIELD = {key: key.replace(".", "_") for key in _PARSERS}
-assert set(_KEY_TO_FIELD.values()) == {f.name for f in dataclass_fields(ScenarioConfig)}
+# "section.key" -> parser, from the field section_key and its annotation
+_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool, "float | None": _parse_opt_float}
+_PARSERS = {f.name.replace("_", ".", 1): _BY_TYPE[f.type] for f in dataclass_fields(ScenarioConfig)}
 
 
-def _parse_line(line: str, lineno: int) -> tuple[str, object] | None:
-    body = line.split("#", 1)[0].strip()
-    if not body:
-        return None
-    if "=" not in body:
-        raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line.rstrip()!r}")
-    key, _, raw = body.partition("=")
-    key = key.strip()
-    raw = raw.strip()
-    if key not in _PARSERS:
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    try:
-        value = _PARSERS[key](raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
-    return key, value
+def _assign(cfg: ScenarioConfig, lines, overrides: bool = False) -> ScenarioConfig:
+    """``cfg`` with ``section.key = value`` lines applied, not validated; an override may not be blank."""
+    updates = {}
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body and overrides:
+            raise ConfigError(f"empty override {line!r}")
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line.rstrip()!r}")
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            updates[key.replace(".", "_")] = _PARSERS[key](raw.strip())
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
+    return replace(cfg, **updates)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
-    updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parsed = _parse_line(line, lineno)
-        if parsed is not None:
-            key, value = parsed
-            updates[_KEY_TO_FIELD[key]] = value
-    cfg = replace(ScenarioConfig(), **updates)
-    validate(cfg)
-    return cfg
+    return validate(_assign(ScenarioConfig(), text.splitlines()))
 
 
 def load_config(path) -> ScenarioConfig:
     """Read and validate a scenario file; missing file raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config_text(text)
+        return parse_config_text(fh.read())
 
 
 def apply_overrides(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
     """Apply ``section.key=value`` strings on top of an existing config."""
-    updates = {}
-    for i, item in enumerate(assignments, start=1):
-        parsed = _parse_line(item, i)
-        if parsed is None:
-            raise ConfigError(f"empty override {item!r}")
-        key, value = parsed
-        updates[_KEY_TO_FIELD[key]] = value
-    out = replace(cfg, **updates)
-    validate(out)
-    return out
+    return validate(_assign(cfg, assignments, overrides=True))
 
 
-def _fail(key: str, why: str):
-    raise ConfigError(f"invalid {key!r}: {why}")
+def _check_delay_steps(steps: int) -> None:
+    if steps < 2:
+        raise ValueError(f"must be >= 2, got {steps}")
 
 
-def validate(cfg: ScenarioConfig) -> None:
-    for key in sorted(_KEY_TO_FIELD):
-        val = getattr(cfg, _KEY_TO_FIELD[key])
+# (key, check) in order: a check applies the rules of the object its key feeds,
+# and its ValueError is reported under that key.  A rule over several keys is
+# reported by the first row that sees it: a row holds later keys at accepted values.
+_CHECKS = (
+    ("grid.n", lambda c: make_grid(c.grid_n, 1.0)),
+    ("grid.dt_fs", lambda c: c.make_grid()),
+    ("pulse.fwhm_fs", lambda c: _check_pulse(c.make_grid(), c.pulse_fwhm_fs * 1e-15)),
+    (
+        "pulse.detuning_ghz",
+        lambda c: _check_pulse(c.make_grid(), c.pulse_fwhm_fs * 1e-15, c.pulse_detuning_ghz * 1e9),
+    ),
+    (
+        "medium.depth",
+        lambda c: _media(replace(c, medium_t2_ps=None if c.medium_t2_ps is None else 1.0, medium_preset="all")),
+    ),
+    ("medium.t2_ps", lambda c: _media(replace(c, medium_preset="all"))),
+    ("medium.preset", _media),
+    ("shaper.resolution_nm", lambda c: replace(c, shaper_span_nm=None, shaper_pixel_nm=None).shaper_config()),
+    ("shaper.span_nm", lambda c: replace(c, shaper_pixel_nm=None).shaper_config()),
+    ("shaper.pixel_nm", lambda c: c.shaper_config()),
+    ("detection.eta_base", lambda c: _check_eta_base(c.detection_eta_base)),
+    ("scan.delay_max_ps", lambda c: _check_delays(c.make_grid(), [c.scan_delay_max_ps * 1e-12])),
+    ("scan.delay_min_ps", lambda c: _check_delays(c.make_grid(), replace(c, scan_delay_steps=2).delays())),
+    ("scan.delay_steps", lambda c: _check_delay_steps(c.scan_delay_steps)),
+    ("sampling.n_samples", lambda c: _check_sample_size(c.sampling_n_samples)),
+    ("wigner.half_width", lambda c: _check_wigner_axis(c.wigner_half_width, 2)),
+    ("wigner.n_side", lambda c: _check_wigner_axis(c.wigner_half_width, c.wigner_n_side)),
+    ("wigner.eta", lambda c: c.wigner_eta is None or HeraldedState(c.wigner_eta)),
+)
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Return ``cfg`` if each key holds a value its rules accept; else raise ConfigError naming the key."""
+    for key in sorted(_PARSERS):
+        val = getattr(cfg, key.replace(".", "_"))
         if isinstance(val, float) and not np.isfinite(val):
-            _fail(key, f"must be finite, got {val}")
-    n = cfg.grid_n
-    if n < 2 or (n & (n - 1)) != 0:
-        _fail("grid.n", f"must be a power of two >= 2, got {n}")
-    if not cfg.grid_dt_fs > 0:
-        _fail("grid.dt_fs", f"must be positive, got {cfg.grid_dt_fs}")
-    window_s = n * cfg.grid_dt_fs * 1e-15
-    if not 0 < cfg.pulse_fwhm_fs * 1e-15 < window_s:
-        _fail("pulse.fwhm_fs", f"pulse must fit the {window_s:.3e} s window")
-    if abs(cfg.pulse_detuning_ghz * 1e9) >= 0.5 / (cfg.grid_dt_fs * 1e-15):
-        _fail("pulse.detuning_ghz", "detuning exceeds the Nyquist limit")
-
-    if (cfg.medium_depth is None) != (cfg.medium_t2_ps is None):
-        _fail("medium.depth", "medium.depth and medium.t2_ps must be set together")
-    if cfg.medium_depth is not None:
-        if cfg.medium_depth < 0:
-            _fail("medium.depth", f"must be >= 0, got {cfg.medium_depth}")
-        if not cfg.medium_t2_ps > 0:
-            _fail("medium.t2_ps", f"must be positive, got {cfg.medium_t2_ps}")
-    else:
-        spec = cfg.medium_preset.strip().lower()
-        if spec != "all":
-            tokens = cfg.medium_preset.split(",")
-            for tok in tokens:
-                try:
-                    idx = int(tok)
-                except ValueError:
-                    _fail("medium.preset", f"expected 'all' or preset indices, got {tok!r}")
-                if not 1 <= idx <= 5:
-                    _fail("medium.preset", f"preset index must be 1..5, got {idx}")
-            if len({int(tok) for tok in tokens}) < len(tokens):
-                _fail("medium.preset", "a preset is listed twice")
-
-    try:
-        cfg.shaper_config()  # the shaper width rules live in ShaperConfig
-    except ValueError as exc:  # its message starts with the width it rejects
-        keys = {"resolution": "shaper.resolution_nm", "pixel": "shaper.pixel_nm", "span": "shaper.span_nm"}
-        _fail(keys[str(exc).split()[0]], str(exc))
-    if not 0.0 <= cfg.detection_eta_base <= 1.0:
-        _fail("detection.eta_base", f"must lie in [0, 1], got {cfg.detection_eta_base}")
-
-    if not cfg.scan_delay_min_ps < cfg.scan_delay_max_ps:
-        _fail("scan.delay_min_ps", "scan.delay_min_ps must be below scan.delay_max_ps")
-    if cfg.scan_delay_steps < 2:
-        _fail("scan.delay_steps", f"must be >= 2, got {cfg.scan_delay_steps}")
-    limit_ps = window_s / 4.0 * 1e12
-    if abs(cfg.scan_delay_min_ps) > limit_ps or abs(cfg.scan_delay_max_ps) > limit_ps:
-        _fail("scan.delay_max_ps", f"delays must stay within +-{limit_ps:.6g} ps (window/4)")
-
-    if cfg.sampling_n_samples < 1:
-        _fail("sampling.n_samples", f"must be >= 1, got {cfg.sampling_n_samples}")
-    if not cfg.wigner_half_width > 0:
-        _fail("wigner.half_width", f"must be positive, got {cfg.wigner_half_width}")
-    if cfg.wigner_n_side < 2:
-        _fail("wigner.n_side", f"must be >= 2, got {cfg.wigner_n_side}")
-    if cfg.wigner_eta is not None and not 0.0 <= cfg.wigner_eta <= 1.0:
-        _fail("wigner.eta", f"must lie in [0, 1], got {cfg.wigner_eta}")
+            raise ConfigError(f"invalid {key!r}: must be finite, got {val}")
+    for key, check in _CHECKS:
+        try:
+            check(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {key!r}: {exc}") from exc
+    return cfg

@@ -131,10 +131,23 @@ class SpectralField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp))
 
+    @cached_property
+    def energy(self) -> float:
+        """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
+        return float(self.grid.df * np.sum(np.abs(self.amp) ** 2))
+
 
 def make_grid(n: int, dt: float) -> Grid:
     """Build a grid of ``n`` samples (power of two) with step ``dt`` seconds."""
     return Grid(int(n), float(dt))
+
+
+def _check_pulse(grid: Grid, fwhm_t: float, detuning: float = 0.0) -> None:
+    """The rules of :func:`gaussian_pulse`, checked without building the pulse."""
+    if not (0.0 < fwhm_t < grid.window):
+        raise ValueError(f"pulse fwhm {fwhm_t!r} s must lie in (0, window={grid.window} s)")
+    if abs(detuning) >= grid.nyquist:
+        raise ValueError(f"detuning {detuning!r} Hz exceeds the Nyquist limit {grid.nyquist} Hz")
 
 
 def gaussian_pulse(
@@ -160,10 +173,7 @@ def gaussian_pulse(
     ValueError
         If the pulse does not fit the window or the detuning exceeds Nyquist.
     """
-    if not (0.0 < fwhm_t < grid.window):
-        raise ValueError(f"pulse fwhm {fwhm_t!r} s must lie in (0, window={grid.window} s)")
-    if abs(detuning) >= grid.nyquist:
-        raise ValueError(f"detuning {detuning!r} Hz exceeds the Nyquist limit {grid.nyquist} Hz")
+    _check_pulse(grid, fwhm_t, detuning)
     if center_t is None:
         center_t = grid.window / 8.0
     x = grid.t - center_t
@@ -203,7 +213,7 @@ def pulse_energy(f: TemporalField | SpectralField) -> float:
     if isinstance(f, TemporalField):
         return float(f.grid.dt * np.sum(np.abs(f.amp) ** 2))
     if isinstance(f, SpectralField):
-        return float(f.grid.df * np.sum(np.abs(f.amp) ** 2))
+        return f.energy
     raise TypeError(f"expected TemporalField or SpectralField, got {type(f).__name__}")
 
 

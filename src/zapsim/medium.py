@@ -28,7 +28,6 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
-    pulse_energy,
     to_time,
 )
 
@@ -100,8 +99,7 @@ class MediumPreset(NamedTuple):
 @dataclass(frozen=True)
 class Transmitted:
     """F*H for one medium and its envelope; on first use, the spectrum of the
-    unit-energy output mode (by Parseval), the output energy and the energy
-    transmission T_E."""
+    unit-energy output mode (by Parseval) and the energy transmission T_E."""
 
     spectrum: SpectralField
     field: TemporalField
@@ -109,19 +107,15 @@ class Transmitted:
 
     @cached_property
     def mode(self) -> SpectralField:
-        if self.energy <= 0.0:
+        if self.spectrum.energy <= 0.0:
             raise ValueError("cannot normalize a zero field")
-        return SpectralField(self.spectrum.grid, self.spectrum.amp / np.sqrt(self.energy))
-
-    @cached_property
-    def energy(self) -> float:
-        return pulse_energy(self.spectrum)
+        return SpectralField(self.spectrum.grid, self.spectrum.amp / np.sqrt(self.spectrum.energy))
 
     @cached_property
     def transmission(self) -> float:
         if self.input_energy <= 0.0:
             raise ValueError("energy transmission of a zero-energy field is undefined")
-        return self.energy / self.input_energy
+        return self.spectrum.energy / self.input_energy
 
 
 def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:
@@ -172,7 +166,7 @@ def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     spectrum = SpectralField(F.grid, F.amp * filt.values)
     field = to_time(spectrum)
     _warn_grid_adequacy(field, m)
-    return Transmitted(spectrum, field, pulse_energy(F))
+    return Transmitted(spectrum, field, F.energy)
 
 
 def propagate(F: SpectralField, m: MediumParams) -> SpectralField:

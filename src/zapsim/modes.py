@@ -215,7 +215,7 @@ def delay_overlaps(
 
 def _transmitted_overlaps(lo_spec: SpectralField, lo_support, out: Transmitted, delays) -> np.ndarray:
     """<lo(tau)|mode of out>: overlaps with the transmitted field, scaled by 1/sqrt of its energy."""
-    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / np.sqrt(out.energy)
+    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / np.sqrt(out.spectrum.energy)
 
 
 def _field_overlaps(lo: TemporalField, sig: TemporalField, delays, sig_spec: SpectralField | None = None):
@@ -303,7 +303,7 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     out = transmit(to_spectrum(normalize(input_field)), m)
-    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / np.sqrt(out.energy)
+    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / np.sqrt(out.spectrum.energy)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 
 

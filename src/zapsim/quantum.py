@@ -93,15 +93,17 @@ def quadrature_pdf(s: HeraldedState, x):
     return out if out.ndim else float(out)
 
 
+def _check_sample_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"sample size must be >= 1, got {n!r}")
+
+
 def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
     """Draw n i.i.d. quadrature outcomes, deterministically for a given seed.
 
-    Sampling inverts the tabulated CDF with linear interpolation.  Scans
-    that sample concurrently must derive distinct streams as seed + scan
-    index.
+    Sampling inverts the tabulated CDF with linear interpolation.
     """
-    if n < 1:
-        raise ValueError(f"sample size must be >= 1, got {n!r}")
+    _check_sample_size(n)
     xs = np.linspace(-_TABLE_HALF_WIDTH, _TABLE_HALF_WIDTH, _TABLE_NODES)
     pdf = quadrature_pdf(s, xs)
     cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(xs))))
@@ -139,16 +141,20 @@ def wigner(s: HeraldedState, x, p):
     return out if out.ndim else float(out)
 
 
+def _check_wigner_axis(half_width: float, n_side: int) -> None:
+    if not (half_width > 0.0):
+        raise ValueError(f"half width must be positive, got {half_width!r}")
+    if n_side < 2:
+        raise ValueError(f"grid side must be >= 2, got {n_side!r}")
+
+
 def wigner_grid(s: HeraldedState, half_width: float, n_side: int) -> np.ndarray:
     """Wigner function on an n_side x n_side square grid centered on the origin.
 
     Entry [i, j] is W(x_i, p_j) with both axes running over
     linspace(-half_width, half_width, n_side).
     """
-    if not (half_width > 0.0):
-        raise ValueError(f"half width must be positive, got {half_width!r}")
-    if n_side < 2:
-        raise ValueError(f"grid side must be >= 2, got {n_side!r}")
+    _check_wigner_axis(half_width, n_side)
     axis = np.linspace(-half_width, half_width, int(n_side))
     return wigner(s, axis[:, None], axis[None, :])
 

@@ -169,6 +169,12 @@ class TestExitCodes:
     def test_missing_config_is_two(self, tmp_path):
         assert main(["xcorr", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_out_keeps_a_hash(self, scenario, tmp_path):
+        # --out is a path, not a config line: '#' does not start a comment there
+        assert run(scenario, tmp_path / "run#1", "sample") == 0
+        assert (tmp_path / "run#1" / "quadrature_samples.txt").exists()
+        assert not (tmp_path / "run").exists()
+
     def test_output_collision_is_two(self, scenario, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory", encoding="utf-8")

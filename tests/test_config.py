@@ -1,10 +1,13 @@
 import re
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zapsim import ConfigError, ScenarioConfig, load_config
-from zapsim.config import apply_overrides, parse_config_text
+from zapsim.config import apply_overrides, parse_config_text, validate
 
 
 class TestParsing:
@@ -170,3 +173,87 @@ class TestOverridesAndFiles:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_config(tmp_path / "absent.cfg")
+
+
+# (overrides, key the rejection names): every rule validate enforces
+REJECTED = [
+    (["grid.n=1000"], "grid.n"),
+    (["grid.dt_fs=0"], "grid.dt_fs"),
+    (["pulse.fwhm_fs=0"], "pulse.fwhm_fs"),
+    (["pulse.detuning_ghz=60000"], "pulse.detuning_ghz"),
+    (["medium.depth=30"], "medium.depth"),
+    (["medium.t2_ps=5"], "medium.depth"),
+    (["medium.depth=-1", "medium.t2_ps=5"], "medium.depth"),
+    (["medium.depth=30", "medium.t2_ps=0"], "medium.t2_ps"),
+    (["medium.preset=0"], "medium.preset"),
+    (["medium.preset=x"], "medium.preset"),
+    (["medium.preset=6"], "medium.preset"),
+    (["medium.preset=1,1"], "medium.preset"),
+    (["shaper.resolution_nm=0"], "shaper.resolution_nm"),
+    (["shaper.resolution_nm=2", "shaper.span_nm=1"], "shaper.span_nm"),
+    (["shaper.pixel_nm=60"], "shaper.pixel_nm"),
+    (["detection.eta_base=-0.1"], "detection.eta_base"),
+    (["detection.eta_base=1.3"], "detection.eta_base"),
+    (["scan.delay_min_ps=9"], "scan.delay_min_ps"),
+    (["scan.delay_steps=1"], "scan.delay_steps"),
+    (["grid.n=4096", "scan.delay_max_ps=100000"], "scan.delay_max_ps"),
+    (["grid.n=4096", "scan.delay_min_ps=-100000"], "scan.delay_min_ps"),
+    (["sampling.n_samples=0"], "sampling.n_samples"),
+    (["wigner.half_width=0"], "wigner.half_width"),
+    (["wigner.n_side=1"], "wigner.n_side"),
+    (["wigner.eta=2"], "wigner.eta"),
+]
+
+
+class TestRejectionKeys:
+    @pytest.mark.parametrize("settings, key", REJECTED, ids=[" ".join(s) for s, _ in REJECTED])
+    def test_names_the_key(self, settings, key):
+        with pytest.raises(ConfigError, match=f"^invalid {re.escape(repr(key))}: "):
+            apply_overrides(ScenarioConfig(), settings)
+
+    @pytest.mark.parametrize("settings", [["medium.preset=9", "medium.depth=30", "medium.t2_ps=5"], []])
+    def test_accepted(self, settings):
+        apply_overrides(ScenarioConfig(), settings)
+
+
+class TestValidationGuards:
+    @pytest.mark.parametrize(
+        "changes",
+        [{"grid_n": 2**30}, {"scan_delay_steps": 10**6}, {"sampling_n_samples": 10**9}, {"wigner_n_side": 10**6}],
+    )
+    def test_builds_no_arrays(self, changes):
+        cfg = replace(ScenarioConfig(), **changes)
+        tracemalloc.start()
+        try:
+            validate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_does_not_list_the_media(self, monkeypatch):
+        calls = []
+        media = ScenarioConfig.media
+        monkeypatch.setattr(ScenarioConfig, "media", lambda self: calls.append(self) or media(self))
+        for settings in ([], ["medium.preset=2,4"], ["medium.depth=30", "medium.t2_ps=5"]):
+            apply_overrides(ScenarioConfig(), settings)
+        assert calls == []
+
+    def test_media_rejects_an_unvalidated_preset(self):
+        with pytest.raises(ValueError):
+            ScenarioConfig(medium_preset="0").media()
+
+
+def test_readme_lists_the_config_keys_and_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration file", 1)[1].split("```", 2)[1]
+    listed, uncommented = set(), []
+    for line in block.strip().splitlines():
+        commented = line.startswith("#")
+        key, _, value = line.lstrip("#").split("#", 1)[0].partition("=")
+        listed.add(key.strip())
+        if not commented:
+            uncommented.append(f"{key.strip()} = {value.strip()}")
+    defaults = ScenarioConfig().to_lines()
+    assert listed == {line.split(" = ")[0] for line in defaults}
+    assert set(uncommented) <= set(defaults)

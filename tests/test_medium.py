@@ -136,16 +136,28 @@ class TestPropagate:
         out = propagate(f, MediumParams(depth=5.0, t2=1e-12))
         assert pulse_energy(out) <= pulse_energy(f)
 
+    def test_input_energy_is_summed_once(self, small_grid, monkeypatch):
+        # one sum for the shared input spectrum, one per output for T_E
+        f = to_spectrum(gaussian_pulse(small_grid, 100e-15))
+        sums = []
+        np_sum = np.sum
+        monkeypatch.setattr(np, "sum", lambda x, *a, **k: sums.append(np.size(x)) or np_sum(x, *a, **k))
+        for depth in (1.0, 3.0, 5.0):
+            transmit(f, MediumParams(depth=depth, t2=1e-12)).transmission
+        assert sums == [small_grid.n] * 4
+
     def test_warns_on_coarse_line_sampling(self, small_grid):
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15, center_t=small_grid.window / 8))
-        with pytest.warns(GridAdequacyWarning, match="frequency samples"):
-            propagate(f, MediumParams(depth=1.0, t2=270e-12))
+        with pytest.warns(GridAdequacyWarning, match="window edges"):
+            with pytest.warns(GridAdequacyWarning, match="frequency samples"):
+                propagate(f, MediumParams(depth=1.0, t2=270e-12))
 
     def test_warns_on_window_wraparound(self):
         grid = make_grid(2**12, 10e-15)  # 41 ps window
         f = to_spectrum(gaussian_pulse(grid, 100e-15))
-        with pytest.warns(GridAdequacyWarning, match="window edges"):
-            propagate(f, MediumParams(depth=30.0, t2=100e-12))
+        with pytest.warns(GridAdequacyWarning, match="frequency samples"):
+            with pytest.warns(GridAdequacyWarning, match="window edges"):
+                propagate(f, MediumParams(depth=30.0, t2=100e-12))
 
     def test_clean_case_is_silent(self):
         grid = make_grid(2**12, 10e-15)
