@@ -22,7 +22,6 @@ from .fields import (
 from .medium import (
     MediumParams,
     MediumPreset,
-    SpectralFilter,
     energy_transmission,
     propagate,
     temperature_presets,
@@ -53,7 +52,6 @@ from .shaper import (
     achievable_lo,
     max_shaped_eta,
     max_unshaped_eta,
-    resolution_kernel,
 )
 from .config import ConfigError, ScenarioConfig, load_config
 
@@ -73,7 +71,6 @@ __all__ = [
     "to_time",
     "MediumParams",
     "MediumPreset",
-    "SpectralFilter",
     "energy_transmission",
     "propagate",
     "temperature_presets",
@@ -98,7 +95,6 @@ __all__ = [
     "achievable_lo",
     "max_shaped_eta",
     "max_unshaped_eta",
-    "resolution_kernel",
     "ConfigError",
     "ScenarioConfig",
     "load_config",

@@ -15,7 +15,7 @@ import numpy as np
 from .fields import Grid, TemporalField, _check_pulse, gaussian_pulse, make_grid
 from .medium import MediumParams, MediumPreset, temperature_presets
 from .modes import _check_delays, _check_eta_base
-from .quantum import HeraldedState, _check_sample_size, _check_wigner_axis
+from .quantum import HeraldedState, _check_sampling, _check_wigner_axis
 from .shaper import ShaperConfig
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config_text", "apply_overrides"]
@@ -199,7 +199,8 @@ _CHECKS = (
     ("scan.delay_max_ps", lambda c: _check_delays(c.make_grid(), [c.scan_delay_max_ps * 1e-12])),
     ("scan.delay_min_ps", lambda c: _check_delays(c.make_grid(), replace(c, scan_delay_steps=2).delays())),
     ("scan.delay_steps", lambda c: _check_delay_steps(c.scan_delay_steps)),
-    ("sampling.n_samples", lambda c: _check_sample_size(c.sampling_n_samples)),
+    ("sampling.n_samples", lambda c: _check_sampling(c.sampling_n_samples)),
+    ("sampling.seed", lambda c: _check_sampling(c.sampling_n_samples, c.sampling_seed)),
     ("wigner.half_width", lambda c: _check_wigner_axis(c.wigner_half_width, 2)),
     ("wigner.n_side", lambda c: _check_wigner_axis(c.wigner_half_width, c.wigner_n_side)),
     ("wigner.eta", lambda c: c.wigner_eta is None or HeraldedState(c.wigner_eta)),

@@ -217,9 +217,14 @@ def pulse_energy(f: TemporalField | SpectralField) -> float:
     raise TypeError(f"expected TemporalField or SpectralField, got {type(f).__name__}")
 
 
-def normalize(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
-    """Scale a field, in either domain, to unit energy."""
+def _norm(f: TemporalField | SpectralField) -> float:
+    """sqrt of the field energy; a zero field has no mode and raises."""
     e = pulse_energy(f)
     if e <= 0.0:
         raise ValueError("cannot normalize a zero field")
-    return type(f)(f.grid, f.amp / np.sqrt(e))
+    return float(np.sqrt(e))
+
+
+def normalize(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
+    """Scale a field, in either domain, to unit energy."""
+    return type(f)(f.grid, f.amp / _norm(f))

@@ -28,12 +28,12 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
+    normalize,
     to_time,
 )
 
 __all__ = [
     "MediumParams",
-    "SpectralFilter",
     "MediumPreset",
     "Transmitted",
     "transfer_function",
@@ -76,20 +76,6 @@ class MediumParams:
         return 1.0 / (np.pi * self.t2)
 
 
-@dataclass(frozen=True)
-class SpectralFilter:
-    """Sampled complex transfer function H(nu) on a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(f"filter has shape {vals.shape}, expected ({self.grid.n},)")
-        object.__setattr__(self, "values", vals)
-
-
 class MediumPreset(NamedTuple):
     label: str
     temperature_c: float | None
@@ -107,9 +93,7 @@ class Transmitted:
 
     @cached_property
     def mode(self) -> SpectralField:
-        if self.spectrum.energy <= 0.0:
-            raise ValueError("cannot normalize a zero field")
-        return SpectralField(self.spectrum.grid, self.spectrum.amp / np.sqrt(self.spectrum.energy))
+        return normalize(self.spectrum)
 
     @cached_property
     def transmission(self) -> float:
@@ -118,7 +102,7 @@ class Transmitted:
         return self.spectrum.energy / self.input_energy
 
 
-def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:
+def transfer_function(grid: Grid, m: MediumParams) -> SpectralField:
     """Sample H(nu) = exp[-depth / (1 - i 2 pi (nu - nu_a) T2)] on the grid.
 
     |H| <= 1 everywhere (passive medium) and H(nu_a) = exp(-depth) exactly.
@@ -129,8 +113,7 @@ def transfer_function(grid: Grid, m: MediumParams) -> SpectralFilter:
             f"(+-{grid.nyquist} Hz)"
         )
     x = 2.0 * np.pi * (grid.freqs - m.detune_a) * m.t2
-    values = np.exp(-m.depth / (1.0 - 1j * x))
-    return SpectralFilter(grid, values)
+    return SpectralField(grid, np.exp(-m.depth / (1.0 - 1j * x)))
 
 
 def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
@@ -162,8 +145,8 @@ def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     Emits a :class:`GridAdequacyWarning` when the line is under-sampled or
     the output field has not decayed at the window edges.
     """
-    filt = transfer_function(F.grid, m)
-    spectrum = SpectralField(F.grid, F.amp * filt.values)
+    h = transfer_function(F.grid, m)
+    spectrum = SpectralField(F.grid, F.amp * h.amp)
     field = to_time(spectrum)
     _warn_grid_adequacy(field, m)
     return Transmitted(spectrum, field, F.energy)
@@ -176,12 +159,12 @@ def propagate(F: SpectralField, m: MediumParams) -> SpectralField:
 
 def energy_transmission(F: SpectralField, m: MediumParams) -> float:
     """Transmitted energy fraction, sum |H F|^2 / sum |F|^2, in [0, 1]."""
-    filt = transfer_function(F.grid, m)
+    h = transfer_function(F.grid, m)
     w = np.abs(F.amp) ** 2
     total = float(np.sum(w))
     if total <= 0.0:
         raise ValueError("energy transmission of a zero-energy field is undefined")
-    return float(np.sum(np.abs(filt.values) ** 2 * w) / total)
+    return float(np.sum(np.abs(h.amp) ** 2 * w) / total)
 
 
 def temperature_presets() -> list[MediumPreset]:

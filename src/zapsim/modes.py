@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, normalize, pulse_energy, to_spectrum, to_time
+from .fields import SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -215,7 +215,7 @@ def delay_overlaps(
 
 def _transmitted_overlaps(lo_spec: SpectralField, lo_support, out: Transmitted, delays) -> np.ndarray:
     """<lo(tau)|mode of out>: overlaps with the transmitted field, scaled by 1/sqrt of its energy."""
-    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / np.sqrt(out.spectrum.energy)
+    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / _norm(out.spectrum)
 
 
 def _field_overlaps(lo: TemporalField, sig: TemporalField, delays, sig_spec: SpectralField | None = None):
@@ -303,13 +303,11 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     out = transmit(to_spectrum(normalize(input_field)), m)
-    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / np.sqrt(out.spectrum.energy)
+    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 
 
 def peak_eta(curve: ScanCurve) -> tuple[float, float]:
     """Argmax and max of a scan curve; ties resolve to the smallest abscissa."""
-    if curve.xs.size == 0:
-        raise ValueError("cannot take the peak of an empty curve")
     k = int(np.argmax(curve.ys))
     return float(curve.xs[k]), float(curve.ys[k])

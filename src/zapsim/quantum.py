@@ -93,9 +93,11 @@ def quadrature_pdf(s: HeraldedState, x):
     return out if out.ndim else float(out)
 
 
-def _check_sample_size(n: int) -> None:
+def _check_sampling(n: int, seed: int = 0) -> None:
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
 
 
 def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
@@ -103,7 +105,7 @@ def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
 
     Sampling inverts the tabulated CDF with linear interpolation.
     """
-    _check_sample_size(n)
+    _check_sampling(n, seed)
     xs = np.linspace(-_TABLE_HALF_WIDTH, _TABLE_HALF_WIDTH, _TABLE_NODES)
     pdf = quadrature_pdf(s, xs)
     cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(xs))))

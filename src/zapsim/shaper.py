@@ -31,38 +31,35 @@ from .fields import (
     to_spectrum,
     to_time,
 )
-from .medium import MediumParams, SpectralFilter, Transmitted, transmit
+from .medium import MediumParams, Transmitted, transmit
 from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
-    "resolution_kernel",
     "achievable_lo",
     "max_shaped_eta",
     "max_unshaped_eta",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
+CENTER_WAVELENGTH = 780e-9
 
 @dataclass(frozen=True)
 class ShaperConfig:
     """Spectral resolution and aperture of the local-oscillator shaper.
 
-    All widths are in meters of wavelength at ``center_wavelength``.
+    All widths are in meters of wavelength at ``CENTER_WAVELENGTH``.
     ``pixel_width`` of None selects the continuous-mask model; ``span``
     of None disables the aperture cut.
     """
 
     resolution_fwhm: float = 0.6e-9
-    center_wavelength: float = 780e-9
     pixel_width: float | None = None
     span: float | None = 60e-9
 
     def __post_init__(self) -> None:
         if not (self.resolution_fwhm > 0.0):
             raise ValueError(f"resolution FWHM must be positive, got {self.resolution_fwhm!r}")
-        if not (self.center_wavelength > 0.0):
-            raise ValueError(f"center wavelength must be positive, got {self.center_wavelength!r}")
         if self.pixel_width is not None and not (self.pixel_width > 0.0):
             raise ValueError(f"pixel width must be positive, got {self.pixel_width!r}")
         if self.span is not None and not (self.span > self.resolution_fwhm):
@@ -73,7 +70,7 @@ class ShaperConfig:
             raise ValueError(f"pixel width {self.pixel_width:g} m must be below the span {self.span:g} m")
 
     def _to_freq(self, width: float) -> float:
-        return SPEED_OF_LIGHT * width / self.center_wavelength**2
+        return SPEED_OF_LIGHT * width / CENTER_WAVELENGTH**2
 
     @property
     def resolution_fwhm_hz(self) -> float:
@@ -87,19 +84,6 @@ class ShaperConfig:
     @property
     def span_hz(self) -> float | None:
         return None if self.span is None else self._to_freq(self.span)
-
-
-def resolution_kernel(grid: Grid, cfg: ShaperConfig) -> SpectralFilter:
-    """Unit-area Gaussian smoothing kernel sampled on the grid detunings."""
-    dnu = cfg.resolution_fwhm_hz
-    if dnu < 2.0 * grid.df:
-        raise ValueError(
-            f"kernel FWHM {dnu:.3e} Hz is below twice the grid spacing {grid.df:.3e} Hz "
-            "and cannot be resolved"
-        )
-    values = np.exp(-4.0 * LN2 * (grid.freqs / dnu) ** 2)
-    values = values / (grid.df * values.sum())
-    return SpectralFilter(grid, values.astype(np.complex128))
 
 
 # np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))

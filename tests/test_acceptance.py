@@ -16,7 +16,6 @@ from zapsim import (
     HeraldedState,
     MediumParams,
     ShaperConfig,
-    SpectralField,
     energy_transmission,
     estimate_eta,
     eta_curve,
@@ -136,7 +135,7 @@ def test_criterion_2_transform_fidelity_and_causality(setup):
     assert pulse_energy(to_spectrum(f)) == pytest.approx(pulse_energy(f), rel=1e-12)
 
     filt = transfer_function(grid, MediumParams(depth=0.5, t2=280e-12))
-    h = np.abs(to_time(SpectralField(grid, filt.values)).amp)
+    h = np.abs(to_time(filt).amp)
     peak = h.max()
     assert int(np.argmax(h)) == 0
     pre_pulse = h[grid.n // 2 : -1]  # negative times, one grid step allowed

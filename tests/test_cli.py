@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,9 @@ sampling.n_samples = 5000
 wigner.n_side = 21
 wigner.half_width = 3
 """
+
+# every bin of H underflows to 0: the transmitted field is zero and has no mode
+ABSORBING = ["--set", "grid.n=4096", "--set", "medium.depth=1e300", "--set", "medium.t2_ps=280"]
 
 
 @pytest.fixture()
@@ -140,6 +144,7 @@ class TestExitCodes:
             ("propagate", ["medium.depth=none", "medium.t2_ps=none", "medium.preset=1,1"]),
             ("depth-scan", ["shaper.pixel_nm=100"]),
             ("depth-scan", ["shaper.pixel_nm=1e9", "shaper.span_nm=none"]),
+            ("xcorr", ["sampling.seed=-1"]),
         ],
     )
     def test_bad_value_is_one_and_writes_nothing(self, scenario, tmp_path, capsys, verb, settings):
@@ -147,6 +152,23 @@ class TestExitCodes:
         assert run(scenario, tmp_path / "out", verb, *sets) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("verb", ["xcorr", "eta-scan", "depth-scan"])
+    def test_fully_absorbing_medium_is_one_and_writes_nothing(self, scenario, tmp_path, capsys, verb):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(scenario, tmp_path / "out", verb, *ABSORBING) == 1
+        assert capsys.readouterr().err == "error: cannot normalize a zero field\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_fully_absorbing_medium_propagates_to_zero(self, scenario, tmp_path):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(scenario, out, "propagate", *ABSORBING) == 0
+        rows = [l for l in (out / "propagated_custom.csv").read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "t_ps,amp_abs,amp_re,amp_im" and len(rows) > 1
+        assert all(float(v) == 0.0 for r in rows[1:] for v in r.split(",")[1:])
 
     def test_failed_run_removes_the_directory_it_created(self, scenario, tmp_path):
         sets = ["--set", "shaper.pixel_nm=1e9", "--set", "shaper.span_nm=none"]

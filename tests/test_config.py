@@ -199,6 +199,8 @@ REJECTED = [
     (["grid.n=4096", "scan.delay_max_ps=100000"], "scan.delay_max_ps"),
     (["grid.n=4096", "scan.delay_min_ps=-100000"], "scan.delay_min_ps"),
     (["sampling.n_samples=0"], "sampling.n_samples"),
+    (["sampling.seed=-1"], "sampling.seed"),
+    (["sampling.n_samples=0", "sampling.seed=-1"], "sampling.n_samples"),
     (["wigner.half_width=0"], "wigner.half_width"),
     (["wigner.n_side=1"], "wigner.n_side"),
     (["wigner.eta=2"], "wigner.eta"),

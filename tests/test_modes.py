@@ -136,6 +136,11 @@ class TestScanCurve:
         with pytest.raises(ValueError):
             ScanCurve(np.arange(2.0), np.array([1.0, np.inf]))
 
+    def test_rejects_empty(self):
+        # so peak_eta never sees an empty curve
+        with pytest.raises(ValueError, match="at least one point"):
+            ScanCurve(np.array([]), np.array([]))
+
     def test_peak_normalized(self):
         c = ScanCurve(np.arange(3.0), np.array([1.0, 4.0, 2.0]))
         n = c.peak_normalized()
@@ -228,6 +233,12 @@ class TestEtaCurve:
         assert np.all(curve.ys <= cap + 1e-12)
         assert np.all(curve.ys >= 0.0)
 
+    @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+    def test_fully_absorbing_medium_is_refused(self):
+        grid = make_grid(4096, 10e-15)
+        pulse = gaussian_pulse(grid, 100e-15)
+        with pytest.raises(ValueError, match="cannot normalize a zero field"):
+            eta_curve(pulse, MediumParams(depth=1e300, t2=280e-12), pulse, 0.62, np.linspace(-1e-13, 1e-13, 3))
 
     @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
     def test_off_lattice_delays_agree_with_the_lattice_scan(self, mid_grid, mid_pulse):

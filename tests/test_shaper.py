@@ -8,6 +8,7 @@ from zapsim import (
     MediumParams,
     ShaperConfig,
     SpectralField,
+    TemporalField,
     achievable_lo,
     delay_field,
     gaussian_pulse,
@@ -17,7 +18,6 @@ from zapsim import (
     normalize,
     overlap,
     propagate,
-    resolution_kernel,
     temperature_presets,
     to_spectrum,
     to_time,
@@ -90,32 +90,6 @@ class TestShaperConfig:
         cfg = ShaperConfig(pixel_width=None, span=None)
         assert cfg.pixel_width_hz is None
         assert cfg.span_hz is None
-
-
-class TestResolutionKernel:
-    def test_unit_area(self, mid_grid):
-        k = resolution_kernel(mid_grid, ShaperConfig())
-        area = mid_grid.df * np.sum(k.values.real)
-        assert area == pytest.approx(1.0, abs=1e-9)
-        assert np.all(k.values.imag == 0.0)
-
-    def test_peak_at_zero_detuning(self, mid_grid):
-        k = resolution_kernel(mid_grid, ShaperConfig())
-        assert int(np.argmax(np.abs(k.values))) == mid_grid.zero_bin
-
-    def test_sub_grid_kernel_rejected(self, mid_grid):
-        lam = 780e-9
-        dlam = 0.5 * mid_grid.df * lam**2 / 299792458.0
-        with pytest.raises(ValueError):
-            resolution_kernel(mid_grid, ShaperConfig(resolution_fwhm=dlam, span=None))
-
-    def test_narrow_kernel_approaches_delta(self, mid_grid):
-        lam = 780e-9
-        dlam = 3.0 * mid_grid.df * lam**2 / 299792458.0
-        k = resolution_kernel(mid_grid, ShaperConfig(resolution_fwhm=dlam, span=None))
-        z = mid_grid.zero_bin
-        mass = mid_grid.df * np.sum(k.values.real[z - 4 : z + 5])
-        assert mass > 0.99
 
 
 class TestAchievableLo:
@@ -255,6 +229,20 @@ class TestResolutionWindow:
             assert keep == slice(None)
         else:
             assert keep.size < grid.n // 50
+
+    @pytest.mark.parametrize("n", [2**14, 2**19])
+    def test_spectrum_is_the_unit_area_kernel(self, n):
+        # the window multiplies the LO in time, so the spectrum is smoothed by its transform
+        grid, dnu = make_grid(n, 10e-15), ShaperConfig().resolution_fwhm_hz
+        keep, values = _resolution_window(grid, 0, dnu)
+        window = np.zeros(grid.n)
+        window[keep] = values
+        assert window[0] == 1.0
+        kernel = np.exp(-4.0 * np.log(2.0) * (grid.freqs / dnu) ** 2)
+        kernel /= grid.df * kernel.sum()
+        spectrum = to_spectrum(TemporalField(grid, window)).amp
+        assert np.max(np.abs(spectrum.real - kernel)) < 1e-12 * kernel.max()
+        assert np.max(np.abs(spectrum.imag)) < 1e-12 * kernel.max()
 
 
 class TestMaxEta:
