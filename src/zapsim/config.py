@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 import numpy as np
 
 from .fields import Grid, TemporalField, _check_pulse, gaussian_pulse, make_grid
-from .medium import MediumParams, MediumPreset, temperature_presets
+from .medium import MediumParams, MediumPreset, _check_line, temperature_presets
 from .modes import _check_delays, _check_eta_base
 from .quantum import HeraldedState, _check_sampling, _check_wigner_axis
 from .shaper import ShaperConfig
@@ -190,7 +190,7 @@ _CHECKS = (
         "medium.depth",
         lambda c: _media(replace(c, medium_t2_ps=None if c.medium_t2_ps is None else 1.0, medium_preset="all")),
     ),
-    ("medium.t2_ps", lambda c: _media(replace(c, medium_preset="all"))),
+    ("medium.t2_ps", lambda c: [_check_line(c.make_grid(), p.params) for p in _media(replace(c, medium_preset="all"))]),
     ("medium.preset", _media),
     ("shaper.resolution_nm", lambda c: replace(c, shaper_span_nm=None, shaper_pixel_nm=None).shaper_config()),
     ("shaper.span_nm", lambda c: replace(c, shaper_pixel_nm=None).shaper_config()),

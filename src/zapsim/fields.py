@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
+# np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))
+_EXP_UNDERFLOW = -746.0
 
 
 class GridAdequacyWarning(UserWarning):
@@ -176,21 +178,27 @@ def gaussian_pulse(
     _check_pulse(grid, fwhm_t, detuning)
     if center_t is None:
         center_t = grid.window / 8.0
-    x = grid.t - center_t
+    reach = fwhm_t * np.sqrt(-_EXP_UNDERFLOW / (2.0 * LN2)) / grid.dt + 2.0  # samples; exp is 0 beyond, with margin
+    lo, hi = (int(np.clip(k, 0, grid.n)) for k in (center_t / grid.dt - reach, center_t / grid.dt + reach + 1.0))
+    x = np.arange(lo, hi) * grid.dt - center_t  # grid.t[lo:hi] - center_t
     env = np.exp(-2.0 * LN2 * (x / fwhm_t) ** 2)
-    amp = env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env + 0j
+    amp = np.zeros(grid.n, dtype=np.complex128)
+    amp[lo:hi] = env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env
     return TemporalField(grid, amp)
 
 
 def to_spectrum(f: TemporalField) -> SpectralField:
     """Forward transform; the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt."""
-    amp = np.fft.fftshift(np.fft.ifft(f.amp)) * (f.grid.n * f.grid.dt)
+    amp = np.fft.fftshift(np.fft.ifft(f.amp))
+    amp *= f.grid.n * f.grid.dt
     return SpectralField(f.grid, amp)
 
 
 def to_time(F: SpectralField) -> TemporalField:
     """Inverse transform, exact round-trip partner of :func:`to_spectrum`."""
-    amp = np.fft.fft(np.fft.ifftshift(F.amp)) / (F.grid.n * F.grid.dt)
+    amp = np.fft.ifftshift(F.amp)
+    np.fft.fft(amp, out=amp)
+    amp /= F.grid.n * F.grid.dt
     return TemporalField(F.grid, amp)
 
 

@@ -102,18 +102,30 @@ class Transmitted:
         return self.spectrum.energy / self.input_energy
 
 
+def _check_line(grid: Grid, m: MediumParams) -> None:
+    """The rules of :func:`transfer_function`, checked without sampling H; Python floats overflow without a warning."""
+    if abs(m.detune_a) >= grid.nyquist:
+        raise ValueError(f"resonance detuning {m.detune_a!r} Hz lies outside the grid span (+-{grid.nyquist} Hz)")
+    if not np.isfinite(2.0 * np.pi * (grid.nyquist + abs(float(m.detune_a))) * float(m.t2)):
+        raise ValueError(f"T2 {m.t2!r} s is too long for the grid: 2*pi*(nyquist + |nu_a|)*T2 overflows")
+
+
 def transfer_function(grid: Grid, m: MediumParams) -> SpectralField:
     """Sample H(nu) = exp[-depth / (1 - i 2 pi (nu - nu_a) T2)] on the grid.
 
     |H| <= 1 everywhere (passive medium) and H(nu_a) = exp(-depth) exactly.
+    At nu_a = 0 the impulse response is real and H(-nu) = conj H(nu): H is evaluated
+    on nu >= 0 and the unpaired -Nyquist bin only, then mirrored.  That is bit-exact,
+    as ``Grid.freqs`` is exactly antisymmetric and complex / and exp commute with conj.
     """
-    if abs(m.detune_a) >= grid.nyquist:
-        raise ValueError(
-            f"resonance detuning {m.detune_a!r} Hz lies outside the grid span "
-            f"(+-{grid.nyquist} Hz)"
-        )
-    x = 2.0 * np.pi * (grid.freqs - m.detune_a) * m.t2
-    return SpectralField(grid, np.exp(-m.depth / (1.0 - 1j * x)))
+    _check_line(grid, m)
+    half = grid.n // 2 if m.detune_a == 0.0 else 1  # bins 1 .. half-1 are mirrored, not evaluated
+    h = np.empty(grid.n, dtype=np.complex128)
+    for part in (slice(0, 1), slice(half, None)):
+        x = 2.0 * np.pi * (grid.freqs[part] - m.detune_a) * m.t2
+        np.exp(-m.depth / (1.0 - 1j * x), out=h[part])
+    np.conj(h[grid.n - 1 : grid.n - half : -1], out=h[1:half])
+    return SpectralField(grid, h)
 
 
 def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
@@ -145,8 +157,8 @@ def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     Emits a :class:`GridAdequacyWarning` when the line is under-sampled or
     the output field has not decayed at the window edges.
     """
-    h = transfer_function(F.grid, m)
-    spectrum = SpectralField(F.grid, F.amp * h.amp)
+    h = transfer_function(F.grid, m).amp
+    spectrum = SpectralField(F.grid, np.multiply(F.amp, h, out=h))
     field = to_time(spectrum)
     _warn_grid_adequacy(field, m)
     return Transmitted(spectrum, field, F.energy)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    _EXP_UNDERFLOW,
     LN2,
     Grid,
     SpectralField,
@@ -84,10 +85,6 @@ class ShaperConfig:
     @property
     def span_hz(self) -> float | None:
         return None if self.span is None else self._to_freq(self.span)
-
-
-# np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))
-_EXP_UNDERFLOW = -746.0
 
 
 def _resolution_window(grid: Grid, k_center: int, dnu: float):

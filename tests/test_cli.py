@@ -145,6 +145,7 @@ class TestExitCodes:
             ("depth-scan", ["shaper.pixel_nm=100"]),
             ("depth-scan", ["shaper.pixel_nm=1e9", "shaper.span_nm=none"]),
             ("xcorr", ["sampling.seed=-1"]),
+            ("propagate", ["grid.n=4096", "medium.depth=70", "medium.t2_ps=1e307"]),
         ],
     )
     def test_bad_value_is_one_and_writes_nothing(self, scenario, tmp_path, capsys, verb, settings):

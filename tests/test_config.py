@@ -185,6 +185,7 @@ REJECTED = [
     (["medium.t2_ps=5"], "medium.depth"),
     (["medium.depth=-1", "medium.t2_ps=5"], "medium.depth"),
     (["medium.depth=30", "medium.t2_ps=0"], "medium.t2_ps"),
+    (["grid.n=4096", "medium.depth=70", "medium.t2_ps=1e307"], "medium.t2_ps"),
     (["medium.preset=0"], "medium.preset"),
     (["medium.preset=x"], "medium.preset"),
     (["medium.preset=6"], "medium.preset"),

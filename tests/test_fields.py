@@ -61,8 +61,48 @@ class TestMakeGrid:
         assert np.allclose(np.diff(grid.freqs), grid.df, rtol=1e-15)
         assert grid.freqs[-1] == pytest.approx(1.0 - grid.df, rel=1e-15)
 
+    @pytest.mark.parametrize("n, dt", [(2, 1.0), (16, 0.5), (2**10, 2e-15), (2**19, 10e-15)])
+    def test_frequency_axis_is_exactly_antisymmetric(self, n, dt):
+        f = make_grid(n, dt).freqs
+        assert np.array_equal(f[n // 2 + 1 :], -f[n // 2 - 1 : 0 : -1])
+
+
+def full_grid_pulse(grid, fwhm_t, center_t, detuning):
+    """The Gaussian pulse with every sample evaluated."""
+    x = grid.t - center_t
+    env = np.exp(-2.0 * LN2 * (x / fwhm_t) ** 2)
+    return env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env + 0j
+
+
+# pulse centers as a fraction of the window, within reach of either edge and beyond it
+CENTERS = [0.125, 0.5, 0.0, 3e-4, -2e-3, 1.0 - 1e-4, 1.0 - 2e-4, 1.0 + 5e-4, 4.0, -4.0]
+
 
 class TestGaussianPulse:
+    @pytest.mark.parametrize("fwhm_t", [100e-15, 20e-15, 3e-11])
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_span_equals_the_full_grid_formula(self, fwhm_t, center):
+        # exp underflows to exactly 0 far from the center: evaluating only the span changes no bit
+        grid = make_grid(2**16, 10e-15)
+        center_t = center * grid.window
+        f = gaussian_pulse(grid, fwhm_t, center_t)
+        assert np.array_equal(f.amp.view(np.uint64), full_grid_pulse(grid, fwhm_t, center_t, 0.0).view(np.uint64))
+        if 0.0 <= center <= 1.0:
+            assert np.count_nonzero(f.amp) > 0
+
+    @pytest.mark.parametrize("center", CENTERS)
+    @pytest.mark.parametrize("detuning", [700e9, -3e12])
+    def test_detuned_span_equals_the_full_grid_formula_in_value(self, center, detuning):
+        # outside the span only the sign of a zero may differ: 0 * exp(i phi) is a signed zero
+        grid = make_grid(2**16, 10e-15)
+        center_t = center * grid.window
+        f = gaussian_pulse(grid, 100e-15, center_t, detuning)
+        assert np.array_equal(f.amp, full_grid_pulse(grid, 100e-15, center_t, detuning))
+
+    def test_default_pulse_is_the_full_grid_formula(self, default_grid, default_pulse):
+        expected = full_grid_pulse(default_grid, 100e-15, default_grid.window / 8.0, 0.0)
+        assert np.array_equal(default_pulse.amp.view(np.uint64), expected.view(np.uint64))
+
     def test_intensity_fwhm_matches_request(self, small_grid):
         f = gaussian_pulse(small_grid, 100e-15)
         fwhm = measured_fwhm(small_grid.t, np.abs(f.amp) ** 2)

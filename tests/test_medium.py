@@ -46,6 +46,22 @@ def transmission_oracle(depth, t2, fwhm_t):
     return num / den
 
 
+def direct_transfer(grid, m):
+    """H(nu) by the full-grid formula, every bin evaluated."""
+    x = 2.0 * np.pi * (grid.freqs - m.detune_a) * m.t2
+    return np.exp(-m.depth / (1.0 - 1j * x))
+
+
+def bits(a):
+    return a.view(np.uint64)
+
+
+HALF_BAND_MEDIA = [p.params for p in temperature_presets()] + [
+    MediumParams(depth=1e4, t2=280e-12),
+    MediumParams(depth=1e-300, t2=280e-12),
+]
+
+
 class TestMediumParams:
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
@@ -108,6 +124,29 @@ class TestTransferFunction:
             filt = transfer_function(mid_grid, preset.params)
             assert abs(abs(filt.amp[0]) - 1.0) < 1e-6
             assert abs(abs(filt.amp[-1]) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 2**10, 2**19])
+    @pytest.mark.parametrize("m", HALF_BAND_MEDIA, ids=lambda m: f"depth{m.depth:g}")
+    def test_half_band_is_bit_exact(self, n, m):
+        # at zero line detuning only nu >= 0 and the -Nyquist bin are evaluated; the rest are mirrored
+        grid = make_grid(n, 10e-15)
+        assert np.array_equal(bits(transfer_function(grid, m).amp), bits(direct_transfer(grid, m)))
+
+    def test_half_band_at_zero_depth_equals_in_value(self, default_grid):
+        # -0/(1 - ix) and +0/(1 + ix) differ in the sign of a zero imaginary part, so only values match
+        m = MediumParams(depth=0.0, t2=280e-12)
+        assert np.array_equal(transfer_function(default_grid, m).amp, direct_transfer(default_grid, m))
+
+    @pytest.mark.parametrize("detune_a", [3e9, -3e9, 7.3e12])
+    def test_detuned_line_is_the_direct_formula(self, small_grid, detune_a):
+        m = MediumParams(depth=70.0, t2=280e-12, detune_a=detune_a)
+        assert np.array_equal(bits(transfer_function(small_grid, m).amp), bits(direct_transfer(small_grid, m)))
+
+    def test_overflowing_t2_rejected(self, small_grid):
+        # 2*pi*nu*T2 would overflow to inf and 1 - i*inf is NaN; refused before any array is built
+        m = MediumParams(depth=70.0, t2=np.float64(1e295))
+        with pytest.raises(ValueError, match="T2 .* is too long for the grid"):
+            transfer_function(small_grid, m)
 
     def test_deep_line_underflows_to_zero(self, small_grid):
         filt = transfer_function(small_grid, MediumParams(depth=2200.0, t2=1e-12))

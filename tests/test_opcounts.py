@@ -1,20 +1,32 @@
 """Operation counts per medium: each medium is propagated once per verb.
 
 Counts numpy FFTs, H(nu) evaluations, shaper LO builds, best-delay searches
-and full-grid complex exponentials while the four physics verbs run on a
-2^14 grid, once with all five presets and once with preset 1; the
-difference divided by four is the per-medium cost, free of the per-run
-set-up.  FFTs are counted as work, m*log2(m) / (n*log2(n)) for a length-m
-transform on the n-point grid, so a half-length transform counts as less
-than half of a full one.
+and large complex exponentials while the four physics verbs run on a 2^14
+grid, once with all five presets and once with preset 1; the difference
+divided by four is the per-medium cost, free of the per-run set-up.  FFTs
+are counted as work, m*log2(m) / (n*log2(n)) for a length-m transform on
+the n-point grid, so a half-length transform counts as less than half of a
+full one; an exponential counts as its size in full grids.  The peak memory
+of one transmission is measured in full-grid complex arrays.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import zapsim.medium
 import zapsim.shaper
-from zapsim import MediumParams, eta_curve, gaussian_pulse, make_grid, visibility_curve
+from zapsim import (
+    MediumParams,
+    eta_curve,
+    gaussian_pulse,
+    make_grid,
+    to_spectrum,
+    transfer_function,
+    transmit,
+    visibility_curve,
+)
 from zapsim.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
@@ -47,13 +59,13 @@ def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs
                     monkeypatch.setattr(mod, attr, counted)
 
 
-def _count_full_grid_exp(monkeypatch, counts):
-    """Count numpy.exp calls on complex arrays of at least GRID_N / 8 elements."""
+def _count_large_exp(monkeypatch, counts):
+    """Count numpy.exp calls on complex arrays of at least GRID_N / 8 elements, each weighted by its size in full grids."""
     exp = np.exp
 
     def counted(x, *args, **kwargs):
         if np.iscomplexobj(x) and np.size(x) >= GRID_N // 8:
-            counts["exp"] += 1
+            counts["exp"] += np.size(x) / GRID_N
         return exp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "exp", counted)
@@ -67,7 +79,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset):
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
-        _count_full_grid_exp(mp, counts)
+        _count_large_exp(mp, counts)
         out = str(tmp_path / preset)
         code = main([verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"])
     assert code == 0
@@ -86,13 +98,31 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     one = _run_counted(monkeypatch, tmp_path, verb, "1")
     assert five["h"] == 5 and one["h"] == 1
     assert (five["fft"] - one["fft"]) / 4 <= FFT_BUDGET[verb]
-    # H(nu) is the only full-grid complex exponential: no delay phase ramp, no full-length Newton phasors
-    assert (five["exp"] - one["exp"]) / 4 == 1
+    # H(nu) is the only large complex exponential (no delay phase ramp, no full-length Newton phasors),
+    # and at zero line detuning it is evaluated on nu >= 0 and the -Nyquist bin only
+    assert (five["exp"] - one["exp"]) / 4 <= (GRID_N // 2 + 1) / GRID_N
     if verb == "depth-scan":
         # one shaped LO per medium plus the medium-independent input LO
         assert five["lo"] == 5 + 1
         # the input LO and the own-mode LO; the shaped input LO provably loses at the default shaper
         assert (five["search"] - one["search"]) / 4 <= 2
+
+
+def test_transmit_keeps_at_most_two_and_a_half_grids():
+    # H is formed in place into F*H and transformed in place: the output spectrum,
+    # the output field and |field| for the edge check, plus a few KiB of Python objects
+    grid = make_grid(2**16, 10e-15)
+    grid.freqs  # cached, as it is after the first medium
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15))
+    m = MediumParams(depth=70.0, t2=280e-12)
+    tracemalloc.start()
+    try:
+        out = transmit(spec, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.spectrum.amp.view(np.uint64), (spec.amp * transfer_function(grid, m).amp).view(np.uint64))
+    assert peak <= 2.5 * grid.n * 16 + 16 * 1024
 
 
 def test_lattice_curves_transform_only_the_propagation(monkeypatch):
