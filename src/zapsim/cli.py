@@ -2,8 +2,10 @@
 
 Verbs: propagate, xcorr, eta-scan, depth-scan, wigner, sample.  Each takes
 ``--config PATH``, repeatable ``--set section.key=value`` overrides, and
-``--out DIR``.  Exit codes: 0 success, 1 configuration error, 2 I/O error;
-a failed run removes the output directories it created while they are empty.
+``--out DIR``, and ``wigner`` also ``--from-samples``; a value such as
+``wigner.eta`` is set as a config key.
+Exit codes: 0 success, 1 configuration or usage error, 2 I/O error; a failed
+run removes the output directories it created while they are empty.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ _VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is reported like a configuration error, not by argparse's exit 2
+        raise ConfigError(message)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="scenario file (defaults apply if omitted)")
     sub.add_argument(
@@ -42,14 +49,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zapsim", description=__doc__)
+    parser = _Parser(prog="zapsim", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     for verb, (help_text, _) in _VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         _add_common(p)
-        if verb in ("wigner", "sample"):
-            p.add_argument("--eta", type=float, help="single-photon fraction (default from config)")
         if verb == "wigner":
             p.add_argument(
                 "--from-samples",
@@ -77,14 +82,14 @@ def _remove_empty(created: list[Path]) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     created: list[Path] = []
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load(args)
         out_dir = Path(cfg.output_directory)
         created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
-        options = {k: v for k, v in vars(args).items() if k in ("eta", "from_samples")}
+        options = {"from_samples": args.from_samples} if "from_samples" in args else {}
         paths = getattr(runners, _VERBS[args.verb][1])(cfg, out_dir, **options)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ class ScenarioConfig:
     shaper_resolution_nm: float = 0.6
     shaper_pixel_nm: float | None = None
     shaper_span_nm: float | None = 60.0
-    shaper_enabled: bool = True
     detection_eta_base: float = 0.62
     scan_delay_min_ps: float = -1.0
     scan_delay_max_ps: float = 8.0
@@ -85,8 +84,6 @@ class ScenarioConfig:
             val = getattr(self, key.replace(".", "_"))
             if val is None:
                 rendered = "none"
-            elif isinstance(val, bool):
-                rendered = "true" if val else "false"
             elif isinstance(val, float):
                 rendered = f"{val:.12g}"
             else:
@@ -112,15 +109,6 @@ def _media(cfg: ScenarioConfig) -> list[MediumPreset]:
     return [presets[i] for i in picked]
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_opt_float(text: str) -> float | None:
     low = text.strip().lower()
     if low in ("", "none", "off"):
@@ -129,7 +117,7 @@ def _parse_opt_float(text: str) -> float | None:
 
 
 # "section.key" -> parser, from the field section_key and its annotation
-_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool, "float | None": _parse_opt_float}
+_BY_TYPE = {"int": int, "float": float, "str": str, "float | None": _parse_opt_float}
 _PARSERS = {f.name.replace("_", ".", 1): _BY_TYPE[f.type] for f in dataclass_fields(ScenarioConfig)}
 
 

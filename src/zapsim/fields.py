@@ -107,7 +107,9 @@ def _validate_amp(grid: Grid, amp) -> np.ndarray:
     out = np.asarray(amp, dtype=np.complex128)
     if out.shape != (grid.n,):
         raise ValueError(f"amplitude array has shape {out.shape}, expected ({grid.n},)")
-    if not np.all(np.isfinite(out)):
+    with np.errstate(all="ignore"):  # a finite sum proves it without a full-grid mask; finite samples may sum to inf
+        finite = np.isfinite(out.sum()) or np.all(np.isfinite(out))
+    if not finite:
         raise ValueError("amplitude array contains non-finite values")
     return out
 
@@ -144,12 +146,14 @@ def make_grid(n: int, dt: float) -> Grid:
     return Grid(int(n), float(dt))
 
 
-def _check_pulse(grid: Grid, fwhm_t: float, detuning: float = 0.0) -> None:
+def _check_pulse(grid: Grid, fwhm_t: float, detuning: float = 0.0, center_t: float = 0.0) -> None:
     """The rules of :func:`gaussian_pulse`, checked without building the pulse."""
     if not (0.0 < fwhm_t < grid.window):
         raise ValueError(f"pulse fwhm {fwhm_t!r} s must lie in (0, window={grid.window} s)")
     if abs(detuning) >= grid.nyquist:
         raise ValueError(f"detuning {detuning!r} Hz exceeds the Nyquist limit {grid.nyquist} Hz")
+    if not np.isfinite(center_t):
+        raise ValueError(f"pulse center {center_t!r} s must be finite")
 
 
 def gaussian_pulse(
@@ -165,19 +169,21 @@ def gaussian_pulse(
     fwhm_t : float
         Full width at half maximum of the intensity profile |E(t)|^2, seconds.
     center_t : float, optional
-        Peak time.  Defaults to one eighth of the window, which leaves most
-        of the window free for the causal tail a resonant medium appends.
+        Peak time, finite; it may lie outside the window.  Defaults to one
+        eighth of the window, which leaves most of the window free for the
+        causal tail a resonant medium appends.
     detuning : float, optional
         Carrier offset in Hz; the spectral peak lands at this detuning.
 
     Raises
     ------
     ValueError
-        If the pulse does not fit the window or the detuning exceeds Nyquist.
+        If the pulse does not fit the window, the detuning exceeds Nyquist
+        or the center is not finite.
     """
-    _check_pulse(grid, fwhm_t, detuning)
     if center_t is None:
         center_t = grid.window / 8.0
+    _check_pulse(grid, fwhm_t, detuning, center_t)
     reach = fwhm_t * np.sqrt(-_EXP_UNDERFLOW / (2.0 * LN2)) / grid.dt + 2.0  # samples; exp is 0 beyond, with margin
     lo, hi = (int(np.clip(k, 0, grid.n)) for k in (center_t / grid.dt - reach, center_t / grid.dt + reach + 1.0))
     x = np.arange(lo, hi) * grid.dt - center_t  # grid.t[lo:hi] - center_t

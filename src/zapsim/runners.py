@@ -177,7 +177,7 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     spec_in = to_spectrum(pulse)
     shaper_cfg = cfg.shaper_config()
     # the shaped input LO does not depend on the medium
-    shaped_in = _shaped_input(pulse, spec_in, shaper_cfg) if cfg.shaper_enabled else None
+    shaped_in = _shaped_input(pulse, spec_in, shaper_cfg)
     del pulse  # only its spectrum is needed through the medium loop
     eta_base = cfg.detection_eta_base
 
@@ -194,26 +194,18 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     return [path]
 
 
-def _resolve_eta(cfg: ScenarioConfig, eta: float | None) -> float:
-    if eta is not None:
-        return eta
-    if cfg.wigner_eta is not None:
-        return cfg.wigner_eta
-    return cfg.detection_eta_base
+def _mixture_eta(cfg: ScenarioConfig) -> float:
+    """The single-photon fraction of the mixture: ``wigner.eta``, else ``detection.eta_base``."""
+    return cfg.detection_eta_base if cfg.wigner_eta is None else cfg.wigner_eta
 
 
-def run_wigner(
-    cfg: ScenarioConfig,
-    out_dir: Path,
-    eta: float | None = None,
-    from_samples: bool = False,
-) -> list[Path]:
+def run_wigner(cfg: ScenarioConfig, out_dir: Path, from_samples: bool = False) -> list[Path]:
     """Emit a Wigner map and scalar summary for the measured mixture.
 
     With ``from_samples`` the single-photon fraction is first re-estimated
     from synthetic quadrature data, exercising the full tomography chain.
     """
-    eta_true = _resolve_eta(cfg, eta)
+    eta_true = _mixture_eta(cfg)
     summary = [f"eta = {_fmt(eta_true)}"]
     extra = {"eta": eta_true}
     if from_samples:
@@ -254,9 +246,9 @@ def run_wigner(
     return [path, summary_path]
 
 
-def run_sample(cfg: ScenarioConfig, out_dir: Path, eta: float | None = None) -> list[Path]:
+def run_sample(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit synthetic quadrature samples, one value per line."""
-    eta_val = _resolve_eta(cfg, eta)
+    eta_val = _mixture_eta(cfg)
     sample = sample_quadratures(HeraldedState(eta_val), cfg.sampling_n_samples, cfg.sampling_seed)
     path = out_dir / "quadrature_samples.txt"
     header = (

@@ -252,11 +252,10 @@ def _efficiencies(
     out: Transmitted,
     lo_in: SpectralField,
     eta_base: float,
-    cfg: ShaperConfig | None = None,
-    shaped_in: tuple[SpectralField, float] | None = None,
+    cfg: ShaperConfig,
+    shaped_in: tuple[SpectralField, float],
 ) -> tuple[float, float]:
-    """(unshaped, shaped) efficiency for one medium; shaped is unshaped when ``shaped_in``
-    (from :func:`_shaped_input`) is None.
+    """(unshaped, shaped) efficiency for one medium, with ``shaped_in`` from :func:`_shaped_input`.
 
     The shaped efficiency is the best of the LO shaped to the transmitted
     mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
@@ -266,8 +265,6 @@ def _efficiencies(
     """
     p_in = _best_projection(lo_in, out.mode)
     unshaped = float(_eta(eta_base, out, p_in))
-    if shaped_in is None:
-        return unshaped, unshaped
     spectrum, distance = shaped_in
     best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, out.mode)), out.mode)
     if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
@@ -296,4 +293,5 @@ def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: floa
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
     lo_in = to_spectrum(normalize(input_field))
-    return _efficiencies(transmit(lo_in, m), lo_in, eta_base)[0]
+    out = transmit(lo_in, m)
+    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zapsim.cli import _remove_empty, main
+from zapsim.config import _PARSERS
 
 # small, fast, warning-free scenario: 164 ps window, 1 ps line lifetime
 FAST_SCENARIO = """
@@ -104,7 +105,7 @@ class TestVerbs:
 
     def test_wigner_summary(self, scenario, tmp_path):
         out = tmp_path / "out"
-        assert run(scenario, out, "wigner", "--eta", "0.62") == 0
+        assert run(scenario, out, "wigner", "--set", "wigner.eta=0.62") == 0
         summary = (out / "wigner_summary.txt").read_text()
         assert "nonclassical = 1" in summary
         assert "w_origin = -0.0763943726841" in summary
@@ -116,13 +117,13 @@ class TestVerbs:
 
     def test_wigner_from_samples(self, scenario, tmp_path):
         out = tmp_path / "out"
-        assert run(scenario, out, "wigner", "--eta", "0.62", "--from-samples") == 0
+        assert run(scenario, out, "wigner", "--set", "wigner.eta=0.62", "--from-samples") == 0
         summary = (out / "wigner_summary.txt").read_text()
         assert "eta_hat = " in summary
 
     def test_sample_file_format(self, scenario, tmp_path):
         out = tmp_path / "out"
-        assert run(scenario, out, "sample", "--eta", "0.3") == 0
+        assert run(scenario, out, "sample", "--set", "wigner.eta=0.3") == 0
         lines = (out / "quadrature_samples.txt").read_text().splitlines()
         assert lines[0].startswith("# vacuum_variance = 0.5")
         assert "seed = 12345" in lines[0]
@@ -186,6 +187,23 @@ class TestExitCodes:
         _remove_empty([created, tmp_path])
         assert (created / "partial.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["wigner", "--eta", "0.3"], ["bogus"], ["xcorr", "--bogus", "1"], []],
+        ids=["removed-eta-option", "unknown-verb", "unknown-option", "no-verb"],
+    )
+    def test_usage_error_is_one_and_creates_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)] if argv else argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_help_is_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wigner", "--help"])
+        assert exc.value.code == 0
+        assert "--from-samples" in capsys.readouterr().out
+
     def test_unknown_key_is_one(self, scenario, tmp_path):
         assert run(scenario, tmp_path / "out", "xcorr", "--set", "nope.nope=1") == 1
 
@@ -216,6 +234,37 @@ class TestDeterminism:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
+
+    @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+    def test_rerun_from_the_echoed_config_reproduces_every_file(self, tmp_path):
+        # the header of a verb's first CSV echoes every key of the run; a config built from it reproduces the run,
+        # also for values that need all 12 echoed digits
+        digits = ["--set", "pulse.fwhm_fs=100.000000001", "--set", "detection.eta_base=0.620000000001"]
+        runs = [
+            ("propagate", []),
+            ("xcorr", []),
+            ("eta-scan", []),
+            ("depth-scan", []),
+            ("wigner", ["--set", "wigner.eta=0.3", "--from-samples"]),
+        ]
+        for verb, extra in runs:
+            first = tmp_path / verb / "first"
+            assert main([verb, "--out", str(first), "--set", "grid.n=16384", *digits, *extra]) == 0
+            csv = sorted(first.glob("*.csv"))[0]
+            echo = [line[2:] for line in csv.read_text(encoding="utf-8").splitlines() if line.startswith("# ")]
+            keys = [line for line in echo if line.partition(" = ")[0] in _PARSERS]
+            assert len(keys) == len(_PARSERS)
+            cfg = tmp_path / verb / "echo.cfg"
+            cfg.write_text("\n".join(keys) + "\n", encoding="utf-8")
+            again = tmp_path / verb / "again"
+            flags = [arg for arg in extra if arg == "--from-samples"]
+            assert main([verb, "--config", str(cfg), "--out", str(again), *flags]) == 0
+            names = sorted(p.name for p in first.iterdir())
+            assert names == sorted(p.name for p in again.iterdir())
+            for name in names:
+                a, b = ((d / name).read_bytes().split(b"\n") for d in (first, again))
+                differ = [x for x, y in zip(a, b) if x != y]
+                assert len(a) == len(b) and all(b"output.directory = " in x for x in differ), (verb, name)
 
     def test_seed_changes_samples(self, scenario, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -99,6 +99,12 @@ class TestGaussianPulse:
         f = gaussian_pulse(grid, 100e-15, center_t, detuning)
         assert np.array_equal(f.amp, full_grid_pulse(grid, 100e-15, center_t, detuning))
 
+    @pytest.mark.parametrize("center_t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_center_rejected(self, small_grid, center_t):
+        # a NaN center would fail in an integer cast and an infinite one give an all-zero pulse
+        with pytest.raises(ValueError, match="pulse center .* must be finite"):
+            gaussian_pulse(small_grid, 100e-15, center_t)
+
     def test_default_pulse_is_the_full_grid_formula(self, default_grid, default_pulse):
         expected = full_grid_pulse(default_grid, 100e-15, default_grid.window / 8.0, 0.0)
         assert np.array_equal(default_pulse.amp.view(np.uint64), expected.view(np.uint64))
@@ -232,3 +238,14 @@ class TestAreaAndEnergy:
             TemporalField(small_grid, bad)
         with pytest.raises(TypeError):
             pulse_energy(np.ones(4))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)])
+    def test_non_finite_sample_rejected(self, small_grid, value):
+        amp = np.ones(small_grid.n, complex)
+        amp[7] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralField(small_grid, amp)
+
+    def test_finite_samples_whose_sum_overflows_accepted(self, small_grid):
+        amp = np.full(small_grid.n, complex(1e308, -1e308))
+        assert np.array_equal(TemporalField(small_grid, amp).amp, amp)

@@ -48,7 +48,7 @@ def transmission_oracle(depth, t2, fwhm_t):
 
 def direct_transfer(grid, m):
     """H(nu) by the full-grid formula, every bin evaluated."""
-    x = 2.0 * np.pi * (grid.freqs - m.detune_a) * m.t2
+    x = 2.0 * np.pi * grid.freqs * m.t2
     return np.exp(-m.depth / (1.0 - 1j * x))
 
 
@@ -103,20 +103,9 @@ class TestTransferFunction:
         m = MediumParams(
             depth=float(rng.uniform(0.0, 50.0)),
             t2=float(rng.uniform(1e-13, 1e-9)),
-            detune_a=float(rng.uniform(-1e12, 1e12)),
         )
         filt = transfer_function(small_grid, m)
         assert np.all(np.abs(filt.amp) <= 1.0 + 1e-15)
-
-    def test_shifted_resonance_minimum(self, small_grid):
-        nu_a = 300 * small_grid.df
-        filt = transfer_function(small_grid, MediumParams(depth=3.0, t2=3e-12, detune_a=nu_a))
-        k = int(np.argmin(np.abs(filt.amp)))
-        assert small_grid.freqs[k] == pytest.approx(nu_a, abs=small_grid.df / 2)
-
-    def test_detuning_outside_span_rejected(self, small_grid):
-        with pytest.raises(ValueError):
-            transfer_function(small_grid, MediumParams(depth=1.0, t2=1e-12, detune_a=2 * small_grid.nyquist))
 
     def test_far_detuned_transparency(self, mid_grid):
         # |H| returns to 1 within 1e-6 at the grid edge for all presets
@@ -128,7 +117,7 @@ class TestTransferFunction:
     @pytest.mark.parametrize("n", [2, 2**10, 2**19])
     @pytest.mark.parametrize("m", HALF_BAND_MEDIA, ids=lambda m: f"depth{m.depth:g}")
     def test_half_band_is_bit_exact(self, n, m):
-        # at zero line detuning only nu >= 0 and the -Nyquist bin are evaluated; the rest are mirrored
+        # only nu >= 0 and the -Nyquist bin are evaluated; the rest are mirrored
         grid = make_grid(n, 10e-15)
         assert np.array_equal(bits(transfer_function(grid, m).amp), bits(direct_transfer(grid, m)))
 
@@ -136,11 +125,6 @@ class TestTransferFunction:
         # -0/(1 - ix) and +0/(1 + ix) differ in the sign of a zero imaginary part, so only values match
         m = MediumParams(depth=0.0, t2=280e-12)
         assert np.array_equal(transfer_function(default_grid, m).amp, direct_transfer(default_grid, m))
-
-    @pytest.mark.parametrize("detune_a", [3e9, -3e9, 7.3e12])
-    def test_detuned_line_is_the_direct_formula(self, small_grid, detune_a):
-        m = MediumParams(depth=70.0, t2=280e-12, detune_a=detune_a)
-        assert np.array_equal(bits(transfer_function(small_grid, m).amp), bits(direct_transfer(small_grid, m)))
 
     def test_overflowing_t2_rejected(self, small_grid):
         # 2*pi*nu*T2 would overflow to inf and 1 - i*inf is NaN; refused before any array is built
@@ -162,9 +146,6 @@ class TestPropagate:
     def test_mismatched_inputs_rejected(self, small_grid):
         with pytest.raises(ValueError):
             SpectralField(small_grid, np.ones(small_grid.n // 2))
-        f = to_spectrum(gaussian_pulse(small_grid, 100e-15))
-        with pytest.raises(ValueError):
-            propagate(f, MediumParams(depth=1.0, t2=1e-12, detune_a=2 * small_grid.nyquist))
 
     def test_energy_never_increases(self, small_grid):
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15))

@@ -100,20 +100,10 @@ class TestEtaScanRunner:
         assert np.all(column(path, "log10_eta") == -12.0)
 
 
-class TestDepthScanRunner:
-    def test_disabled_shaper_falls_back_to_unshaped(self, tmp_path):
-        cfg = parse_config_text(
-            "grid.n = 16384\nmedium.depth = 30\nmedium.t2_ps = 1\n"
-            "shaper.enabled = false\n"
-        )
-        (path,) = run_efficiency_vs_depth(cfg, tmp_path)
-        assert np.array_equal(column(path, "eta_shaped"), column(path, "eta_unshaped"))
-
-
 class TestWignerRunner:
     def test_low_eta_flagged_classical(self, tmp_path):
         cfg = parse_config_text("wigner.n_side = 11\nwigner.half_width = 3\n")
-        run_wigner(cfg, tmp_path, eta=0.2)
+        run_wigner(replace(cfg, wigner_eta=0.2), tmp_path)
         summary = (tmp_path / "wigner_summary.txt").read_text()
         assert "nonclassical = 0" in summary
         assert "w_origin = 0.19" in summary  # (1 - 0.4)/pi = 0.1909...
