@@ -84,8 +84,8 @@ class ScenarioConfig:
             val = getattr(self, key.replace(".", "_"))
             if val is None:
                 rendered = "none"
-            elif isinstance(val, float):
-                rendered = f"{val:.12g}"
+            elif isinstance(val, float):  # 12 digits where they round-trip, else the shortest repr that does
+                rendered = f"{val:.12g}" if float(f"{val:.12g}") == val else repr(val)
             else:
                 rendered = str(val)
             out.append(f"{key} = {rendered}")
@@ -122,24 +122,26 @@ _PARSERS = {f.name.replace("_", ".", 1): _BY_TYPE[f.type] for f in dataclass_fie
 
 
 def _assign(cfg: ScenarioConfig, lines, overrides: bool = False) -> ScenarioConfig:
-    """``cfg`` with ``section.key = value`` lines applied, not validated; an override may not be blank."""
+    """``cfg`` with ``section.key = value`` lines applied, not validated; an override may not be blank.
+    An error names the file line by number and an override by its text."""
     updates = {}
     for lineno, line in enumerate(lines, start=1):
+        where = f"override {line!r}" if overrides else f"line {lineno}"
         body = line.split("#", 1)[0].strip()
         if not body and overrides:
-            raise ConfigError(f"empty override {line!r}")
+            raise ConfigError(f"empty {where}")
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line.rstrip()!r}")
+            raise ConfigError(f"{where}: expected 'section.key = value', got {line.rstrip()!r}")
         key, _, raw = body.partition("=")
         key = key.strip()
         if key not in _PARSERS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
             updates[key.replace(".", "_")] = _PARSERS[key](raw.strip())
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"line {lineno}: invalid value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{where}: invalid value for {key!r}: {exc}") from exc
     return replace(cfg, **updates)
 
 

@@ -5,15 +5,13 @@ an envelope later by tau with sub-sample accuracy, so a delayed-mode
 projection is
 
     <lo(tau)|sig> = df * sum_nu conj(LO(nu)) * S(nu) * exp(-2*pi*i*nu*tau)
-                  = dt * sum_t conj(lo(t - tau)) * sig(t)      (circular in t)
+                  = dt * sum_u conj(lo(u)) * sig(u + tau)      (circular in u)
 
-A scan whose delays are all whole multiples of dt (the uniform scans the CLI
-builds, with a start and step that are multiples of dt) is the second sum at
-integer lags: a correlation over the few samples where the LO is nonzero,
-costing less than one transform.  Delays on a lattice tau_0 + k*dt with tau_0
-off it, or an LO too wide for the correlation, take one FFT of the spectral
-product g = conj(LO) * S times exp(-2*pi*i*nu*tau_0).  Any other delay set
-falls back to the exact first sum, one delay at a time over the support of g.
+A scan on one lattice tau0 + k*dt is the second sum at integer lags k: a
+correlation over the few samples where the LO is nonzero, with sig advanced
+by tau0's distance from the dt lattice (one inverse transform) when tau0 is
+off it.  Any other delay set is the exact first sum, one delay at a time
+over the support of g = conj(LO) * S.
 """
 
 from __future__ import annotations
@@ -137,94 +135,65 @@ def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
     return np.multiply.outer(row, col).ravel()[:count]
 
 
-def _lattice_overlaps(g: np.ndarray, grid, tau0: float = 0.0) -> np.ndarray:
-    """Overlaps at tau0 + k*dt for every k, stored at index k mod n.
-
-    Multiplies g in place by the phase ramp of tau0.  With g in ascending
-    frequency order, nu_j = (j - n/2) * df, the sum over nu at k*dt is
-    fft(g)[k] * (-1)^k, which is periodic in k with period n.
-    """
-    if tau0 != 0.0:
-        ramp = np.multiply(grid.freqs, -2j * np.pi * tau0)
-        np.exp(ramp, out=ramp)
-        g *= ramp
-        del ramp
-    out = np.fft.fft(g)
-    out *= grid.df
-    out[1::2] *= -1.0
-    return out
-
-
 def _time_support(f: TemporalField) -> tuple[np.ndarray, int]:
-    """A copy of f over its support, first to last sample above _SUPPORT_CUTOFF of its peak,
-    and the index of the first: all a time-domain scan keeps of its LO."""
-    amp, t = _support(f.amp, f.grid.t)
-    return amp.copy(), int(np.rint(t[0] / f.grid.dt))
-
-
-def _time_correlation(lo_support: tuple[np.ndarray, int], sig: TemporalField, delays: np.ndarray):
-    """dt * sum_u conj(lo[u]) * sig[(u + k) mod n] at each lag k = delay / dt, over the LO's support.
-
-    None (use the spectral path) when a delay is off the dt lattice or
-    support length times lag span exceeds the n*log2(n) cost of a transform,
-    as for a support that wraps the window edge (length n) in any scan
-    spanning more than log2(n) lags.
-    """
-    grid = sig.grid
-    steps = delays / grid.dt
-    lags = np.rint(steps)
-    if not delays.size or np.any(np.abs(steps - lags) > _LATTICE_TOL):
-        return None
-    lo, first = lo_support
-    lags = lags.astype(np.int64)
-    k0 = int(lags.min())
-    span = int(lags.max()) - k0 + 1
-    if lo.size * span > grid.n * np.log2(grid.n):
-        return None
-    window = np.take(sig.amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
-    # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
-    return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
+    """A copy of f over its circular support, the shortest run of samples (it may wrap the
+    window edge) outside which |f| is below _SUPPORT_CUTOFF of its peak, and the index of
+    the run's first sample: all a delay scan keeps of its LO.  A zero f keeps one sample."""
+    mag = np.abs(f.amp)
+    idx = np.nonzero(mag > mag.max() * _SUPPORT_CUTOFF)[0]
+    if not idx.size:
+        return f.amp[:1].copy(), 0
+    gaps = np.diff(idx, append=idx[0] + f.grid.n)  # the last gap wraps the edge
+    j = int(np.argmax(gaps))
+    first = int(idx[(j + 1) % idx.size])
+    return np.take(f.amp, np.arange(first, first + f.grid.n - int(gaps[j]) + 1), mode="wrap"), first
 
 
 def delay_overlaps(
-    lo_spec: SpectralField, sig_spec: SpectralField, delays, lo_support=None, sig: TemporalField | None = None
+    lo_support: tuple[np.ndarray, int],
+    sig: TemporalField,
+    delays,
+    lo_spec: SpectralField | None = None,
+    sig_spec: SpectralField | None = None,
 ) -> np.ndarray:
-    """<lo(tau)|sig> for each tau, given the LO mode spectrum and the signal spectrum.
+    """<lo(tau)|sig> for each tau, given the LO mode's :func:`_time_support` and the signal.
 
     The LO is a unit-energy mode and the result is linear in the signal, so
     for a unit-energy signal the result at tau = 0 is the plain overlap.
-    With the LO's :func:`_time_support` and the signal in time as ``sig``,
-    delays that are all multiples of dt are correlated in time.  Otherwise
-    delays on a dt lattice cost one FFT in all, and any other delay set one
-    support-length sum per delay.
+    Delays on one lattice tau0 + k*dt are correlated in time over the LO's
+    support; any other delay set is one support-length spectral sum per
+    delay.  The LO and signal spectra are built only where needed: a caller
+    that holds them passes them as ``lo_spec`` and ``sig_spec``.
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
-    if lo_support is not None and sig is not None:
-        out = _time_correlation(lo_support, sig, delays)
-        if out is not None:
-            return out
-    g = _spectral_product(lo_spec, sig_spec)
-    grid = lo_spec.grid
-    steps = (delays - delays[:1]) / grid.dt
+    if not delays.size:
+        return np.zeros(0, dtype=np.complex128)
+    grid = sig.grid
+    lo, first = lo_support
+    offset = delays[0] - np.rint(delays[0] / grid.dt) * grid.dt
+    if abs(offset) <= _LATTICE_TOL * grid.dt:
+        offset = 0.0
+    steps = (delays - offset) / grid.dt
     lags = np.rint(steps)
-    if delays.size and np.all(np.abs(steps - lags) <= _LATTICE_TOL):
-        return _lattice_overlaps(g, grid, float(delays[0]))[lags.astype(np.int64) % grid.n]
+    if np.all(np.abs(steps - lags) <= _LATTICE_TOL):
+        amp = sig.amp
+        if offset:  # sig(t + offset), band-limited: one inverse transform of S * exp(-2*pi*i*nu*offset)
+            shifted = _phasors(grid.freqs[0], grid.df, grid.n, offset)
+            shifted *= (to_spectrum(sig) if sig_spec is None else sig_spec).amp
+            amp = to_time(SpectralField(grid, shifted)).amp
+        lags = lags.astype(np.int64)
+        k0 = int(lags.min())
+        span = int(lags.max()) - k0 + 1
+        window = np.take(amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
+        # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
+        return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
+    if lo_spec is None:
+        full = np.zeros(grid.n, dtype=np.complex128)
+        full[np.arange(first, first + lo.size) % grid.n] = lo
+        lo_spec = to_spectrum(TemporalField(grid, full))
+    g = _spectral_product(lo_spec, to_spectrum(sig) if sig_spec is None else sig_spec)
     g, freqs = _support(g, grid.freqs)
     return np.array([grid.df * (g * _phasors(freqs[0], grid.df, g.size, tau)).sum() for tau in delays])
-
-
-def _transmitted_overlaps(lo_spec: SpectralField, lo_support, out: Transmitted, delays) -> np.ndarray:
-    """<lo(tau)|mode of out>: overlaps with the transmitted field, scaled by 1/sqrt of its energy."""
-    return delay_overlaps(lo_spec, out.spectrum, delays, lo_support, out.field) / _norm(out.spectrum)
-
-
-def _field_overlaps(lo: TemporalField, sig: TemporalField, delays, sig_spec: SpectralField | None = None):
-    """:func:`delay_overlaps` of an LO and a signal given in time; their spectra
-    (``sig_spec`` if the caller holds it) are built only when the time correlation declines."""
-    out = _time_correlation(_time_support(lo), sig, delays)
-    if out is None:
-        out = delay_overlaps(to_spectrum(lo), to_spectrum(sig) if sig_spec is None else sig_spec, delays)
-    return out
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -254,8 +223,7 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     if sig.grid != lo.grid:
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
-    lo, sig = normalize(lo), normalize(sig)
-    overlaps = _field_overlaps(lo, sig, delays)
+    overlaps = delay_overlaps(_time_support(normalize(lo)), normalize(sig), delays)
     return _visibility_scan(overlaps, delays)
 
 
@@ -303,7 +271,8 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     out = transmit(to_spectrum(normalize(input_field)), m)
-    overlaps = _field_overlaps(normalize(lo), out.field, delays, out.spectrum) / _norm(out.spectrum)
+    overlaps = delay_overlaps(_time_support(normalize(lo)), out.field, delays, sig_spec=out.spectrum)
+    overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .fields import GridAdequacyWarning, normalize, pulse_area, to_spectrum
+from .fields import GridAdequacyWarning, _norm, normalize, pulse_area, to_spectrum
 from .medium import MediumPreset, transmit
-from .modes import _check_delays, _eta_scan, _time_support, _transmitted_overlaps, _visibility_scan
+from .modes import _check_delays, _eta_scan, _time_support, _visibility_scan, delay_overlaps
 from .quantum import (
     HeraldedState,
     estimate_eta,
@@ -141,7 +141,8 @@ def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        curve = _visibility_scan(_transmitted_overlaps(spec_in, lo_support, out, delays), delays)
+        overlaps = delay_overlaps(lo_support, out.field, delays, spec_in, out.spectrum) / _norm(out.spectrum)
+        curve = _visibility_scan(overlaps, delays)
         rows = list(zip(curve.xs * 1e12, curve.ys, curve.peak_normalized().ys))
         path = out_dir / f"xcorr_{entry.label}.csv"
         header = _header_lines(cfg, "xcorr", {"medium.label": entry.label})
@@ -157,7 +158,7 @@ def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        overlaps = _transmitted_overlaps(spec_in, lo_support, out, delays)
+        overlaps = delay_overlaps(lo_support, out.field, delays, spec_in, out.spectrum) / _norm(out.spectrum)
         curve = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays)
         clamped = curve.ys < LOG_FLOOR
         log_eta = np.log10(np.maximum(curve.ys, LOG_FLOOR))

@@ -170,8 +170,10 @@ _SKIP_SLACK = 1e-9
 
 
 def _even_lag_overlaps(g: np.ndarray, grid: Grid) -> np.ndarray:
-    """The overlaps of ``modes._lattice_overlaps`` at the even lags 2m*dt, stored at index
-    m mod n/2, from one half-length FFT: fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m]."""
+    """The overlaps df * sum_nu g * exp(-2*pi*i*nu*tau) at the even lags tau = 2m*dt, stored at
+    index m mod n/2, from one half-length FFT.  With g in ascending frequency order,
+    nu_j = (j - n/2) * df, the sum at k*dt is df * fft(g)[k] * (-1)^k, and
+    fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m]."""
     half = grid.n // 2
     out = np.fft.fft(g[:half] + g[half:])
     out *= grid.df

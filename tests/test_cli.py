@@ -207,6 +207,12 @@ class TestExitCodes:
     def test_unknown_key_is_one(self, scenario, tmp_path):
         assert run(scenario, tmp_path / "out", "xcorr", "--set", "nope.nope=1") == 1
 
+    def test_override_error_names_the_override(self, tmp_path, capsys):
+        # an override has no file line: the error quotes it, not "line 2"
+        argv = ["xcorr", "--set", "grid.n=4096", "--set", "pulse.center_fs=3", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: override 'pulse.center_fs=3': unknown key 'pulse.center_fs'\n"
+
     def test_missing_config_is_two(self, tmp_path):
         assert main(["xcorr", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -238,7 +244,7 @@ class TestDeterminism:
     @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
     def test_rerun_from_the_echoed_config_reproduces_every_file(self, tmp_path):
         # the header of a verb's first CSV echoes every key of the run; a config built from it reproduces the run,
-        # also for values that need all 12 echoed digits
+        # also for values that need all 12 echoed digits, or more (at 12 digits 0.5000000000001 renders W(0,0) = 0)
         digits = ["--set", "pulse.fwhm_fs=100.000000001", "--set", "detection.eta_base=0.620000000001"]
         runs = [
             ("propagate", []),
@@ -246,17 +252,18 @@ class TestDeterminism:
             ("eta-scan", []),
             ("depth-scan", []),
             ("wigner", ["--set", "wigner.eta=0.3", "--from-samples"]),
+            ("wigner", ["--set", "wigner.eta=0.5000000000001"]),
         ]
-        for verb, extra in runs:
-            first = tmp_path / verb / "first"
+        for i, (verb, extra) in enumerate(runs):
+            first = tmp_path / f"{i}" / "first"
             assert main([verb, "--out", str(first), "--set", "grid.n=16384", *digits, *extra]) == 0
             csv = sorted(first.glob("*.csv"))[0]
             echo = [line[2:] for line in csv.read_text(encoding="utf-8").splitlines() if line.startswith("# ")]
             keys = [line for line in echo if line.partition(" = ")[0] in _PARSERS]
             assert len(keys) == len(_PARSERS)
-            cfg = tmp_path / verb / "echo.cfg"
+            cfg = tmp_path / f"{i}" / "echo.cfg"
             cfg.write_text("\n".join(keys) + "\n", encoding="utf-8")
-            again = tmp_path / verb / "again"
+            again = tmp_path / f"{i}" / "again"
             flags = [arg for arg in extra if arg == "--from-samples"]
             assert main([verb, "--config", str(cfg), "--out", str(again), *flags]) == 0
             names = sorted(p.name for p in first.iterdir())

@@ -20,7 +20,7 @@ from zapsim import (
 )
 
 from zapsim import ShaperConfig, achievable_lo
-from zapsim.modes import _phasors, _time_correlation, _time_support, delay_overlaps
+from zapsim.modes import _phasors, _time_support, delay_overlaps
 
 from conftest import random_field
 
@@ -311,12 +311,13 @@ class TestScanPaths:
         ],
         ids=["linspace", "arange", "off-lattice-start", "unsorted", "single", "off-lattice-step"],
     )
-    def test_matches_direct_sum(self, spectra, delays, on_lattice):
+    def test_matches_direct_sum(self, fields, spectra, delays, on_lattice):
         lo_spec, sig_spec = spectra
         steps = (delays - delays[0]) / lo_spec.grid.dt
         assert (np.max(np.abs(steps - np.rint(steps))) < 1e-10) == on_lattice
         want = self.direct_sum(lo_spec, sig_spec, delays)
-        got = delay_overlaps(lo_spec, sig_spec, delays)
+        pulse, sig = fields
+        got = delay_overlaps(_time_support(pulse), sig, delays, lo_spec, sig_spec)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", sorted(LATTICE_DELAYS))
@@ -326,19 +327,20 @@ class TestScanPaths:
         lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
         delays = LATTICE_DELAYS[name]
         want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
-        got = _time_correlation(_time_support(lo), sig, delays)
-        assert got is not None
+        got = delay_overlaps(_time_support(lo), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         spectra = to_spectrum(lo), to_spectrum(sig)
-        assert np.array_equal(delay_overlaps(*spectra, delays, _time_support(lo), sig), got)
+        assert np.array_equal(delay_overlaps(_time_support(lo), sig, delays, *spectra), got)
 
-    def test_off_lattice_start_not_correlated(self, fields):
+    def test_off_lattice_start_matches_direct_sum(self, fields, spectra):
         pulse, sig = fields
         delays = np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151)
-        assert _time_correlation(_time_support(pulse), sig, delays) is None
+        want = self.direct_sum(*spectra, delays)
+        got = delay_overlaps(_time_support(pulse), sig, delays)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
-    def test_wide_or_wrapping_lo_takes_fft_path(self, fields, lo_kind):
+    def test_wide_or_wrapping_lo_matches_direct_sum(self, fields, lo_kind):
         pulse, sig = fields
         delays = LATTICE_DELAYS["linspace"]
         if lo_kind == "shaped":
@@ -347,10 +349,21 @@ class TestScanPaths:
             # the pulse peaks at sample n/8; rolled to sample 0 it wraps the window edge
             lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
             delays = delays + pulse.grid.window / 8
-        assert _time_correlation(_time_support(lo), sig, delays) is None
         want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
-        got = delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays, _time_support(lo), sig)
+        got = delay_overlaps(_time_support(lo), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "delays", [LATTICE_DELAYS["linspace"], np.linspace(-1e-12, 8e-12, 400)], ids=["lattice", "off-lattice-step"]
+    )
+    def test_zero_lo_gives_zero_overlaps(self, fields, delays):
+        pulse, sig = fields
+        got = delay_overlaps(_time_support(TemporalField(pulse.grid, np.zeros(pulse.grid.n))), sig, delays)
+        assert got.shape == delays.shape and not np.any(got)
+
+    def test_no_delays_give_an_empty_result(self, fields):
+        pulse, sig = fields
+        assert delay_overlaps(_time_support(pulse), sig, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("tau, tol", [(3e-12, 1e-13), (2**19 * 10e-15 / 4, 1e-10)])
     def test_phasors_match_exp(self, tau, tol):

@@ -19,6 +19,7 @@ import zapsim.medium
 import zapsim.shaper
 from zapsim import (
     MediumParams,
+    TemporalField,
     eta_curve,
     gaussian_pulse,
     make_grid,
@@ -28,6 +29,7 @@ from zapsim import (
     visibility_curve,
 )
 from zapsim.cli import main
+from zapsim.modes import _time_support
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -71,15 +73,20 @@ def _count_large_exp(monkeypatch, counts):
     monkeypatch.setattr(np, "exp", counted)
 
 
+def _count_transforms(monkeypatch, counts):
+    """Count numpy FFT work and large complex exponentials into ``counts``."""
+    _count_calls(monkeypatch, np.fft, "fft", counts, _fft_work)
+    _count_calls(monkeypatch, np.fft, "ifft", counts, _fft_work)
+    _count_large_exp(monkeypatch, counts)
+
+
 def _run_counted(monkeypatch, tmp_path, verb, preset):
     counts = dict.fromkeys(["fft", "ifft", "transfer_function", "achievable_lo", "_best_projection", "exp"], 0)
     with monkeypatch.context() as mp:
-        _count_calls(mp, np.fft, "fft", counts, _fft_work)
-        _count_calls(mp, np.fft, "ifft", counts, _fft_work)
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
-        _count_large_exp(mp, counts)
+        _count_transforms(mp, counts)
         out = str(tmp_path / preset)
         code = main([verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"])
     assert code == 0
@@ -139,3 +146,40 @@ def test_lattice_curves_transform_only_the_propagation(monkeypatch):
         eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays)
     # the input spectrum and the transmitted field
     assert counts == {"fft": 1, "ifft": 1}
+
+
+def _counted(monkeypatch, scan):
+    """Full-grid FFT work and large complex exponentials of ``scan()``."""
+    counts = dict.fromkeys(["fft", "ifft", "exp"], 0)
+    with monkeypatch.context() as mp:
+        _count_transforms(mp, counts)
+        scan()
+    return counts["fft"] + counts["ifft"], counts["exp"]
+
+
+@pytest.mark.parametrize(
+    "curve, budget",
+    # (FFTs, large complex exp): the signal's spectrum and the advanced signal; for eta_curve also the
+    # input spectrum and the transmitted field, and H(nu) on nu >= 0 and the -Nyquist bin
+    [("visibility", (2, 0)), ("eta", (3, (GRID_N // 2 + 1) / GRID_N))],
+)
+def test_off_lattice_start_costs_one_inverse_transform(monkeypatch, curve, budget):
+    # a lattice scan starting 3.3 fs off the dt lattice correlates the signal advanced by that offset,
+    # built from its spectrum by one inverse transform and no full-length complex exp
+    grid = make_grid(GRID_N, 10e-15)
+    pulse = gaussian_pulse(grid, 100e-15)
+    delays = np.arange(-40, 400) * 20e-15 + 3.3e-15
+    if curve == "visibility":
+        fft, exp = _counted(monkeypatch, lambda: visibility_curve(pulse, pulse, delays))
+    else:
+        fft, exp = _counted(monkeypatch, lambda: eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays))
+    assert fft <= budget[0] and exp <= budget[1]
+
+
+def test_lo_wrapping_the_window_edge_correlates_over_its_support(monkeypatch):
+    grid = make_grid(GRID_N, 10e-15)
+    centred = gaussian_pulse(grid, 100e-15)
+    wrapped = TemporalField(grid, np.roll(centred.amp, -GRID_N // 8))  # peaks at sample 0
+    assert _time_support(wrapped)[0].size <= _time_support(centred)[0].size
+    delays = np.arange(-40, 400) * 20e-15
+    assert _counted(monkeypatch, lambda: visibility_curve(centred, wrapped, delays)) == (0, 0)

@@ -10,6 +10,7 @@ import pytest
 
 import zapsim
 from zapsim.cli import build_parser
+from zapsim.config import _PARSERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = ["fields", "medium", "modes", "shaper", "quantum", "config", "runners"]
@@ -63,3 +64,30 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def docstring_references(path: Path) -> list[str]:
+    """The targets of the :func:, :meth: and :class: roles in a source file, and every double-backticked a.b."""
+    text = path.read_text(encoding="utf-8")
+    roles = re.findall(r":(?:func|meth|class):`([^`]+)`", text)
+    return roles + re.findall(r"``([A-Za-z_]\w*(?:\.\w+)+)``", text)
+
+
+def resolves(module, ref: str) -> bool:
+    """``ref`` names a config key, or an attribute reached from the module's namespace or a zapsim module."""
+    if ref in _PARSERS:
+        return True
+    missing = object()
+    head, *rest = ref.split(".")
+    obj = getattr(module, head, missing)
+    if obj is missing and head in MODULES:
+        obj = importlib.import_module(f"zapsim.{head}")
+    for part in rest:
+        obj = getattr(obj, part, missing)
+    return obj is not missing
+
+
+@pytest.mark.parametrize("path", sorted(Path(zapsim.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_docstring_references_resolve(path):
+    module = zapsim if path.stem == "__init__" else importlib.import_module(f"zapsim.{path.stem}")
+    assert [ref for ref in docstring_references(path) if not resolves(module, ref)] == []
