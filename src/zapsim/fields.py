@@ -15,7 +15,7 @@ choice the response of a passive resonant medium is causal in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,11 +102,19 @@ class Grid:
         arr.flags.writeable = False
         return arr
 
+    @cached_property
+    def half_freqs(self) -> np.ndarray:
+        """Detunings of a half spectrum, k*df for k = 0 .. n/2: bit for bit the |freqs| they mirror."""
+        arr = np.abs(self.freqs[self.n // 2 :: -1])
+        arr.flags.writeable = False
+        return arr
 
-def _validate_amp(grid: Grid, amp) -> np.ndarray:
+
+def _validate_amp(grid: Grid, amp, half: bool = False) -> np.ndarray:
     out = np.asarray(amp, dtype=np.complex128)
-    if out.shape != (grid.n,):
-        raise ValueError(f"amplitude array has shape {out.shape}, expected ({grid.n},)")
+    size = grid.n // 2 + 1 if half else grid.n
+    if out.shape != (size,):
+        raise ValueError(f"amplitude array has shape {out.shape}, expected ({size},)")
     with np.errstate(all="ignore"):  # a finite sum proves it without a full-grid mask; finite samples may sum to inf
         finite = np.isfinite(out.sum()) or np.all(np.isfinite(out))
     if not finite:
@@ -127,18 +135,41 @@ class TemporalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex envelope E(nu) indexed by detuning, ascending frequency order."""
+    """Complex envelope E(nu) indexed by detuning, ascending frequency order.
+
+    With ``half`` set, ``amp`` holds the nu >= 0 half of the Hermitian
+    spectrum of a real field, n/2 + 1 bins from 0 to +Nyquist
+    (``Grid.half_freqs``); E(-nu) = conj E(nu) gives the rest.
+    """
 
     grid: Grid
     amp: np.ndarray
+    half: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp))
+        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp, self.half))
 
     @cached_property
     def energy(self) -> float:
         """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
-        return float(self.grid.df * np.sum(np.abs(self.amp) ** 2))
+        return float(self.grid.df * _spectral_sum(self, np.abs(self.amp) ** 2))
+
+
+def _spectral_sum(F: SpectralField, x: np.ndarray):
+    """Sum over the full spectrum of a product x of F's layout, such as conj(a) * b.  On a half
+    spectrum x(-nu) = conj x(nu), so every bin but DC and Nyquist counts twice and the sum is real."""
+    total = np.sum(x)
+    return (2.0 * total - x[0] - x[-1]).real if F.half else total
+
+
+def _nonnegative(F: SpectralField) -> SpectralField:
+    """The half spectrum of a real field held in the full layout: its nu >= 0 bins, and the
+    -Nyquist bin, which is also +Nyquist."""
+    half = F.grid.n // 2
+    amp = np.empty(half + 1, dtype=np.complex128)
+    amp[:half] = F.amp[half:]
+    amp[half] = F.amp[0]
+    return SpectralField(F.grid, amp, half=True)
 
 
 def make_grid(n: int, dt: float) -> Grid:
@@ -193,15 +224,33 @@ def gaussian_pulse(
     return TemporalField(grid, amp)
 
 
-def to_spectrum(f: TemporalField) -> SpectralField:
-    """Forward transform; the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt."""
-    amp = np.fft.fftshift(np.fft.ifft(f.amp))
+def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
+    """Forward transform; the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt.
+
+    With ``half``, the real part of f alone is transformed, by one real FFT,
+    into its half spectrum (see :class:`SpectralField`).
+    """
+    if half:
+        amp = np.fft.rfft(f.amp.real)
+        np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
+        amp *= f.grid.dt
+        return SpectralField(f.grid, amp, half=True)
+    amp = np.fft.ifft(f.amp)
+    mid = f.grid.n // 2  # fftshift of an even length swaps the halves: done in place through a half-length copy
+    low = amp[:mid].copy()
+    amp[:mid] = amp[mid:]
+    amp[mid:] = low
     amp *= f.grid.n * f.grid.dt
     return SpectralField(f.grid, amp)
 
 
 def to_time(F: SpectralField) -> TemporalField:
-    """Inverse transform, exact round-trip partner of :func:`to_spectrum`."""
+    """Inverse transform, exact round-trip partner of :func:`to_spectrum`; a half spectrum
+    takes one real inverse FFT and gives a real field."""
+    if F.half:
+        amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
+        amp /= F.grid.dt
+        return TemporalField(F.grid, amp)
     amp = np.fft.ifftshift(F.amp)
     np.fft.fft(amp, out=amp)
     amp /= F.grid.n * F.grid.dt
@@ -241,4 +290,4 @@ def _norm(f: TemporalField | SpectralField) -> float:
 
 def normalize(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
     """Scale a field, in either domain, to unit energy."""
-    return type(f)(f.grid, f.amp / _norm(f))
+    return replace(f, amp=f.amp / _norm(f))

@@ -107,8 +107,8 @@ def delay_field(f: TemporalField, tau: float) -> TemporalField:
 
 def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> np.ndarray:
     """g = conj(LO) * S as a fresh array."""
-    if lo_spec.grid != sig_spec.grid:
-        raise ValueError("delay scan requires both spectra on the same grid")
+    if lo_spec.grid != sig_spec.grid or lo_spec.half != sig_spec.half:
+        raise ValueError("delay scan requires both spectra on the same grid and in the same layout")
     g = np.conj(lo_spec.amp)
     g *= sig_spec.amp
     return g

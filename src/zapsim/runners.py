@@ -183,7 +183,7 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     eta_base = cfg.detection_eta_base
 
     def row(entry, out):
-        unshaped, shaped = _efficiencies(out, spec_in, eta_base, shaper_cfg, shaped_in)
+        unshaped, shaped = _efficiencies(out, eta_base, shaper_cfg, shaped_in)
         t_e = out.transmission
         extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
         return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras

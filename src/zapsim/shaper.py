@@ -14,6 +14,13 @@ The shaper reference frame travels with the pulse, so the window is centered
 on the target's peak.  Global delay and phase of the local oscillator are
 free experimental parameters and are optimized away before any efficiency is
 reported.
+
+At zero carrier detuning the input pulse is real, and so are the transmitted
+field and every LO shaped from it without a pixel box: their spectra are
+Hermitian, and the LO shaping and the best-delay searches run on the nu >= 0
+half spectra (n/2 + 1 bins), each LO from one real inverse FFT and its
+spectrum from one real FFT.  A detuned pulse or a pixel box gives spectra
+without that symmetry, searched in the full layout by the same code.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ import numpy as np
 from .fields import (
     _EXP_UNDERFLOW,
     LN2,
+    _nonnegative,
+    _spectral_sum,
     Grid,
     SpectralField,
     TemporalField,
@@ -124,7 +133,9 @@ def achievable_lo(
     target is returned unchanged up to normalization.  A caller that already
     holds the target's unit-energy spectrum passes it as ``spectrum`` to save
     a transform; the target may then have any energy, since the result is
-    renormalized and its peak, which centers the window, does not move.
+    renormalized and its peak, which centers the window, does not move.  A
+    half spectrum (a real target) gives a real LO from one real inverse FFT;
+    it takes no pixel box, which is not symmetric about each bin.
     """
     _check_normalized(target if spectrum is None else spectrum, "shaper target")
     grid = target.grid
@@ -132,18 +143,21 @@ def achievable_lo(
     amp = target.amp
 
     if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
-        source = (to_spectrum(target) if spectrum is None else spectrum).amp
-        spec = source.copy() if cfg.span_hz is None else np.zeros_like(source)
+        source = to_spectrum(target) if spectrum is None else spectrum
+        if source.half and cfg.pixel_width_hz is not None:
+            raise ValueError("a pixel box needs the full spectrum, not its nu >= 0 half")
+        spec = source.amp.copy() if cfg.span_hz is None else np.zeros_like(source.amp)
         if cfg.span_hz is not None:  # keep the ascending bins with |nu| <= span / 2
             edge = 0.5 * cfg.span_hz
-            inside = slice(np.searchsorted(grid.freqs, -edge), np.searchsorted(grid.freqs, edge, side="right"))
-            spec[inside] = source[inside]
+            freqs = grid.half_freqs if source.half else grid.freqs
+            inside = slice(np.searchsorted(freqs, -edge), np.searchsorted(freqs, edge, side="right"))
+            spec[inside] = source.amp[inside]
         if cfg.pixel_width_hz is not None:
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
             if size > grid.n:
                 raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
             spec = _box_average(spec, size)
-        amp = to_time(SpectralField(grid, spec)).amp
+        amp = to_time(SpectralField(grid, spec, half=source.half)).amp
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     windowed = amp[keep] * window
@@ -169,13 +183,32 @@ _MAX_STARTS = 8
 _SKIP_SLACK = 1e-9
 
 
-def _even_lag_overlaps(g: np.ndarray, grid: Grid) -> np.ndarray:
-    """The overlaps df * sum_nu g * exp(-2*pi*i*nu*tau) at the even lags tau = 2m*dt, stored at
-    index m mod n/2, from one half-length FFT.  With g in ascending frequency order,
-    nu_j = (j - n/2) * df, the sum at k*dt is df * fft(g)[k] * (-1)^k, and
-    fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m]."""
-    half = grid.n // 2
-    out = np.fft.fft(g[:half] + g[half:])
+def _real_search(mode_in: TemporalField, cfg: ShaperConfig | None = None) -> bool:
+    """Whether the best-delay searches for input ``mode_in`` run on half spectra.
+
+    A real input (zero carrier detuning) has a real response through the
+    medium, so the transmitted mode, every LO and g = conj(LO) * S are
+    Hermitian and their nu >= 0 halves hold all of them.  A pixel box keeps
+    the full spectra: an even-width box sits half a bin off each centre.
+    """
+    return (cfg is None or cfg.pixel_width is None) and not np.any(mode_in.amp.imag)
+
+
+def _even_lag_overlaps(g: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
+    """The overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2, from
+    one half-length transform.  With g in ascending frequency order, nu_j = (j - n/2) * df, the sum at
+    k*dt is df * fft(g)[k] * (-1)^k, and fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m].  A ``half`` g holds the
+    bins nu_q = q * df, q = 0 .. n/2, of a Hermitian product: the even-lag phasors repeat every n/2 bins,
+    so A is the real transform of length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken
+    conjugate to turn irfft's kernel into exp(-2*pi*i*nu*tau)."""
+    mid = grid.n // 2
+    if half:
+        folded = np.conj(g[: mid // 2 + 1])
+        folded += g[mid - mid // 2 :][::-1]
+        out = np.fft.irfft(folded, mid)
+        out *= grid.df * mid
+        return out
+    out = np.fft.fft(g[:mid] + g[mid:])
     out *= grid.df
     return out
 
@@ -185,7 +218,7 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 
     With g = conj(LO) * S, f(tau) = |A(tau)|^2, A = df * sum g * exp(-2*pi*i*nu*tau).
     The coarse search samples f at the even lags 2m*dt within +-window/4,
-    all from one half-length FFT (:func:`_even_lag_overlaps`).
+    all from one half-length transform (:func:`_even_lag_overlaps`).
     On the support of g, |f''| <= 2*(2*pi)^2*(M1^2 + M0*M2) with
     Mk = df * sum |g| * |nu - nu_c|^k about the centroid nu_c of |g|, so the
     sample nearest the true maximum, at most dt from it, falls short of it by
@@ -197,22 +230,27 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
     reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
     threads and nearly doubles the CPU time of a depth scan for no gain in
-    wall time.
+    wall time.  Half spectra (:func:`_real_search`) give a real A: the sums
+    run over nu >= 0, every bin but DC and Nyquist weighted 2, and take real
+    parts, and |g| is even, so nu_c = 0.
     """
     grid = lo_spec.grid
+    half = lo_spec.half
     g = _spectral_product(lo_spec, sig_spec)
-    half, eighth = grid.n // 2, grid.n // 8
-    coarse = np.abs(_even_lag_overlaps(g, grid)) ** 2
-    coarse[eighth + 1 : half - eighth] = -1.0  # keep the lags |2m| <= n/4
+    mid, eighth = grid.n // 2, grid.n // 8
+    coarse = np.abs(_even_lag_overlaps(g, grid, half)) ** 2
+    coarse[eighth + 1 : mid - eighth] = -1.0  # keep the lags |2m| <= n/4
     best = float(coarse.max())
 
-    g, freqs = _support(g, grid.freqs)
+    if half:
+        g[1:-1] *= 2.0
+    g, freqs = _support(g, grid.half_freqs if half else grid.freqs)
     g = g * grid.df
     mag = np.abs(g)
     m0 = mag.sum()
     if m0 == 0.0:  # disjoint spectra: every overlap is 0
         return best
-    dev = np.abs(freqs - (mag * freqs).sum() / m0)
+    dev = np.abs(freqs - (0.0 if half else (mag * freqs).sum() / m0))
     mag *= dev
     m1 = mag.sum()
     mag *= dev
@@ -222,7 +260,7 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 
     phase = -2j * np.pi * freqs
     for m in starts:
-        start = 2 * (int(m) if m <= eighth else int(m) - half) * grid.dt
+        start = 2 * (int(m) if m <= eighth else int(m) - mid) * grid.dt
         x = 0.0  # offset from the start, kept within two time steps
         for _ in range(8):  # at the default scenario Newton stops within 4 steps
             h = g * _phasors(freqs[0], grid.df, g.size, start + x)
@@ -231,6 +269,8 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
             a1 = h.sum()
             h *= phase
             a2 = h.sum()
+            if half:
+                a, a1, a2 = a.real, a1.real, a2.real
             best = max(best, float(abs(a) ** 2))
             half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
             new = x
@@ -242,20 +282,24 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     return best
 
 
-def _shaped_input(mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig) -> tuple[SpectralField, float]:
-    """The shaped input LO s = achievable_lo(u) of the input LO u (spectrum ``lo_in``), and its
-    distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
-    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo_in))
-    inner = abs(lo_in.grid.df * (np.conj(lo_in.amp) * shaped.amp).sum())
-    return shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
+def _shaped_input(
+    mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig
+) -> tuple[SpectralField, SpectralField, float]:
+    """The input LO u (spectrum ``lo_in``) in the layout of the searches (:func:`_real_search`), the
+    spectrum of the shaped input LO s = achievable_lo(u) in that layout, and their distance
+    min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
+    half = _real_search(mode_in, cfg)
+    lo = _nonnegative(lo_in) if half else lo_in
+    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo), half=half)
+    inner = abs(lo.grid.df * _spectral_sum(lo, np.conj(lo.amp) * shaped.amp))
+    return lo, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
 
 
 def _efficiencies(
     out: Transmitted,
-    lo_in: SpectralField,
     eta_base: float,
     cfg: ShaperConfig,
-    shaped_in: tuple[SpectralField, float],
+    shaped_in: tuple[SpectralField, SpectralField, float],
 ) -> tuple[float, float]:
     """(unshaped, shaped) efficiency for one medium, with ``shaped_in`` from :func:`_shaped_input`.
 
@@ -263,14 +307,16 @@ def _efficiencies(
     mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
     so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
     (Cauchy-Schwarz): the search over s is skipped when that bound on its
-    result cannot reach the own-mode LO's.
+    result cannot reach the own-mode LO's.  Every search runs in the layout
+    of u.
     """
-    p_in = _best_projection(lo_in, out.mode)
+    lo, spectrum, distance = shaped_in
+    mode = _nonnegative(out.mode) if lo.half else out.mode
+    p_in = _best_projection(lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
-    spectrum, distance = shaped_in
-    best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, out.mode)), out.mode)
+    best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, mode), half=lo.half), mode)
     if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
-        best = max(best, _best_projection(spectrum, out.mode))
+        best = max(best, _best_projection(spectrum, mode))
     return unshaped, max(float(_eta(eta_base, out, best)), unshaped)
 
 
@@ -288,12 +334,16 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
     mode_in = normalize(input_field)
     lo_in = to_spectrum(mode_in)
     out = transmit(lo_in, m)
-    return _efficiencies(out, lo_in, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
+    return _efficiencies(out, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
-    lo_in = to_spectrum(normalize(input_field))
+    mode_in = normalize(input_field)
+    lo_in = to_spectrum(mode_in)
     out = transmit(lo_in, m)
-    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
+    lo, mode = lo_in, out.mode
+    if _real_search(mode_in):
+        lo, mode = _nonnegative(lo), _nonnegative(mode)
+    return float(_eta(eta_base, out, _best_projection(lo, mode)))

@@ -103,6 +103,19 @@ class TestVerbs:
         assert float(shaped) >= float(unshaped) - 1e-12
         assert 0.0 <= float(trans) <= 1.0
 
+    @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+    def test_detuned_depth_scan_searches_full_spectra(self, tmp_path):
+        # a detuned carrier has no Hermitian spectrum, so the shaper searches keep the complex path
+        out = tmp_path / "out"
+        assert main(["depth-scan", "--out", str(out), "--set", "grid.n=16384", "--set", "pulse.detuning_ghz=2000"]) == 0
+        rows = [
+            l.split(",")
+            for l in (out / "efficiency_vs_depth.csv").read_text().splitlines()
+            if l and not l.startswith("#")
+        ][1:]
+        assert len(rows) == 5
+        assert all(float(r[4]) >= float(r[3]) for r in rows)
+
     def test_wigner_summary(self, scenario, tmp_path):
         out = tmp_path / "out"
         assert run(scenario, out, "wigner", "--set", "wigner.eta=0.62") == 0

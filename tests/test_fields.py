@@ -6,11 +6,14 @@ from zapsim import (
     TemporalField,
     gaussian_pulse,
     make_grid,
+    normalize,
     pulse_area,
     pulse_energy,
     to_spectrum,
     to_time,
 )
+
+from zapsim.fields import _nonnegative
 
 from conftest import random_field
 
@@ -65,6 +68,12 @@ class TestMakeGrid:
     def test_frequency_axis_is_exactly_antisymmetric(self, n, dt):
         f = make_grid(n, dt).freqs
         assert np.array_equal(f[n // 2 + 1 :], -f[n // 2 - 1 : 0 : -1])
+
+    @pytest.mark.parametrize("n, dt", [(2, 1.0), (16, 0.5), (2**19, 10e-15)])
+    def test_half_frequencies_are_the_nonnegative_ones(self, n, dt):
+        grid = make_grid(n, dt)
+        assert np.array_equal(grid.half_freqs[:-1], grid.freqs[n // 2 :])
+        assert grid.half_freqs[-1] == -grid.freqs[0] == grid.nyquist
 
 
 def full_grid_pulse(grid, fwhm_t, center_t, detuning):
@@ -197,6 +206,46 @@ class TestTransforms:
         amp[0] = rng.normal()
         f = to_time(SpectralField(grid, amp))
         assert np.abs(f.amp.imag).max() < 1e-12 * np.abs(f.amp).max()
+
+
+def real_field(grid, seed):
+    return TemporalField(grid, random_field(grid, seed).amp.real)
+
+
+class TestHalfSpectrum:
+    """The nu >= 0 half of a real field's spectrum, from one real transform each way."""
+
+    @pytest.mark.parametrize("n", [2, 16, 2**10])
+    def test_is_the_nonnegative_half_of_the_full_spectrum(self, n):
+        grid = make_grid(n, 1e-15)
+        f = real_field(grid, 12)
+        full = to_spectrum(f)
+        half = to_spectrum(f, half=True)
+        assert half.half and half.amp.shape == (n // 2 + 1,)
+        assert np.max(np.abs(half.amp - _nonnegative(full).amp)) <= 1e-15 * np.abs(full.amp).max()
+        assert half.energy == pytest.approx(full.energy, rel=1e-13)
+
+    def test_round_trip_gives_the_real_field(self):
+        grid = make_grid(2**11, 1e-15)
+        f = real_field(grid, 13)
+        back = to_time(to_spectrum(f, half=True))
+        assert not np.any(back.amp.imag)
+        assert np.max(np.abs(back.amp - f.amp)) <= 1e-13 * np.abs(f.amp).max()
+
+    def test_imaginary_part_is_ignored(self):
+        grid = make_grid(64, 1e-15)
+        f = random_field(grid, 14)
+        real = TemporalField(grid, f.amp.real)
+        assert np.array_equal(to_spectrum(f, half=True).amp, to_spectrum(real, half=True).amp)
+
+    def test_layout_is_checked_and_kept(self, small_grid):
+        amp = np.ones(small_grid.n // 2 + 1, complex)
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(small_grid, amp)
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(small_grid, np.ones(small_grid.n), half=True)
+        unit = normalize(SpectralField(small_grid, amp, half=True))
+        assert unit.half and pulse_energy(unit) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestAreaAndEnergy:

@@ -6,8 +6,10 @@ grid, once with all five presets and once with preset 1; the difference
 divided by four is the per-medium cost, free of the per-run set-up.  FFTs
 are counted as work, m*log2(m) / (n*log2(n)) for a length-m transform on
 the n-point grid, so a half-length transform counts as less than half of a
-full one; an exponential counts as its size in full grids.  The peak memory
-of one transmission is measured in full-grid complex arrays.
+full one, and a real transform (rfft, irfft) as half a complex one of its
+length; an exponential counts as its size in full grids.  The peak memory
+of one transmission and of one forward transform is measured in full-grid
+complex arrays.
 """
 
 import tracemalloc
@@ -33,15 +35,32 @@ from zapsim.modes import _time_support
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
-# most FFT work (in full-grid transforms) one medium may cost, per verb
-FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 4.0}
+# most FFT work (in full-grid complex transforms) one medium may cost, per verb; depth-scan measures
+# 2.46: the propagation, one irfft and one rfft for the LO shaped to the transmitted mode, and two
+# half-length irffts for the best-delay searches
+FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 2.5}
 
 GRID_N = 16384
+TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
+
+
+def _work(m):
+    return m * np.log2(m) / (GRID_N * np.log2(GRID_N))
 
 
 def _fft_work(x, *args, **kwargs):
-    m = np.size(x)
-    return m * np.log2(m) / (GRID_N * np.log2(GRID_N))
+    return _work(np.size(x))
+
+
+def _rfft_work(x, n=None, *args, **kwargs):
+    return 0.5 * _work(n or np.size(x))
+
+
+def _irfft_work(x, n=None, *args, **kwargs):
+    return 0.5 * _work(n or 2 * (np.size(x) - 1))
+
+
+WORK = {"fft": _fft_work, "ifft": _fft_work, "rfft": _rfft_work, "irfft": _irfft_work}
 
 
 def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs: 1):
@@ -74,14 +93,14 @@ def _count_large_exp(monkeypatch, counts):
 
 
 def _count_transforms(monkeypatch, counts):
-    """Count numpy FFT work and large complex exponentials into ``counts``."""
-    _count_calls(monkeypatch, np.fft, "fft", counts, _fft_work)
-    _count_calls(monkeypatch, np.fft, "ifft", counts, _fft_work)
+    """Count the work of every numpy FFT, complex and real, and large complex exponentials into ``counts``."""
+    for name in TRANSFORMS:
+        _count_calls(monkeypatch, np.fft, name, counts, WORK[name])
     _count_large_exp(monkeypatch, counts)
 
 
 def _run_counted(monkeypatch, tmp_path, verb, preset):
-    counts = dict.fromkeys(["fft", "ifft", "transfer_function", "achievable_lo", "_best_projection", "exp"], 0)
+    counts = dict.fromkeys([*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "exp"], 0)
     with monkeypatch.context() as mp:
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
@@ -91,7 +110,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset):
         code = main([verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"])
     assert code == 0
     return {
-        "fft": counts["fft"] + counts["ifft"],
+        "fft": sum(counts[name] for name in TRANSFORMS),
         "h": counts["transfer_function"],
         "lo": counts["achievable_lo"],
         "search": counts["_best_projection"],
@@ -132,29 +151,45 @@ def test_transmit_keeps_at_most_two_grids():
     assert peak <= 2.0 * grid.n * 16 + 16 * 1024
 
 
+def test_to_spectrum_keeps_at_most_one_and_a_half_grids():
+    # the inverse FFT's output is shifted in place through a half-length copy, bit for bit fftshift's result
+    grid = make_grid(2**16, 10e-15)
+    pulse = gaussian_pulse(grid, 100e-15)
+    tracemalloc.start()
+    try:
+        spec = to_spectrum(pulse)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    shifted = np.fft.fftshift(np.fft.ifft(pulse.amp))
+    shifted *= grid.n * grid.dt
+    assert np.array_equal(spec.amp.view(np.uint64), shifted.view(np.uint64))
+    assert peak <= 1.5 * grid.n * 16 + 16 * 1024
+
+
 def test_lattice_curves_transform_only_the_propagation(monkeypatch):
     # a lattice scan is a time correlation: no LO or signal spectrum is built
     grid = make_grid(GRID_N, 10e-15)
     pulse = gaussian_pulse(grid, 100e-15)
     delays = np.arange(-40, 400) * 20e-15
-    counts = dict.fromkeys(["fft", "ifft"], 0)
+    counts = dict.fromkeys(TRANSFORMS, 0)
     with monkeypatch.context() as mp:
-        _count_calls(mp, np.fft, "fft", counts)
-        _count_calls(mp, np.fft, "ifft", counts)
+        for name in TRANSFORMS:
+            _count_calls(mp, np.fft, name, counts)
         visibility_curve(pulse, pulse, delays)
-        assert counts == {"fft": 0, "ifft": 0}
+        assert counts == dict.fromkeys(TRANSFORMS, 0)
         eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays)
     # the input spectrum and the transmitted field
-    assert counts == {"fft": 1, "ifft": 1}
+    assert counts == {"fft": 1, "ifft": 1, "rfft": 0, "irfft": 0}
 
 
 def _counted(monkeypatch, scan):
     """Full-grid FFT work and large complex exponentials of ``scan()``."""
-    counts = dict.fromkeys(["fft", "ifft", "exp"], 0)
+    counts = dict.fromkeys([*TRANSFORMS, "exp"], 0)
     with monkeypatch.context() as mp:
         _count_transforms(mp, counts)
         scan()
-    return counts["fft"] + counts["ifft"], counts["exp"]
+    return sum(counts[name] for name in TRANSFORMS), counts["exp"]
 
 
 @pytest.mark.parametrize(

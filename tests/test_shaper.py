@@ -23,6 +23,7 @@ from zapsim import (
     to_time,
     transmit,
 )
+from zapsim.fields import _nonnegative
 from zapsim.modes import _spectral_product, _support
 from zapsim.shaper import (
     _best_projection, _box_average, _efficiencies, _even_lag_overlaps, _resolution_window, _shaped_input
@@ -154,6 +155,20 @@ class TestAchievableLo:
         assert np.array_equal(achievable_lo(target, cfg, spec).amp, achievable_lo(target, cfg).amp)
         assert np.array_equal(spec.amp, before)
 
+    @pytest.mark.parametrize("cfg", [ShaperConfig(), IDEAL, ShaperConfig(span=1e-9)], ids=["span", "ideal", "narrow"])
+    def test_half_spectrum_gives_the_same_lo_real(self, preset_modes, cfg):
+        target = preset_modes[2]
+        full = achievable_lo(target, cfg)
+        real = achievable_lo(target, cfg, _nonnegative(to_spectrum(target)))
+        assert np.max(np.abs(real.amp - full.amp)) <= 1e-13 * np.abs(full.amp).max()
+        if cfg.span is not None:
+            assert not np.any(real.amp.imag)
+
+    def test_half_spectrum_refuses_a_pixel_box(self, preset_modes):
+        target = preset_modes[2]
+        with pytest.raises(ValueError, match="pixel"):
+            achievable_lo(target, ShaperConfig(pixel_width=2e-9), _nonnegative(to_spectrum(target)))
+
     def test_pixel_wider_than_grid_rejected(self, preset_modes):
         target = preset_modes[2]
         with pytest.raises(ValueError, match="pixel"):
@@ -196,13 +211,22 @@ class TestBestProjection:
             assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
 
 
-    def test_even_lags_fold_to_a_half_length_transform(self, preset_modes):
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    def test_even_lags_fold_to_a_half_length_transform(self, preset_modes, half):
         lo_spec = to_spectrum(achievable_lo(preset_modes[4], ShaperConfig()))
-        g = _spectral_product(lo_spec, to_spectrum(preset_modes[4]))
+        sig_spec = to_spectrum(preset_modes[4])
+        g = _spectral_product(lo_spec, sig_spec)
         full = lattice_overlaps(g, lo_spec.grid)
-        even = _even_lag_overlaps(g, lo_spec.grid)
-        assert even.size == g.size // 2
+        if half:
+            g = _spectral_product(_nonnegative(lo_spec), _nonnegative(sig_spec))
+        even = _even_lag_overlaps(g, lo_spec.grid, half)
+        assert even.size == lo_spec.grid.n // 2
         assert np.max(np.abs(even - full[::2])) <= 1e-13 * np.abs(full).max()
+
+    def test_layouts_do_not_mix(self, preset_modes):
+        spec = to_spectrum(preset_modes[2])
+        with pytest.raises(ValueError, match="layout"):
+            _best_projection(spec, _nonnegative(spec))
 
     def test_nearly_tied_peaks_not_below_brent(self):
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
@@ -322,18 +346,75 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
     lo_in = to_spectrum(pulse)
-    shaped, distance = _shaped_input(pulse, lo_in, cfg)
+    lo, shaped, distance = _shaped_input(pulse, lo_in, cfg)
+    # without a pixel box the real input is searched on half spectra
+    assert lo.half == shaped.half == (pixel_nm is None)
     searches = []
     monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
     for preset in temperature_presets():
         out = transmit(lo_in, preset.params)
+        mode = _nonnegative(out.mode) if lo.half else out.mode
         del searches[:]
-        skipping = _efficiencies(out, lo_in, 0.62, cfg, (shaped, distance))
+        skipping = _efficiencies(out, 0.62, cfg, (lo, shaped, distance))
         skipped = 3 - len(searches)
         # an infinite distance never proves the shaped input LO loses
-        assert skipping == _efficiencies(out, lo_in, 0.62, cfg, (shaped, np.inf))
+        assert skipping == _efficiencies(out, 0.62, cfg, (lo, shaped, np.inf))
         # the shaped input LO is kept for a coarse pixel and provably loses without one
         assert skipped == (1 if pixel_nm is None else 0)
         # the bound the skip rests on: |<s(tau)|out>| <= |<u(tau)|out>| + distance
-        bound = (np.sqrt(_best_projection(lo_in, out.mode)) + distance) ** 2
-        assert _best_projection(shaped, out.mode) <= bound
+        bound = (np.sqrt(_best_projection(lo, mode)) + distance) ** 2
+        assert _best_projection(shaped, mode) <= bound
+
+
+@pytest.fixture(scope="module")
+def real_input():
+    grid = make_grid(2**16, 10e-15)
+    pulse = normalize(gaussian_pulse(grid, 100e-15))
+    return pulse, to_spectrum(pulse)
+
+
+@pytest.mark.parametrize("span_nm", [60.0, None])
+@pytest.mark.parametrize("preset_idx", range(5))
+def test_half_spectrum_search_matches_the_full_one(monkeypatch, real_input, preset_idx, span_nm):
+    pulse, lo_in = real_input
+    params = temperature_presets()[preset_idx].params
+    cfg = ShaperConfig(span=None if span_nm is None else span_nm * 1e-9)
+    out = transmit(lo_in, params)
+    # what the half search rests on: at zero detuning S(-nu) = conj S(nu)
+    s, mid = out.mode.amp, lo_in.grid.n // 2
+    assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
+    assert zapsim.shaper._real_search(pulse, cfg)
+    half = [
+        _best_projection(_nonnegative(lo_in), _nonnegative(out.mode)),
+        max_unshaped_eta(pulse, params, 0.62),
+        max_shaped_eta(pulse, params, cfg, 0.62),
+    ]
+    monkeypatch.setattr(zapsim.shaper, "_real_search", lambda *args: False)
+    full = [
+        _best_projection(lo_in, out.mode),
+        max_unshaped_eta(pulse, params, 0.62),
+        max_shaped_eta(pulse, params, cfg, 0.62),
+    ]
+    assert half == pytest.approx(full, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["detuned", "pixel"])
+def test_non_hermitian_inputs_search_full_spectra(monkeypatch, case):
+    # a detuned carrier or a pixel box breaks S(-nu) = conj S(nu): no real transform may run
+    grid = make_grid(2**16, 10e-15)
+    pulse = normalize(gaussian_pulse(grid, 100e-15, detuning=2e12 if case == "detuned" else 0.0))
+    cfg = ShaperConfig(pixel_width=2e-9 if case == "pixel" else None)
+    params = temperature_presets()[2].params
+    real_transforms = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _fn=fn, **kwargs: real_transforms.append(1) or _fn(*args, **kwargs))
+    lo_in = to_spectrum(pulse)
+    out = transmit(lo_in, params)
+    lo, shaped, _ = _shaped_input(pulse, lo_in, cfg)
+    assert not lo.half and not shaped.half
+    own = to_spectrum(achievable_lo(out.field, cfg, out.mode))
+    for lo_spec in (lo, shaped, own):
+        assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
+    assert max_shaped_eta(pulse, params, cfg, 0.62) >= 0.62 * out.transmission * _best_projection(lo, out.mode)
+    assert real_transforms == []
