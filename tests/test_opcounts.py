@@ -41,7 +41,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 2.5}
 
 GRID_N = 16384
-TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
 
 
 def _work(m):
@@ -61,6 +60,7 @@ def _irfft_work(x, n=None, *args, **kwargs):
 
 
 WORK = {"fft": _fft_work, "ifft": _fft_work, "rfft": _rfft_work, "irfft": _irfft_work}
+TRANSFORMS = tuple(WORK)
 
 
 def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs: 1):
@@ -94,8 +94,8 @@ def _count_large_exp(monkeypatch, counts):
 
 def _count_transforms(monkeypatch, counts):
     """Count the work of every numpy FFT, complex and real, and large complex exponentials into ``counts``."""
-    for name in TRANSFORMS:
-        _count_calls(monkeypatch, np.fft, name, counts, WORK[name])
+    for name, weight in WORK.items():
+        _count_calls(monkeypatch, np.fft, name, counts, weight)
     _count_large_exp(monkeypatch, counts)
 
 
