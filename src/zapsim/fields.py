@@ -11,6 +11,15 @@ so that a component at positive detuning nu evolves as exp(-2*pi*i*nu*t),
 Parseval holds exactly between the two energy sums, and the zero-detuning
 spectral sample equals the pulse area dt * sum_t E(t).  With this sign
 choice the response of a passive resonant medium is causal in time.
+
+A spectrum has one of two layouts.  The full layout holds all n bins in
+ascending order from -Nyquist and serves any complex field.  A real field
+(a pulse at zero carrier detuning, and all a real medium makes of it) has a
+Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0 half, n/2 + 1 bins
+(``SpectralField(..., half=True)``), holds all of it: one real FFT makes it
+and one real inverse FFT undoes it, at half the work and memory of the
+complex pair.  A sum over the full spectrum of a product held in the half
+layout weights every bin but DC and Nyquist twice (``_spectral_sum``).
 """
 
 from __future__ import annotations
@@ -160,16 +169,6 @@ def _spectral_sum(F: SpectralField, x: np.ndarray):
     spectrum x(-nu) = conj x(nu), so every bin but DC and Nyquist counts twice and the sum is real."""
     total = np.sum(x)
     return (2.0 * total - x[0] - x[-1]).real if F.half else total
-
-
-def _nonnegative(F: SpectralField) -> SpectralField:
-    """The half spectrum of a real field held in the full layout: its nu >= 0 bins, and the
-    -Nyquist bin, which is also +Nyquist."""
-    half = F.grid.n // 2
-    amp = np.empty(half + 1, dtype=np.complex128)
-    amp[:half] = F.amp[half:]
-    amp[half] = F.amp[0]
-    return SpectralField(F.grid, amp, half=True)
 
 
 def make_grid(n: int, dt: float) -> Grid:

@@ -28,6 +28,7 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
+    _spectral_sum,
     normalize,
     to_time,
 )
@@ -105,22 +106,25 @@ def _check_line(grid: Grid, m: MediumParams) -> None:
         raise ValueError(f"T2 {m.t2!r} s is too long for the grid: 2*pi*nyquist*T2 overflows")
 
 
-def transfer_function(grid: Grid, m: MediumParams) -> SpectralField:
+def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> SpectralField:
     """Sample H(nu) = exp[-depth / (1 - i 2 pi nu T2)] on the grid.
 
     |H| <= 1 everywhere (passive medium) and H(0) = exp(-depth) exactly.
-    The impulse response is real, so H(-nu) = conj H(nu): H is evaluated on
-    nu >= 0 and the unpaired -Nyquist bin only, then mirrored.  That is bit-exact,
+    The impulse response is real, so H(-nu) = conj H(nu): H is evaluated once,
+    on ``Grid.half_freqs`` (nu >= 0), and returned as that half spectrum with
+    ``half`` set, or else mirrored into the full layout.  The mirror is bit-exact,
     as ``Grid.freqs`` is exactly antisymmetric and complex / and exp commute with conj.
     """
     _check_line(grid, m)
-    half = grid.n // 2  # bins 1 .. half-1 are mirrored, not evaluated
+    z = 1j * (2.0 * np.pi * grid.half_freqs * m.t2)  # H from i*2*pi*nu*T2 in place
+    np.divide(-m.depth, np.subtract(1.0, z, out=z), out=z)
+    if half:
+        return SpectralField(grid, np.exp(z, out=z), half=True)
+    mid = grid.n // 2
     h = np.empty(grid.n, dtype=np.complex128)
-    for part in (slice(0, 1), slice(half, None)):  # z from i*2*pi*nu*T2 in place: 0.75 grid of temporaries at most
-        z = 1j * (2.0 * np.pi * grid.freqs[part] * m.t2)
-        np.divide(-m.depth, np.subtract(1.0, z, out=z), out=z)
-        np.exp(z, out=h[part])
-    np.conj(h[grid.n - 1 : grid.n - half : -1], out=h[1:half])
+    np.exp(z[:mid], out=h[mid:])  # 0 .. Nyquist - df
+    np.conj(np.exp(z[mid:], out=h[:1]), out=h[:1])  # -Nyquist, the mirror of +Nyquist
+    np.conj(h[grid.n - 1 : mid : -1], out=h[1:mid])
     return SpectralField(grid, h)
 
 
@@ -148,14 +152,17 @@ def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
 
 
 def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
-    """Send a spectral field through the medium: one H(nu), one inverse FFT.
+    """Send a spectral field through the medium: one H(nu) in F's layout, F*H in place, one inverse FFT.
 
-    Emits a :class:`GridAdequacyWarning` when the line is under-sampled or
-    the output field has not decayed at the window edges.
+    A half spectrum (the nu >= 0 bins of a real field, see :class:`SpectralField`)
+    takes H on those n/2 + 1 bins and one real inverse FFT, and gives a real
+    field and a half output spectrum; a full spectrum takes the mirrored H and a
+    complex inverse FFT.  Emits a :class:`GridAdequacyWarning` when the line is
+    under-sampled or the output field has not decayed at the window edges.
     """
     input_energy = F.energy  # summed before the output arrays exist
-    h = transfer_function(F.grid, m).amp
-    spectrum = SpectralField(F.grid, np.multiply(F.amp, h, out=h))
+    h = transfer_function(F.grid, m, half=F.half).amp
+    spectrum = SpectralField(F.grid, np.multiply(F.amp, h, out=h), half=F.half)
     field = to_time(spectrum)
     _warn_grid_adequacy(field, m)
     return Transmitted(spectrum, field, input_energy)
@@ -167,13 +174,13 @@ def propagate(F: SpectralField, m: MediumParams) -> SpectralField:
 
 
 def energy_transmission(F: SpectralField, m: MediumParams) -> float:
-    """Transmitted energy fraction, sum |H F|^2 / sum |F|^2, in [0, 1]."""
-    h = transfer_function(F.grid, m)
+    """Transmitted energy fraction, sum |H F|^2 / sum |F|^2 over the full spectrum, in [0, 1]; F in either layout."""
+    h = transfer_function(F.grid, m, half=F.half)
     w = np.abs(F.amp) ** 2
-    total = float(np.sum(w))
+    total = float(_spectral_sum(F, w))
     if total <= 0.0:
         raise ValueError("energy transmission of a zero-energy field is undefined")
-    return float(np.sum(np.abs(h.amp) ** 2 * w) / total)
+    return float(_spectral_sum(F, np.abs(h.amp) ** 2 * w) / total)
 
 
 def temperature_presets() -> list[MediumPreset]:

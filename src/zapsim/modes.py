@@ -11,7 +11,10 @@ A scan on one lattice tau0 + k*dt is the second sum at integer lags k: a
 correlation over the few samples where the LO is nonzero, with sig advanced
 by tau0's distance from the dt lattice (one inverse transform) when tau0 is
 off it.  Any other delay set is the exact first sum, one delay at a time
-over the support of g = conj(LO) * S.
+over the support of g = conj(LO) * S.  Spectra of real fields are held as
+their nu >= 0 halves (see :mod:`zapsim.fields`): the advance is then one
+real inverse transform, and with a real LO g is Hermitian, so the first sum
+runs over nu >= 0 and is real.
 """
 
 from __future__ import annotations
@@ -114,8 +117,22 @@ def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> np.nda
     return g
 
 
+def _half_layout(mode_in: TemporalField, cfg=None) -> bool:
+    """Whether the spectra that input ``mode_in`` gives rise to are held as half spectra.
+
+    A real input (zero carrier detuning) has a real response through the
+    medium, so the transmitted field, every LO shaped from it and
+    g = conj(LO) * S are real or Hermitian, and their nu >= 0 halves hold all
+    of them.  A shaper config ``cfg`` with a pixel box keeps the full spectra:
+    an even-width box sits half a bin off each centre.
+    """
+    return (cfg is None or cfg.pixel_width is None) and not np.any(mode_in.amp.imag)
+
+
 def _support(g: np.ndarray, xs: np.ndarray):
     """g and its abscissae xs cut to the span where |g| exceeds _SUPPORT_CUTOFF of its peak."""
+    if g.shape != xs.shape:
+        raise ValueError(f"{g.size} spectral bins against {xs.size} abscissae: the layouts differ")
     mag = np.abs(g)
     peak = mag.max()
     if peak == 0.0:
@@ -163,7 +180,10 @@ def delay_overlaps(
     Delays on one lattice tau0 + k*dt are correlated in time over the LO's
     support; any other delay set is one support-length spectral sum per
     delay.  The LO and signal spectra are built only where needed: a caller
-    that holds them passes them as ``lo_spec`` and ``sig_spec``.
+    that holds them passes them as ``lo_spec`` and ``sig_spec``, in either
+    layout.  The sums run on half spectra when the signal's spectrum is one
+    (or, not given, the signal is real) and the LO is real; a given spectrum
+    in the other layout is then rebuilt.
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not delays.size:
@@ -178,22 +198,29 @@ def delay_overlaps(
     if np.all(np.abs(steps - lags) <= _LATTICE_TOL):
         amp = sig.amp
         if offset:  # sig(t + offset), band-limited: one inverse transform of S * exp(-2*pi*i*nu*offset)
-            shifted = _phasors(grid.freqs[0], grid.df, grid.n, offset)
-            shifted *= (to_spectrum(sig) if sig_spec is None else sig_spec).amp
-            amp = to_time(SpectralField(grid, shifted)).amp
+            spec = to_spectrum(sig, half=_half_layout(sig)) if sig_spec is None else sig_spec
+            shifted = _phasors(0.0 if spec.half else grid.freqs[0], grid.df, spec.amp.size, offset)
+            shifted *= spec.amp
+            amp = to_time(SpectralField(grid, shifted, half=spec.half)).amp
         lags = lags.astype(np.int64)
         k0 = int(lags.min())
         span = int(lags.max()) - k0 + 1
         window = np.take(amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
         # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
         return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
-    if lo_spec is None:
+    half = (_half_layout(sig) if sig_spec is None else sig_spec.half) and not np.any(lo.imag)
+    if lo_spec is None or lo_spec.half != half:
         full = np.zeros(grid.n, dtype=np.complex128)
         full[np.arange(first, first + lo.size) % grid.n] = lo
-        lo_spec = to_spectrum(TemporalField(grid, full))
-    g = _spectral_product(lo_spec, to_spectrum(sig) if sig_spec is None else sig_spec)
-    g, freqs = _support(g, grid.freqs)
-    return np.array([grid.df * (g * _phasors(freqs[0], grid.df, g.size, tau)).sum() for tau in delays])
+        lo_spec = to_spectrum(TemporalField(grid, full), half=half)
+    if sig_spec is None or sig_spec.half != half:
+        sig_spec = to_spectrum(sig, half=half)
+    g = _spectral_product(lo_spec, sig_spec)
+    if half:  # weighted as in _spectral_sum: the real part of the sum over nu >= 0 is the full sum
+        g[1:-1] *= 2.0
+    g, freqs = _support(g, grid.half_freqs if half else grid.freqs)
+    sums = np.array([(g * _phasors(freqs[0], grid.df, g.size, tau)).sum() for tau in delays])
+    return grid.df * (sums.real.astype(np.complex128) if half else sums)
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -270,7 +297,8 @@ def eta_curve(
     if input_field.grid != lo.grid:
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
-    out = transmit(to_spectrum(normalize(input_field)), m)
+    mode_in = normalize(input_field)
+    out = transmit(to_spectrum(mode_in, half=_half_layout(mode_in)), m)
     overlaps = delay_overlaps(_time_support(normalize(lo)), out.field, delays, sig_spec=out.spectrum)
     overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)

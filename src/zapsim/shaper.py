@@ -17,10 +17,11 @@ reported.
 
 At zero carrier detuning the input pulse is real, and so are the transmitted
 field and every LO shaped from it without a pixel box: their spectra are
-Hermitian, and the LO shaping and the best-delay searches run on the nu >= 0
-half spectra (n/2 + 1 bins), each LO from one real inverse FFT and its
-spectrum from one real FFT.  A detuned pulse or a pixel box gives spectra
-without that symmetry, searched in the full layout by the same code.
+Hermitian, and the transmission, the LO shaping and the best-delay searches
+run on the nu >= 0 half spectra (n/2 + 1 bins), each LO from one real
+inverse FFT and its spectrum from one real FFT.  A detuned pulse or a pixel
+box gives spectra without that symmetry, searched in the full layout by the
+same code.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 from .fields import (
     _EXP_UNDERFLOW,
     LN2,
-    _nonnegative,
     _spectral_sum,
     Grid,
     SpectralField,
@@ -42,7 +42,7 @@ from .fields import (
     to_time,
 )
 from .medium import MediumParams, Transmitted, transmit
-from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
+from .modes import _check_eta_base, _check_normalized, _eta, _half_layout, _phasors, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
@@ -183,17 +183,6 @@ _MAX_STARTS = 8
 _SKIP_SLACK = 1e-9
 
 
-def _real_search(mode_in: TemporalField, cfg: ShaperConfig | None = None) -> bool:
-    """Whether the best-delay searches for input ``mode_in`` run on half spectra.
-
-    A real input (zero carrier detuning) has a real response through the
-    medium, so the transmitted mode, every LO and g = conj(LO) * S are
-    Hermitian and their nu >= 0 halves hold all of them.  A pixel box keeps
-    the full spectra: an even-width box sits half a bin off each centre.
-    """
-    return (cfg is None or cfg.pixel_width is None) and not np.any(mode_in.amp.imag)
-
-
 def _even_lag_overlaps(g: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
     """The overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2, from
     one half-length transform.  With g in ascending frequency order, nu_j = (j - n/2) * df, the sum at
@@ -230,7 +219,7 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
     reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
     threads and nearly doubles the CPU time of a depth scan for no gain in
-    wall time.  Half spectra (:func:`_real_search`) give a real A: the sums
+    wall time.  Half spectra (:func:`_half_layout`) give a real A: the sums
     run over nu >= 0, every bin but DC and Nyquist weighted 2, and take real
     parts, and |g| is even, so nu_c = 0.
     """
@@ -285,14 +274,12 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 def _shaped_input(
     mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig
 ) -> tuple[SpectralField, SpectralField, float]:
-    """The input LO u (spectrum ``lo_in``) in the layout of the searches (:func:`_real_search`), the
-    spectrum of the shaped input LO s = achievable_lo(u) in that layout, and their distance
+    """The input LO u's spectrum ``lo_in``, in the layout of the searches (:func:`_half_layout`),
+    the spectrum of the shaped input LO s = achievable_lo(u) in that layout, and their distance
     min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
-    half = _real_search(mode_in, cfg)
-    lo = _nonnegative(lo_in) if half else lo_in
-    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo), half=half)
-    inner = abs(lo.grid.df * _spectral_sum(lo, np.conj(lo.amp) * shaped.amp))
-    return lo, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
+    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo_in), half=lo_in.half)
+    inner = abs(lo_in.grid.df * _spectral_sum(lo_in, np.conj(lo_in.amp) * shaped.amp))
+    return lo_in, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
 
 
 def _efficiencies(
@@ -308,10 +295,10 @@ def _efficiencies(
     so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
     (Cauchy-Schwarz): the search over s is skipped when that bound on its
     result cannot reach the own-mode LO's.  Every search runs in the layout
-    of u.
+    of u, which is that of ``out``.
     """
     lo, spectrum, distance = shaped_in
-    mode = _nonnegative(out.mode) if lo.half else out.mode
+    mode = out.mode
     p_in = _best_projection(lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
     best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, mode), half=lo.half), mode)
@@ -332,7 +319,7 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
     """
     _check_eta_base(eta_base)
     mode_in = normalize(input_field)
-    lo_in = to_spectrum(mode_in)
+    lo_in = to_spectrum(mode_in, half=_half_layout(mode_in, cfg))
     out = transmit(lo_in, m)
     return _efficiencies(out, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
 
@@ -341,9 +328,6 @@ def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: floa
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
     mode_in = normalize(input_field)
-    lo_in = to_spectrum(mode_in)
+    lo_in = to_spectrum(mode_in, half=_half_layout(mode_in))
     out = transmit(lo_in, m)
-    lo, mode = lo_in, out.mode
-    if _real_search(mode_in):
-        lo, mode = _nonnegative(lo), _nonnegative(mode)
-    return float(_eta(eta_base, out, _best_projection(lo, mode)))
+    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))

@@ -20,7 +20,7 @@ from zapsim import (
 )
 
 from zapsim import ShaperConfig, achievable_lo
-from zapsim.modes import _phasors, _time_support, delay_overlaps
+from zapsim.modes import _phasors, _support, _time_support, delay_overlaps
 
 from conftest import random_field
 
@@ -338,6 +338,26 @@ class TestScanPaths:
         want = self.direct_sum(*spectra, delays)
         got = delay_overlaps(_time_support(pulse), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "delays",
+        [np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), np.linspace(-1e-12, 8e-12, 400)],
+        ids=["off-lattice-start", "off-lattice-step"],
+    )
+    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "complex-lo"])
+    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays, detuning):
+        # a real signal's half spectrum; a complex LO makes g non-Hermitian, so the full spectra are summed
+        pulse, sig = fields
+        real = TemporalField(sig.grid, sig.amp.real)
+        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
+        want = self.direct_sum(to_spectrum(lo), to_spectrum(real), delays)
+        got = delay_overlaps(_time_support(lo), real, delays, sig_spec=to_spectrum(real, half=True))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_support_refuses_abscissae_of_another_layout(self, fields):
+        grid = fields[0].grid
+        with pytest.raises(ValueError, match="layouts differ"):
+            _support(np.ones(grid.n // 2 + 1, dtype=complex), grid.freqs)
 
     @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
     def test_wide_or_wrapping_lo_matches_direct_sum(self, fields, lo_kind):

@@ -35,10 +35,12 @@ from zapsim.modes import _time_support
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
-# most FFT work (in full-grid complex transforms) one medium may cost, per verb; depth-scan measures
-# 2.46: the propagation, one irfft and one rfft for the LO shaped to the transmitted mode, and two
-# half-length irffts for the best-delay searches
-FFT_BUDGET = {"propagate": 1, "xcorr": 1, "eta-scan": 1, "depth-scan": 2.5}
+# most FFT work (in full-grid complex transforms) one medium may cost, per verb.  propagate writes the
+# imaginary part of the field, so it keeps the complex inverse FFT; a real input is transmitted on its
+# half spectrum by one irfft, all xcorr and eta-scan transform; depth-scan measures 1.96: that irfft, one
+# irfft and one rfft for the LO shaped to the transmitted mode, and two half-length irffts for the
+# best-delay searches
+FFT_BUDGET = {"propagate": 1, "xcorr": 0.5, "eta-scan": 0.5, "depth-scan": 2.0}
 
 GRID_N = 16384
 
@@ -138,7 +140,7 @@ def test_transmit_keeps_at_most_two_grids():
     # H is formed in place into F*H and transformed in place: the output spectrum and the
     # output field; the edge check reads |field| in 8 KiB blocks; plus a few KiB of Python objects
     grid = make_grid(2**16, 10e-15)
-    grid.freqs  # cached, as it is after the first medium
+    grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15))
     m = MediumParams(depth=70.0, t2=280e-12)
     tracemalloc.start()
@@ -167,6 +169,39 @@ def test_to_spectrum_keeps_at_most_one_and_a_half_grids():
     assert peak <= 1.5 * grid.n * 16 + 16 * 1024
 
 
+def test_half_spectrum_keeps_half_a_grid():
+    # one rfft of the real part, conjugated and scaled in place: n/2 + 1 complex bins
+    grid = make_grid(2**16, 10e-15)
+    pulse = gaussian_pulse(grid, 100e-15)
+    tracemalloc.start()
+    try:
+        spec = to_spectrum(pulse, half=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.half
+    assert peak <= 0.5 * grid.n * 16 + 16 * 1024
+
+
+def test_transmit_of_a_half_spectrum_keeps_at_most_two_grids():
+    # the half-band H becomes F*H in place; the irfft's real output and the complex field it is stored as
+    grid = make_grid(2**16, 10e-15)
+    grid.half_freqs  # H's abscissae, cached as they are after the first medium
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    m = MediumParams(depth=70.0, t2=280e-12)
+    tracemalloc.start()
+    try:
+        out = transmit(spec, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # in value: the SIMD product may round differently at another array alignment
+    want = spec.amp * transfer_function(grid, m, half=True).amp
+    assert out.spectrum.half and np.allclose(out.spectrum.amp, want, rtol=1e-15, atol=0.0)
+    assert not np.any(out.field.amp.imag)
+    assert peak <= 2.0 * grid.n * 16 + 16 * 1024
+
+
 def test_lattice_curves_transform_only_the_propagation(monkeypatch):
     # a lattice scan is a time correlation: no LO or signal spectrum is built
     grid = make_grid(GRID_N, 10e-15)
@@ -179,8 +214,8 @@ def test_lattice_curves_transform_only_the_propagation(monkeypatch):
         visibility_curve(pulse, pulse, delays)
         assert counts == dict.fromkeys(TRANSFORMS, 0)
         eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays)
-    # the input spectrum and the transmitted field
-    assert counts == {"fft": 1, "ifft": 1, "rfft": 0, "irfft": 0}
+    # the input's half spectrum and the real transmitted field
+    assert counts == {"fft": 0, "ifft": 0, "rfft": 1, "irfft": 1}
 
 
 def _counted(monkeypatch, scan):
@@ -194,9 +229,10 @@ def _counted(monkeypatch, scan):
 
 @pytest.mark.parametrize(
     "curve, budget",
-    # (FFTs, large complex exp): the signal's spectrum and the advanced signal; for eta_curve also the
-    # input spectrum and the transmitted field, and H(nu) on nu >= 0 and the -Nyquist bin
-    [("visibility", (2, 0)), ("eta", (3, (GRID_N // 2 + 1) / GRID_N))],
+    # (FFT work, large complex exp): the real signal's half spectrum and the advanced signal, an rfft and an
+    # irfft; eta_curve holds the transmitted half spectrum, and adds the input's rfft, the transmitted
+    # field's irfft and H(nu) on nu >= 0
+    [("visibility", (1, 0)), ("eta", (1.5, (GRID_N // 2 + 1) / GRID_N))],
 )
 def test_off_lattice_start_costs_one_inverse_transform(monkeypatch, curve, budget):
     # a lattice scan starting 3.3 fs off the dt lattice correlates the signal advanced by that offset,

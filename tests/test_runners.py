@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import zapsim.runners
+
 from zapsim import (
     energy_transmission,
     eta_curve,
@@ -10,6 +12,7 @@ from zapsim import (
     max_unshaped_eta,
     normalize,
     to_spectrum,
+    transmit,
 )
 from zapsim.config import parse_config_text
 from zapsim.runners import (
@@ -154,3 +157,39 @@ class TestRunnersMatchLibrary:
             curve = eta_curve(pulse, entry.params, pulse, cfg.detection_eta_base, cfg.delays())
             want = np.array([float(f"{y:.12g}") for y in curve.ys])
             assert np.array_equal(column(path, "eta"), want)
+
+
+class TestOffLatticeScans:
+    """Scans off the dt lattice run on half spectra and still print the exact overlaps."""
+
+    @staticmethod
+    def exact(cfg, params):
+        """(visibility, eta) by the direct sum over the full spectrum, one delay at a time."""
+        grid = cfg.make_grid()
+        lo_spec = to_spectrum(normalize(cfg.make_pulse(grid)))
+        out = transmit(lo_spec, params)
+        g = np.conj(lo_spec.amp) * out.mode.amp
+        a = np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in cfg.delays()])
+        return np.abs(a), cfg.detection_eta_base * out.transmission * np.abs(a) ** 2
+
+    @pytest.mark.parametrize(
+        "scan",
+        ["scan.delay_steps = 333\n", "scan.delay_min_ps = -0.9967\nscan.delay_max_ps = 8.0033\n"],
+        ids=["off-lattice-step", "off-lattice-start"],
+    )
+    def test_xcorr_and_eta_scan_match_the_exact_sum(self, scan, tmp_path, monkeypatch):
+        # the rows are taken before they are printed to 12 digits, which alone moves a value by up to
+        # 5e-12 of it
+        cfg = parse_config_text("grid.n = 32768\nmedium.preset = 1,5\n" + scan)
+        written = {}
+        monkeypatch.setattr(
+            zapsim.runners, "_write_csv", lambda path, header, columns, rows: written.update({path.name: rows})
+        )
+        run_xcorr(cfg, tmp_path)
+        run_eta_scan(cfg, tmp_path)
+        for entry in cfg.media():
+            vis, eta = self.exact(cfg, entry.params)
+            got_vis = np.array([row[1] for row in written[f"xcorr_{entry.label}.csv"]])
+            got_eta = np.array([row[1] for row in written[f"eta_scan_{entry.label}.csv"]])
+            assert np.max(np.abs(got_vis - vis)) <= 1e-12 * vis.max()
+            assert np.max(np.abs(got_eta - eta)) <= 1e-12 * eta.max()

@@ -23,8 +23,7 @@ from zapsim import (
     to_time,
     transmit,
 )
-from zapsim.fields import _nonnegative
-from zapsim.modes import _spectral_product, _support
+from zapsim.modes import _half_layout, _spectral_product, _support
 from zapsim.shaper import (
     _best_projection, _box_average, _efficiencies, _even_lag_overlaps, _resolution_window, _shaped_input
 )
@@ -159,7 +158,7 @@ class TestAchievableLo:
     def test_half_spectrum_gives_the_same_lo_real(self, preset_modes, cfg):
         target = preset_modes[2]
         full = achievable_lo(target, cfg)
-        real = achievable_lo(target, cfg, _nonnegative(to_spectrum(target)))
+        real = achievable_lo(target, cfg, to_spectrum(target, half=True))
         assert np.max(np.abs(real.amp - full.amp)) <= 1e-13 * np.abs(full.amp).max()
         if cfg.span is not None:
             assert not np.any(real.amp.imag)
@@ -167,7 +166,7 @@ class TestAchievableLo:
     def test_half_spectrum_refuses_a_pixel_box(self, preset_modes):
         target = preset_modes[2]
         with pytest.raises(ValueError, match="pixel"):
-            achievable_lo(target, ShaperConfig(pixel_width=2e-9), _nonnegative(to_spectrum(target)))
+            achievable_lo(target, ShaperConfig(pixel_width=2e-9), to_spectrum(target, half=True))
 
     def test_pixel_wider_than_grid_rejected(self, preset_modes):
         target = preset_modes[2]
@@ -213,12 +212,12 @@ class TestBestProjection:
 
     @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
     def test_even_lags_fold_to_a_half_length_transform(self, preset_modes, half):
-        lo_spec = to_spectrum(achievable_lo(preset_modes[4], ShaperConfig()))
-        sig_spec = to_spectrum(preset_modes[4])
-        g = _spectral_product(lo_spec, sig_spec)
+        lo, sig = achievable_lo(preset_modes[4], ShaperConfig()), preset_modes[4]
+        lo_spec = to_spectrum(lo)
+        g = _spectral_product(lo_spec, to_spectrum(sig))
         full = lattice_overlaps(g, lo_spec.grid)
         if half:
-            g = _spectral_product(_nonnegative(lo_spec), _nonnegative(sig_spec))
+            g = _spectral_product(to_spectrum(lo, half=True), to_spectrum(sig, half=True))
         even = _even_lag_overlaps(g, lo_spec.grid, half)
         assert even.size == lo_spec.grid.n // 2
         assert np.max(np.abs(even - full[::2])) <= 1e-13 * np.abs(full).max()
@@ -226,7 +225,7 @@ class TestBestProjection:
     def test_layouts_do_not_mix(self, preset_modes):
         spec = to_spectrum(preset_modes[2])
         with pytest.raises(ValueError, match="layout"):
-            _best_projection(spec, _nonnegative(spec))
+            _best_projection(spec, to_spectrum(preset_modes[2], half=True))
 
     def test_nearly_tied_peaks_not_below_brent(self):
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
@@ -345,7 +344,7 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     grid = make_grid(2**16, 10e-15)
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
-    lo_in = to_spectrum(pulse)
+    lo_in = to_spectrum(pulse, half=_half_layout(pulse, cfg))
     lo, shaped, distance = _shaped_input(pulse, lo_in, cfg)
     # without a pixel box the real input is searched on half spectra
     assert lo.half == shaped.half == (pixel_nm is None)
@@ -353,7 +352,7 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
     for preset in temperature_presets():
         out = transmit(lo_in, preset.params)
-        mode = _nonnegative(out.mode) if lo.half else out.mode
+        mode = out.mode
         del searches[:]
         skipping = _efficiencies(out, 0.62, cfg, (lo, shaped, distance))
         skipped = 3 - len(searches)
@@ -383,13 +382,14 @@ def test_half_spectrum_search_matches_the_full_one(monkeypatch, real_input, pres
     # what the half search rests on: at zero detuning S(-nu) = conj S(nu)
     s, mid = out.mode.amp, lo_in.grid.n // 2
     assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
-    assert zapsim.shaper._real_search(pulse, cfg)
+    assert _half_layout(pulse, cfg)
+    lo_half = to_spectrum(pulse, half=True)
     half = [
-        _best_projection(_nonnegative(lo_in), _nonnegative(out.mode)),
+        _best_projection(lo_half, transmit(lo_half, params).mode),
         max_unshaped_eta(pulse, params, 0.62),
         max_shaped_eta(pulse, params, cfg, 0.62),
     ]
-    monkeypatch.setattr(zapsim.shaper, "_real_search", lambda *args: False)
+    monkeypatch.setattr(zapsim.shaper, "_half_layout", lambda *args: False)
     full = [
         _best_projection(lo_in, out.mode),
         max_unshaped_eta(pulse, params, 0.62),
