@@ -18,8 +18,10 @@ ascending order from -Nyquist and serves any complex field.  A real field
 Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0 half, n/2 + 1 bins
 (``SpectralField(..., half=True)``), holds all of it: one real FFT makes it
 and one real inverse FFT undoes it, at half the work and memory of the
-complex pair.  A sum over the full spectrum of a product held in the half
-layout weights every bin but DC and Nyquist twice (``_spectral_sum``).
+complex pair.  ``_spectrum`` takes the layout from the data, ``_full``
+mirrors a half spectrum where it meets a full one, and a sum over the full
+spectrum of a product held in the half layout weights every bin but DC and
+Nyquist twice (``_spectral_sum``).
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ class SpectralField:
     def __post_init__(self) -> None:
         object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp, self.half))
 
+    @property
+    def freqs(self) -> np.ndarray:
+        """Detunings of the bins of ``amp``: ``Grid.half_freqs`` for a half spectrum, else ``Grid.freqs``."""
+        return self.grid.half_freqs if self.half else self.grid.freqs
+
     @cached_property
     def energy(self) -> float:
         """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
@@ -241,6 +248,23 @@ def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
     amp[mid:] = low
     amp *= f.grid.n * f.grid.dt
     return SpectralField(f.grid, amp)
+
+
+def _spectrum(f: TemporalField) -> SpectralField:
+    """f's spectrum in the layout its values allow: the half spectrum when f is real, else the full one."""
+    return to_spectrum(f, half=not np.any(f.amp.imag))
+
+
+def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
+    """F in the full layout, written into ``out`` when given: a half spectrum is mirrored by
+    E(-nu) = conj E(nu), bit-exact and with no transform; the -Nyquist bin is the conjugate of +Nyquist."""
+    if not F.half:
+        return F
+    mid = F.grid.n // 2
+    amp = np.empty(F.grid.n, dtype=np.complex128) if out is None else out
+    amp[mid:] = F.amp[:mid]  # 0 .. Nyquist - df
+    np.conj(F.amp[:0:-1], out=amp[:mid])  # -Nyquist .. -df
+    return SpectralField(F.grid, amp)
 
 
 def to_time(F: SpectralField) -> TemporalField:

@@ -28,6 +28,7 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
+    _full,
     _spectral_sum,
     normalize,
     to_time,
@@ -112,7 +113,7 @@ def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> Spectr
     |H| <= 1 everywhere (passive medium) and H(0) = exp(-depth) exactly.
     The impulse response is real, so H(-nu) = conj H(nu): H is evaluated once,
     on ``Grid.half_freqs`` (nu >= 0), and returned as that half spectrum with
-    ``half`` set, or else mirrored into the full layout.  The mirror is bit-exact,
+    ``half`` set, or else mirrored by ``fields._full``.  The mirror is bit-exact,
     as ``Grid.freqs`` is exactly antisymmetric and complex / and exp commute with conj.
     """
     _check_line(grid, m)
@@ -121,13 +122,8 @@ def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> Spectr
     h = None if half else np.empty(grid.n, dtype=np.complex128)
     z = 1j * (2.0 * np.pi * grid.half_freqs * m.t2)  # H from i*2*pi*nu*T2 in place
     np.divide(-m.depth, np.subtract(1.0, z, out=z), out=z)
-    if half:
-        return SpectralField(grid, np.exp(z, out=z), half=True)
-    mid = grid.n // 2
-    np.exp(z[:mid], out=h[mid:])  # 0 .. Nyquist - df
-    np.conj(np.exp(z[mid:], out=h[:1]), out=h[:1])  # -Nyquist, the mirror of +Nyquist
-    np.conj(h[grid.n - 1 : mid : -1], out=h[1:mid])
-    return SpectralField(grid, h)
+    H = SpectralField(grid, np.exp(z, out=z), half=True)
+    return H if half else _full(H, out=h)
 
 
 def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:

@@ -11,10 +11,10 @@ A scan on one lattice tau0 + k*dt is the second sum at integer lags k: a
 correlation over the few samples where the LO is nonzero, with sig advanced
 by tau0's distance from the dt lattice (one inverse transform) when tau0 is
 off it.  Any other delay set is the exact first sum, one delay at a time
-over the support of g = conj(LO) * S.  Spectra of real fields are held as
-their nu >= 0 halves (see :mod:`zapsim.fields`): the advance is then one
-real inverse transform, and with a real LO g is Hermitian, so the first sum
-runs over nu >= 0 and is real.
+over the support of g = conj(LO) * S.  Each spectrum takes the layout of
+its field (see :mod:`zapsim.fields`): a real signal is advanced by one real
+inverse transform, and g of a real LO and a real signal is Hermitian, so
+the first sum runs over nu >= 0 and is real.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
+from .fields import SpectralField, TemporalField, _full, _norm, _spectrum, normalize, pulse_energy, to_time
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -101,45 +101,38 @@ def overlap(a: TemporalField, b: TemporalField) -> complex:
     return complex(a.grid.dt * np.sum(np.conj(a.amp) * b.amp))
 
 
-def delay_field(f: TemporalField, tau: float) -> TemporalField:
-    """Shift an envelope later in time by tau seconds (circular, off-grid exact)."""
-    F = to_spectrum(f)
-    shifted = F.amp * np.exp(2j * np.pi * F.grid.freqs * tau)
-    return to_time(SpectralField(F.grid, shifted))
+def delay_field(f: TemporalField | SpectralField, tau: float) -> TemporalField:
+    """Shift an envelope, given in either domain, later in time by tau seconds (circular, off-grid
+    exact), by one inverse transform of its spectrum times exp(2*pi*i*nu*tau); a real f stays real."""
+    F = f if isinstance(f, SpectralField) else _spectrum(f)
+    shifted = _phasors(F.freqs[0], F.grid.df, F.amp.size, -tau)
+    shifted *= F.amp
+    return to_time(SpectralField(F.grid, shifted, half=F.half))
 
 
-def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> np.ndarray:
-    """g = conj(LO) * S as a fresh array."""
-    if lo_spec.grid != sig_spec.grid or lo_spec.half != sig_spec.half:
-        raise ValueError("delay scan requires both spectra on the same grid and in the same layout")
+def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> SpectralField:
+    """g = conj(LO) * S as a fresh spectrum, held as a half spectrum when both factors are; a half
+    factor that meets a full one is mirrored into the full layout."""
+    if lo_spec.grid != sig_spec.grid:
+        raise ValueError("delay scan requires both spectra on the same grid")
+    if lo_spec.half != sig_spec.half:
+        lo_spec, sig_spec = _full(lo_spec), _full(sig_spec)
     g = np.conj(lo_spec.amp)
     g *= sig_spec.amp
-    return g
+    return SpectralField(lo_spec.grid, g, half=lo_spec.half)
 
 
-def _half_layout(mode_in: TemporalField, cfg=None) -> bool:
-    """Whether the spectra that input ``mode_in`` gives rise to are held as half spectra.
-
-    A real input (zero carrier detuning) has a real response through the
-    medium, so the transmitted field, every LO shaped from it and
-    g = conj(LO) * S are real or Hermitian, and their nu >= 0 halves hold all
-    of them.  A shaper config ``cfg`` with a pixel box keeps the full spectra:
-    an even-width box sits half a bin off each centre.
-    """
-    return (cfg is None or cfg.pixel_width is None) and not np.any(mode_in.amp.imag)
-
-
-def _support(g: np.ndarray, xs: np.ndarray):
-    """g and its abscissae xs cut to the span where |g| exceeds _SUPPORT_CUTOFF of its peak."""
-    if g.shape != xs.shape:
-        raise ValueError(f"{g.size} spectral bins against {xs.size} abscissae: the layouts differ")
-    mag = np.abs(g)
-    peak = mag.max()
-    if peak == 0.0:
-        return g[:1] * 0.0, xs[:1]
-    idx = np.nonzero(mag > peak * _SUPPORT_CUTOFF)[0]
+def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of a sum of g over the full spectrum and their abscissae, cut to the span where |g|
+    reaches _SUPPORT_CUTOFF of its peak (all of a zero g).  The terms are a copy; on a half spectrum each
+    bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``)."""
+    mag = np.abs(g.amp)
+    idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
     lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
-    return g[lo_i:hi_i], xs[lo_i:hi_i]
+    terms = g.amp[lo_i:hi_i].copy()
+    if g.half:
+        terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.amp.size)] *= 2.0
+    return terms, g.freqs[lo_i:hi_i]
 
 
 def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
@@ -155,11 +148,9 @@ def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
 def _time_support(f: TemporalField) -> tuple[np.ndarray, int]:
     """A copy of f over its circular support, the shortest run of samples (it may wrap the
     window edge) outside which |f| is below _SUPPORT_CUTOFF of its peak, and the index of
-    the run's first sample: all a delay scan keeps of its LO.  A zero f keeps one sample."""
+    the run's first sample: all a delay scan keeps of its LO.  A zero f keeps every sample."""
     mag = np.abs(f.amp)
-    idx = np.nonzero(mag > mag.max() * _SUPPORT_CUTOFF)[0]
-    if not idx.size:
-        return f.amp[:1].copy(), 0
+    idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
     gaps = np.diff(idx, append=idx[0] + f.grid.n)  # the last gap wraps the edge
     j = int(np.argmax(gaps))
     first = int(idx[(j + 1) % idx.size])
@@ -181,9 +172,7 @@ def delay_overlaps(
     support; any other delay set is one support-length spectral sum per
     delay.  The LO and signal spectra are built only where needed: a caller
     that holds them passes them as ``lo_spec`` and ``sig_spec``, in either
-    layout.  The sums run on half spectra when the signal's spectrum is one
-    (or, not given, the signal is real) and the LO is real; a given spectrum
-    in the other layout is then rebuilt.
+    layout.  The sums run over nu >= 0 when both spectra are half spectra.
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not delays.size:
@@ -197,30 +186,22 @@ def delay_overlaps(
     lags = np.rint(steps)
     if np.all(np.abs(steps - lags) <= _LATTICE_TOL):
         amp = sig.amp
-        if offset:  # sig(t + offset), band-limited: one inverse transform of S * exp(-2*pi*i*nu*offset)
-            spec = to_spectrum(sig, half=_half_layout(sig)) if sig_spec is None else sig_spec
-            shifted = _phasors(0.0 if spec.half else grid.freqs[0], grid.df, spec.amp.size, offset)
-            shifted *= spec.amp
-            amp = to_time(SpectralField(grid, shifted, half=spec.half)).amp
+        if offset:  # sig(t + offset), band-limited
+            amp = delay_field(sig if sig_spec is None else sig_spec, -offset).amp
         lags = lags.astype(np.int64)
         k0 = int(lags.min())
         span = int(lags.max()) - k0 + 1
         window = np.take(amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
         # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
         return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
-    half = (_half_layout(sig) if sig_spec is None else sig_spec.half) and not np.any(lo.imag)
-    if lo_spec is None or lo_spec.half != half:
+    if lo_spec is None:
         full = np.zeros(grid.n, dtype=np.complex128)
         full[np.arange(first, first + lo.size) % grid.n] = lo
-        lo_spec = to_spectrum(TemporalField(grid, full), half=half)
-    if sig_spec is None or sig_spec.half != half:
-        sig_spec = to_spectrum(sig, half=half)
-    g = _spectral_product(lo_spec, sig_spec)
-    if half:  # weighted as in _spectral_sum: the real part of the sum over nu >= 0 is the full sum
-        g[1:-1] *= 2.0
-    g, freqs = _support(g, grid.half_freqs if half else grid.freqs)
-    sums = np.array([(g * _phasors(freqs[0], grid.df, g.size, tau)).sum() for tau in delays])
-    return grid.df * (sums.real.astype(np.complex128) if half else sums)
+        lo_spec = _spectrum(TemporalField(grid, full))
+    g = _spectral_product(lo_spec, _spectrum(sig) if sig_spec is None else sig_spec)
+    terms, freqs = _support(g)
+    sums = np.array([(terms * _phasors(freqs[0], grid.df, terms.size, tau)).sum() for tau in delays])
+    return grid.df * (sums.real.astype(np.complex128) if g.half else sums)  # a Hermitian g sums to a real A
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -298,7 +279,7 @@ def eta_curve(
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     mode_in = normalize(input_field)
-    out = transmit(to_spectrum(mode_in, half=_half_layout(mode_in)), m)
+    out = transmit(_spectrum(mode_in), m)
     overlaps = delay_overlaps(_time_support(normalize(lo)), out.field, delays, sig_spec=out.spectrum)
     overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .fields import GridAdequacyWarning, _norm, normalize, pulse_area, to_spectrum
+from .fields import GridAdequacyWarning, _norm, _spectrum, normalize, pulse_area, to_spectrum
 from .medium import MediumPreset, transmit
-from .modes import _check_delays, _eta_scan, _half_layout, _time_support, _visibility_scan, delay_overlaps
+from .modes import _check_delays, _eta_scan, _time_support, _visibility_scan, delay_overlaps
 from .quantum import (
     HeraldedState,
     estimate_eta,
@@ -133,10 +133,10 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 
 def _input_lo(cfg: ScenarioConfig):
-    """The unit-energy input pulse's spectrum, half when the pulse is real (:func:`_half_layout`), and
-    its :func:`_time_support`, the LO of the delay scans; the full pulse is not kept through the medium loop."""
+    """The unit-energy input pulse's spectrum, half when the pulse is real, and its
+    :func:`_time_support`, the LO of the delay scans; the full pulse is not kept through the medium loop."""
     pulse = normalize(cfg.make_pulse(cfg.make_grid()))
-    return to_spectrum(pulse, half=_half_layout(pulse)), _time_support(pulse)
+    return _spectrum(pulse), _time_support(pulse)
 
 
 def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -180,7 +180,7 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit peak efficiency per medium, with and without LO shaping."""
     pulse = normalize(cfg.make_pulse(cfg.make_grid()))
     shaper_cfg = cfg.shaper_config()
-    spec_in = to_spectrum(pulse, half=_half_layout(pulse, shaper_cfg))
+    spec_in = _spectrum(pulse)
     # the shaped input LO does not depend on the medium
     shaped_in = _shaped_input(pulse, spec_in, shaper_cfg)
     del pulse  # only its spectrum is needed through the medium loop

@@ -19,9 +19,10 @@ At zero carrier detuning the input pulse is real, and so are the transmitted
 field and every LO shaped from it without a pixel box: their spectra are
 Hermitian, and the transmission, the LO shaping and the best-delay searches
 run on the nu >= 0 half spectra (n/2 + 1 bins), each LO from one real
-inverse FFT and its spectrum from one real FFT.  A detuned pulse or a pixel
-box gives spectra without that symmetry, searched in the full layout by the
-same code.
+inverse FFT and its spectrum from one real FFT.  A pixel box (an even-width
+box is not symmetric about each bin) averages the mirrored full spectrum and
+gives a complex LO, searched in the full layout; a detuned pulse gives full
+spectra throughout.  Each spectrum takes the layout of its field.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ import numpy as np
 from .fields import (
     _EXP_UNDERFLOW,
     LN2,
+    _full,
     _spectral_sum,
+    _spectrum,
     Grid,
     SpectralField,
     TemporalField,
     normalize,
-    to_spectrum,
     to_time,
 )
 from .medium import MediumParams, Transmitted, transmit
-from .modes import _check_eta_base, _check_normalized, _eta, _half_layout, _phasors, _spectral_product, _support
+from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
@@ -134,8 +136,9 @@ def achievable_lo(
     holds the target's unit-energy spectrum passes it as ``spectrum`` to save
     a transform; the target may then have any energy, since the result is
     renormalized and its peak, which centers the window, does not move.  A
-    half spectrum (a real target) gives a real LO from one real inverse FFT;
-    it takes no pixel box, which is not symmetric about each bin.
+    half spectrum (a real target) gives a real LO from one real inverse FFT,
+    unless a pixel box, not symmetric about each bin when its width is even,
+    is applied to its full-layout mirror and gives a complex LO.
     """
     _check_normalized(target if spectrum is None else spectrum, "shaper target")
     grid = target.grid
@@ -143,14 +146,13 @@ def achievable_lo(
     amp = target.amp
 
     if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
-        source = to_spectrum(target) if spectrum is None else spectrum
-        if source.half and cfg.pixel_width_hz is not None:
-            raise ValueError("a pixel box needs the full spectrum, not its nu >= 0 half")
+        source = _spectrum(target) if spectrum is None else spectrum
+        if cfg.pixel_width_hz is not None:
+            source = _full(source)
         spec = source.amp.copy() if cfg.span_hz is None else np.zeros_like(source.amp)
         if cfg.span_hz is not None:  # keep the ascending bins with |nu| <= span / 2
             edge = 0.5 * cfg.span_hz
-            freqs = grid.half_freqs if source.half else grid.freqs
-            inside = slice(np.searchsorted(freqs, -edge), np.searchsorted(freqs, edge, side="right"))
+            inside = slice(np.searchsorted(source.freqs, -edge), np.searchsorted(source.freqs, edge, side="right"))
             spec[inside] = source.amp[inside]
         if cfg.pixel_width_hz is not None:
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
@@ -183,22 +185,22 @@ _MAX_STARTS = 8
 _SKIP_SLACK = 1e-9
 
 
-def _even_lag_overlaps(g: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
+def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
     """The overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2, from
     one half-length transform.  With g in ascending frequency order, nu_j = (j - n/2) * df, the sum at
-    k*dt is df * fft(g)[k] * (-1)^k, and fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m].  A ``half`` g holds the
-    bins nu_q = q * df, q = 0 .. n/2, of a Hermitian product: the even-lag phasors repeat every n/2 bins,
-    so A is the real transform of length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken
-    conjugate to turn irfft's kernel into exp(-2*pi*i*nu*tau)."""
-    mid = grid.n // 2
-    if half:
-        folded = np.conj(g[: mid // 2 + 1])
-        folded += g[mid - mid // 2 :][::-1]
+    k*dt is df * fft(g)[k] * (-1)^k, and fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m].  A half spectrum g holds
+    the bins nu_q = q * df, q = 0 .. n/2, of a Hermitian product: the even-lag phasors repeat every n/2
+    bins, so A is the real transform of length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4,
+    taken conjugate to turn irfft's kernel into exp(-2*pi*i*nu*tau)."""
+    mid = g.grid.n // 2
+    if g.half:
+        folded = np.conj(g.amp[: mid // 2 + 1])
+        folded += g.amp[mid - mid // 2 :][::-1]
         out = np.fft.irfft(folded, mid)
-        out *= grid.df * mid
+        out *= g.grid.df * mid
         return out
-    out = np.fft.fft(g[:mid] + g[mid:])
-    out *= grid.df
+    out = np.fft.fft(g.amp[:mid] + g.amp[mid:])
+    out *= g.grid.df
     return out
 
 
@@ -219,22 +221,20 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
     reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
     threads and nearly doubles the CPU time of a depth scan for no gain in
-    wall time.  Half spectra (:func:`_half_layout`) give a real A: the sums
-    run over nu >= 0, every bin but DC and Nyquist weighted 2, and take real
-    parts, and |g| is even, so nu_c = 0.
+    wall time.  When g is a half spectrum (both factors are) A is real: the
+    sums run over nu >= 0, every bin but DC and Nyquist weighted 2
+    (:func:`_support`), and take real parts, and |g| is even, so nu_c = 0.
     """
-    grid = lo_spec.grid
-    half = lo_spec.half
-    g = _spectral_product(lo_spec, sig_spec)
+    product = _spectral_product(lo_spec, sig_spec)
+    grid, half = product.grid, product.half
     mid, eighth = grid.n // 2, grid.n // 8
-    coarse = np.abs(_even_lag_overlaps(g, grid, half)) ** 2
+    coarse = np.abs(_even_lag_overlaps(product)) ** 2
     coarse[eighth + 1 : mid - eighth] = -1.0  # keep the lags |2m| <= n/4
     best = float(coarse.max())
 
-    if half:
-        g[1:-1] *= 2.0
-    g, freqs = _support(g, grid.half_freqs if half else grid.freqs)
-    g = g * grid.df
+    g, freqs = _support(product)
+    del product
+    g *= grid.df
     mag = np.abs(g)
     m0 = mag.sum()
     if m0 == 0.0:  # disjoint spectra: every overlap is 0
@@ -274,11 +274,12 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 def _shaped_input(
     mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig
 ) -> tuple[SpectralField, SpectralField, float]:
-    """The input LO u's spectrum ``lo_in``, in the layout of the searches (:func:`_half_layout`),
-    the spectrum of the shaped input LO s = achievable_lo(u) in that layout, and their distance
-    min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
-    shaped = to_spectrum(achievable_lo(mode_in, cfg, lo_in), half=lo_in.half)
-    inner = abs(lo_in.grid.df * _spectral_sum(lo_in, np.conj(lo_in.amp) * shaped.amp))
+    """The input LO u's spectrum ``lo_in``, the spectrum of the shaped input LO s = achievable_lo(u),
+    each in the layout of its field, and their distance min over phi of ||u - exp(i*phi)*s||
+    = sqrt(2 - 2*|<u|s>|)."""
+    shaped = _spectrum(achievable_lo(mode_in, cfg, lo_in))
+    g = _spectral_product(lo_in, shaped)
+    inner = abs(lo_in.grid.df * _spectral_sum(g, g.amp))
     return lo_in, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
 
 
@@ -294,14 +295,13 @@ def _efficiencies(
     mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
     so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
     (Cauchy-Schwarz): the search over s is skipped when that bound on its
-    result cannot reach the own-mode LO's.  Every search runs in the layout
-    of u, which is that of ``out``.
+    result cannot reach the own-mode LO's.
     """
     lo, spectrum, distance = shaped_in
     mode = out.mode
     p_in = _best_projection(lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
-    best = _best_projection(to_spectrum(achievable_lo(out.field, cfg, mode), half=lo.half), mode)
+    best = _best_projection(_spectrum(achievable_lo(out.field, cfg, mode)), mode)
     if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
         best = max(best, _best_projection(spectrum, mode))
     return unshaped, max(float(_eta(eta_base, out, best)), unshaped)
@@ -319,7 +319,7 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
     """
     _check_eta_base(eta_base)
     mode_in = normalize(input_field)
-    lo_in = to_spectrum(mode_in, half=_half_layout(mode_in, cfg))
+    lo_in = _spectrum(mode_in)
     out = transmit(lo_in, m)
     return _efficiencies(out, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
 
@@ -327,7 +327,6 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
-    mode_in = normalize(input_field)
-    lo_in = to_spectrum(mode_in, half=_half_layout(mode_in))
+    lo_in = _spectrum(normalize(input_field))
     out = transmit(lo_in, m)
     return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))

@@ -4,6 +4,7 @@ import pytest
 from zapsim import (
     MediumParams,
     ScanCurve,
+    SpectralField,
     TemporalField,
     delay_field,
     eta_curve,
@@ -20,7 +21,7 @@ from zapsim import (
 )
 
 from zapsim import ShaperConfig, achievable_lo
-from zapsim.modes import _phasors, _support, _time_support, delay_overlaps
+from zapsim.modes import _phasors, _time_support, delay_overlaps
 
 from conftest import random_field
 
@@ -121,6 +122,32 @@ class TestDelayField:
         shifted = delay_field(f, tau)
         expected = gaussian_pulse(small_grid, 100e-15, center_t=center + tau)
         assert np.max(np.abs(shifted.amp - expected.amp)) < 1e-12
+
+    @staticmethod
+    def full_grid_shift(f, tau):
+        """The shift on the full spectrum, by one full-grid complex exponential."""
+        F = to_spectrum(f)
+        return to_time(SpectralField(F.grid, F.amp * np.exp(2j * np.pi * F.grid.freqs * tau))).amp
+
+    @pytest.mark.parametrize("tau_steps", [37.0, -250.0, 37.3, -250.71, 0.5])
+    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real", "complex"])
+    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps, detuning):
+        # on- and off-lattice delays, a real field on its half spectrum and a complex one on the full spectrum
+        f = mid_mode if detuning == 0.0 else normalize(gaussian_pulse(mid_grid, 100e-15, detuning=detuning))
+        tau = tau_steps * mid_grid.dt
+        want = self.full_grid_shift(f, tau)
+        got = delay_field(f, tau).amp
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tau_steps", [37.0, 37.3])
+    def test_real_field_stays_exactly_real(self, mid_mode, tau_steps):
+        assert not np.any(mid_mode.amp.imag)
+        assert not np.any(delay_field(mid_mode, tau_steps * mid_mode.grid.dt).amp.imag)
+
+    def test_takes_a_spectrum(self, mid_mode):
+        tau = 12.7 * mid_mode.grid.dt
+        want = delay_field(mid_mode, tau).amp
+        assert np.array_equal(delay_field(to_spectrum(mid_mode, half=True), tau).amp, want)
 
 
 class TestScanCurve:
@@ -353,11 +380,6 @@ class TestScanPaths:
         want = self.direct_sum(to_spectrum(lo), to_spectrum(real), delays)
         got = delay_overlaps(_time_support(lo), real, delays, sig_spec=to_spectrum(real, half=True))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_support_refuses_abscissae_of_another_layout(self, fields):
-        grid = fields[0].grid
-        with pytest.raises(ValueError, match="layouts differ"):
-            _support(np.ones(grid.n // 2 + 1, dtype=complex), grid.freqs)
 
     @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
     def test_wide_or_wrapping_lo_matches_direct_sum(self, fields, lo_kind):

@@ -17,6 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zapsim.fields
 import zapsim.medium
 import zapsim.shaper
 from zapsim import (
@@ -41,6 +42,12 @@ pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 # irfft and one rfft for the LO shaped to the transmitted mode, and two half-length irffts for the
 # best-delay searches
 FFT_BUDGET = {"propagate": 1, "xcorr": 0.5, "eta-scan": 0.5, "depth-scan": 2.0}
+
+# a pixel box makes only its LOs complex: the transmission stays on half spectra.  depth-scan then measures
+# 3.66 per medium: the transmission's irfft, the own-mode LO's complex inverse and forward FFTs, one
+# half-length irfft and two half-length complex FFTs for the three best-delay searches; a transmission on
+# full spectra measured 4.39
+PIXEL_FFT_BUDGET = 3.7
 
 GRID_N = 16384
 
@@ -101,21 +108,25 @@ def _count_transforms(monkeypatch, counts):
     _count_large_exp(monkeypatch, counts)
 
 
-def _run_counted(monkeypatch, tmp_path, verb, preset):
-    counts = dict.fromkeys([*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "exp"], 0)
+def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
+    """Op counts of one CLI run on the GRID_N grid with ``medium.preset`` and further ``--set`` values."""
+    counts = dict.fromkeys([*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "_full", "exp"], 0)
     with monkeypatch.context() as mp:
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
+        _count_calls(mp, zapsim.fields, "_full", counts)
         _count_transforms(mp, counts)
         out = str(tmp_path / preset)
-        code = main([verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"])
+        args = [verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"]
+        code = main(args + [arg for value in settings for arg in ("--set", value)])
     assert code == 0
     return {
         "fft": sum(counts[name] for name in TRANSFORMS),
         "h": counts["transfer_function"],
         "lo": counts["achievable_lo"],
         "search": counts["_best_projection"],
+        "mirror": counts["_full"],
         "exp": counts["exp"],
     }
 
@@ -129,11 +140,20 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     # H(nu) is the only large complex exponential (no delay phase ramp, no full-length Newton phasors),
     # and it is evaluated on nu >= 0 and the -Nyquist bin only
     assert (five["exp"] - one["exp"]) / 4 <= (GRID_N // 2 + 1) / GRID_N
+    # only a full-layout H is mirrored: no half spectrum meets a full one
+    assert five["mirror"] == (five["h"] if verb == "propagate" else 0)
     if verb == "depth-scan":
         # one shaped LO per medium plus the medium-independent input LO
         assert five["lo"] == 5 + 1
         # the input LO and the own-mode LO; the shaped input LO provably loses at the default shaper
         assert (five["search"] - one["search"]) / 4 <= 2
+
+
+@pytest.mark.parametrize("pixel_nm", [2, 3])
+def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
+    five = _run_counted(monkeypatch, tmp_path, "depth-scan", "all", f"shaper.pixel_nm={pixel_nm}")
+    one = _run_counted(monkeypatch, tmp_path, "depth-scan", "1", f"shaper.pixel_nm={pixel_nm}")
+    assert (five["fft"] - one["fft"]) / 4 <= PIXEL_FFT_BUDGET
 
 
 def test_transmit_keeps_at_most_two_grids():

@@ -23,7 +23,8 @@ from zapsim import (
     to_time,
     transmit,
 )
-from zapsim.modes import _half_layout, _spectral_product, _support
+from zapsim.fields import _full, _spectrum
+from zapsim.modes import _spectral_product, _support
 from zapsim.shaper import (
     _best_projection, _box_average, _efficiencies, _even_lag_overlaps, _resolution_window, _shaped_input
 )
@@ -54,14 +55,14 @@ def lattice_overlaps(g, grid):
 
 def brent_projection(lo_spec, sig_spec):
     """Oracle: bounded Brent within one time step of every local maximum of the dt-lattice
-    overlaps within +-window/4 that reaches half the largest."""
+    overlaps within +-window/4 that reaches half the largest, on full spectra."""
     grid = lo_spec.grid
-    g = _spectral_product(lo_spec, sig_spec)
-    corr = np.abs(lattice_overlaps(g, grid)) ** 2
+    g = _spectral_product(_full(lo_spec), _full(sig_spec))
+    corr = np.abs(lattice_overlaps(g.amp, grid)) ** 2
     quarter = grid.n // 4
     corr[quarter + 1 : grid.n - quarter] = -1.0
     peaks = (corr >= np.roll(corr, 1)) & (corr >= np.roll(corr, -1)) & (corr >= 0.5 * corr.max())
-    g, freqs = _support(g, grid.freqs)
+    g, freqs = _support(g)
 
     def neg(t):
         return -np.abs(grid.df * np.sum(g * np.exp(-2j * np.pi * freqs * t))) ** 2
@@ -163,10 +164,14 @@ class TestAchievableLo:
         if cfg.span is not None:
             assert not np.any(real.amp.imag)
 
-    def test_half_spectrum_refuses_a_pixel_box(self, preset_modes):
+    @pytest.mark.parametrize("pixel_nm", [2.0, 3.0])
+    def test_half_spectrum_gives_the_same_pixel_lo(self, preset_modes, pixel_nm):
+        # a pixel box averages the full-layout mirror of a half spectrum
         target = preset_modes[2]
-        with pytest.raises(ValueError, match="pixel"):
-            achievable_lo(target, ShaperConfig(pixel_width=2e-9), to_spectrum(target, half=True))
+        cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9)
+        full = achievable_lo(target, cfg, to_spectrum(target))
+        mirrored = achievable_lo(target, cfg, to_spectrum(target, half=True))
+        assert np.max(np.abs(mirrored.amp - full.amp)) <= 1e-13 * np.abs(full.amp).max()
 
     def test_pixel_wider_than_grid_rejected(self, preset_modes):
         target = preset_modes[2]
@@ -215,17 +220,21 @@ class TestBestProjection:
         lo, sig = achievable_lo(preset_modes[4], ShaperConfig()), preset_modes[4]
         lo_spec = to_spectrum(lo)
         g = _spectral_product(lo_spec, to_spectrum(sig))
-        full = lattice_overlaps(g, lo_spec.grid)
+        full = lattice_overlaps(g.amp, lo_spec.grid)
         if half:
             g = _spectral_product(to_spectrum(lo, half=True), to_spectrum(sig, half=True))
-        even = _even_lag_overlaps(g, lo_spec.grid, half)
+        assert g.half == half
+        even = _even_lag_overlaps(g)
         assert even.size == lo_spec.grid.n // 2
         assert np.max(np.abs(even - full[::2])) <= 1e-13 * np.abs(full).max()
 
-    def test_layouts_do_not_mix(self, preset_modes):
-        spec = to_spectrum(preset_modes[2])
-        with pytest.raises(ValueError, match="layout"):
-            _best_projection(spec, to_spectrum(preset_modes[2], half=True))
+    @pytest.mark.parametrize("half_lo", [False, True], ids=["full-lo", "half-lo"])
+    def test_mixed_layouts_search_like_full_ones(self, preset_modes, half_lo):
+        # a half spectrum that meets a full one is mirrored: the search is the all-full one
+        lo, sig = achievable_lo(preset_modes[2], ShaperConfig()), preset_modes[2]
+        full = _best_projection(to_spectrum(lo), to_spectrum(sig))
+        mixed = _best_projection(to_spectrum(lo, half=half_lo), to_spectrum(sig, half=not half_lo))
+        assert mixed == pytest.approx(full, rel=1e-13, abs=0.0)
 
     def test_nearly_tied_peaks_not_below_brent(self):
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
@@ -333,8 +342,9 @@ def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_n
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     params = temperature_presets()[preset_idx].params
     cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9, span=None if span_nm is None else span_nm * 1e-9)
-    out = transmit(to_spectrum(pulse), params)
-    shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), out.mode)
+    # the floor is built in the layouts the library uses: a half transmission, full pixel LOs
+    out = transmit(_spectrum(pulse), params)
+    shaped_in = 0.62 * out.transmission * _best_projection(_spectrum(achievable_lo(pulse, cfg)), out.mode)
     floor = max(max_unshaped_eta(pulse, params, 0.62), shaped_in)
     assert floor <= max_shaped_eta(pulse, params, cfg, 0.62) <= 0.62 * out.transmission + 1e-12
 
@@ -344,10 +354,10 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     grid = make_grid(2**16, 10e-15)
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
-    lo_in = to_spectrum(pulse, half=_half_layout(pulse, cfg))
+    lo_in = _spectrum(pulse)
     lo, shaped, distance = _shaped_input(pulse, lo_in, cfg)
-    # without a pixel box the real input is searched on half spectra
-    assert lo.half == shaped.half == (pixel_nm is None)
+    # the real input is held as a half spectrum; a pixel box makes the shaped input LO complex
+    assert lo.half and shaped.half == (pixel_nm is None)
     searches = []
     monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
     for preset in temperature_presets():
@@ -382,14 +392,14 @@ def test_half_spectrum_search_matches_the_full_one(monkeypatch, real_input, pres
     # what the half search rests on: at zero detuning S(-nu) = conj S(nu)
     s, mid = out.mode.amp, lo_in.grid.n // 2
     assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
-    assert _half_layout(pulse, cfg)
+    assert _spectrum(pulse).half
     lo_half = to_spectrum(pulse, half=True)
     half = [
         _best_projection(lo_half, transmit(lo_half, params).mode),
         max_unshaped_eta(pulse, params, 0.62),
         max_shaped_eta(pulse, params, cfg, 0.62),
     ]
-    monkeypatch.setattr(zapsim.shaper, "_half_layout", lambda *args: False)
+    monkeypatch.setattr(zapsim.shaper, "_spectrum", to_spectrum)  # every spectrum in the full layout
     full = [
         _best_projection(lo_in, out.mode),
         max_unshaped_eta(pulse, params, 0.62),
@@ -400,7 +410,8 @@ def test_half_spectrum_search_matches_the_full_one(monkeypatch, real_input, pres
 
 @pytest.mark.parametrize("case", ["detuned", "pixel"])
 def test_non_hermitian_inputs_search_full_spectra(monkeypatch, case):
-    # a detuned carrier or a pixel box breaks S(-nu) = conj S(nu): no real transform may run
+    # a detuned carrier breaks S(-nu) = conj S(nu): no real transform may run; a pixel box breaks it
+    # for its LOs only, searched on full spectra against the mirrored real transmission
     grid = make_grid(2**16, 10e-15)
     pulse = normalize(gaussian_pulse(grid, 100e-15, detuning=2e12 if case == "detuned" else 0.0))
     cfg = ShaperConfig(pixel_width=2e-9 if case == "pixel" else None)
@@ -409,12 +420,15 @@ def test_non_hermitian_inputs_search_full_spectra(monkeypatch, case):
     for name in ("rfft", "irfft"):
         fn = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *args, _fn=fn, **kwargs: real_transforms.append(1) or _fn(*args, **kwargs))
-    lo_in = to_spectrum(pulse)
+    lo_in = _spectrum(pulse)
     out = transmit(lo_in, params)
     lo, shaped, _ = _shaped_input(pulse, lo_in, cfg)
-    assert not lo.half and not shaped.half
-    own = to_spectrum(achievable_lo(out.field, cfg, out.mode))
+    own = _spectrum(achievable_lo(out.field, cfg, out.mode))
+    assert not shaped.half and not own.half
+    assert lo.half == out.mode.half == (case == "pixel")
+    if case == "pixel":
+        assert not np.any(out.field.amp.imag)
     for lo_spec in (lo, shaped, own):
         assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
     assert max_shaped_eta(pulse, params, cfg, 0.62) >= 0.62 * out.transmission * _best_projection(lo, out.mode)
-    assert real_transforms == []
+    assert (real_transforms == []) == (case == "detuned")
