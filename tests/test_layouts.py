@@ -150,7 +150,6 @@ def test_mixed_layouts_match_the_all_full_reference(monkeypatch, case):
     m, delays, mix = case["medium"], case["delays"], case["mix"]
     detuning = case["detuning"] if mix == "detuned-signal" else 0.0
     pulse = normalize(gaussian_pulse(grid, case["fwhm"], detuning=detuning))
-    real_lo = normalize(gaussian_pulse(grid, case["fwhm"]))
     cfg = ShaperConfig()
     if mix.startswith("pixel"):
         width = case["bins"] * grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT
@@ -162,8 +161,8 @@ def test_mixed_layouts_match_the_all_full_reference(monkeypatch, case):
         lo, ref_lo = achievable_lo(out.field, cfg, out.mode), achievable_lo(ref.field, cfg, ref.mode)
     elif mix == "complex-lo":
         lo = ref_lo = normalize(gaussian_pulse(grid, case["fwhm"], detuning=case["detuning"]))
-    else:
-        lo = ref_lo = real_lo
+    else:  # a real LO against the detuned signal
+        lo = ref_lo = normalize(gaussian_pulse(grid, case["fwhm"]))
     lo_spec, ref_spec = _spectrum(lo), to_spectrum(ref_lo)
     assert out.mode.half != lo_spec.half  # the two layouts meet
     assert not ref.mode.half and not ref_spec.half
