@@ -1,7 +1,9 @@
-"""Uniform time/frequency grids, complex envelope fields, and transforms.
+"""Uniform time/frequency grids, envelope fields, and transforms.
 
-All fields are carrier-removed complex envelopes sampled on a uniform time
-grid; spectra are indexed by detuning from the optical carrier in Hz.  The
+All fields are carrier-removed envelopes sampled on a uniform time grid:
+a real envelope (a pulse at zero carrier detuning, and all a real medium
+makes of it) is stored as float64, any other as complex128.  Spectra are
+complex and indexed by detuning from the optical carrier in Hz.  The
 transform pair is the Riemann-sum form of the continuous Fourier transform,
 
     E(nu) = dt * sum_t  E(t)  * exp(+2*pi*i*nu*t)
@@ -14,11 +16,12 @@ choice the response of a passive resonant medium is causal in time.
 
 A spectrum has one of two layouts.  The full layout holds all n bins in
 ascending order from -Nyquist and serves any complex field.  A real field
-(a pulse at zero carrier detuning, and all a real medium makes of it) has a
-Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0 half, n/2 + 1 bins
-(``SpectralField(..., half=True)``), holds all of it: one real FFT makes it
-and one real inverse FFT undoes it, at half the work and memory of the
-complex pair.  ``_spectrum`` takes the layout from the data, ``_full``
+has a Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0 half, n/2 + 1
+bins (``SpectralField(..., half=True)``), holds all of it: one real FFT
+makes it and one real inverse FFT undoes it into a float64 field, at half
+the work and memory of the complex pair, and with no full-grid axis built
+(``Grid.half_freqs`` is computed, not mirrored from ``Grid.freqs``).
+``_spectrum`` takes the layout from the data, ``_full``
 mirrors a half spectrum where it meets a full one, and a sum over the full
 spectrum of a product held in the half layout weights every bin but DC and
 Nyquist twice (``_spectral_sum``).
@@ -115,14 +118,16 @@ class Grid:
 
     @cached_property
     def half_freqs(self) -> np.ndarray:
-        """Detunings of a half spectrum, k*df for k = 0 .. n/2: bit for bit the |freqs| they mirror."""
-        arr = np.abs(self.freqs[self.n // 2 :: -1])
+        """Detunings of a half spectrum, k*df for k = 0 .. n/2, scaled as fftfreq scales its bin
+        numbers: bit for bit the |freqs| they mirror, without building ``freqs``."""
+        arr = np.arange(self.n // 2 + 1) * self.df
         arr.flags.writeable = False
         return arr
 
 
-def _validate_amp(grid: Grid, amp, half: bool = False) -> np.ndarray:
-    out = np.asarray(amp, dtype=np.complex128)
+def _validate_amp(grid: Grid, amp, half: bool = False, keep_real: bool = False) -> np.ndarray:
+    """amp as complex128, or as float64 when ``keep_real`` and it is not complex; checked for shape and finiteness."""
+    out = np.asarray(amp, dtype=np.float64 if keep_real and not np.iscomplexobj(amp) else np.complex128)
     size = grid.n // 2 + 1 if half else grid.n
     if out.shape != (size,):
         raise ValueError(f"amplitude array has shape {out.shape}, expected ({size},)")
@@ -135,13 +140,13 @@ def _validate_amp(grid: Grid, amp, half: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TemporalField:
-    """Complex envelope E(t) on a grid.  Treated as immutable after creation."""
+    """Envelope E(t) on a grid, float64 for real values and complex128 otherwise; immutable after creation."""
 
     grid: Grid
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp))
+        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp, keep_real=True))
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ def gaussian_pulse(
     center_t: float | None = None,
     detuning: float = 0.0,
 ) -> TemporalField:
-    """Transform-limited Gaussian pulse with unit peak amplitude.
+    """Transform-limited Gaussian pulse with unit peak amplitude: real (float64) at zero detuning.
 
     Parameters
     ----------
@@ -225,7 +230,7 @@ def gaussian_pulse(
     lo, hi = (int(np.clip(k, 0, grid.n)) for k in (center_t / grid.dt - reach, center_t / grid.dt + reach + 1.0))
     x = np.arange(lo, hi) * grid.dt - center_t  # grid.t[lo:hi] - center_t
     env = np.exp(-2.0 * LN2 * (x / fwhm_t) ** 2)
-    amp = np.zeros(grid.n, dtype=np.complex128)
+    amp = np.zeros(grid.n, dtype=np.complex128 if detuning != 0.0 else np.float64)
     amp[lo:hi] = env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env
     return TemporalField(grid, amp)
 
@@ -234,14 +239,17 @@ def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
     """Forward transform; the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt.
 
     With ``half``, the real part of f alone is transformed, by one real FFT,
-    into its half spectrum (see :class:`SpectralField`).
+    into its half spectrum (see :class:`SpectralField`).  Without it, f is cast
+    to complex and transformed in place: numpy's complex FFT of a float64 input
+    takes another algorithm, with other round-off.
     """
     if half:
         amp = np.fft.rfft(f.amp.real)
         np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
         amp *= f.grid.dt
         return SpectralField(f.grid, amp, half=True)
-    amp = np.fft.ifft(f.amp)
+    amp = f.amp.astype(np.complex128)
+    np.fft.ifft(amp, out=amp)
     mid = f.grid.n // 2  # fftshift of an even length swaps the halves: done in place through a half-length copy
     low = amp[:mid].copy()
     amp[:mid] = amp[mid:]
@@ -251,8 +259,9 @@ def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
 
 
 def _spectrum(f: TemporalField) -> SpectralField:
-    """f's spectrum in the layout its values allow: the half spectrum when f is real, else the full one."""
-    return to_spectrum(f, half=not np.any(f.amp.imag))
+    """f's spectrum in the layout its values allow: the half spectrum when f is real (float64, or
+    complex128 with an all-zero imaginary part), else the full one."""
+    return to_spectrum(f, half=not np.iscomplexobj(f.amp) or not np.any(f.amp.imag))
 
 
 def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
@@ -269,7 +278,7 @@ def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
 
 def to_time(F: SpectralField) -> TemporalField:
     """Inverse transform, exact round-trip partner of :func:`to_spectrum`; a half spectrum
-    takes one real inverse FFT and gives a real field."""
+    takes one real inverse FFT and gives a real (float64) field."""
     if F.half:
         amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
         amp /= F.grid.dt
@@ -312,5 +321,6 @@ def _norm(f: TemporalField | SpectralField) -> float:
 
 
 def normalize(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
-    """Scale a field, in either domain, to unit energy."""
-    return replace(f, amp=f.amp / _norm(f))
+    """Scale a field, in either domain, to unit energy.  The product with 1/norm is how numpy divides a
+    complex array by a float, so a real field scales to the bits of its complex128 copy."""
+    return replace(f, amp=f.amp * (1.0 / _norm(f)))

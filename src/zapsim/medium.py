@@ -114,7 +114,7 @@ def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> Spectr
     The impulse response is real, so H(-nu) = conj H(nu): H is evaluated once,
     on ``Grid.half_freqs`` (nu >= 0), and returned as that half spectrum with
     ``half`` set, or else mirrored by ``fields._full``.  The mirror is bit-exact,
-    as ``Grid.freqs`` is exactly antisymmetric and complex / and exp commute with conj.
+    as ``Grid.half_freqs`` is bit for bit the mirrored ``Grid.freqs`` and complex / and exp commute with conj.
     """
     _check_line(grid, m)
     # a full-layout H is allocated before the half band's temporaries: allocated after them, it raised
@@ -136,8 +136,11 @@ def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
             GridAdequacyWarning,
             stacklevel=3,
         )
-    amp = field.amp  # |E(t)| is read in blocks of 8 KiB, so no full-grid temporary is held
-    peak = max(np.abs(amp[k : k + 1024]).max() for k in range(0, grid.n, 1024))
+    amp = field.amp  # no full-grid temporary is held: a complex |E(t)| is read in blocks of 8 KiB
+    if np.iscomplexobj(amp):
+        peak = max(np.abs(amp[k : k + 1024]).max() for k in range(0, grid.n, 1024))
+    else:
+        peak = max(amp.max(), -amp.min())
     if peak > 0.0:
         edge = np.abs(amp[[0, -1]]).max() / peak
         if edge > EDGE_AMPLITUDE_LIMIT:

@@ -173,6 +173,7 @@ def delay_overlaps(
     delay.  The LO and signal spectra are built only where needed: a caller
     that holds them passes them as ``lo_spec`` and ``sig_spec``, in either
     layout.  The sums run over nu >= 0 when both spectra are half spectra.
+    A real (float64) LO and signal give real overlaps on either path.
     """
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not delays.size:
@@ -195,13 +196,13 @@ def delay_overlaps(
         # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
         return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
     if lo_spec is None:
-        full = np.zeros(grid.n, dtype=np.complex128)
+        full = np.zeros(grid.n, dtype=lo.dtype)
         full[np.arange(first, first + lo.size) % grid.n] = lo
         lo_spec = _spectrum(TemporalField(grid, full))
     g = _spectral_product(lo_spec, _spectrum(sig) if sig_spec is None else sig_spec)
     terms, freqs = _support(g)
     sums = np.array([(terms * _phasors(freqs[0], grid.df, terms.size, tau)).sum() for tau in delays])
-    return grid.df * (sums.real.astype(np.complex128) if g.half else sums)  # a Hermitian g sums to a real A
+    return grid.df * (sums.real if g.half else sums)  # a Hermitian g sums to a real A, as a real correlation does
 
 
 def _check_delays(grid, delays) -> np.ndarray:

@@ -109,10 +109,11 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float):
     """
     reach = np.sqrt(-_EXP_UNDERFLOW * 4.0 * LN2) / (np.pi * dnu * grid.dt) + 2.0  # in samples, with margin
     if 2.0 * reach + 1.0 >= grid.n:
-        keep = slice(None)
+        keep, k = slice(None), np.arange(grid.n)
     else:
-        keep = np.arange(k_center - int(reach), k_center + int(reach) + 1) % grid.n
-    tsig = ((grid.t[keep] - grid.t[k_center] + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
+        keep = k = np.arange(k_center - int(reach), k_center + int(reach) + 1) % grid.n
+    # times k*dt from the sample indices, bit for bit Grid.t[k], which is not built
+    tsig = ((k * grid.dt - k_center * grid.dt + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
     return keep, np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
 
 
@@ -301,6 +302,8 @@ def _efficiencies(
     mode = out.mode
     p_in = _best_projection(lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
+    if cfg.pixel_width_hz is not None:  # both shaped LOs are full spectra: mirror the mode for them once
+        mode = _full(mode)
     best = _best_projection(_spectrum(achievable_lo(out.field, cfg, mode)), mode)
     if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
         best = max(best, _best_projection(spectrum, mode))

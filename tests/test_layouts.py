@@ -7,6 +7,10 @@ and an on-lattice, off-lattice-start or off-lattice delay set from numpy's
 seeded generator, and holds the two layouts to 1e-12 of the peak on the
 transmitted field, T_E, the delay overlaps and the best-delay projection.
 
+The same cases hold a real field stored as float64 and as complex128 with a
+zero imaginary part to 1e-12 of each other on T_E, the delay overlaps and
+the best-delay projection: the storage, like the layout, is not physics.
+
 Mixed cases pair a half spectrum with a full one, which the library mirrors
 into the full layout: a pixel box of an odd or even number of bins (a
 complex LO against the real transmission), a detuned input against a real
@@ -21,6 +25,7 @@ import pytest
 from zapsim import (
     MediumParams,
     ShaperConfig,
+    TemporalField,
     achievable_lo,
     energy_transmission,
     gaussian_pulse,
@@ -118,6 +123,36 @@ def test_half_and_full_layouts_agree(case):
     for lo in (pulse, shaped):
         best = {half: _best_projection(to_spectrum(lo, half=half), out[half].mode) for half in (True, False)}
         assert abs(best[True] - best[False]) <= TOL
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
+def test_float64_and_complex128_storage_agree(case):
+    grid = make_grid(case["n"], case["dt"])
+    pulse = normalize(gaussian_pulse(grid, case["fwhm"]))
+    m, delays = case["medium"], case["delays"]
+    assert pulse.amp.dtype == np.float64
+
+    def held(f, dtype):
+        return TemporalField(grid, f.amp.astype(dtype))
+
+    got = {}
+    for dtype in (np.float64, np.complex128):
+        lo = held(pulse, dtype)
+        assert lo.amp.dtype == dtype
+        out = {half: transmit(to_spectrum(lo, half=half), m) for half in (True, False)}
+        assert _spectrum(lo).half  # a zero imaginary part is real data, whatever the storage
+        sig = held(out[True].field, dtype)
+        shaped = achievable_lo(sig, ShaperConfig(), out[True].mode)
+        got[dtype] = {
+            "transmission": [out[half].transmission for half in (True, False)],
+            "overlaps": delay_overlaps(_time_support(lo), sig, delays) / np.sqrt(out[True].spectrum.energy),
+            "best": [_best_projection(_spectrum(x), out[True].mode) for x in (lo, shaped)],
+        }
+    real, cplx = got[np.float64], got[np.complex128]
+    assert np.max(np.abs(np.subtract(real["transmission"], cplx["transmission"]))) <= TOL
+    assert real["overlaps"].dtype == np.float64
+    assert peak_gap(real["overlaps"], cplx["overlaps"]) <= TOL
+    assert np.max(np.abs(np.subtract(real["best"], cplx["best"]))) <= TOL
 
 
 @pytest.mark.parametrize("case", CASES[:8], ids=[c["id"] for c in CASES[:8]])

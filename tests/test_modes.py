@@ -381,6 +381,20 @@ class TestScanPaths:
         got = delay_overlaps(_time_support(lo), real, delays, sig_spec=to_spectrum(real, half=True))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "detuned-lo"])
+    def test_both_paths_give_one_dtype(self, fields, detuning):
+        # one delay off the lattice sends the whole set to the spectral sum: a real LO and a real signal give
+        # real overlaps on both paths, a detuned LO complex ones
+        pulse, sig = fields
+        real = TemporalField(sig.grid, sig.amp.real)
+        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
+        lattice = LATTICE_DELAYS["linspace"]
+        off = np.append(lattice, lattice[-1] + 3.3e-15)
+        on_lattice = delay_overlaps(_time_support(lo), real, lattice)
+        summed = delay_overlaps(_time_support(lo), real, off)
+        assert on_lattice.dtype == summed.dtype == (np.float64 if detuning == 0.0 else np.complex128)
+        assert np.max(np.abs(summed[:-1] - on_lattice)) <= 1e-12 * np.max(np.abs(on_lattice))
+
     @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
     def test_wide_or_wrapping_lo_matches_direct_sum(self, fields, lo_kind):
         pulse, sig = fields

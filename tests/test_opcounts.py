@@ -8,8 +8,8 @@ are counted as work, m*log2(m) / (n*log2(n)) for a length-m transform on
 the n-point grid, so a half-length transform counts as less than half of a
 full one, and a real transform (rfft, irfft) as half a complex one of its
 length; an exponential counts as its size in full grids.  The peak memory
-of one transmission and of one forward transform is measured in full-grid
-complex arrays.
+of one transmission and of one transform each way is measured in full-grid
+complex arrays, and the real path is checked to build no full-grid axis.
 """
 
 import tracemalloc
@@ -21,12 +21,14 @@ import zapsim.fields
 import zapsim.medium
 import zapsim.shaper
 from zapsim import (
+    Grid,
     MediumParams,
     TemporalField,
     eta_curve,
     gaussian_pulse,
     make_grid,
     to_spectrum,
+    to_time,
     transfer_function,
     transmit,
     visibility_curve,
@@ -72,14 +74,15 @@ WORK = {"fft": _fft_work, "ifft": _fft_work, "rfft": _rfft_work, "irfft": _irfft
 TRANSFORMS = tuple(WORK)
 
 
-def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs: 1):
-    """Count calls of ``owner.name``, each adding ``weight(*args)``, through every binding of it in numpy.fft and zapsim."""
+def _count_calls(monkeypatch, owner, name, counts, weight=lambda *args, **kwargs: 1, key=None):
+    """Count calls of ``owner.name``, each adding ``weight(*args)`` to ``counts[key or name]``, through every
+    binding of it in numpy.fft and zapsim."""
     import sys
 
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        counts[name] += weight(*args, **kwargs)
+        counts[key or name] += weight(*args, **kwargs)
         return fn(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -110,12 +113,15 @@ def _count_transforms(monkeypatch, counts):
 
 def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
     """Op counts of one CLI run on the GRID_N grid with ``medium.preset`` and further ``--set`` values."""
-    counts = dict.fromkeys([*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "_full", "exp"], 0)
+    names = [*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "_full", "new_full", "exp"]
+    counts = dict.fromkeys(names, 0)
     with monkeypatch.context() as mp:
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
         _count_calls(mp, zapsim.fields, "_full", counts)
+        # a mirror that allocates and fills a fresh full grid: a half spectrum and no ``out``
+        _count_calls(mp, zapsim.fields, "_full", counts, lambda F, out=None: int(F.half and out is None), "new_full")
         _count_transforms(mp, counts)
         out = str(tmp_path / preset)
         args = [verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"]
@@ -127,6 +133,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
         "lo": counts["achievable_lo"],
         "search": counts["_best_projection"],
         "mirror": counts["_full"],
+        "new_full": counts["new_full"],
         "exp": counts["exp"],
     }
 
@@ -154,6 +161,9 @@ def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
     five = _run_counted(monkeypatch, tmp_path, "depth-scan", "all", f"shaper.pixel_nm={pixel_nm}")
     one = _run_counted(monkeypatch, tmp_path, "depth-scan", "1", f"shaper.pixel_nm={pixel_nm}")
     assert (five["fft"] - one["fft"]) / 4 <= PIXEL_FFT_BUDGET
+    # the transmitted mode is mirrored into a fresh full grid once per medium, for both pixel LOs' searches
+    # and the own-mode LO's target (three times before)
+    assert (five["new_full"] - one["new_full"]) / 4 == 1
 
 
 def test_transmit_keeps_at_most_two_grids():
@@ -183,7 +193,7 @@ def test_to_spectrum_keeps_at_most_one_and_a_half_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    shifted = np.fft.fftshift(np.fft.ifft(pulse.amp))
+    shifted = np.fft.fftshift(np.fft.ifft(pulse.amp.astype(np.complex128)))  # the complex transform of a complex field
     shifted *= grid.n * grid.dt
     assert np.array_equal(spec.amp.view(np.uint64), shifted.view(np.uint64))
     assert peak <= 1.5 * grid.n * 16 + 16 * 1024
@@ -203,8 +213,9 @@ def test_half_spectrum_keeps_half_a_grid():
     assert peak <= 0.5 * grid.n * 16 + 16 * 1024
 
 
-def test_transmit_of_a_half_spectrum_keeps_at_most_two_grids():
-    # the half-band H becomes F*H in place; the irfft's real output and the complex field it is stored as
+def test_transmit_of_a_half_spectrum_keeps_at_most_one_and_a_half_grids():
+    # the half-band H becomes F*H in place (half a grid); to_time's conjugated copy and the irfft's
+    # output, the field, stored as float64 (half a grid each)
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
@@ -218,8 +229,34 @@ def test_transmit_of_a_half_spectrum_keeps_at_most_two_grids():
     # in value: the SIMD product may round differently at another array alignment
     want = spec.amp * transfer_function(grid, m, half=True).amp
     assert out.spectrum.half and np.allclose(out.spectrum.amp, want, rtol=1e-15, atol=0.0)
-    assert not np.any(out.field.amp.imag)
-    assert peak <= 2.0 * grid.n * 16 + 16 * 1024
+    assert out.field.amp.dtype == np.float64
+    assert peak <= 1.5 * grid.n * 16 + 16 * 1024
+
+
+def test_to_time_of_a_half_spectrum_keeps_one_grid():
+    # the conjugated copy of the n/2 + 1 bins and the irfft's float64 output, half a grid each
+    grid = make_grid(2**16, 10e-15)
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    tracemalloc.start()
+    try:
+        field = to_time(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.amp.dtype == np.float64
+    assert peak <= 1.0 * grid.n * 16 + 16 * 1024
+
+
+@pytest.mark.parametrize("verb", ["xcorr", "eta-scan", "depth-scan"])
+def test_real_path_builds_no_full_grid_axis(monkeypatch, tmp_path, verb):
+    # a real field's spectra use Grid.half_freqs, computed from bin numbers, and the shaper window's times
+    # come from sample indices: neither Grid.freqs nor Grid.t is filled
+    read = []
+    for name in ("freqs", "t"):
+        build = vars(Grid)[name].func
+        monkeypatch.setattr(Grid, name, property(lambda grid, name=name, build=build: read.append(name) or build(grid)))
+    assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
+    assert read == []
 
 
 def test_lattice_curves_transform_only_the_propagation(monkeypatch):
