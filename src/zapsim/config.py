@@ -30,7 +30,6 @@ class ScenarioConfig:
     grid_n: int = 2**19
     grid_dt_fs: float = 10.0
     pulse_fwhm_fs: float = 100.0
-    pulse_detuning_ghz: float = 0.0
     medium_preset: str = "all"
     medium_depth: float | None = None
     medium_t2_ps: float | None = None
@@ -54,11 +53,7 @@ class ScenarioConfig:
         return make_grid(self.grid_n, self.grid_dt_fs * 1e-15)
 
     def make_pulse(self, grid: Grid) -> TemporalField:
-        return gaussian_pulse(
-            grid,
-            self.pulse_fwhm_fs * 1e-15,
-            detuning=self.pulse_detuning_ghz * 1e9,
-        )
+        return gaussian_pulse(grid, self.pulse_fwhm_fs * 1e-15)
 
     def media(self) -> list[MediumPreset]:
         return _media(self)
@@ -172,10 +167,6 @@ _CHECKS = (
     ("grid.n", lambda c: make_grid(c.grid_n, 1.0)),
     ("grid.dt_fs", lambda c: c.make_grid()),
     ("pulse.fwhm_fs", lambda c: _check_pulse(c.make_grid(), c.pulse_fwhm_fs * 1e-15)),
-    (
-        "pulse.detuning_ghz",
-        lambda c: _check_pulse(c.make_grid(), c.pulse_fwhm_fs * 1e-15, c.pulse_detuning_ghz * 1e9),
-    ),
     (
         "medium.depth",
         lambda c: _media(replace(c, medium_t2_ps=None if c.medium_t2_ps is None else 1.0, medium_preset="all")),

@@ -1,10 +1,10 @@
 """Uniform time/frequency grids, envelope fields, and transforms.
 
 All fields are carrier-removed envelopes sampled on a uniform time grid:
-a real envelope (a pulse at zero carrier detuning, and all a real medium
-makes of it) is stored as float64, any other as complex128.  Spectra are
-complex and indexed by detuning from the optical carrier in Hz.  The
-transform pair is the Riemann-sum form of the continuous Fourier transform,
+a real envelope (the resonant pulse and all a real medium makes of it) is
+stored as float64, any other as complex128.  Spectra are complex and indexed
+by detuning from the optical carrier in Hz.  The transform pair is the
+Riemann-sum form of the continuous Fourier transform,
 
     E(nu) = dt * sum_t  E(t)  * exp(+2*pi*i*nu*t)
     E(t)  = df * sum_nu E(nu) * exp(-2*pi*i*nu*t)
@@ -14,17 +14,16 @@ Parseval holds exactly between the two energy sums, and the zero-detuning
 spectral sample equals the pulse area dt * sum_t E(t).  With this sign
 choice the response of a passive resonant medium is causal in time.
 
-A spectrum has one of two layouts.  The full layout holds all n bins in
-ascending order from -Nyquist and serves any complex field.  A real field
-has a Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0 half, n/2 + 1
-bins (``SpectralField(..., half=True)``), holds all of it: one real FFT
-makes it and one real inverse FFT undoes it into a float64 field, at half
-the work and memory of the complex pair, and with no full-grid axis built
-(``Grid.half_freqs`` is computed, not mirrored from ``Grid.freqs``).
-``_spectrum`` takes the layout from the data, ``_full``
-mirrors a half spectrum where it meets a full one, and a sum over the full
-spectrum of a product held in the half layout weights every bin but DC and
-Nyquist twice (``_spectral_sum``).
+A real field has a Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0
+half, n/2 + 1 bins (``SpectralField(..., half=True)``), holds all of it: one
+real FFT makes it and one real inverse FFT undoes it into a float64 field,
+with no full-grid axis built (``Grid.half_freqs`` is computed).  Mode
+analysis (:mod:`zapsim.modes`, :mod:`zapsim.shaper`) runs on half spectra
+only: ``_spectrum`` gives a real field's, and ``_real`` refuses any other
+input.  A sum over the full spectrum of a product held in the half layout
+weights every bin but DC and Nyquist twice (``_spectral_sum``).  The full
+layout, all n bins ascending from -Nyquist, serves ``medium.propagate``
+alone; ``_full`` mirrors a half spectrum into it.
 """
 
 from __future__ import annotations
@@ -188,23 +187,16 @@ def make_grid(n: int, dt: float) -> Grid:
     return Grid(int(n), float(dt))
 
 
-def _check_pulse(grid: Grid, fwhm_t: float, detuning: float = 0.0, center_t: float = 0.0) -> None:
+def _check_pulse(grid: Grid, fwhm_t: float, center_t: float = 0.0) -> None:
     """The rules of :func:`gaussian_pulse`, checked without building the pulse."""
     if not (0.0 < fwhm_t < grid.window):
         raise ValueError(f"pulse fwhm {fwhm_t!r} s must lie in (0, window={grid.window} s)")
-    if abs(detuning) >= grid.nyquist:
-        raise ValueError(f"detuning {detuning!r} Hz exceeds the Nyquist limit {grid.nyquist} Hz")
     if not np.isfinite(center_t):
         raise ValueError(f"pulse center {center_t!r} s must be finite")
 
 
-def gaussian_pulse(
-    grid: Grid,
-    fwhm_t: float,
-    center_t: float | None = None,
-    detuning: float = 0.0,
-) -> TemporalField:
-    """Transform-limited Gaussian pulse with unit peak amplitude: real (float64) at zero detuning.
+def gaussian_pulse(grid: Grid, fwhm_t: float, center_t: float | None = None) -> TemporalField:
+    """Transform-limited Gaussian pulse with unit peak amplitude, on resonance: a real (float64) envelope.
 
     Parameters
     ----------
@@ -214,24 +206,21 @@ def gaussian_pulse(
         Peak time, finite; it may lie outside the window.  Defaults to one
         eighth of the window, which leaves most of the window free for the
         causal tail a resonant medium appends.
-    detuning : float, optional
-        Carrier offset in Hz; the spectral peak lands at this detuning.
 
     Raises
     ------
     ValueError
-        If the pulse does not fit the window, the detuning exceeds Nyquist
-        or the center is not finite.
+        If the pulse does not fit the window or the center is not finite.
     """
     if center_t is None:
         center_t = grid.window / 8.0
-    _check_pulse(grid, fwhm_t, detuning, center_t)
+    _check_pulse(grid, fwhm_t, center_t)
     reach = fwhm_t * np.sqrt(-_EXP_UNDERFLOW / (2.0 * LN2)) / grid.dt + 2.0  # samples; exp is 0 beyond, with margin
     lo, hi = (int(np.clip(k, 0, grid.n)) for k in (center_t / grid.dt - reach, center_t / grid.dt + reach + 1.0))
     x = np.arange(lo, hi) * grid.dt - center_t  # grid.t[lo:hi] - center_t
     env = np.exp(-2.0 * LN2 * (x / fwhm_t) ** 2)
-    amp = np.zeros(grid.n, dtype=np.complex128 if detuning != 0.0 else np.float64)
-    amp[lo:hi] = env * np.exp(-2j * np.pi * detuning * x) if detuning != 0.0 else env
+    amp = np.zeros(grid.n)
+    amp[lo:hi] = env
     return TemporalField(grid, amp)
 
 
@@ -258,15 +247,31 @@ def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
     return SpectralField(f.grid, amp)
 
 
+def _real(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
+    """f as mode analysis takes it: a float64 field or a half spectrum as is, a complex128 field with an
+    all-zero imaginary part as float64; any other field raises ValueError."""
+    if isinstance(f, SpectralField):
+        if f.half:
+            return f
+        problem = "a full-layout spectrum"
+    elif not np.iscomplexobj(f.amp):
+        return f
+    elif not np.any(f.amp.imag):
+        return TemporalField(f.grid, np.ascontiguousarray(f.amp.real))
+    else:
+        problem = "a complex envelope with a nonzero imaginary part"
+    raise ValueError(f"mode analysis takes real envelopes (float64, or complex128 with a zero imaginary part) "
+                     f"and their half spectra, got {problem}")
+
+
 def _spectrum(f: TemporalField) -> SpectralField:
-    """f's spectrum in the layout its values allow: the half spectrum when f is real (float64, or
-    complex128 with an all-zero imaginary part), else the full one."""
-    return to_spectrum(f, half=not np.iscomplexobj(f.amp) or not np.any(f.amp.imag))
+    """The half spectrum of a real field f (see :func:`_real`)."""
+    return to_spectrum(_real(f), half=True)
 
 
 def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
-    """F in the full layout, written into ``out`` when given: a half spectrum is mirrored by
-    E(-nu) = conj E(nu), bit-exact and with no transform; the -Nyquist bin is the conjugate of +Nyquist."""
+    """F in the full layout of ``medium.propagate``, written into ``out`` when given: a half spectrum is mirrored
+    by E(-nu) = conj E(nu), bit-exact and with no transform; the -Nyquist bin is the conjugate of +Nyquist."""
     if not F.half:
         return F
     mid = F.grid.n // 2

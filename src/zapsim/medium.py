@@ -4,8 +4,8 @@ The medium multiplies the field spectrum by
 
     H(nu) = exp[ -depth / (1 - i * 2*pi*nu * T2) ]
 
-where ``nu`` is the detuning from the line (the pulse sets its own carrier
-offset), ``depth`` the resonant optical depth (absorption coefficient times
+where ``nu`` is the detuning from the line, on which the pulse is carried,
+``depth`` the resonant optical depth (absorption coefficient times
 path length) and ``T2`` the effective coherence lifetime setting the
 linewidth (Doppler broadening is absorbed into T2).  At exact resonance
 H = exp(-depth), so the complex pulse area of a resonantly carried pulse

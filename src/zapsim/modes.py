@@ -11,10 +11,13 @@ A scan on one lattice tau0 + k*dt is the second sum at integer lags k: a
 correlation over the few samples where the LO is nonzero, with sig advanced
 by tau0's distance from the dt lattice (one inverse transform) when tau0 is
 off it.  Any other delay set is the exact first sum, one delay at a time
-over the support of g = conj(LO) * S.  Each spectrum takes the layout of
-its field (see :mod:`zapsim.fields`): a real signal is advanced by one real
-inverse transform, and g of a real LO and a real signal is Hermitian, so
-the first sum runs over nu >= 0 and is real.
+over the support of g = conj(LO) * S.
+
+The LO and the signal are real envelopes, so every spectrum here is a half
+spectrum (see :mod:`zapsim.fields`): a signal is advanced by one real
+inverse transform, and g is Hermitian, so the first sum runs over nu >= 0
+and is real.  A complex field with a nonzero imaginary part, or a spectrum
+in the full layout that serves ``propagate``, raises ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, _full, _norm, _spectrum, normalize, pulse_energy, to_time
+from .fields import SpectralField, TemporalField, _norm, _real, _spectrum, normalize, pulse_energy, to_time
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -102,36 +105,32 @@ def overlap(a: TemporalField, b: TemporalField) -> complex:
 
 
 def delay_field(f: TemporalField | SpectralField, tau: float) -> TemporalField:
-    """Shift an envelope, given in either domain, later in time by tau seconds (circular, off-grid
-    exact), by one inverse transform of its spectrum times exp(2*pi*i*nu*tau); a real f stays real."""
-    F = f if isinstance(f, SpectralField) else _spectrum(f)
-    shifted = _phasors(F.freqs[0], F.grid.df, F.amp.size, -tau)
+    """Shift a real envelope, or its half spectrum, later in time by tau seconds (circular, off-grid
+    exact), by one real inverse transform of its spectrum times exp(2*pi*i*nu*tau)."""
+    F = _real(f) if isinstance(f, SpectralField) else _spectrum(f)
+    shifted = _phasors(0.0, F.grid.df, F.amp.size, -tau)
     shifted *= F.amp
-    return to_time(SpectralField(F.grid, shifted, half=F.half))
+    return to_time(SpectralField(F.grid, shifted, half=True))
 
 
 def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> SpectralField:
-    """g = conj(LO) * S as a fresh spectrum, held as a half spectrum when both factors are; a half
-    factor that meets a full one is mirrored into the full layout."""
+    """g = conj(LO) * S of two half spectra, as a fresh half spectrum."""
     if lo_spec.grid != sig_spec.grid:
         raise ValueError("delay scan requires both spectra on the same grid")
-    if lo_spec.half != sig_spec.half:
-        lo_spec, sig_spec = _full(lo_spec), _full(sig_spec)
-    g = np.conj(lo_spec.amp)
-    g *= sig_spec.amp
-    return SpectralField(lo_spec.grid, g, half=lo_spec.half)
+    g = np.conj(_real(lo_spec).amp)
+    g *= _real(sig_spec).amp
+    return SpectralField(lo_spec.grid, g, half=True)
 
 
 def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """The terms of a sum of g over the full spectrum and their abscissae, cut to the span where |g|
-    reaches _SUPPORT_CUTOFF of its peak (all of a zero g).  The terms are a copy; on a half spectrum each
-    bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``)."""
+    reaches _SUPPORT_CUTOFF of its peak (all of a zero g).  The terms are a copy of the half spectrum g:
+    each bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``)."""
     mag = np.abs(g.amp)
     idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
     lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
     terms = g.amp[lo_i:hi_i].copy()
-    if g.half:
-        terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.amp.size)] *= 2.0
+    terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.amp.size)] *= 2.0
     return terms, g.freqs[lo_i:hi_i]
 
 
@@ -146,9 +145,10 @@ def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
 
 
 def _time_support(f: TemporalField) -> tuple[np.ndarray, int]:
-    """A copy of f over its circular support, the shortest run of samples (it may wrap the
-    window edge) outside which |f| is below _SUPPORT_CUTOFF of its peak, and the index of
+    """A copy of the real field f over its circular support, the shortest run of samples (it may wrap
+    the window edge) outside which |f| is below _SUPPORT_CUTOFF of its peak, and the index of
     the run's first sample: all a delay scan keeps of its LO.  A zero f keeps every sample."""
+    f = _real(f)
     mag = np.abs(f.amp)
     idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
     gaps = np.diff(idx, append=idx[0] + f.grid.n)  # the last gap wraps the edge
@@ -170,14 +170,14 @@ def delay_overlaps(
     for a unit-energy signal the result at tau = 0 is the plain overlap.
     Delays on one lattice tau0 + k*dt are correlated in time over the LO's
     support; any other delay set is one support-length spectral sum per
-    delay.  The LO and signal spectra are built only where needed: a caller
-    that holds them passes them as ``lo_spec`` and ``sig_spec``, in either
-    layout.  The sums run over nu >= 0 when both spectra are half spectra.
-    A real (float64) LO and signal give real overlaps on either path.
+    delay.  The LO and signal half spectra are built only where needed: a
+    caller that holds them passes them as ``lo_spec`` and ``sig_spec``.  The
+    overlaps are real (float64) on either path.
     """
+    sig = _real(sig)
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not delays.size:
-        return np.zeros(0, dtype=np.complex128)
+        return np.zeros(0)
     grid = sig.grid
     lo, first = lo_support
     offset = delays[0] - np.rint(delays[0] / grid.dt) * grid.dt
@@ -196,13 +196,13 @@ def delay_overlaps(
         # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
         return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
     if lo_spec is None:
-        full = np.zeros(grid.n, dtype=lo.dtype)
-        full[np.arange(first, first + lo.size) % grid.n] = lo
-        lo_spec = _spectrum(TemporalField(grid, full))
+        amp = np.zeros(grid.n)
+        amp[np.arange(first, first + lo.size) % grid.n] = lo
+        lo_spec = _spectrum(TemporalField(grid, amp))
     g = _spectral_product(lo_spec, _spectrum(sig) if sig_spec is None else sig_spec)
     terms, freqs = _support(g)
     sums = np.array([(terms * _phasors(freqs[0], grid.df, terms.size, tau)).sum() for tau in delays])
-    return grid.df * (sums.real if g.half else sums)  # a Hermitian g sums to a real A, as a real correlation does
+    return grid.df * sums.real  # a Hermitian g sums to a real A, as a real correlation does
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -279,9 +279,9 @@ def eta_curve(
     if input_field.grid != lo.grid:
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
-    mode_in = normalize(input_field)
-    out = transmit(_spectrum(mode_in), m)
-    overlaps = delay_overlaps(_time_support(normalize(lo)), out.field, delays, sig_spec=out.spectrum)
+    lo_support = _time_support(normalize(lo))
+    out = transmit(_spectrum(normalize(input_field)), m)
+    overlaps = delay_overlaps(lo_support, out.field, delays, sig_spec=out.spectrum)
     overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 

@@ -133,8 +133,8 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 
 def _input_lo(cfg: ScenarioConfig):
-    """The unit-energy input pulse's spectrum, half when the pulse is real, and its
-    :func:`_time_support`, the LO of the delay scans; the full pulse is not kept through the medium loop."""
+    """The unit-energy input pulse's half spectrum and its :func:`_time_support`, the LO of the delay
+    scans; the full pulse is not kept through the medium loop."""
     pulse = normalize(cfg.make_pulse(cfg.make_grid()))
     return _spectrum(pulse), _time_support(pulse)
 

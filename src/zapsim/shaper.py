@@ -8,21 +8,21 @@ In the time domain the convolution is a multiplicative Gaussian window of
 FWHM 4*ln2/(pi*dnu), a few picoseconds at the default resolution, centered
 on the pulse; structure spreading beyond that window is unreachable by the
 shaped local oscillator.  An optional pixel width adds a box average of the
-spectrum before the resolution smoothing.
+spectrum before the resolution smoothing, one pixel wide and centred on each
+bin, as a pixelated mask is centred on each pixel (A. M. Weiner, Rev. Sci.
+Instrum. 71, 1929 (2000)).
 
 The shaper reference frame travels with the pulse, so the window is centered
 on the target's peak.  Global delay and phase of the local oscillator are
 free experimental parameters and are optimized away before any efficiency is
 reported.
 
-At zero carrier detuning the input pulse is real, and so are the transmitted
-field and every LO shaped from it without a pixel box: their spectra are
-Hermitian, and the transmission, the LO shaping and the best-delay searches
-run on the nu >= 0 half spectra (n/2 + 1 bins), each LO from one real
-inverse FFT and its spectrum from one real FFT.  A pixel box (an even-width
-box is not symmetric about each bin) averages the mirrored full spectrum and
-gives a complex LO, searched in the full layout; a detuned pulse gives full
-spectra throughout.  Each spectrum takes the layout of its field.
+The resonant input pulse is real, and so are the transmitted field and
+every LO shaped from it: a centred box keeps a spectrum Hermitian.  So the
+transmission, the LO shaping and the best-delay searches all run on nu >= 0
+half spectra (n/2 + 1 bins), each LO from one real inverse FFT and its
+spectrum from one real FFT.  A complex input raises ValueError
+(``fields._real``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .fields import (
     _EXP_UNDERFLOW,
     LN2,
-    _full,
+    _real,
     _spectral_sum,
     _spectrum,
     Grid,
@@ -118,49 +118,55 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float):
 
 
 def _box_average(x: np.ndarray, size: int) -> np.ndarray:
-    """Circular mean over bins i - size//2 ... i - size//2 + size - 1 (uniform_filter1d, mode="wrap")."""
+    """Circular mean of a Hermitian spectrum, given and returned as its nu >= 0 half x, over a box size * df
+    wide centred on each bin: bins i - size//2 ... i + size//2, the end bins of an even size at half weight,
+    each bin q read as x[q mod n] or, past Nyquist, as conj(x[n - q mod n]).  The result is Hermitian."""
     if size == 1:
         return x
-    sums = np.cumsum(np.take(x, np.arange(-(size // 2) - 1, x.size + size - size // 2 - 1), mode="wrap"))
-    return (sums[size:] - sums[: x.size]) / size
+    n, reach = 2 * (x.size - 1), size // 2
+    q = np.arange(-reach - 1, x.size + reach) % n
+    ext = x[np.minimum(q, n - q)]
+    np.conj(ext, out=ext, where=q > n // 2)
+    sums = np.cumsum(ext)
+    out = sums[2 * reach + 1 :] - sums[: x.size]
+    if size % 2 == 0:
+        out -= 0.5 * (ext[1 : x.size + 1] + ext[2 * reach + 1 :])
+    out /= size
+    return out
 
 
 def achievable_lo(
     target: TemporalField, cfg: ShaperConfig, spectrum: SpectralField | None = None
 ) -> TemporalField:
-    """Closest mode to ``target`` the shaper can actually produce.
+    """Closest mode to the real envelope ``target`` the shaper can actually produce.
 
     The target spectrum is aperture-limited, pixel-averaged when a pixel
     width is configured, smoothed by the resolution kernel, and renormalized.
     With ideal resolution (kernel much narrower than the grid spacing) the
     target is returned unchanged up to normalization.  A caller that already
-    holds the target's unit-energy spectrum passes it as ``spectrum`` to save
-    a transform; the target may then have any energy, since the result is
-    renormalized and its peak, which centers the window, does not move.  A
-    half spectrum (a real target) gives a real LO from one real inverse FFT,
-    unless a pixel box, not symmetric about each bin when its width is even,
-    is applied to its full-layout mirror and gives a complex LO.
+    holds the target's unit-energy half spectrum passes it as ``spectrum`` to
+    save a transform; the target may then have any energy, since the result
+    is renormalized and its peak, which centers the window, does not move.
+    The LO is real, from one real inverse FFT of the shaped half spectrum.
     """
-    _check_normalized(target if spectrum is None else spectrum, "shaper target")
+    target = _real(target)
+    _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
     grid = target.grid
     k_peak = int(np.argmax(np.abs(target.amp)))
     amp = target.amp
 
     if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
         source = _spectrum(target) if spectrum is None else spectrum
-        if cfg.pixel_width_hz is not None:
-            source = _full(source)
         spec = source.amp.copy() if cfg.span_hz is None else np.zeros_like(source.amp)
-        if cfg.span_hz is not None:  # keep the ascending bins with |nu| <= span / 2
-            edge = 0.5 * cfg.span_hz
-            inside = slice(np.searchsorted(source.freqs, -edge), np.searchsorted(source.freqs, edge, side="right"))
+        if cfg.span_hz is not None:  # keep the bins with nu <= span / 2
+            inside = slice(0, np.searchsorted(source.freqs, 0.5 * cfg.span_hz, side="right"))
             spec[inside] = source.amp[inside]
         if cfg.pixel_width_hz is not None:
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
             if size > grid.n:
                 raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
             spec = _box_average(spec, size)
-        amp = to_time(SpectralField(grid, spec, half=source.half)).amp
+        amp = to_time(SpectralField(grid, spec, half=True)).amp
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     windowed = amp[keep] * window
@@ -187,32 +193,28 @@ _SKIP_SLACK = 1e-9
 
 
 def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
-    """The overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2, from
-    one half-length transform.  With g in ascending frequency order, nu_j = (j - n/2) * df, the sum at
-    k*dt is df * fft(g)[k] * (-1)^k, and fft(g)[2m] = fft(g[:n/2] + g[n/2:])[m].  A half spectrum g holds
-    the bins nu_q = q * df, q = 0 .. n/2, of a Hermitian product: the even-lag phasors repeat every n/2
-    bins, so A is the real transform of length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4,
-    taken conjugate to turn irfft's kernel into exp(-2*pi*i*nu*tau)."""
+    """The real overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2,
+    from one half-length transform.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
+    of a Hermitian product: the even-lag phasors repeat every n/2 bins, so A is the real transform of
+    length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken conjugate to turn irfft's
+    kernel into exp(-2*pi*i*nu*tau)."""
     mid = g.grid.n // 2
-    if g.half:
-        folded = np.conj(g.amp[: mid // 2 + 1])
-        folded += g.amp[mid - mid // 2 :][::-1]
-        out = np.fft.irfft(folded, mid)
-        out *= g.grid.df * mid
-        return out
-    out = np.fft.fft(g.amp[:mid] + g.amp[mid:])
-    out *= g.grid.df
+    folded = np.conj(g.amp[: mid // 2 + 1])
+    folded += g.amp[mid - mid // 2 :][::-1]
+    out = np.fft.irfft(folded, mid)
+    out *= g.grid.df * mid
     return out
 
 
 def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     """max over delay of |<lo(tau)|sig>|^2, refined to machine precision.
 
-    With g = conj(LO) * S, f(tau) = |A(tau)|^2, A = df * sum g * exp(-2*pi*i*nu*tau).
+    With g = conj(LO) * S, f(tau) = A(tau)^2, A = df * sum g * exp(-2*pi*i*nu*tau),
+    real because both spectra are half spectra of real fields and g is Hermitian.
     The coarse search samples f at the even lags 2m*dt within +-window/4,
     all from one half-length transform (:func:`_even_lag_overlaps`).
     On the support of g, |f''| <= 2*(2*pi)^2*(M1^2 + M0*M2) with
-    Mk = df * sum |g| * |nu - nu_c|^k about the centroid nu_c of |g|, so the
+    Mk = df * sum |g| * |nu|^k (|g| is even, so its centroid is nu = 0), so the
     sample nearest the true maximum, at most dt from it, falls short of it by
     at most L = (2*pi*dt)^2 * (M1^2 + M0*M2).  Newton steps on f, each kept
     within 2*dt of its start, refine from every sample within L of the best
@@ -222,12 +224,11 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
     reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
     threads and nearly doubles the CPU time of a depth scan for no gain in
-    wall time.  When g is a half spectrum (both factors are) A is real: the
-    sums run over nu >= 0, every bin but DC and Nyquist weighted 2
-    (:func:`_support`), and take real parts, and |g| is even, so nu_c = 0.
+    wall time.  The sums run over nu >= 0, every bin but DC and Nyquist
+    weighted 2 (:func:`_support`), and take real parts.
     """
     product = _spectral_product(lo_spec, sig_spec)
-    grid, half = product.grid, product.half
+    grid = product.grid
     mid, eighth = grid.n // 2, grid.n // 8
     coarse = np.abs(_even_lag_overlaps(product)) ** 2
     coarse[eighth + 1 : mid - eighth] = -1.0  # keep the lags |2m| <= n/4
@@ -240,7 +241,7 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     m0 = mag.sum()
     if m0 == 0.0:  # disjoint spectra: every overlap is 0
         return best
-    dev = np.abs(freqs - (0.0 if half else (mag * freqs).sum() / m0))
+    dev = np.abs(freqs)
     mag *= dev
     m1 = mag.sum()
     mag *= dev
@@ -254,18 +255,16 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
         x = 0.0  # offset from the start, kept within two time steps
         for _ in range(8):  # at the default scenario Newton stops within 4 steps
             h = g * _phasors(freqs[0], grid.df, g.size, start + x)
-            a = h.sum()
+            a = h.sum().real
             h *= phase
-            a1 = h.sum()
+            a1 = h.sum().real
             h *= phase
-            a2 = h.sum()
-            if half:
-                a, a1, a2 = a.real, a1.real, a2.real
-            best = max(best, float(abs(a) ** 2))
-            half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
+            a2 = h.sum().real
+            best = max(best, float(a**2))
+            half_d2 = a1**2 + a * a2
             new = x
             if half_d2 < 0.0:
-                new = min(max(x - (np.conj(a) * a1).real / half_d2, -2.0 * grid.dt), 2.0 * grid.dt)
+                new = min(max(x - a * a1 / half_d2, -2.0 * grid.dt), 2.0 * grid.dt)
             if abs(new - x) <= 1e-9 * grid.dt:
                 break
             x = new
@@ -275,9 +274,8 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 def _shaped_input(
     mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig
 ) -> tuple[SpectralField, SpectralField, float]:
-    """The input LO u's spectrum ``lo_in``, the spectrum of the shaped input LO s = achievable_lo(u),
-    each in the layout of its field, and their distance min over phi of ||u - exp(i*phi)*s||
-    = sqrt(2 - 2*|<u|s>|)."""
+    """The input LO u's half spectrum ``lo_in``, that of the shaped input LO s = achievable_lo(u), and
+    their distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
     shaped = _spectrum(achievable_lo(mode_in, cfg, lo_in))
     g = _spectral_product(lo_in, shaped)
     inner = abs(lo_in.grid.df * _spectral_sum(g, g.amp))
@@ -302,8 +300,6 @@ def _efficiencies(
     mode = out.mode
     p_in = _best_projection(lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
-    if cfg.pixel_width_hz is not None:  # both shaped LOs are full spectra: mirror the mode for them once
-        mode = _full(mode)
     best = _best_projection(_spectrum(achievable_lo(out.field, cfg, mode)), mode)
     if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
         best = max(best, _best_projection(spectrum, mode))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
+from scipy.optimize import minimize_scalar
 
-from zapsim import gaussian_pulse, make_grid, normalize, to_spectrum
+from zapsim import SpectralField, TemporalField, gaussian_pulse, make_grid, normalize, to_spectrum, to_time
+from zapsim.fields import _full
+from zapsim.shaper import _resolution_window
 
 DEFAULT_N = 2**19
 DEFAULT_DT = 10e-15
@@ -51,6 +55,98 @@ def mid_mode(mid_pulse):
 def random_field(grid, seed, offset=0.0):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n) + offset
-    from zapsim import TemporalField
-
     return TemporalField(grid, amp)
+
+
+def lattice_overlaps(g, grid):
+    """Overlaps at k*dt for every k, stored at index k mod n.  With g in ascending
+    frequency order, nu_j = (j - n/2) * df, the sum over nu at k*dt is fft(g)[k] * (-1)^k."""
+    out = np.fft.fft(g)
+    out *= grid.df
+    out[1::2] *= -1.0
+    return out
+
+
+def full_product(lo_spec, sig_spec):
+    """conj(LO) * S over all n bins of the full layout, the half spectra mirrored first."""
+    return np.conj(_full(lo_spec).amp) * _full(sig_spec).amp
+
+
+def brent_projection(lo_spec, sig_spec):
+    """Oracle for max over delay of |<lo(tau)|sig>|^2: bounded Brent on the direct sum over the full
+    spectrum, within two time steps of every local maximum of the dt-lattice overlaps within
+    +-window/4 that reaches half the largest (as far as ``_best_projection`` refines its starts)."""
+    grid = lo_spec.grid
+    g = full_product(lo_spec, sig_spec)
+    corr = np.abs(lattice_overlaps(g, grid)) ** 2
+    quarter = grid.n // 4
+    corr[quarter + 1 : grid.n - quarter] = -1.0
+    peaks = (corr >= np.roll(corr, 1)) & (corr >= np.roll(corr, -1)) & (corr >= 0.5 * corr.max())
+    mag = np.abs(g)
+    idx = np.nonzero(mag >= 1e-20 * mag.max())[0]
+    keep = slice(idx[0], idx[-1] + 1)
+    g, freqs = g[keep], grid.freqs[keep]
+
+    def overlap_and_derivatives(t):
+        h = grid.df * g * np.exp(-2j * np.pi * freqs * t)
+        return h.sum(), (h * (-2j * np.pi * freqs)).sum(), (h * (-2j * np.pi * freqs) ** 2).sum()
+
+    best = corr.max()
+    for k in np.nonzero(peaks)[0]:
+        tau = (k if k <= quarter else k - grid.n) * grid.dt
+        bounds = (tau - 2.0 * grid.dt, tau + 2.0 * grid.dt)
+        t = minimize_scalar(lambda t: -abs(overlap_and_derivatives(t)[0]) ** 2, bounds=bounds, method="bounded",
+                            options={"xatol": 1e-18}).x
+        for _ in range(3):  # Newton steps on |A|^2, kept within the bounds, polish Brent's abscissa
+            a, a1, a2 = overlap_and_derivatives(t)
+            best = max(best, abs(a) ** 2)
+            half_d2 = abs(a1) ** 2 + (np.conj(a) * a2).real
+            if not half_d2 < 0.0:
+                break
+            t = min(max(t - (np.conj(a) * a1).real / half_d2, bounds[0]), bounds[1])
+        best = max(best, abs(overlap_and_derivatives(t)[0]) ** 2)
+    return best
+
+
+def direct_overlaps(lo_spec, sig_spec, delays):
+    """<lo(tau)|sig> = df * sum_nu conj(LO) * S * exp(-2*pi*i*nu*tau) over the full spectrum, one delay at a time."""
+    grid = lo_spec.grid
+    g = full_product(lo_spec, sig_spec)
+    return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in delays])
+
+
+def time_overlaps(lo, sig_spec, delays):
+    """<lo(tau)|sig> = dt * sum_u conj(lo(u)) * sig(u + tau) over the whole window, for delays on one lattice
+    tau0 + k*dt: the signal is advanced by tau0's distance from the dt lattice through its full spectrum."""
+    grid = lo.grid
+    offset = delays[0] - np.rint(delays[0] / grid.dt) * grid.dt
+    sig = to_time(SpectralField(grid, _full(sig_spec).amp * np.exp(-2j * np.pi * grid.freqs * offset))).amp
+    lags = np.rint((delays - offset) / grid.dt).astype(int)
+    return np.array([grid.dt * np.sum(np.conj(lo.amp) * np.roll(sig, -k)) for k in lags])
+
+
+def centred_box(full, size):
+    """The oracle of ``_box_average``: the mean over size + 1 bins with half-weight ends (size bins for an
+    odd size) centred on each bin, of a spectrum in the full layout, circular."""
+    weights = np.ones(size + 1 - size % 2)
+    if size % 2 == 0:
+        weights[[0, -1]] = 0.5
+    weights /= size
+    return correlate1d(full.real, weights, mode="wrap") + 1j * correlate1d(full.imag, weights, mode="wrap")
+
+
+def full_layout_lo(target, cfg):
+    """``achievable_lo`` with every spectrum in the full layout: the target's full spectrum cut to
+    |nu| <= span / 2, box-averaged by :func:`centred_box`, back to time by the complex inverse
+    transform, windowed and normalized.  A complex field: its imaginary part is round-off."""
+    grid = target.grid
+    spec = to_spectrum(target).amp
+    if cfg.span_hz is not None:
+        spec = np.where(np.abs(grid.freqs) <= 0.5 * cfg.span_hz, spec, 0.0)
+    if cfg.pixel_width_hz is not None:
+        spec = centred_box(spec, max(1, int(round(cfg.pixel_width_hz / grid.df))))
+    amp = to_time(SpectralField(grid, spec)).amp
+    keep, window = _resolution_window(grid, int(np.argmax(np.abs(target.amp))), cfg.resolution_fwhm_hz)
+    lo = np.zeros(grid.n, dtype=complex)
+    lo[keep] = amp[keep] * window
+    return TemporalField(grid, lo / np.sqrt(grid.dt * np.sum(np.abs(lo) ** 2)))

@@ -164,7 +164,7 @@ def test_criterion_3_negligible_absorption_strong_reshaping(setup):
     den, _ = quad(weight, -6 * dnu, 6 * dnu, limit=200, epsabs=0.0, epsrel=1e-12)
     assert t_e == pytest.approx(num / den, rel=1e-6)
 
-    sig = to_time(propagate(spec, params))
+    sig = to_time(propagate(to_spectrum(mode, half=True), params))  # a real field, as mode analysis takes
     delays = np.arange(-0.2e-12, 4.0001e-12, 10e-15)
     curve = visibility_curve(sig, pulse, delays)
     lobes, nulls = lobe_structure(curve.xs, curve.ys)

@@ -103,19 +103,6 @@ class TestVerbs:
         assert float(shaped) >= float(unshaped) - 1e-12
         assert 0.0 <= float(trans) <= 1.0
 
-    @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
-    def test_detuned_depth_scan_searches_full_spectra(self, tmp_path):
-        # a detuned carrier has no Hermitian spectrum, so the shaper searches keep the complex path
-        out = tmp_path / "out"
-        assert main(["depth-scan", "--out", str(out), "--set", "grid.n=16384", "--set", "pulse.detuning_ghz=2000"]) == 0
-        rows = [
-            l.split(",")
-            for l in (out / "efficiency_vs_depth.csv").read_text().splitlines()
-            if l and not l.startswith("#")
-        ][1:]
-        assert len(rows) == 5
-        assert all(float(r[4]) >= float(r[3]) for r in rows)
-
     def test_wigner_summary(self, scenario, tmp_path):
         out = tmp_path / "out"
         assert run(scenario, out, "wigner", "--set", "wigner.eta=0.62") == 0
@@ -217,8 +204,15 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "--from-samples" in capsys.readouterr().out
 
-    def test_unknown_key_is_one(self, scenario, tmp_path):
+    def test_unknown_key_is_one(self, scenario, tmp_path, capsys):
         assert run(scenario, tmp_path / "out", "xcorr", "--set", "nope.nope=1") == 1
+        # a key that has been removed is unknown: the pulse is resonant, with no carrier detuning to set
+        config = tmp_path / "detuned.cfg"
+        config.write_text(scenario.read_text(encoding="utf-8") + "pulse.detuning_ghz = 0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(config, tmp_path / "out", "xcorr") == 1
+        assert "unknown key 'pulse.detuning_ghz'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_override_error_names_the_override(self, tmp_path, capsys):
         # an override has no file line: the error quotes it, not "line 2"

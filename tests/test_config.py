@@ -98,7 +98,6 @@ class TestValidation:
         [
             "grid.dt_fs",
             "pulse.fwhm_fs",
-            "pulse.detuning_ghz",
             "medium.depth",
             "medium.t2_ps",
             "shaper.resolution_nm",
@@ -180,7 +179,6 @@ REJECTED = [
     (["grid.n=1000"], "grid.n"),
     (["grid.dt_fs=0"], "grid.dt_fs"),
     (["pulse.fwhm_fs=0"], "pulse.fwhm_fs"),
-    (["pulse.detuning_ghz=60000"], "pulse.detuning_ghz"),
     (["medium.depth=30"], "medium.depth"),
     (["medium.t2_ps=5"], "medium.depth"),
     (["medium.depth=-1", "medium.t2_ps=5"], "medium.depth"),

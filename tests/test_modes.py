@@ -21,9 +21,10 @@ from zapsim import (
 )
 
 from zapsim import ShaperConfig, achievable_lo
+from zapsim import max_shaped_eta, max_unshaped_eta
 from zapsim.modes import _phasors, _time_support, delay_overlaps
 
-from conftest import random_field
+from conftest import direct_overlaps, random_field
 
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
@@ -33,7 +34,7 @@ PRESET3 = MediumParams(depth=440.0, t2=270e-12)
 def lobed_signal(mid_grid, mid_pulse):
     """Strongly reshaped transmitted field (mid grid keeps this quick)."""
     with pytest.warns(Warning):
-        spec = propagate(to_spectrum(normalize(mid_pulse)), PRESET3)
+        spec = propagate(to_spectrum(normalize(mid_pulse), half=True), PRESET3)
     return to_time(spec)
 
 
@@ -130,13 +131,11 @@ class TestDelayField:
         return to_time(SpectralField(F.grid, F.amp * np.exp(2j * np.pi * F.grid.freqs * tau))).amp
 
     @pytest.mark.parametrize("tau_steps", [37.0, -250.0, 37.3, -250.71, 0.5])
-    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real", "complex"])
-    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps, detuning):
-        # on- and off-lattice delays, a real field on its half spectrum and a complex one on the full spectrum
-        f = mid_mode if detuning == 0.0 else normalize(gaussian_pulse(mid_grid, 100e-15, detuning=detuning))
+    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps):
+        # on- and off-lattice delays, on the half spectrum
         tau = tau_steps * mid_grid.dt
-        want = self.full_grid_shift(f, tau)
-        got = delay_field(f, tau).amp
+        want = self.full_grid_shift(mid_mode, tau)
+        got = delay_field(mid_mode, tau).amp
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("tau_steps", [37.0, 37.3])
@@ -312,19 +311,18 @@ class TestScanPaths:
     def fields(self):
         # 164 ps window, 1 ps line lifetime: reshaped yet quick to sum directly
         pulse = normalize(gaussian_pulse(make_grid(2**14, 10e-15), 100e-15))
-        sig = normalize(to_time(propagate(to_spectrum(pulse), MediumParams(depth=30.0, t2=1e-12))))
+        sig = normalize(to_time(propagate(to_spectrum(pulse, half=True), MediumParams(depth=30.0, t2=1e-12))))
         return pulse, sig
 
     @pytest.fixture(scope="class")
     def spectra(self, fields):
         pulse, sig = fields
-        return to_spectrum(pulse), to_spectrum(sig)
+        return to_spectrum(pulse, half=True), to_spectrum(sig, half=True)
 
     @staticmethod
-    def direct_sum(lo_spec, sig_spec, delays):
-        grid = lo_spec.grid
-        g = np.conj(lo_spec.amp) * sig_spec.amp
-        return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in delays])
+    def direct_sum(lo, sig, delays):
+        """The direct sum over the full spectra of two fields."""
+        return direct_overlaps(to_spectrum(lo), to_spectrum(sig), delays)
 
     @pytest.mark.parametrize(
         "delays, on_lattice",
@@ -342,27 +340,24 @@ class TestScanPaths:
         lo_spec, sig_spec = spectra
         steps = (delays - delays[0]) / lo_spec.grid.dt
         assert (np.max(np.abs(steps - np.rint(steps))) < 1e-10) == on_lattice
-        want = self.direct_sum(lo_spec, sig_spec, delays)
         pulse, sig = fields
+        want = self.direct_sum(pulse, sig, delays)
         got = delay_overlaps(_time_support(pulse), sig, delays, lo_spec, sig_spec)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", sorted(LATTICE_DELAYS))
-    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "complex-lo"])
-    def test_time_correlation_matches_direct_sum(self, fields, name, detuning):
+    def test_time_correlation_matches_direct_sum(self, fields, spectra, name):
         pulse, sig = fields
-        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
         delays = LATTICE_DELAYS[name]
-        want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
-        got = delay_overlaps(_time_support(lo), sig, delays)
+        want = self.direct_sum(pulse, sig, delays)
+        got = delay_overlaps(_time_support(pulse), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        spectra = to_spectrum(lo), to_spectrum(sig)
-        assert np.array_equal(delay_overlaps(_time_support(lo), sig, delays, *spectra), got)
+        assert np.array_equal(delay_overlaps(_time_support(pulse), sig, delays, *spectra), got)
 
-    def test_off_lattice_start_matches_direct_sum(self, fields, spectra):
+    def test_off_lattice_start_matches_direct_sum(self, fields):
         pulse, sig = fields
         delays = np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151)
-        want = self.direct_sum(*spectra, delays)
+        want = self.direct_sum(pulse, sig, delays)
         got = delay_overlaps(_time_support(pulse), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -371,28 +366,21 @@ class TestScanPaths:
         [np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), np.linspace(-1e-12, 8e-12, 400)],
         ids=["off-lattice-start", "off-lattice-step"],
     )
-    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "complex-lo"])
-    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays, detuning):
-        # a real signal's half spectrum; a complex LO makes g non-Hermitian, so the full spectra are summed
+    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays):
+        # the signal's half spectrum given, the LO's built from its support
         pulse, sig = fields
-        real = TemporalField(sig.grid, sig.amp.real)
-        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
-        want = self.direct_sum(to_spectrum(lo), to_spectrum(real), delays)
-        got = delay_overlaps(_time_support(lo), real, delays, sig_spec=to_spectrum(real, half=True))
+        want = self.direct_sum(pulse, sig, delays)
+        got = delay_overlaps(_time_support(pulse), sig, delays, sig_spec=to_spectrum(sig, half=True))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("detuning", [0.0, 2e12], ids=["real-lo", "detuned-lo"])
-    def test_both_paths_give_one_dtype(self, fields, detuning):
-        # one delay off the lattice sends the whole set to the spectral sum: a real LO and a real signal give
-        # real overlaps on both paths, a detuned LO complex ones
+    def test_both_paths_give_one_dtype(self, fields):
+        # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths
         pulse, sig = fields
-        real = TemporalField(sig.grid, sig.amp.real)
-        lo = normalize(gaussian_pulse(pulse.grid, 100e-15, detuning=detuning))
         lattice = LATTICE_DELAYS["linspace"]
         off = np.append(lattice, lattice[-1] + 3.3e-15)
-        on_lattice = delay_overlaps(_time_support(lo), real, lattice)
-        summed = delay_overlaps(_time_support(lo), real, off)
-        assert on_lattice.dtype == summed.dtype == (np.float64 if detuning == 0.0 else np.complex128)
+        on_lattice = delay_overlaps(_time_support(pulse), sig, lattice)
+        summed = delay_overlaps(_time_support(pulse), sig, off)
+        assert on_lattice.dtype == summed.dtype == np.float64
         assert np.max(np.abs(summed[:-1] - on_lattice)) <= 1e-12 * np.max(np.abs(on_lattice))
 
     @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
@@ -405,7 +393,7 @@ class TestScanPaths:
             # the pulse peaks at sample n/8; rolled to sample 0 it wraps the window edge
             lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
             delays = delays + pulse.grid.window / 8
-        want = self.direct_sum(to_spectrum(lo), to_spectrum(sig), delays)
+        want = self.direct_sum(lo, sig, delays)
         got = delay_overlaps(_time_support(lo), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -429,3 +417,34 @@ class TestScanPaths:
         df = freqs[1] - freqs[0]
         got = _phasors(band[0], df, band.size, tau)
         assert np.max(np.abs(got - np.exp(-2j * np.pi * band * tau))) <= tol
+
+
+# every entry point of mode analysis, called with the complex field f in one role and the real field r in the others
+REAL_ONLY = {
+    "delay_field": lambda f, r, delays: delay_field(f, delays[1]),
+    "visibility_curve-signal": lambda f, r, delays: visibility_curve(f, r, delays),
+    "visibility_curve-lo": lambda f, r, delays: visibility_curve(r, f, delays),
+    "eta_curve-input": lambda f, r, delays: eta_curve(f, PRESET3, r, 0.62, delays),
+    "eta_curve-lo": lambda f, r, delays: eta_curve(r, PRESET3, f, 0.62, delays),
+    "achievable_lo": lambda f, r, delays: achievable_lo(f, ShaperConfig()),
+    "max_shaped_eta": lambda f, r, delays: max_shaped_eta(f, PRESET3, ShaperConfig(), 0.62),
+    "max_unshaped_eta": lambda f, r, delays: max_unshaped_eta(f, PRESET3, 0.62),
+}
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize("offset", [0.0, 3.3e-15], ids=["on-lattice", "off-lattice"])
+@pytest.mark.parametrize("call", sorted(REAL_ONLY))
+def test_complex_fields_are_refused(small_grid, call, offset):
+    # a unit-energy field whose imaginary part is nonzero: a constant phase, so no other check objects
+    real = normalize(gaussian_pulse(small_grid, 100e-15))
+    rotated = TemporalField(small_grid, real.amp * np.exp(0.3j))
+    delays = np.arange(-20, 60) * 20e-15 + offset
+    with pytest.raises(ValueError, match="real envelopes"):
+        REAL_ONLY[call](rotated, real, delays)
+
+
+def test_full_layout_spectra_are_refused(small_grid):
+    spec = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15)))
+    with pytest.raises(ValueError, match="full-layout spectrum"):
+        delay_field(spec, 3.3e-15)

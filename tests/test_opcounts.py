@@ -9,7 +9,9 @@ the n-point grid, so a half-length transform counts as less than half of a
 full one, and a real transform (rfft, irfft) as half a complex one of its
 length; an exponential counts as its size in full grids.  The peak memory
 of one transmission and of one transform each way is measured in full-grid
-complex arrays, and the real path is checked to build no full-grid axis.
+complex arrays, the real path is checked to build no full-grid axis, and
+the in-place product of a transmission is checked to round alike at every
+alignment of its operands.
 """
 
 import tracemalloc
@@ -27,6 +29,7 @@ from zapsim import (
     eta_curve,
     gaussian_pulse,
     make_grid,
+    temperature_presets,
     to_spectrum,
     to_time,
     transfer_function,
@@ -45,11 +48,9 @@ pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 # best-delay searches
 FFT_BUDGET = {"propagate": 1, "xcorr": 0.5, "eta-scan": 0.5, "depth-scan": 2.0}
 
-# a pixel box makes only its LOs complex: the transmission stays on half spectra.  depth-scan then measures
-# 3.66 per medium: the transmission's irfft, the own-mode LO's complex inverse and forward FFTs, one
-# half-length irfft and two half-length complex FFTs for the three best-delay searches; a transmission on
-# full spectra measured 4.39
-PIXEL_FFT_BUDGET = 3.7
+# a centred pixel box keeps every LO real: depth-scan measures 2.20 per medium, the default's 1.96 and one more
+# half-length irfft, as the shaped input LO is searched too
+PIXEL_FFT_BUDGET = 2.2
 
 GRID_N = 16384
 
@@ -161,9 +162,8 @@ def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
     five = _run_counted(monkeypatch, tmp_path, "depth-scan", "all", f"shaper.pixel_nm={pixel_nm}")
     one = _run_counted(monkeypatch, tmp_path, "depth-scan", "1", f"shaper.pixel_nm={pixel_nm}")
     assert (five["fft"] - one["fft"]) / 4 <= PIXEL_FFT_BUDGET
-    # the transmitted mode is mirrored into a fresh full grid once per medium, for both pixel LOs' searches
-    # and the own-mode LO's target (three times before)
-    assert (five["new_full"] - one["new_full"]) / 4 == 1
+    # no spectrum is mirrored into the full layout
+    assert five["mirror"] == five["new_full"] == 0
 
 
 def test_transmit_keeps_at_most_two_grids():
@@ -226,9 +226,11 @@ def test_transmit_of_a_half_spectrum_keeps_at_most_one_and_a_half_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # in value: the SIMD product may round differently at another array alignment
-    want = spec.amp * transfer_function(grid, m, half=True).amp
-    assert out.spectrum.half and np.allclose(out.spectrum.amp, want, rtol=1e-15, atol=0.0)
+    # the in-place product rounds as a fresh one with F first: complex multiply is not commutative bit for bit,
+    # and ``spec.amp * transfer_function(...).amp`` would let numpy reuse the temporary H as H*F
+    h = transfer_function(grid, m, half=True).amp
+    want = np.multiply(spec.amp, h)
+    assert out.spectrum.half and np.array_equal(out.spectrum.amp.view(np.uint64), want.view(np.uint64))
     assert out.field.amp.dtype == np.float64
     assert peak <= 1.5 * grid.n * 16 + 16 * 1024
 
@@ -247,16 +249,52 @@ def test_to_time_of_a_half_spectrum_keeps_one_grid():
     assert peak <= 1.0 * grid.n * 16 + 16 * 1024
 
 
-@pytest.mark.parametrize("verb", ["xcorr", "eta-scan", "depth-scan"])
-def test_real_path_builds_no_full_grid_axis(monkeypatch, tmp_path, verb):
+@pytest.mark.parametrize(
+    "verb, settings",
+    [("xcorr", []), ("eta-scan", []), ("depth-scan", []), ("depth-scan", ["shaper.pixel_nm=2"])],
+    ids=["xcorr", "eta-scan", "depth-scan", "depth-scan-pixel"],
+)
+def test_real_path_builds_no_full_grid_axis(monkeypatch, tmp_path, verb, settings):
     # a real field's spectra use Grid.half_freqs, computed from bin numbers, and the shaper window's times
-    # come from sample indices: neither Grid.freqs nor Grid.t is filled
+    # come from sample indices: neither Grid.freqs nor Grid.t is filled, no spectrum is mirrored into a
+    # fresh full grid, and no complex FFT runs
     read = []
     for name in ("freqs", "t"):
         build = vars(Grid)[name].func
         monkeypatch.setattr(Grid, name, property(lambda grid, name=name, build=build: read.append(name) or build(grid)))
-    assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
+    counts = {"new_full": 0, "fft": 0, "ifft": 0}
+    _count_calls(monkeypatch, zapsim.fields, "_full", counts, lambda F, out=None: int(F.half and out is None), "new_full")
+    for name in ("fft", "ifft"):
+        _count_calls(monkeypatch, np.fft, name, counts)
+    sets = [arg for value in settings for arg in ("--set", value)]
+    assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}", *sets]) == 0
     assert read == []
+    assert counts == {"new_full": 0, "fft": 0, "ifft": 0}
+
+
+def _aligned_copy(x: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of x that starts ``offset`` bytes past a 64-byte boundary."""
+    buf = np.empty(x.nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    out = buf[start : start + x.nbytes].view(x.dtype)
+    out[...] = x
+    return out
+
+
+@pytest.mark.parametrize("h_offset", [0, 16, 32, 48])
+def test_in_place_product_rounds_alike_at_every_alignment(h_offset):
+    # transmit forms F*H in place into H's array, wherever the allocator put it: byte-identical reruns need
+    # its bits to be those of a fresh product at every operand alignment
+    grid = make_grid(2**16, 10e-15)
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    for preset in temperature_presets():
+        h = transfer_function(grid, preset.params, half=True).amp
+        want = spec.amp * h
+        for f_offset in (0, 16, 32, 48):
+            f, got = _aligned_copy(spec.amp, f_offset), _aligned_copy(h, h_offset)
+            assert (f.ctypes.data % 64, got.ctypes.data % 64) == (f_offset, h_offset)
+            np.multiply(f, got, out=got)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_lattice_curves_transform_only_the_propagation(monkeypatch):
