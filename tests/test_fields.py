@@ -12,7 +12,7 @@ from zapsim import (
     to_spectrum,
     to_time,
 )
-
+from zapsim.fields import _real
 
 from conftest import random_field
 
@@ -234,6 +234,36 @@ class TestHalfSpectrum:
             SpectralField(small_grid, np.ones(small_grid.n), half=True)
         unit = normalize(SpectralField(small_grid, amp, half=True))
         assert unit.half and pulse_energy(unit) == pytest.approx(1.0, rel=1e-13)
+
+
+class TestReal:
+    """The one gate of mode analysis: a real envelope in any of its forms passes, anything else raises."""
+
+    @pytest.mark.parametrize("form", ["float64", "half-spectrum"])
+    def test_real_forms_pass_as_they_are(self, small_grid, form):
+        f = real_field(small_grid, 15)
+        if form == "half-spectrum":
+            f = to_spectrum(f, half=True)
+        assert _real(f) is f
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+    def test_complex_with_a_zero_imaginary_part_becomes_float64(self, small_grid, zero):
+        # a conjugated real field carries -0.0 imaginary parts, which are zero too
+        f = real_field(small_grid, 16)
+        got = _real(TemporalField(small_grid, f.amp + 1j * zero))
+        assert got.amp.dtype == np.float64 and got.amp.flags.c_contiguous
+        assert np.array_equal(got.amp.view(np.uint64), f.amp.view(np.uint64))
+
+    def test_full_layout_spectrum_raises(self, small_grid):
+        with pytest.raises(ValueError, match="full-layout spectrum"):
+            _real(to_spectrum(real_field(small_grid, 17)))
+
+    def test_one_tiny_imaginary_sample_raises(self, small_grid):
+        # no tolerance: the smallest subnormal imaginary part in one sample is a complex envelope
+        amp = real_field(small_grid, 18).amp + 0j
+        amp[small_grid.n // 3] += 5e-324j
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            _real(TemporalField(small_grid, amp))
 
 
 class TestAreaAndEnergy:

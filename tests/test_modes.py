@@ -29,6 +29,12 @@ from conftest import direct_overlaps, random_field
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
 
+# a real envelope as mode analysis takes it: float64, or complex128 with a zero imaginary part
+REAL_FORMS = {
+    "real": lambda f: f,
+    "complex": lambda f: TemporalField(f.grid, f.amp.astype(np.complex128)),
+}
+
 
 @pytest.fixture(scope="module")
 def lobed_signal(mid_grid, mid_pulse):
@@ -131,11 +137,15 @@ class TestDelayField:
         return to_time(SpectralField(F.grid, F.amp * np.exp(2j * np.pi * F.grid.freqs * tau))).amp
 
     @pytest.mark.parametrize("tau_steps", [37.0, -250.0, 37.3, -250.71, 0.5])
-    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps):
-        # on- and off-lattice delays, on the half spectrum
+    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True))
+    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps, form):
+        # on- and off-lattice delays, on the half spectrum, from a float64 field or a complex128 one with a zero
+        # imaginary part
+        f = REAL_FORMS[form](mid_mode)
         tau = tau_steps * mid_grid.dt
-        want = self.full_grid_shift(mid_mode, tau)
-        got = delay_field(mid_mode, tau).amp
+        want = self.full_grid_shift(f, tau)
+        got = delay_field(f, tau).amp
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("tau_steps", [37.0, 37.3])
@@ -346,13 +356,15 @@ class TestScanPaths:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", sorted(LATTICE_DELAYS))
-    def test_time_correlation_matches_direct_sum(self, fields, spectra, name):
+    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
+    def test_time_correlation_matches_direct_sum(self, fields, spectra, name, form):
         pulse, sig = fields
+        lo = REAL_FORMS[form](pulse)
         delays = LATTICE_DELAYS[name]
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(pulse), sig, delays)
+        got = delay_overlaps(_time_support(lo), sig, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(delay_overlaps(_time_support(pulse), sig, delays, *spectra), got)
+        assert np.array_equal(delay_overlaps(_time_support(lo), sig, delays, *spectra), got)
 
     def test_off_lattice_start_matches_direct_sum(self, fields):
         pulse, sig = fields
@@ -366,20 +378,24 @@ class TestScanPaths:
         [np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), np.linspace(-1e-12, 8e-12, 400)],
         ids=["off-lattice-start", "off-lattice-step"],
     )
-    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays):
+    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
+    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays, form):
         # the signal's half spectrum given, the LO's built from its support
         pulse, sig = fields
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(pulse), sig, delays, sig_spec=to_spectrum(sig, half=True))
+        got = delay_overlaps(_time_support(REAL_FORMS[form](pulse)), sig, delays, sig_spec=to_spectrum(sig, half=True))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_both_paths_give_one_dtype(self, fields):
-        # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths
+    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
+    def test_both_paths_give_one_dtype(self, fields, form):
+        # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths, from
+        # either form of a real LO
         pulse, sig = fields
+        lo = REAL_FORMS[form](pulse)
         lattice = LATTICE_DELAYS["linspace"]
         off = np.append(lattice, lattice[-1] + 3.3e-15)
-        on_lattice = delay_overlaps(_time_support(pulse), sig, lattice)
-        summed = delay_overlaps(_time_support(pulse), sig, off)
+        on_lattice = delay_overlaps(_time_support(lo), sig, lattice)
+        summed = delay_overlaps(_time_support(lo), sig, off)
         assert on_lattice.dtype == summed.dtype == np.float64
         assert np.max(np.abs(summed[:-1] - on_lattice)) <= 1e-12 * np.max(np.abs(on_lattice))
 
@@ -442,6 +458,30 @@ def test_complex_fields_are_refused(small_grid, call, offset):
     delays = np.arange(-20, 60) * 20e-15 + offset
     with pytest.raises(ValueError, match="real envelopes"):
         REAL_ONLY[call](rotated, real, delays)
+
+
+def _values(result):
+    """The numbers an entry point of mode analysis returns, as one array."""
+    if isinstance(result, TemporalField):
+        return result.amp
+    if isinstance(result, ScanCurve):
+        return result.ys
+    return np.asarray(result)
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize("offset", [0.0, 3.3e-15], ids=["on-lattice", "off-lattice"])
+@pytest.mark.parametrize("call", sorted(REAL_ONLY))
+def test_complex_fields_with_a_zero_imaginary_part_are_taken_as_real(small_grid, call, offset):
+    # the complex128 form of a real envelope, in the role the refusal test gives the complex field, gives the
+    # bits and the dtype of the float64 form
+    real = normalize(gaussian_pulse(small_grid, 100e-15))
+    widened = REAL_FORMS["complex"](real)
+    delays = np.arange(-20, 60) * 20e-15 + offset
+    want = _values(REAL_ONLY[call](real, real, delays))
+    got = _values(REAL_ONLY[call](widened, real, delays))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_full_layout_spectra_are_refused(small_grid):
