@@ -21,6 +21,7 @@ import pytest
 
 import zapsim.fields
 import zapsim.medium
+import zapsim.runners
 import zapsim.shaper
 from zapsim import (
     Grid,
@@ -155,6 +156,27 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
         assert five["lo"] == 5 + 1
         # the input LO and the own-mode LO; the shaped input LO provably loses at the default shaper
         assert (five["search"] - one["search"]) / 4 <= 2
+
+
+def _fmt_calls(monkeypatch, tmp_path, verb, *settings):
+    """Calls of the per-value formatter ``runners._fmt`` in one CLI run on the GRID_N grid."""
+    counts = {"_fmt": 0}
+    with monkeypatch.context() as mp:
+        _count_calls(mp, zapsim.runners, "_fmt", counts)
+        sets = [arg for value in settings for arg in ("--set", value)]
+        assert main([verb, "--out", str(tmp_path / "_".join(settings)), "--set", f"grid.n={GRID_N}", *sets]) == 0
+    return counts["_fmt"]
+
+
+@pytest.mark.parametrize(
+    "verb, small, large",
+    [("wigner", "wigner.n_side=11", "wigner.n_side=121"), ("propagate", "scan.delay_max_ps=1", "scan.delay_max_ps=8")],
+)
+def test_data_rows_make_no_per_value_format_call(monkeypatch, tmp_path, verb, small, large):
+    # a data file is formatted in one pass over its columns: _fmt is left to the header and sidecar lines, so its
+    # count does not grow with the rows written (121 * 121 against 11 * 11 Wigner points, 901 against 201 samples
+    # of each propagated envelope)
+    assert _fmt_calls(monkeypatch, tmp_path, verb, small) == _fmt_calls(monkeypatch, tmp_path, verb, large)
 
 
 @pytest.mark.parametrize("pixel_nm", [2, 3])

@@ -15,10 +15,14 @@ from zapsim import (
     transmit,
 )
 from zapsim.config import parse_config_text
+from zapsim.quantum import HeraldedState, sample_quadratures
 from zapsim.runners import (
+    _fmt,
+    _write_csv,
     run_efficiency_vs_depth,
     run_eta_scan,
     run_propagate,
+    run_sample,
     run_wigner,
     run_xcorr,
 )
@@ -183,13 +187,42 @@ class TestOffLatticeScans:
         cfg = parse_config_text("grid.n = 32768\nmedium.preset = 1,5\n" + scan)
         written = {}
         monkeypatch.setattr(
-            zapsim.runners, "_write_csv", lambda path, header, columns, rows: written.update({path.name: rows})
+            zapsim.runners, "_write_csv", lambda path, header, names, columns: written.update({path.name: list(columns)})
         )
         run_xcorr(cfg, tmp_path)
         run_eta_scan(cfg, tmp_path)
         for entry in cfg.media():
             vis, eta = self.exact(cfg, entry.params)
-            got_vis = np.array([row[1] for row in written[f"xcorr_{entry.label}.csv"]])
-            got_eta = np.array([row[1] for row in written[f"eta_scan_{entry.label}.csv"]])
+            got_vis = np.asarray(written[f"xcorr_{entry.label}.csv"][1])
+            got_eta = np.asarray(written[f"eta_scan_{entry.label}.csv"][1])
             assert np.max(np.abs(got_vis - vis)) <= 1e-12 * vis.max()
             assert np.max(np.abs(got_eta - eta)) <= 1e-12 * eta.max()
+
+
+class TestOnePassFormatting:
+    """The one-pass writers print every value as the per-value formatter ``_fmt`` does."""
+
+    @staticmethod
+    def per_value(header, names, rows):
+        """The file text written one ``_fmt`` call per value, row by row."""
+        text = "".join(f"# {line}\n" for line in header) + ",".join(names) + "\n"
+        return text + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("nrows", [6, 1], ids=["table", "single-row"])
+    def test_write_csv_matches_the_per_value_writer(self, nrows, tmp_path):
+        floats = np.array([-0.0, 5e-324, 1e-300, 1.5e300, 0.1 + 0.2, 70.0])[:nrows]
+        flags = np.array([True, False, False, True, True, False])[:nrows]
+        labels = ["preset1", "preset2", "custom", "a b", "x%sy", "7"][:nrows]
+        columns = [labels, floats, -floats[::-1], flags]
+        names = ["label", "v", "neg_v", "flag"]
+        path = tmp_path / "table.csv"
+        _write_csv(path, ["zapsim test", "k = 1"], names, columns)
+        want = self.per_value(["zapsim test", "k = 1"], names, zip(*columns))
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_sample_body_matches_the_per_value_writer(self, tmp_path):
+        cfg = parse_config_text("sampling.n_samples = 5000\nsampling.seed = 11\n")
+        (path,) = run_sample(cfg, tmp_path)
+        values = sample_quadratures(HeraldedState(cfg.detection_eta_base), 5000, 11).values
+        body = path.read_text().split("\n", 1)[1]
+        assert body == "".join(f"{v:.12g}\n" for v in values)
