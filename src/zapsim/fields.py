@@ -23,7 +23,11 @@ only: ``_spectrum`` gives a real field's, and ``_real`` refuses any other
 input.  A sum over the full spectrum of a product held in the half layout
 weights every bin but DC and Nyquist twice (``_spectral_sum``).  The full
 layout, all n bins ascending from -Nyquist, serves ``medium.propagate``
-alone; ``_full`` mirrors a half spectrum into it.
+alone; ``_full`` mirrors a half spectrum into it.  :func:`to_time` hands
+the real inverse FFT a conjugated copy of the bins; that copy is made for
+library callers only.  The runners' path makes none: ``medium.transmit``
+conjugates its fresh F*H in place and back, and ``shaper.achievable_lo``
+transforms only the bins inside its span.
 """
 
 from __future__ import annotations
@@ -172,7 +176,9 @@ class SpectralField:
     @cached_property
     def energy(self) -> float:
         """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
-        return float(self.grid.df * _spectral_sum(self, np.abs(self.amp) ** 2))
+        power = np.abs(self.amp)
+        power *= power
+        return float(self.grid.df * _spectral_sum(self, power))
 
 
 def _spectral_sum(F: SpectralField, x: np.ndarray):
@@ -283,7 +289,7 @@ def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
 
 def to_time(F: SpectralField) -> TemporalField:
     """Inverse transform, exact round-trip partner of :func:`to_spectrum`; a half spectrum
-    takes one real inverse FFT and gives a real (float64) field."""
+    takes one real inverse FFT, of a conjugated copy of its bins, and gives a real (float64) field."""
     if F.half:
         amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
         amp /= F.grid.dt

@@ -10,7 +10,8 @@ on the pulse; structure spreading beyond that window is unreachable by the
 shaped local oscillator.  An optional pixel width adds a box average of the
 spectrum before the resolution smoothing, one pixel wide and centred on each
 bin, as a pixelated mask is centred on each pixel (A. M. Weiner, Rev. Sci.
-Instrum. 71, 1929 (2000)).
+Instrum. 71, 1929 (2000)).  The box averages in the pulse's frame, like the
+window: a pulse moved by whole samples gets the same LO, moved with it.
 
 The shaper reference frame travels with the pulse, so the window is centered
 on the target's peak.  Global delay and phase of the local oscillator are
@@ -41,7 +42,6 @@ from .fields import (
     SpectralField,
     TemporalField,
     normalize,
-    to_time,
 )
 from .medium import MediumParams, Transmitted, transmit
 from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
@@ -117,6 +117,17 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float):
     return keep, np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
 
 
+def _sample_delay(n: int, k: int, count: int) -> np.ndarray:
+    """exp(-2*pi*i*q*k/n) for q < count, the phase a delay of k whole samples puts on bin q: as the outer
+    product of two ~sqrt(count) exponentials (see modes._phasors), each exponent reduced mod n in integers,
+    so every phase is right to round-off where a float delay q*df*k*dt would lose ~q*k/n ulps of a cycle."""
+    cols = max(1, int(np.ceil(np.sqrt(count))))
+    rows = -(-count // cols)
+    col = np.exp((-2j * np.pi / n) * (np.arange(cols) * k % n))
+    row = np.exp((-2j * np.pi / n) * (np.arange(rows) * (cols * k % n) % n))
+    return np.multiply.outer(row, col).ravel()[:count]
+
+
 def _box_average(x: np.ndarray, size: int) -> np.ndarray:
     """Circular mean of a Hermitian spectrum, given and returned as its nu >= 0 half x, over a box size * df
     wide centred on each bin: bins i - size//2 ... i + size//2, the end bins of an even size at half weight,
@@ -148,25 +159,41 @@ def achievable_lo(
     save a transform; the target may then have any energy, since the result
     is renormalized and its peak, which centers the window, does not move.
     The LO is real, from one real inverse FFT of the shaped half spectrum.
+    Without a pixel that transform takes only the bins inside the span, and
+    zero-pads the rest itself.  A pixel box reads bins across the cut, so the
+    cut spectrum is padded first; it is averaged with the delay phase of the
+    target's peak sample taken out, and that phase is put back after.
     """
     target = _real(target)
     _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
     grid = target.grid
-    k_peak = int(np.argmax(np.abs(target.amp)))
     amp = target.amp
+    k_max, k_min = int(np.argmax(amp)), int(np.argmin(amp))
+    k_peak = min((-amp[k_max], k_max), (amp[k_min], k_min))[1]  # argmax(|amp|), first of ties, with no |amp| array
 
     if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
-        source = _spectrum(target) if spectrum is None else spectrum
-        spec = source.amp.copy() if cfg.span_hz is None else np.zeros_like(source.amp)
+        source = (_spectrum(target) if spectrum is None else spectrum).amp
         if cfg.span_hz is not None:  # keep the bins with nu <= span / 2
-            inside = slice(0, np.searchsorted(source.freqs, 0.5 * cfg.span_hz, side="right"))
-            spec[inside] = source.amp[inside]
-        if cfg.pixel_width_hz is not None:
+            source = source[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
+        if cfg.pixel_width_hz is None:
+            spec = np.conj(source)  # irfft zero-pads the bins past the span itself
+        else:  # the box reads bins across the cut, so the cut spectrum is padded first
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
             if size > grid.n:
                 raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
-            spec = _box_average(spec, size)
-        amp = to_time(SpectralField(grid, spec, half=True)).amp
+            spec = np.zeros(grid.n // 2 + 1, dtype=np.complex128)
+            spec[: source.size] = source
+            if size == 1:
+                np.conj(spec, out=spec)
+            else:  # the delay of k_peak, in whole samples so that its phase repeats past Nyquist, is taken
+                # out and then put back onto the conjugated bins: conj(box * conj(delay)) = conj(box) * delay
+                spec *= _sample_delay(grid.n, k_peak, spec.size)
+                spec = _box_average(spec, size)
+                np.conj(spec, out=spec)
+                spec *= _sample_delay(grid.n, k_peak, spec.size)
+        amp = np.fft.irfft(spec, grid.n)  # to_time's transform, of bins conjugated as it conjugates them
+        del spec  # freed before the window's temporaries
+        amp /= grid.dt
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     windowed = amp[keep] * window
@@ -230,7 +257,8 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     product = _spectral_product(lo_spec, sig_spec)
     grid = product.grid
     mid, eighth = grid.n // 2, grid.n // 8
-    coarse = np.abs(_even_lag_overlaps(product)) ** 2
+    coarse = _even_lag_overlaps(product)
+    coarse *= coarse  # |A|^2 of the real A, squared in place
     coarse[eighth + 1 : mid - eighth] = -1.0  # keep the lags |2m| <= n/4
     best = float(coarse.max())
 

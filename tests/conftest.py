@@ -137,16 +137,22 @@ def centred_box(full, size):
 
 def full_layout_lo(target, cfg):
     """``achievable_lo`` with every spectrum in the full layout: the target's full spectrum cut to
-    |nu| <= span / 2, box-averaged by :func:`centred_box`, back to time by the complex inverse
-    transform, windowed and normalized.  A complex field: its imaginary part is round-off."""
+    |nu| <= span / 2, box-averaged by :func:`centred_box` in the frame of the target's peak sample k
+    (the spectrum times exp(-2*pi*i*nu*k*dt) is averaged, then multiplied by exp(+2*pi*i*nu*k*dt)),
+    back to time by the complex inverse transform, windowed about k and normalized.  A complex field:
+    its imaginary part is round-off."""
     grid = target.grid
+    k_peak = int(np.argmax(np.abs(target.amp)))
     spec = to_spectrum(target).amp
     if cfg.span_hz is not None:
         spec = np.where(np.abs(grid.freqs) <= 0.5 * cfg.span_hz, spec, 0.0)
     if cfg.pixel_width_hz is not None:
-        spec = centred_box(spec, max(1, int(round(cfg.pixel_width_hz / grid.df))))
+        # nu*k*dt = q*k/n cycles for bin q: reduced mod n in integers, so each phase is exact to round-off
+        cycles = (np.arange(-grid.n // 2, grid.n // 2) * k_peak) % grid.n / grid.n
+        delay = np.exp(-2j * np.pi * cycles)
+        spec = centred_box(spec * delay, max(1, int(round(cfg.pixel_width_hz / grid.df)))) / delay
     amp = to_time(SpectralField(grid, spec)).amp
-    keep, window = _resolution_window(grid, int(np.argmax(np.abs(target.amp))), cfg.resolution_fwhm_hz)
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     lo = np.zeros(grid.n, dtype=complex)
     lo[keep] = amp[keep] * window
     return TemporalField(grid, lo / np.sqrt(grid.dt * np.sum(np.abs(lo) ** 2)))

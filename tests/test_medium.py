@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,6 +21,8 @@ from zapsim import (
     transfer_function,
     transmit,
 )
+from zapsim.fields import TemporalField
+from zapsim.medium import _warn_grid_adequacy
 
 LN2 = np.log(2.0)
 
@@ -180,11 +184,54 @@ class TestPropagate:
     def test_clean_case_is_silent(self):
         grid = make_grid(2**12, 10e-15)
         f = to_spectrum(gaussian_pulse(grid, 100e-15))
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", GridAdequacyWarning)
             propagate(f, MediumParams(depth=5.0, t2=1e-12))
+
+
+class TestEdgeCheck:
+    """The window-edge warning compares |E| at the two edge samples with the peak |E(t)|; the largest
+    |part| of E bounds that peak from below, and a complex |E(t)| is read only when the bound cannot clear."""
+
+    grid = make_grid(2**12, 10e-15)
+    line = MediumParams(depth=1.0, t2=1e-12)  # 13 samples across the line: no sampling warning
+
+    def check(self, amp, monkeypatch):
+        blocks = []
+        np_abs = np.abs
+        monkeypatch.setattr(np, "abs", lambda x, *a, **k: blocks.append(np.size(x) == 1024) or np_abs(x, *a, **k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _warn_grid_adequacy(TemporalField(self.grid, amp), self.line)
+        return [str(w.message) for w in caught], sum(blocks)
+
+    @pytest.mark.parametrize("edge, warned", [(0.9e-6, False), (1.1e-6, True)])
+    def test_complex_peak_is_read_only_when_the_bound_cannot_clear(self, monkeypatch, edge, warned):
+        # |E| = 1 at 45 degrees, so the largest part is 0.707: edge / bound is above the limit either way
+        amp = np.zeros(self.grid.n, dtype=np.complex128)
+        amp[self.grid.n // 2] = (1.0 + 1.0j) / np.sqrt(2.0)
+        amp[0] = edge
+        messages, blocks = self.check(amp, monkeypatch)
+        assert blocks == self.grid.n // 1024
+        assert messages == (
+            [f"field amplitude at the window edges is {edge:.2e} of peak (> 1e-06); the response wraps around the window"]
+            if warned else []
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_a_decayed_edge_reads_no_block(self, monkeypatch, dtype):
+        amp = np.zeros(self.grid.n, dtype=dtype)
+        amp[self.grid.n // 2] = -1.0
+        amp[-1] = 0.9e-6
+        assert self.check(amp, monkeypatch) == ([], 0)
+
+    def test_real_peak_is_exact(self, monkeypatch):
+        amp = np.zeros(self.grid.n)
+        amp[self.grid.n // 2] = -2.0
+        amp[-1] = 2.2e-6
+        messages, blocks = self.check(amp, monkeypatch)
+        assert blocks == 0
+        assert messages == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
 
 
 @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")

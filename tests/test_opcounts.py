@@ -26,7 +26,9 @@ import zapsim.shaper
 from zapsim import (
     Grid,
     MediumParams,
+    ShaperConfig,
     TemporalField,
+    achievable_lo,
     eta_curve,
     gaussian_pulse,
     make_grid,
@@ -190,7 +192,7 @@ def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
 
 def test_transmit_keeps_at_most_two_grids():
     # H is formed in place into F*H and transformed in place: the output spectrum and the
-    # output field; the edge check reads |field| in 8 KiB blocks; plus a few KiB of Python objects
+    # output field; the edge check holds no temporary of the field; plus a few KiB of Python objects
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15))
@@ -235,9 +237,9 @@ def test_half_spectrum_keeps_half_a_grid():
     assert peak <= 0.5 * grid.n * 16 + 16 * 1024
 
 
-def test_transmit_of_a_half_spectrum_keeps_at_most_one_and_a_half_grids():
-    # the half-band H becomes F*H in place (half a grid); to_time's conjugated copy and the irfft's
-    # output, the field, stored as float64 (half a grid each)
+def test_transmit_of_a_half_spectrum_keeps_one_grid():
+    # the half-band H becomes F*H in place and is conjugated in place around the irfft (half a grid);
+    # the irfft's output, the field, stored as float64 (half a grid)
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
@@ -254,7 +256,25 @@ def test_transmit_of_a_half_spectrum_keeps_at_most_one_and_a_half_grids():
     want = np.multiply(spec.amp, h)
     assert out.spectrum.half and np.array_equal(out.spectrum.amp.view(np.uint64), want.view(np.uint64))
     assert out.field.amp.dtype == np.float64
-    assert peak <= 1.5 * grid.n * 16 + 16 * 1024
+    assert np.array_equal(out.field.amp.view(np.uint64), to_time(out.spectrum).amp.view(np.uint64))
+    assert peak <= 1.0 * grid.n * 16 + 16 * 1024
+
+
+def test_shaped_lo_keeps_one_grid():
+    # with an aperture and no pixel: the conjugated bins inside the span (0.15 of a grid here) and
+    # the irfft's float64 output (half a grid), which becomes the windowed LO in place
+    grid = make_grid(2**16, 10e-15)
+    out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15), half=True), temperature_presets()[2].params)
+    cfg = ShaperConfig()
+    want = achievable_lo(out.field, cfg, out.mode)
+    tracemalloc.start()
+    try:
+        lo = achievable_lo(out.field, cfg, out.mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(lo.amp.view(np.uint64), want.amp.view(np.uint64))
+    assert peak <= 1.0 * grid.n * 16 + 16 * 1024
 
 
 def test_to_time_of_a_half_spectrum_keeps_one_grid():

@@ -314,8 +314,8 @@ class TestMaxEta:
 @pytest.mark.parametrize("pixel_nm", [2.0, 3.0])
 @pytest.mark.parametrize("preset_idx", range(5))
 def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_nm, span_nm):
-    # a coarse pixel: the shaped input LO beats the own-mode LO at presets 2-4,
-    # and both fall below the un-modulated pulse at presets 1 and 5
+    # a coarse pixel: whichever LO detects most, the un-modulated pulse, the shaped input
+    # or the LO shaped to the transmitted mode, and never more than the transmitted fraction
     grid = make_grid(2**16, 10e-15)
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     params = temperature_presets()[preset_idx].params
@@ -337,7 +337,7 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     assert lo.half and shaped.half
     searches = []
     monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
-    for preset in temperature_presets():
+    for i, preset in enumerate(temperature_presets()):
         out = transmit(lo_in, preset.params)
         mode = out.mode
         del searches[:]
@@ -345,11 +345,31 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
         skipped = 3 - len(searches)
         # an infinite distance never proves the shaped input LO loses
         assert skipping == _efficiencies(out, 0.62, cfg, (lo, shaped, np.inf))
-        # the shaped input LO is kept for a coarse pixel and provably loses without one
-        assert skipped == (1 if pixel_nm is None else 0)
+        # the shaped input LO provably loses without a pixel, and with a coarse one at presets 2-5; at
+        # preset 1 the pixel LO shaped to the transmitted mode wins by less than the distance, so it is searched
+        assert skipped == (0 if pixel_nm is not None and i == 0 else 1)
         # the bound the skip rests on: |<s(tau)|out>| <= |<u(tau)|out>| + distance
         bound = (np.sqrt(_best_projection(lo, mode)) + distance) ** 2
         assert _best_projection(shaped, mode) <= bound
+
+
+@pytest.mark.parametrize("pixel_nm", [2.0, 3.0])
+def test_pixel_box_moves_with_the_pulse(pixel_nm):
+    # the box averages in the pulse's frame, as the resolution window is centred on it: a pulse moved by
+    # whole samples gets the LO moved by as many, and the same efficiency
+    grid = make_grid(2**16, 10e-15)
+    params = temperature_presets()[3].params
+    cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9)
+    first = grid.window / 8
+    centres = (first, first + 50e-12, grid.window / 4, grid.window / 2)
+    pulses = [gaussian_pulse(grid, 100e-15, centre) for centre in centres]
+    etas = [max_shaped_eta(pulse, params, cfg, 0.62) for pulse in pulses]
+    assert max(etas) - min(etas) <= 1e-12
+    outs = [transmit(_spectrum(normalize(pulse)), params) for pulse in pulses]
+    los = [achievable_lo(out.field, cfg, out.mode) for out in outs]
+    for centre, lo in zip(centres[1:], los[1:]):
+        moved = np.roll(los[0].amp, int(round((centre - first) / grid.dt)))
+        assert np.max(np.abs(lo.amp - moved)) <= 1e-12 * np.abs(moved).max()
 
 
 @pytest.fixture(scope="module")
