@@ -25,9 +25,10 @@ weights every bin but DC and Nyquist twice (``_spectral_sum``).  The full
 layout, all n bins ascending from -Nyquist, serves ``medium.propagate``
 alone; ``_full`` mirrors a half spectrum into it.  :func:`to_time` hands
 the real inverse FFT a conjugated copy of the bins; that copy is made for
-library callers only.  The runners' path makes none: ``medium.transmit``
-conjugates its fresh F*H in place and back, and ``shaper.achievable_lo``
-transforms only the bins inside its span.
+library callers only.  The runners' path makes none: the transmitted field
+(``medium.Transmitted.field``) is transformed only when it is read, with its
+F*H conjugated in place and back, and ``shaper.achievable_lo`` transforms
+only the bins inside its span.
 """
 
 from __future__ import annotations
@@ -179,6 +180,14 @@ class SpectralField:
         power = np.abs(self.amp)
         power *= power
         return float(self.grid.df * _spectral_sum(self, power))
+
+
+def _roundoff(grid: Grid, energy: float) -> float:
+    """A bound on the round-off in one sample of a field of this energy, as a transform of its spectrum or
+    a sum over its bins computes it: 16 * n * eps times the field's RMS sqrt(energy / window).  An FFT errs by
+    about log2(n) * eps * sqrt(sum |E(t)|^2) = log2(n) * eps * sqrt(n) * RMS, a sum of m terms by m * eps times
+    the sum of their moduli, which is at most sqrt(n) * RMS for the bins (Cauchy-Schwarz and Parseval)."""
+    return 16.0 * grid.n * float(np.finfo(np.float64).eps) * float(np.sqrt(energy / grid.window))
 
 
 def _spectral_sum(F: SpectralField, x: np.ndarray):

@@ -29,6 +29,7 @@ from .fields import (
     SpectralField,
     TemporalField,
     _full,
+    _roundoff,
     _spectral_sum,
     normalize,
     to_time,
@@ -83,12 +84,29 @@ class MediumPreset(NamedTuple):
 
 @dataclass(frozen=True)
 class Transmitted:
-    """F*H for one medium and its envelope; on first use, the spectrum of the
-    unit-energy output mode (by Parseval) and the energy transmission T_E."""
+    """F*H for one medium; on first use, its envelope, the spectrum of the
+    unit-energy output mode (by Parseval) and the energy transmission T_E.
+
+    The envelope of a half spectrum is :func:`to_time`'s transform, bit for
+    bit, without its conjugated copy: F*H is conjugated in place for the one
+    real inverse FFT and then back, so the stored spectrum keeps its bits.
+    A consumer that reads only the spectrum (a best-delay search, the shaper)
+    makes no inverse FFT.
+    """
 
     spectrum: SpectralField
-    field: TemporalField
     input_energy: float
+
+    @cached_property
+    def field(self) -> TemporalField:
+        grid, h = self.spectrum.grid, self.spectrum.amp
+        if not self.spectrum.half:
+            return to_time(self.spectrum)
+        np.conj(h, out=h)
+        amp = np.fft.irfft(h, grid.n)
+        np.conj(h, out=h)
+        amp /= grid.dt
+        return TemporalField(grid, amp)
 
     @cached_property
     def mode(self) -> SpectralField:
@@ -130,8 +148,7 @@ def transfer_function(grid: Grid, m: MediumParams, half: bool = False) -> Spectr
     return H if half else _full(H, out=h)
 
 
-def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
-    grid = field.grid
+def _warn_line_sampling(grid: Grid, m: MediumParams) -> None:
     samples = m.line_fwhm / grid.df
     if samples < MIN_SAMPLES_PER_LINE:
         warnings.warn(
@@ -140,6 +157,34 @@ def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
             GridAdequacyWarning,
             stacklevel=3,
         )
+
+
+def _edges_decayed(S: SpectralField) -> bool:
+    """True when no window-edge warning can fire for the field of the half spectrum S, read from S alone.
+
+    The edge samples are sums over the nu >= 0 bins, every bin but DC and Nyquist weighted 2:
+    E(0) = df * sum S and E(-dt) = df * sum S * exp(2*pi*i*q/n), the latter as a row-by-column
+    contraction of the n/2 bins below Nyquist against two ~sqrt(n/2) phasor vectors (einsum's own
+    loop: a BLAS product would start threads), and the peak is at least the RMS sqrt(energy / window)
+    (Parseval).  So when both edges, widened by the round-off of either evaluation, stay within
+    EDGE_AMPLITUDE_LIMIT of the RMS, :func:`_warn_window_edges` on the built field would be silent.
+    """
+    grid, amp = S.grid, S.amp
+    mid = int(grid.n) // 2
+    cols = 1 << (mid.bit_length() // 2)
+    rows = mid // cols
+    col = np.exp((2j * np.pi / grid.n) * np.arange(cols))
+    row = np.exp((2j * np.pi * cols / grid.n) * np.arange(rows))
+    dc, nyquist = amp[0].real, amp[mid].real
+    at_start = 2.0 * amp[:mid].sum().real - dc + nyquist
+    at_end = 2.0 * (np.einsum("rc,c->r", amp[:mid].reshape(rows, cols), col) * row).sum().real - dc - nyquist
+    edge = grid.df * max(abs(at_start), abs(at_end))
+    slack = _roundoff(grid, S.energy)
+    return edge + slack <= EDGE_AMPLITUDE_LIMIT * (np.sqrt(S.energy / grid.window) - slack)
+
+
+def _warn_window_edges(field: TemporalField) -> None:
+    grid = field.grid
     amp = field.amp
     # the largest |part| bounds the peak from below, exactly for a real field, with no temporary; a complex
     # |E(t)| is read in blocks of 8 KiB only when the edge check cannot pass on that bound
@@ -160,31 +205,26 @@ def _warn_grid_adequacy(field: TemporalField, m: MediumParams) -> None:
 
 
 def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
-    """Send a spectral field through the medium: one H(nu) in F's layout, F*H in place, one inverse FFT.
+    """Send a spectral field through the medium: one H(nu) in F's layout and F*H in place.
 
     A half spectrum (the nu >= 0 bins of a real field, see :class:`SpectralField`)
-    takes H on those n/2 + 1 bins and one real inverse FFT, and gives a real
-    field and a half output spectrum.  The transform is :func:`to_time`'s, bit for
-    bit, without its conjugated copy: F*H is conjugated in place for it and then
-    back, so the stored spectrum keeps its bits.  A full spectrum takes the
-    mirrored H and a complex inverse FFT.  Emits a :class:`GridAdequacyWarning`
-    when the line is under-sampled or the output field has not decayed at the
-    window edges.
+    takes H on those n/2 + 1 bins and gives a half output spectrum, whose real
+    field is transformed only when it is read (:class:`Transmitted`).  A full
+    spectrum takes the mirrored H, and its field, by a complex inverse FFT, is
+    built at once.  Emits a :class:`GridAdequacyWarning` when the line is
+    under-sampled or the output field has not decayed at the window edges; for
+    a half spectrum the edges are first read from the spectrum
+    (:func:`_edges_decayed`), and the field is built for the exact check only
+    where that bound cannot clear them.
     """
     input_energy = F.energy  # summed before the output arrays exist
     grid = F.grid
     h = transfer_function(grid, m, half=F.half).amp
-    spectrum = SpectralField(grid, np.multiply(F.amp, h, out=h), half=F.half)
-    if F.half:  # to_time's transform without its conjugated copy: F*H is conjugated in place, then back
-        np.conj(h, out=h)
-        amp = np.fft.irfft(h, grid.n)
-        np.conj(h, out=h)
-        amp /= grid.dt
-        field = TemporalField(grid, amp)
-    else:
-        field = to_time(spectrum)
-    _warn_grid_adequacy(field, m)
-    return Transmitted(spectrum, field, input_energy)
+    out = Transmitted(SpectralField(grid, np.multiply(F.amp, h, out=h), half=F.half), input_energy)
+    _warn_line_sampling(grid, m)
+    if not (F.half and _edges_decayed(out.spectrum)):
+        _warn_window_edges(out.field)
+    return out
 
 
 def propagate(F: SpectralField, m: MediumParams) -> SpectralField:

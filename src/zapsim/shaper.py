@@ -36,7 +36,7 @@ from .fields import (
     _EXP_UNDERFLOW,
     LN2,
     _real,
-    _spectral_sum,
+    _roundoff,
     _spectrum,
     Grid,
     SpectralField,
@@ -146,8 +146,14 @@ def _box_average(x: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _peak_sample(amp: np.ndarray) -> int:
+    """argmax(|amp|) of a real array, the first of ties, with no |amp| array."""
+    k_max, k_min = int(np.argmax(amp)), int(np.argmin(amp))
+    return min((-amp[k_max], k_max), (amp[k_min], k_min))[1]
+
+
 def achievable_lo(
-    target: TemporalField, cfg: ShaperConfig, spectrum: SpectralField | None = None
+    target: TemporalField | Transmitted, cfg: ShaperConfig, spectrum: SpectralField | None = None
 ) -> TemporalField:
     """Closest mode to the real envelope ``target`` the shaper can actually produce.
 
@@ -158,26 +164,49 @@ def achievable_lo(
     holds the target's unit-energy half spectrum passes it as ``spectrum`` to
     save a transform; the target may then have any energy, since the result
     is renormalized and its peak, which centers the window, does not move.
+    A :class:`Transmitted` target carries both: its output mode is the
+    spectrum, and its field is transformed only if it is read.
+
     The LO is real, from one real inverse FFT of the shaped half spectrum.
     Without a pixel that transform takes only the bins inside the span, and
-    zero-pads the rest itself.  A pixel box reads bins across the cut, so the
-    cut spectrum is padded first; it is averaged with the delay phase of the
-    target's peak sample taken out, and that phase is put back after.
+    zero-pads the rest itself.  The window is centred on that span-cut
+    field's peak sample k wherever k is provably the target's, and the
+    target is read only otherwise: the two fields' samples differ by at most
+    the cut-off bins' reach 2 * df * sum |S| beyond the span, plus the
+    round-off of either transform, so when no other sample of the cut field
+    lies within twice that of its peak, k is the target's argmax(|E|), first
+    of ties.  A pixel box reads bins across the cut, so the cut spectrum is
+    padded first; it is averaged with the delay phase of the target's peak
+    sample taken out, and that phase is put back after, so it always reads
+    the target.  Without an aperture or a pixel the LO is the windowed target.
     """
-    target = _real(target)
-    _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
-    grid = target.grid
-    amp = target.amp
-    k_max, k_min = int(np.argmax(amp)), int(np.argmin(amp))
-    k_peak = min((-amp[k_max], k_max), (amp[k_min], k_min))[1]  # argmax(|amp|), first of ties, with no |amp| array
+    if isinstance(target, Transmitted):
+        if spectrum is not None:
+            raise ValueError("a transmitted target carries its own spectrum")
+        out, spectrum = target, target.mode
+        read_target = lambda: out.field  # built on first read
+    else:
+        target = _real(target)
+        _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
+        read_target = lambda: target
 
-    if cfg.span_hz is not None or cfg.pixel_width_hz is not None:
-        source = (_spectrum(target) if spectrum is None else spectrum).amp
+    shaped = cfg.span_hz is not None or cfg.pixel_width_hz is not None
+    if not shaped:
+        target = read_target()
+        grid, amp = target.grid, target.amp
+        k_peak = _peak_sample(amp)
+    else:
+        spectrum = _spectrum(read_target()) if spectrum is None else spectrum
+        grid, source = spectrum.grid, spectrum.amp
         if cfg.span_hz is not None:  # keep the bins with nu <= span / 2
             source = source[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
         if cfg.pixel_width_hz is None:
+            # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before
+            # the cut field exists
+            reach = 2.0 * grid.df * np.abs(spectrum.amp[source.size :]).sum() + 2.0 * _roundoff(grid, 1.0)
             spec = np.conj(source)  # irfft zero-pads the bins past the span itself
         else:  # the box reads bins across the cut, so the cut spectrum is padded first
+            k_peak = _peak_sample(read_target().amp)
             size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
             if size > grid.n:
                 raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
@@ -194,6 +223,11 @@ def achievable_lo(
         amp = np.fft.irfft(spec, grid.n)  # to_time's transform, of bins conjugated as it conjugates them
         del spec  # freed before the window's temporaries
         amp /= grid.dt
+        if cfg.pixel_width_hz is None:  # k_peak is the target's when no other sample is within 2 * reach
+            k_peak = _peak_sample(amp)
+            level = abs(amp[k_peak]) - 2.0 * reach
+            if not (level > 0.0 and np.count_nonzero(amp >= level) + np.count_nonzero(amp <= -level) == 1):
+                k_peak = _peak_sample(read_target().amp)
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     windowed = amp[keep] * window
@@ -201,10 +235,10 @@ def achievable_lo(
     if energy <= 0.0:
         raise ValueError("cannot normalize a zero field")
     windowed /= np.sqrt(energy)
-    if amp is target.amp:
-        amp = np.zeros_like(amp)
-    else:
+    if shaped:
         amp.fill(0.0)  # the transform's own output array becomes the windowed LO
+    else:
+        amp = np.zeros_like(amp)
     amp[keep] = windowed
     return TemporalField(grid, amp)
 
@@ -246,8 +280,10 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     at most L = (2*pi*dt)^2 * (M1^2 + M0*M2).  Newton steps on f, each kept
     within 2*dt of its start, refine from every sample within L of the best
     sample (at most ``_MAX_STARTS``), so a nearly tied peak that the lattice
-    undersamples is not lost; the largest value seen is returned.  Each step
-    sums A and both tau-derivatives exactly over the support of g, from one
+    undersamples is not lost; the largest value seen is returned.  Every
+    step is also kept within +-window/4, the coarse search's own range, so
+    an overlap that still rises there returns its value at that edge.  Each
+    step sums A and both tau-derivatives exactly over the support of g, from one
     product h of g with the phasors of :func:`_phasors`.  The sums are ufunc
     reductions: a BLAS dot product here (h @ phase) runs on OpenBLAS's own
     threads and nearly doubles the CPU time of a depth scan for no gain in
@@ -278,9 +314,11 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     starts = starts[np.argsort(-coarse[starts], kind="stable")[:_MAX_STARTS]]
 
     phase = -2j * np.pi * freqs
+    quarter = 0.25 * grid.window  # 2 * eighth * dt exactly, as n is a power of two
     for m in starts:
         start = 2 * (int(m) if m <= eighth else int(m) - mid) * grid.dt
-        x = 0.0  # offset from the start, kept within two time steps
+        low, high = max(-2.0 * grid.dt, -quarter - start), min(2.0 * grid.dt, quarter - start)
+        x = 0.0  # offset from the start, kept within two time steps and +-window/4
         for _ in range(8):  # at the default scenario Newton stops within 4 steps
             h = g * _phasors(freqs[0], grid.df, g.size, start + x)
             a = h.sum().real
@@ -292,45 +330,60 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
             half_d2 = a1**2 + a * a2
             new = x
             if half_d2 < 0.0:
-                new = min(max(x - a * a1 / half_d2, -2.0 * grid.dt), 2.0 * grid.dt)
+                new = min(max(x - a * a1 / half_d2, low), high)
             if abs(new - x) <= 1e-9 * grid.dt:
                 break
             x = new
     return best
 
 
-def _shaped_input(
-    mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig
-) -> tuple[SpectralField, SpectralField, float]:
-    """The input LO u's half spectrum ``lo_in``, that of the shaped input LO s = achievable_lo(u), and
-    their distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|)."""
-    shaped = _spectrum(achievable_lo(mode_in, cfg, lo_in))
-    g = _spectral_product(lo_in, shaped)
-    inner = abs(lo_in.grid.df * _spectral_sum(g, g.amp))
-    return lo_in, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner)))
+@dataclass
+class _ShapedInput:
+    """The input LO u's half spectrum ``lo``, the shaped input LO s = achievable_lo(u) as a field, and
+    their distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|).  s's half spectrum is
+    transformed on first use, by the first search that the distance cannot skip, and then replaces
+    the field, so that one of the two is held through the medium loop."""
+
+    lo: SpectralField
+    field: TemporalField | None
+    distance: float
+    _spectrum: SpectralField | None = None
+
+    @property
+    def spectrum(self) -> SpectralField:
+        if self._spectrum is None:
+            self._spectrum, self.field = _spectrum(self.field), None
+        return self._spectrum
 
 
-def _efficiencies(
-    out: Transmitted,
-    eta_base: float,
-    cfg: ShaperConfig,
-    shaped_in: tuple[SpectralField, SpectralField, float],
-) -> tuple[float, float]:
+def _shaped_input(mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig) -> _ShapedInput:
+    """The shaped input LO of the unit-energy input mode u and its half spectrum ``lo_in``, with
+    <u|s> = dt * sum u * s summed in time by einsum's own loop: a BLAS dot product would start threads,
+    and a product array would be a full-length temporary."""
+    mode_in = _real(mode_in)
+    shaped = achievable_lo(mode_in, cfg, lo_in)
+    inner = abs(lo_in.grid.dt * np.einsum("i,i->", mode_in.amp, shaped.amp))
+    return _ShapedInput(lo_in, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner))))
+
+
+def _efficiencies(out: Transmitted, eta_base: float, cfg: ShaperConfig, shaped_in: _ShapedInput) -> tuple[float, float]:
     """(unshaped, shaped) efficiency for one medium, with ``shaped_in`` from :func:`_shaped_input`.
 
     The shaped efficiency is the best of the LO shaped to the transmitted
     mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
     so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
-    (Cauchy-Schwarz): the search over s is skipped when that bound on its
-    result cannot reach the own-mode LO's.
+    (Cauchy-Schwarz): the search over s, and with it s's transform, is
+    skipped when that bound on its result cannot reach the own-mode LO's.
+    The own-mode LO is shaped from the output mode's spectrum, and reads the
+    transmitted field only where its centre cannot be proven from the cut
+    spectrum's own field (:func:`achievable_lo`).
     """
-    lo, spectrum, distance = shaped_in
     mode = out.mode
-    p_in = _best_projection(lo, mode)
+    p_in = _best_projection(shaped_in.lo, mode)
     unshaped = float(_eta(eta_base, out, p_in))
-    best = _best_projection(_spectrum(achievable_lo(out.field, cfg, mode)), mode)
-    if (np.sqrt(p_in) + distance + _SKIP_SLACK) ** 2 >= best:
-        best = max(best, _best_projection(spectrum, mode))
+    best = _best_projection(_spectrum(achievable_lo(out, cfg)), mode)
+    if (np.sqrt(p_in) + shaped_in.distance + _SKIP_SLACK) ** 2 >= best:
+        best = max(best, _best_projection(shaped_in.spectrum, mode))
     return unshaped, max(float(_eta(eta_base, out, best)), unshaped)
 
 

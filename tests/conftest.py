@@ -73,9 +73,10 @@ def full_product(lo_spec, sig_spec):
 
 
 def brent_projection(lo_spec, sig_spec):
-    """Oracle for max over delay of |<lo(tau)|sig>|^2: bounded Brent on the direct sum over the full
-    spectrum, within two time steps of every local maximum of the dt-lattice overlaps within
-    +-window/4 that reaches half the largest (as far as ``_best_projection`` refines its starts)."""
+    """Oracle for max over delay of |<lo(tau)|sig>|^2 within +-window/4: bounded Brent on the direct sum
+    over the full spectrum, within two time steps of every local maximum of the dt-lattice overlaps within
+    +-window/4 that reaches half the largest (as far as ``_best_projection`` refines its starts), and never
+    past +-window/4."""
     grid = lo_spec.grid
     g = full_product(lo_spec, sig_spec)
     corr = np.abs(lattice_overlaps(g, grid)) ** 2
@@ -94,7 +95,7 @@ def brent_projection(lo_spec, sig_spec):
     best = corr.max()
     for k in np.nonzero(peaks)[0]:
         tau = (k if k <= quarter else k - grid.n) * grid.dt
-        bounds = (tau - 2.0 * grid.dt, tau + 2.0 * grid.dt)
+        bounds = (max(tau - 2.0 * grid.dt, -0.25 * grid.window), min(tau + 2.0 * grid.dt, 0.25 * grid.window))
         t = minimize_scalar(lambda t: -abs(overlap_and_derivatives(t)[0]) ** 2, bounds=bounds, method="bounded",
                             options={"xatol": 1e-18}).x
         for _ in range(3):  # Newton steps on |A|^2, kept within the bounds, polish Brent's abscissa

@@ -22,7 +22,7 @@ from zapsim import (
     transmit,
 )
 from zapsim.fields import TemporalField
-from zapsim.medium import _warn_grid_adequacy
+from zapsim.medium import _warn_window_edges
 
 LN2 = np.log(2.0)
 
@@ -202,7 +202,7 @@ class TestEdgeCheck:
         monkeypatch.setattr(np, "abs", lambda x, *a, **k: blocks.append(np.size(x) == 1024) or np_abs(x, *a, **k))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _warn_grid_adequacy(TemporalField(self.grid, amp), self.line)
+            _warn_window_edges(TemporalField(self.grid, amp))
         return [str(w.message) for w in caught], sum(blocks)
 
     @pytest.mark.parametrize("edge, warned", [(0.9e-6, False), (1.1e-6, True)])
@@ -232,6 +232,47 @@ class TestEdgeCheck:
         messages, blocks = self.check(amp, monkeypatch)
         assert blocks == 0
         assert messages == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
+
+
+class TestSpectralEdgeCheck:
+    """transmit reads the two edge samples of a half spectrum's field from the spectrum and bounds the peak by
+    the RMS; the field is built, for the exact check on its samples, only where that bound cannot clear the edges."""
+
+    line = MediumParams(depth=0.0, t2=1e-12)  # H = 1 exactly, so the output field is the input's; no sampling warning
+
+    def transmitted(self, n, amp_at_edge, at):
+        # a 100 fs pulse of unit peak in mid-window, whose RMS is 0.051 over a 2^12 x 10 fs window (0.036 over
+        # 2^13), and one edge value: only the smallest edges are cleared by the bound
+        grid = make_grid(n, 10e-15)
+        amp = gaussian_pulse(grid, 100e-15, center_t=grid.window / 2).amp
+        amp[at] = amp_at_edge
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = transmit(to_spectrum(TemporalField(grid, amp), half=True), self.line)
+        return out, "field" in vars(out), [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("n", [2**12, 2**13])
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("edge, built", [(1e-8, False), (-1e-8, False), (0.9e-6, True), (-1.1e-6, True), (1e-4, True)])
+    def test_warns_as_the_exact_check_on_the_built_field(self, n, at, edge, built):
+        out, was_built, messages = self.transmitted(n, edge, at)
+        assert was_built == built
+        with warnings.catch_warnings(record=True) as exact:
+            warnings.simplefilter("always")
+            _warn_window_edges(out.field)
+        assert messages == [str(w.message) for w in exact]
+        assert len(messages) == (abs(edge) > 1e-6)
+
+    def test_a_clean_field_is_built_only_when_read(self):
+        out, was_built, messages = self.transmitted(2**12, 0.0, 0)
+        assert not was_built and messages == []
+        field = out.field
+        assert out.field is field and "field" in vars(out)
+
+    def test_the_full_layout_checks_the_built_field(self):
+        grid = make_grid(2**12, 10e-15)
+        out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15, center_t=grid.window / 2)), self.line)
+        assert "field" in vars(out)
 
 
 @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,17 @@ from zapsim import (
 from zapsim.fields import _spectrum
 from zapsim.modes import _spectral_product
 from zapsim.shaper import (
-    CENTER_WAVELENGTH, SPEED_OF_LIGHT, _best_projection, _box_average, _efficiencies, _even_lag_overlaps, _resolution_window, _shaped_input
+    CENTER_WAVELENGTH,
+    SPEED_OF_LIGHT,
+    _best_projection,
+    _box_average,
+    _efficiencies,
+    _even_lag_overlaps,
+    _resolution_window,
+    _shaped_input,
 )
 
-from conftest import brent_projection, centred_box, full_layout_lo, full_product, lattice_overlaps
+from conftest import brent_projection, centred_box, direct_overlaps, full_layout_lo, full_product, lattice_overlaps
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -212,6 +221,22 @@ class TestBestProjection:
             with pytest.raises(ValueError, match="full-layout spectrum"):
                 _best_projection(*spectra)
 
+    @pytest.mark.parametrize("side, beyond", [(1.0, 1.5), (-1.0, 1.5), (1.0, -1.5)])
+    def test_overlap_rising_through_the_edge_stops_there(self, side, beyond):
+        # the signal is the LO delayed by side * (window/4 + ``beyond`` samples): past the edge the overlap still
+        # rises through +-window/4, and the search returns its value there, the largest within its range (and
+        # Brent's); a peak just inside the range is found in full
+        grid = make_grid(2**12, 10e-15)
+        mode = normalize(gaussian_pulse(grid, 100e-15))
+        edge = side * 0.25 * grid.window
+        lo_spec = to_spectrum(mode, half=True)
+        sig_spec = to_spectrum(delay_field(mode, edge + side * beyond * grid.dt), half=True)
+        at_edge = abs(direct_overlaps(lo_spec, sig_spec, [edge])[0]) ** 2
+        want = 1.0 if beyond < 0.0 else at_edge
+        assert at_edge < 0.99
+        assert _best_projection(lo_spec, sig_spec) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert brent_projection(lo_spec, sig_spec) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_nearly_tied_peaks_not_below_brent(self):
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
         # peaks wrongly when one sits between samples, so refining only its maximum falls short
@@ -332,25 +357,28 @@ def test_skipping_a_losing_shaped_input_changes_nothing(monkeypatch, pixel_nm):
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
     lo_in = _spectrum(pulse)
-    lo, shaped, distance = _shaped_input(pulse, lo_in, cfg)
-    # the real input LO and the shaped one, pixel-averaged or not, are half spectra
-    assert lo.half and shaped.half
+    shaped_in = _shaped_input(pulse, lo_in, cfg)
+    lo, distance = shaped_in.lo, shaped_in.distance
+    # the real input LO is a half spectrum, and the shaped one, pixel-averaged or not, a real field
+    assert lo.half and shaped_in.field.amp.dtype == np.float64
     searches = []
     monkeypatch.setattr(zapsim.shaper, "_best_projection", lambda *args: searches.append(1) or _best_projection(*args))
     for i, preset in enumerate(temperature_presets()):
         out = transmit(lo_in, preset.params)
         mode = out.mode
         del searches[:]
-        skipping = _efficiencies(out, 0.62, cfg, (lo, shaped, distance))
+        skipping = _efficiencies(out, 0.62, cfg, shaped_in)
         skipped = 3 - len(searches)
+        if i == 0:  # the shaped input LO is transformed by its first search, and only then
+            assert (shaped_in.field is None) == (skipped == 0)
         # an infinite distance never proves the shaped input LO loses
-        assert skipping == _efficiencies(out, 0.62, cfg, (lo, shaped, np.inf))
+        assert skipping == _efficiencies(out, 0.62, cfg, replace(shaped_in, distance=np.inf))
         # the shaped input LO provably loses without a pixel, and with a coarse one at presets 2-5; at
         # preset 1 the pixel LO shaped to the transmitted mode wins by less than the distance, so it is searched
         assert skipped == (0 if pixel_nm is not None and i == 0 else 1)
         # the bound the skip rests on: |<s(tau)|out>| <= |<u(tau)|out>| + distance
         bound = (np.sqrt(_best_projection(lo, mode)) + distance) ** 2
-        assert _best_projection(shaped, mode) <= bound
+        assert _best_projection(shaped_in.spectrum, mode) <= bound
 
 
 @pytest.mark.parametrize("pixel_nm", [2.0, 3.0])
@@ -370,6 +398,31 @@ def test_pixel_box_moves_with_the_pulse(pixel_nm):
     for centre, lo in zip(centres[1:], los[1:]):
         moved = np.roll(los[0].amp, int(round((centre - first) / grid.dt)))
         assert np.max(np.abs(lo.amp - moved)) <= 1e-12 * np.abs(moved).max()
+
+
+@pytest.mark.parametrize("span_nm, reads", [(60.0, False), (1.0, True)])
+@pytest.mark.parametrize("preset_idx", [0, 2, 4])
+def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_idx, span_nm, reads):
+    # the LO window is centred on the transmitted field's peak sample: the default span cuts only bins whose
+    # reach is far below the gap between the cut field's two highest samples, so that field's peak is proven
+    # the target's and the unbuilt transmitted field stays unbuilt; a 1 nm span leaves a smooth cut field with
+    # no proven peak, and the field is built and read.  Either way the LO has the bits of the window centred
+    # on argmax |target|
+    grid = default_grid
+    out = transmit(_spectrum(normalize(gaussian_pulse(grid, 100e-15))), temperature_presets()[preset_idx].params)
+    assert "field" not in vars(out)  # the default window holds the tail: the edge check built no field
+    cfg = ShaperConfig(span=span_nm * 1e-9)
+    lo = achievable_lo(out, cfg)
+    assert ("field" in vars(out)) == reads
+    cut = np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
+    amp = np.fft.irfft(np.conj(out.mode.amp[:cut]), grid.n) / grid.dt
+    keep, window = _resolution_window(grid, int(np.argmax(np.abs(out.field.amp))), cfg.resolution_fwhm_hz)
+    want = np.zeros(grid.n)
+    want[keep] = amp[keep] * window / np.sqrt(grid.dt * np.sum((amp[keep] * window) ** 2))
+    assert np.array_equal(lo.amp.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(lo.amp.view(np.uint64), achievable_lo(out.field, cfg, out.mode).amp.view(np.uint64))
+    with pytest.raises(ValueError, match="carries its own spectrum"):
+        achievable_lo(out, cfg, out.mode)
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +470,8 @@ def test_pixel_box_runs_only_real_transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *args, _fn=fn, **kwargs: complex_transforms.append(1) or _fn(*args, **kwargs))
     lo_in = _spectrum(pulse)
     out = transmit(lo_in, params)
-    lo, shaped, _ = _shaped_input(pulse, lo_in, cfg)
+    shaped_in = _shaped_input(pulse, lo_in, cfg)
+    lo, shaped = shaped_in.lo, shaped_in.spectrum
     own = _spectrum(achievable_lo(out.field, cfg, out.mode))
     assert lo.half and shaped.half and own.half and out.mode.half
     assert out.field.amp.dtype == np.float64
