@@ -4,20 +4,19 @@ Delays are applied as spectral phase ramps exp(2*pi*i*nu*tau), which shifts
 an envelope later by tau with sub-sample accuracy, so a delayed-mode
 projection is
 
-    <lo(tau)|sig> = df * sum_nu conj(LO(nu)) * S(nu) * exp(-2*pi*i*nu*tau)
-                  = dt * sum_u conj(lo(u)) * sig(u + tau)      (circular in u)
+    <lo(tau)|sig> = df * sum_nu g(nu) * exp(-2*pi*i*nu*tau),    g = conj(LO) * S.
 
-A scan on one lattice tau0 + k*dt is the second sum at integer lags k: a
-correlation over the few samples where the LO is nonzero, with sig advanced
-by tau0's distance from the dt lattice (one inverse transform) when tau0 is
-off it.  Any other delay set is the exact first sum, one delay at a time
-over the support of g = conj(LO) * S.
+A scan on one lattice tau0 + k*dt is this sum at integer lags k: one inverse
+transform of g, of length n/2 when every lag is even (the phasors of even
+lags repeat every n/2 bins, so g folds in half) and of length n otherwise,
+with g first multiplied by the phase ramp of tau0's distance from the dt
+lattice when tau0 is off it.  Any other delay set is the exact sum, one
+delay at a time over the support of g.
 
 The LO and the signal are real envelopes, so every spectrum here is a half
-spectrum (see :mod:`zapsim.fields`): a signal is advanced by one real
-inverse transform, and g is Hermitian, so the first sum runs over nu >= 0
-and is real.  A complex field with a nonzero imaginary part, or a spectrum
-in the full layout that serves ``propagate``, raises ValueError.
+spectrum (see :mod:`zapsim.fields`) and g is Hermitian: the sums run over
+nu >= 0 and are real.  A complex field with a nonzero imaginary part, or a
+spectrum in the full layout that serves ``propagate``, raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ __all__ = [
 
 NORMALIZATION_TOL = 1e-6
 
-# |g| (or |lo| in time) below this fraction of its peak contributes < ~1e-14
-# to any overlap; truncating to the support speeds up direct sums.
+# |g| below this fraction of its peak contributes < ~1e-14 to any overlap;
+# truncating to the support speeds up direct sums.
 _SUPPORT_CUTOFF = 1e-20
 
 # Largest distance from the dt lattice, in units of dt, at which a delay is
@@ -144,65 +143,54 @@ def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
     return np.multiply.outer(row, col).ravel()[:count]
 
 
-def _time_support(f: TemporalField) -> tuple[np.ndarray, int]:
-    """A copy of the real field f over its circular support, the shortest run of samples (it may wrap
-    the window edge) outside which |f| is below _SUPPORT_CUTOFF of its peak, and the index of
-    the run's first sample: all a delay scan keeps of its LO.  A zero f keeps every sample."""
-    f = _real(f)
-    mag = np.abs(f.amp)
-    idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
-    gaps = np.diff(idx, append=idx[0] + f.grid.n)  # the last gap wraps the edge
-    j = int(np.argmax(gaps))
-    first = int(idx[(j + 1) % idx.size])
-    return np.take(f.amp, np.arange(first, first + f.grid.n - int(gaps[j]) + 1), mode="wrap"), first
+def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
+    """The real overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2,
+    from one half-length transform.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
+    of a Hermitian product: the even-lag phasors repeat every n/2 bins, so A is the real transform of
+    length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken conjugate to turn irfft's
+    kernel into exp(-2*pi*i*nu*tau)."""
+    mid = g.grid.n // 2
+    folded = np.conj(g.amp[: mid // 2 + 1])
+    folded += g.amp[mid - mid // 2 :][::-1]
+    out = np.fft.irfft(folded, mid)
+    out *= g.grid.df * mid
+    return out
 
 
-def delay_overlaps(
-    lo_support: tuple[np.ndarray, int],
-    sig: TemporalField,
-    delays,
-    lo_spec: SpectralField | None = None,
-    sig_spec: SpectralField | None = None,
-) -> np.ndarray:
-    """<lo(tau)|sig> for each tau, given the LO mode's :func:`_time_support` and the signal.
+def delay_overlaps(lo_spec: SpectralField, sig_spec: SpectralField, delays) -> np.ndarray:
+    """<lo(tau)|sig> for each tau, from the half spectra of the LO mode and the signal.
 
     The LO is a unit-energy mode and the result is linear in the signal, so
     for a unit-energy signal the result at tau = 0 is the plain overlap.
-    Delays on one lattice tau0 + k*dt are correlated in time over the LO's
-    support; any other delay set is one support-length spectral sum per
-    delay.  The LO and signal half spectra are built only where needed: a
-    caller that holds them passes them as ``lo_spec`` and ``sig_spec``.  The
-    overlaps are real (float64) on either path.
+    Delays on one lattice tau0 + k*dt are read from one inverse transform of
+    g = conj(LO) * S: of length n/2 (:func:`_even_lag_overlaps`) when every
+    lag k is even, else of length n.  Any other delay set is one
+    support-length spectral sum per delay.  The overlaps are real (float64)
+    on either path.
     """
-    sig = _real(sig)
+    g = _spectral_product(lo_spec, sig_spec)
     delays = np.atleast_1d(np.asarray(delays, dtype=np.float64))
     if not delays.size:
         return np.zeros(0)
-    grid = sig.grid
-    lo, first = lo_support
+    grid = g.grid
     offset = delays[0] - np.rint(delays[0] / grid.dt) * grid.dt
     if abs(offset) <= _LATTICE_TOL * grid.dt:
         offset = 0.0
     steps = (delays - offset) / grid.dt
     lags = np.rint(steps)
     if np.all(np.abs(steps - lags) <= _LATTICE_TOL):
-        amp = sig.amp
-        if offset:  # sig(t + offset), band-limited
-            amp = delay_field(sig if sig_spec is None else sig_spec, -offset).amp
+        if offset:  # A(offset + k*dt) is the lag-k overlap of g * exp(-2*pi*i*nu*offset)
+            np.multiply(g.amp, _phasors(0.0, grid.df, g.amp.size, offset), out=g.amp)
         lags = lags.astype(np.int64)
-        k0 = int(lags.min())
-        span = int(lags.max()) - k0 + 1
-        window = np.take(amp, np.arange(first + k0, first + k0 + lo.size + span - 1), mode="wrap")
-        # np.correlate conjugates its second argument: out[j] = sum_u window[j + u] * conj(lo[u])
-        return grid.dt * np.correlate(window, lo, mode="valid")[lags - k0]
-    if lo_spec is None:
-        amp = np.zeros(grid.n)
-        amp[np.arange(first, first + lo.size) % grid.n] = lo
-        lo_spec = _spectrum(TemporalField(grid, amp))
-    g = _spectral_product(lo_spec, _spectrum(sig) if sig_spec is None else sig_spec)
+        if not np.any(lags % 2):
+            return _even_lag_overlaps(g)[(lags // 2) % (grid.n // 2)]
+        np.conj(g.amp, out=g.amp)  # turns irfft's kernel into exp(-2*pi*i*nu*tau)
+        out = np.fft.irfft(g.amp, grid.n)
+        out *= grid.df * grid.n
+        return out[lags % grid.n]
     terms, freqs = _support(g)
     sums = np.array([(terms * _phasors(freqs[0], grid.df, terms.size, tau)).sum() for tau in delays])
-    return grid.df * sums.real  # a Hermitian g sums to a real A, as a real correlation does
+    return grid.df * sums.real  # a Hermitian g sums to a real A
 
 
 def _check_delays(grid, delays) -> np.ndarray:
@@ -232,7 +220,7 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     if sig.grid != lo.grid:
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
-    overlaps = delay_overlaps(_time_support(normalize(lo)), normalize(sig), delays)
+    overlaps = delay_overlaps(_spectrum(normalize(lo)), _spectrum(normalize(sig)), delays)
     return _visibility_scan(overlaps, delays)
 
 
@@ -279,9 +267,9 @@ def eta_curve(
     if input_field.grid != lo.grid:
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
-    lo_support = _time_support(normalize(lo))
+    lo_spec = _spectrum(normalize(lo))
     out = transmit(_spectrum(normalize(input_field)), m)
-    overlaps = delay_overlaps(lo_support, out.field, delays, sig_spec=out.spectrum)
+    overlaps = delay_overlaps(lo_spec, out.spectrum, delays)
     overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)
 

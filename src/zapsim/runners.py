@@ -18,7 +18,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .fields import GridAdequacyWarning, _norm, _spectrum, normalize, pulse_area, to_spectrum
 from .medium import MediumPreset, transmit
-from .modes import _check_delays, _eta_scan, _time_support, _visibility_scan, delay_overlaps
+from .modes import _check_delays, _eta_scan, _visibility_scan, delay_overlaps
 from .quantum import (
     HeraldedState,
     estimate_eta,
@@ -145,19 +145,18 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 
 def _input_lo(cfg: ScenarioConfig):
-    """The unit-energy input pulse's half spectrum and its :func:`_time_support`, the LO of the delay
-    scans; the full pulse is not kept through the medium loop."""
-    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
-    return _spectrum(pulse), _time_support(pulse)
+    """The unit-energy input pulse's half spectrum: the signal sent through each medium, and the LO of the
+    delay scans."""
+    return _spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
 
 
 def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the classical fringe-visibility delay scan for each medium."""
-    spec_in, lo_support = _input_lo(cfg)
+    spec_in = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        overlaps = delay_overlaps(lo_support, out.field, delays, spec_in, out.spectrum) / _norm(out.spectrum)
+        overlaps = delay_overlaps(spec_in, out.spectrum, delays) / _norm(out.spectrum)
         curve = _visibility_scan(overlaps, delays)
         columns = [curve.xs * 1e12, curve.ys, curve.peak_normalized().ys]
         path = out_dir / f"xcorr_{entry.label}.csv"
@@ -170,11 +169,11 @@ def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the homodyne efficiency delay scan (un-modulated LO) per medium."""
-    spec_in, lo_support = _input_lo(cfg)
+    spec_in = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
-        overlaps = delay_overlaps(lo_support, out.field, delays, spec_in, out.spectrum) / _norm(out.spectrum)
+        overlaps = delay_overlaps(spec_in, out.spectrum, delays) / _norm(out.spectrum)
         curve = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays)
         clamped = curve.ys < LOG_FLOOR
         log_eta = np.log10(np.maximum(curve.ys, LOG_FLOOR))

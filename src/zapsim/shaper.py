@@ -44,7 +44,7 @@ from .fields import (
     normalize,
 )
 from .medium import MediumParams, Transmitted, transmit
-from .modes import _check_eta_base, _check_normalized, _eta, _phasors, _spectral_product, _support
+from .modes import _check_eta_base, _check_normalized, _eta, _even_lag_overlaps, _phasors, _spectral_product, _support
 
 __all__ = [
     "ShaperConfig",
@@ -251,20 +251,6 @@ _MAX_STARTS = 8
 # Slack, in units of |overlap|, on the bound that lets the shaped input LO be
 # skipped: covers Newton's stopping tolerance and round-off in the distance.
 _SKIP_SLACK = 1e-9
-
-
-def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
-    """The real overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2,
-    from one half-length transform.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
-    of a Hermitian product: the even-lag phasors repeat every n/2 bins, so A is the real transform of
-    length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken conjugate to turn irfft's
-    kernel into exp(-2*pi*i*nu*tau)."""
-    mid = g.grid.n // 2
-    folded = np.conj(g.amp[: mid // 2 + 1])
-    folded += g.amp[mid - mid // 2 :][::-1]
-    out = np.fft.irfft(folded, mid)
-    out *= g.grid.df * mid
-    return out
 
 
 def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:

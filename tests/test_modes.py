@@ -22,9 +22,10 @@ from zapsim import (
 
 from zapsim import ShaperConfig, achievable_lo
 from zapsim import max_shaped_eta, max_unshaped_eta
-from zapsim.modes import _phasors, _time_support, delay_overlaps
+from zapsim.fields import _spectrum
+from zapsim.modes import _phasors, delay_overlaps
 
-from conftest import direct_overlaps, random_field
+from conftest import direct_overlaps, extended_overlaps, random_field
 
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
@@ -305,12 +306,18 @@ class TestDeterminism:
         assert np.array_equal(first, second)
 
 
+QUARTER = 2**14 * 10e-15 / 4  # +-window/4 of the TestScanPaths grid, lag +-4096
+
 LATTICE_DELAYS = {
     "linspace": np.linspace(-1e-12, 8e-12, 451),
     "arange": np.arange(-0.5e-12, 3e-12, 10e-15),
     "unsorted": np.array([1.2e-12, -0.4e-12, 0.3e-12]),
     "single": np.array([0.3e-12]),
     "negative-start": np.arange(-0.6e-12, 2e-12, 30e-15),
+    "odd-lags": np.arange(-39, 400, 2) * 10e-15,
+    "mixed-parity": np.array([-0.21e-12, 0.4e-12, 1.13e-12, 2e-12]),
+    "quarter-window-even": np.array([-QUARTER, 0.0, QUARTER]),
+    "quarter-window-mixed": np.array([-QUARTER, 10e-15, QUARTER]),
 }
 
 
@@ -340,11 +347,22 @@ class TestScanPaths:
             (np.linspace(-1e-12, 8e-12, 451), True),
             (np.arange(-0.5e-12, 3e-12, 10e-15), True),
             (np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), True),
+            (np.linspace(-1e-12 - 3.3e-15, 2e-12 - 3.3e-15, 151), True),
+            (np.arange(-1e-12 - 3.3e-15, 2e-12, 10e-15), True),
             (np.array([1.2e-12, -0.4e-12, 0.3e-12]), True),
             (np.array([0.3e-12]), True),
             (np.linspace(-1e-12, 8e-12, 400), False),
         ],
-        ids=["linspace", "arange", "off-lattice-start", "unsorted", "single", "off-lattice-step"],
+        ids=[
+            "linspace",
+            "arange",
+            "off-lattice-start",
+            "negative-off-lattice-start",
+            "off-lattice-start-mixed-parity",
+            "unsorted",
+            "single",
+            "off-lattice-step",
+        ],
     )
     def test_matches_direct_sum(self, fields, spectra, delays, on_lattice):
         lo_spec, sig_spec = spectra
@@ -352,25 +370,25 @@ class TestScanPaths:
         assert (np.max(np.abs(steps - np.rint(steps))) < 1e-10) == on_lattice
         pulse, sig = fields
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(pulse), sig, delays, lo_spec, sig_spec)
+        got = delay_overlaps(lo_spec, sig_spec, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", sorted(LATTICE_DELAYS))
     @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
-    def test_time_correlation_matches_direct_sum(self, fields, spectra, name, form):
+    def test_lattice_path_matches_direct_sum(self, fields, spectra, name, form):
+        # every lag even reads the half-length transform of the folded product, any odd lag the full-length one
         pulse, sig = fields
-        lo = REAL_FORMS[form](pulse)
         delays = LATTICE_DELAYS[name]
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(lo), sig, delays)
+        got = delay_overlaps(_spectrum(REAL_FORMS[form](pulse)), spectra[1], delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(delay_overlaps(_time_support(lo), sig, delays, *spectra), got)
+        assert np.array_equal(delay_overlaps(*spectra, delays), got)
 
-    def test_off_lattice_start_matches_direct_sum(self, fields):
+    def test_off_lattice_start_matches_direct_sum(self, fields, spectra):
         pulse, sig = fields
         delays = np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151)
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(pulse), sig, delays)
+        got = delay_overlaps(*spectra, delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -379,27 +397,23 @@ class TestScanPaths:
         ids=["off-lattice-start", "off-lattice-step"],
     )
     @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
-    def test_half_signal_spectrum_matches_direct_sum(self, fields, delays, form):
-        # the signal's half spectrum given, the LO's built from its support
+    def test_either_lo_form_matches_direct_sum(self, fields, delays, form):
+        # the LO's half spectrum taken from its float64 or its complex128 form
         pulse, sig = fields
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_time_support(REAL_FORMS[form](pulse)), sig, delays, sig_spec=to_spectrum(sig, half=True))
+        got = delay_overlaps(_spectrum(REAL_FORMS[form](pulse)), to_spectrum(sig, half=True), delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
-    def test_both_paths_give_one_dtype(self, fields, form):
-        # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths, from
-        # either form of a real LO
-        pulse, sig = fields
-        lo = REAL_FORMS[form](pulse)
+    def test_both_paths_give_one_dtype(self, spectra):
+        # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths
         lattice = LATTICE_DELAYS["linspace"]
         off = np.append(lattice, lattice[-1] + 3.3e-15)
-        on_lattice = delay_overlaps(_time_support(lo), sig, lattice)
-        summed = delay_overlaps(_time_support(lo), sig, off)
+        on_lattice = delay_overlaps(*spectra, lattice)
+        summed = delay_overlaps(*spectra, off)
         assert on_lattice.dtype == summed.dtype == np.float64
         assert np.max(np.abs(summed[:-1] - on_lattice)) <= 1e-12 * np.max(np.abs(on_lattice))
 
-    @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero"])
+    @pytest.mark.parametrize("lo_kind", ["shaped", "centered-at-zero", "centered-at-zero-odd-lags"])
     def test_wide_or_wrapping_lo_matches_direct_sum(self, fields, lo_kind):
         pulse, sig = fields
         delays = LATTICE_DELAYS["linspace"]
@@ -408,22 +422,34 @@ class TestScanPaths:
         else:
             # the pulse peaks at sample n/8; rolled to sample 0 it wraps the window edge
             lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
-            delays = delays + pulse.grid.window / 8
+            delays = delays + pulse.grid.window / 8 + (lo_kind.endswith("odd-lags")) * pulse.grid.dt
         want = self.direct_sum(lo, sig, delays)
-        got = delay_overlaps(_time_support(lo), sig, delays)
+        got = delay_overlaps(_spectrum(lo), _spectrum(sig), delays)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shift", [-7, -2, 1, 2, 5, 4096])
+    @pytest.mark.parametrize("start", [0.0, 3.3e-15], ids=["on-lattice", "off-lattice-start"])
+    def test_delay_equivariance(self, fields, spectra, shift, start):
+        # the signal moved later by k whole samples gives the same overlaps at delays moved by k*dt: an odd k
+        # moves the default scan's even lags onto the full-length path
+        pulse, sig = fields
+        delays = LATTICE_DELAYS["linspace"] + start
+        moved = _spectrum(TemporalField(sig.grid, np.roll(sig.amp, shift)))
+        want = delay_overlaps(*spectra, delays)
+        got = delay_overlaps(spectra[0], moved, delays + shift * sig.grid.dt)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
         "delays", [LATTICE_DELAYS["linspace"], np.linspace(-1e-12, 8e-12, 400)], ids=["lattice", "off-lattice-step"]
     )
-    def test_zero_lo_gives_zero_overlaps(self, fields, delays):
+    def test_zero_lo_gives_zero_overlaps(self, fields, spectra, delays):
         pulse, sig = fields
-        got = delay_overlaps(_time_support(TemporalField(pulse.grid, np.zeros(pulse.grid.n))), sig, delays)
+        zero = _spectrum(TemporalField(pulse.grid, np.zeros(pulse.grid.n)))
+        got = delay_overlaps(zero, spectra[1], delays)
         assert got.shape == delays.shape and not np.any(got)
 
-    def test_no_delays_give_an_empty_result(self, fields):
-        pulse, sig = fields
-        assert delay_overlaps(_time_support(pulse), sig, np.array([])).shape == (0,)
+    def test_no_delays_give_an_empty_result(self, spectra):
+        assert delay_overlaps(*spectra, np.array([])).shape == (0,)
 
     @pytest.mark.parametrize("tau, tol", [(3e-12, 1e-13), (2**19 * 10e-15 / 4, 1e-10)])
     def test_phasors_match_exp(self, tau, tol):
@@ -433,6 +459,51 @@ class TestScanPaths:
         df = freqs[1] - freqs[0]
         got = _phasors(band[0], df, band.size, tau)
         assert np.max(np.abs(got - np.exp(-2j * np.pi * band * tau))) <= tol
+
+
+def draw_lattice_scan(rng, k: int) -> dict:
+    """A grid of 2^10 - 2^13 samples, a pulse, a custom medium and a lattice scan of 1 - 5 time steps within
+    +-window/4, starting on the dt lattice (even k) or off it (odd k)."""
+    n = int(2 ** rng.integers(10, 14))
+    dt = float(rng.uniform(5e-15, 20e-15))
+    window = n * dt
+    fwhm = float(rng.uniform(3.0 * dt, window / 40.0))
+    medium = MediumParams(depth=float(rng.uniform(0.0, 500.0)), t2=float(rng.uniform(0.05, 0.5) * window))
+    step = int(rng.integers(1, 6))
+    count = int(rng.integers(1, 201))
+    first = int(rng.integers(-n // 4 + 1, n // 4 - (count - 1) * step))  # a sample inside +-window/4 to spare
+    offset = float(rng.uniform(-0.5, 0.5)) * dt if k % 2 else 0.0
+    kind = "off-lattice-start" if k % 2 else "on-lattice"
+    return {
+        "id": f"{k}-{kind}-n{n}-step{step}",
+        "n": n,
+        "dt": dt,
+        "fwhm": fwhm,
+        "medium": medium,
+        "delays": (first + step * np.arange(count)) * dt + offset,
+    }
+
+
+_rng = np.random.default_rng(506)
+LATTICE_SCANS = [draw_lattice_scan(_rng, k) for k in range(24)]
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize("case", LATTICE_SCANS, ids=[case["id"] for case in LATTICE_SCANS])
+def test_lattice_scans_match_the_exact_sum(case):
+    # the lattice path (half- or full-length transform, with or without the offset's phasors) against the exact
+    # sum per delay, to 1e-13 of the scan's peak; a float64 sum rounds at ~1e-16 of the Cauchy-Schwarz bound
+    # |lo| * |sig|, so a scan whose peak falls below 1e-2 of that bound (a strongly absorbed field, or a scan
+    # that misses the mode: down to 4e-6 of it here) is held to 1e-15 of the bound
+    grid = make_grid(case["n"], case["dt"])
+    pulse = normalize(gaussian_pulse(grid, case["fwhm"]))
+    lo_spec = to_spectrum(pulse, half=True)
+    sig_spec = propagate(lo_spec, case["medium"])
+    delays = case["delays"]
+    want = extended_overlaps(lo_spec, sig_spec, delays)
+    got = delay_overlaps(lo_spec, sig_spec, delays)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-2 * np.sqrt(sig_spec.energy))
+    assert visibility_curve(to_time(sig_spec), pulse, delays).ys.max() <= 1.0 + 1e-12
 
 
 # every entry point of mode analysis, called with the complex field f in one role and the real field r in the others

@@ -18,6 +18,7 @@ alignment of its operands.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ import zapsim.shaper
 from zapsim import (
     Grid,
     MediumParams,
+    SpectralField,
     ShaperConfig,
     TemporalField,
     achievable_lo,
@@ -44,16 +46,16 @@ from zapsim import (
     visibility_curve,
 )
 from zapsim.cli import main
-from zapsim.modes import _time_support
+from zapsim.config import ScenarioConfig, apply_overrides
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
 # most FFT work (in full-grid complex transforms) one medium may cost, per verb.  propagate writes the
 # imaginary part of the field, so it keeps the complex inverse FFT; a real input is transmitted on its
-# half spectrum, and xcorr and eta-scan read its field, one irfft; depth-scan reads no field and measures
-# 1.46: one irfft and one rfft for the LO shaped to the transmitted mode, and two half-length irffts for
-# the best-delay searches
-FFT_BUDGET = {"propagate": 1, "xcorr": 0.5, "eta-scan": 0.5, "depth-scan": 1.47}
+# half spectrum, and xcorr and eta-scan read their overlaps from one half-length irfft of the folded
+# spectral product and build no field: 0.232; depth-scan reads no field and measures 1.46: one irfft and
+# one rfft for the LO shaped to the transmitted mode, and two half-length irffts for the best-delay searches
+FFT_BUDGET = {"propagate": 1, "xcorr": 0.233, "eta-scan": 0.233, "depth-scan": 1.47}
 
 # a centred pixel box keeps every LO real: depth-scan measures 2.20 per medium, the default's 1.96 and one more
 # half-length irfft, as the shaped input LO is searched too
@@ -172,16 +174,59 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
 
 @pytest.mark.parametrize("verb", ["depth-scan", "xcorr", "eta-scan", "propagate"])
 def test_only_verbs_that_read_the_field_transform_it(monkeypatch, tmp_path, verb):
-    # depth-scan reads the transmitted mode's spectrum alone: where the edge check clears the edges from the
-    # spectrum, as it does for these media on this grid, no transmitted field is built; the delay scans and
-    # propagate read the field
+    # depth-scan and the delay scans read the transmitted spectrum alone: where the edge check clears the edges
+    # from the spectrum, as it does for these media on this grid, no transmitted field is built; propagate
+    # writes the field
     monkeypatch.setattr(zapsim.config, "temperature_presets", _decayed_presets)
     outs = []
     transmit = zapsim.runners.transmit
     monkeypatch.setattr(zapsim.runners, "transmit", lambda *args: outs.append(transmit(*args)) or outs[-1])
     assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
     assert len(outs) == 5
-    assert [("field" in vars(out)) for out in outs] == [verb != "depth-scan"] * 5
+    assert [("field" in vars(out)) for out in outs] == [verb == "propagate"] * 5
+
+
+def _edge_warnings(cfg: ScenarioConfig) -> list[list[str]]:
+    """Per medium of ``cfg``, the grid-adequacy warning texts of the exact checks, on a field transformed here."""
+    spec = to_spectrum(zapsim.normalize(cfg.make_pulse(cfg.make_grid())), half=True)
+    texts = []
+    for entry in cfg.media():
+        h = transfer_function(spec.grid, entry.params, half=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", zapsim.GridAdequacyWarning)
+            zapsim.medium._warn_line_sampling(spec.grid, entry.params)
+            zapsim.medium._warn_window_edges(to_time(SpectralField(spec.grid, spec.amp * h.amp, half=True)))
+        texts.append([str(w.message) for w in caught])
+    return texts
+
+
+@pytest.mark.parametrize("verb, stem", [("xcorr", "xcorr"), ("eta-scan", "eta_scan")])
+def test_scans_check_wrapped_edges_on_the_field(monkeypatch, tmp_path, verb, stem):
+    # the presets' tails wrap the window of GRID_N samples: the spectral edge bound cannot clear them, so each
+    # scan medium still builds its field for the exact check, and its sidecar lists the exact check's texts
+    outs = []
+    transmit = zapsim.runners.transmit
+    monkeypatch.setattr(zapsim.runners, "transmit", lambda *args: outs.append(transmit(*args)) or outs[-1])
+    assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
+    assert [("field" in vars(out)) for out in outs] == [True] * 5
+    sidecar = (tmp_path / f"{stem}_params.txt").read_text(encoding="utf-8").split("\n[")[2:]
+    got = [[line[len("warning = "):] for line in body.splitlines() if line.startswith("warning = ")] for body in sidecar]
+    want = _edge_warnings(apply_overrides(ScenarioConfig(), [f"grid.n={GRID_N}"]))
+    assert all(any("window edges" in text for text in texts) for texts in want)
+    assert got == want
+
+
+@pytest.mark.parametrize("verb", ["xcorr", "eta-scan"])
+def test_default_scans_transform_no_field(monkeypatch, tmp_path, verb):
+    # at the default 2^19 x 10 fs grid the presets' tails decay within the window: a run makes the input's rfft
+    # and, per medium, one half-length irfft of the folded spectral product for its 451 even-lag delays
+    lengths = []
+    for name in TRANSFORMS:
+        _count_calls(monkeypatch, np.fft, name, {name: 0}, lambda x, n=None, *args, name=name, **kwargs: (
+            lengths.append((name, n or (2 * (np.size(x) - 1) if name == "irfft" else np.size(x)))) or 0))
+    assert main([verb, "--out", str(tmp_path)]) == 0
+    n = 2**19
+    assert sorted(lengths) == [("irfft", n // 2)] * 5 + [("rfft", n)]
 
 
 def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path):
@@ -386,20 +431,30 @@ def test_in_place_product_rounds_alike_at_every_alignment(h_offset):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_lattice_curves_transform_only_the_propagation(monkeypatch):
-    # a lattice scan is a time correlation: no LO or signal spectrum is built
+def _lengths(monkeypatch, scan):
+    """The numpy transforms of ``scan()``, as (name, transform length) in call order."""
+    lengths = []
+    with monkeypatch.context() as mp:
+        for name in TRANSFORMS:
+            _count_calls(mp, np.fft, name, {name: 0}, lambda x, n=None, *args, name=name, **kwargs: (
+                lengths.append((name, n or (2 * (np.size(x) - 1) if name == "irfft" else np.size(x)))) or 0))
+        scan()
+    return lengths
+
+
+def test_lattice_curves_transform_half_spectra_and_one_half_length_irfft(monkeypatch):
+    # a lattice scan of even lags reads the half-length transform of the folded spectral product: the LO's and
+    # the signal's half spectra, and one irfft of length n/2; eta_curve's signal is the transmitted spectrum
     grid = make_grid(GRID_N, 10e-15)
     pulse = gaussian_pulse(grid, 100e-15)
     delays = np.arange(-40, 400) * 20e-15
-    counts = dict.fromkeys(TRANSFORMS, 0)
-    with monkeypatch.context() as mp:
-        for name in TRANSFORMS:
-            _count_calls(mp, np.fft, name, counts)
-        visibility_curve(pulse, pulse, delays)
-        assert counts == dict.fromkeys(TRANSFORMS, 0)
-        eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays)
-    # the input's half spectrum and the real transmitted field
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 1, "irfft": 1}
+    half_irfft, rfft = ("irfft", GRID_N // 2), ("rfft", GRID_N)
+    assert _lengths(monkeypatch, lambda: visibility_curve(pulse, pulse, delays)) == [rfft, rfft, half_irfft]
+    m = MediumParams(depth=70.0, t2=5e-12)  # decays within the window: no field is built
+    assert _lengths(monkeypatch, lambda: eta_curve(pulse, m, pulse, 0.62, delays)) == [rfft, rfft, half_irfft]
+    # one odd lag reads the full-length irfft instead
+    odd = np.append(delays, delays[-1] + 10e-15)
+    assert _lengths(monkeypatch, lambda: visibility_curve(pulse, pulse, odd)) == [rfft, rfft, ("irfft", GRID_N)]
 
 
 def _counted(monkeypatch, scan):
@@ -411,30 +466,31 @@ def _counted(monkeypatch, scan):
     return sum(counts[name] for name in TRANSFORMS), counts["exp"]
 
 
-@pytest.mark.parametrize(
-    "curve, budget",
-    # (FFT work, large complex exp): the real signal's half spectrum and the advanced signal, an rfft and an
-    # irfft; eta_curve holds the transmitted half spectrum, and adds the input's rfft, the transmitted
-    # field's irfft and H(nu) on nu >= 0
-    [("visibility", (1, 0)), ("eta", (1.5, (GRID_N // 2 + 1) / GRID_N))],
-)
-def test_off_lattice_start_costs_one_inverse_transform(monkeypatch, curve, budget):
-    # a lattice scan starting 3.3 fs off the dt lattice correlates the signal advanced by that offset,
-    # built from its spectrum by one inverse transform and no full-length complex exp
+@pytest.mark.parametrize("curve", ["visibility", "eta"])
+def test_off_lattice_start_costs_no_extra_transform(monkeypatch, curve):
+    # a lattice scan starting 3.3 fs off the dt lattice multiplies the spectral product by that offset's
+    # phasors, built from two ~sqrt(n) exponentials: the transforms and the large exponentials (eta_curve's
+    # H(nu) on nu >= 0 alone) of the on-lattice scan
     grid = make_grid(GRID_N, 10e-15)
     pulse = gaussian_pulse(grid, 100e-15)
-    delays = np.arange(-40, 400) * 20e-15 + 3.3e-15
-    if curve == "visibility":
-        fft, exp = _counted(monkeypatch, lambda: visibility_curve(pulse, pulse, delays))
-    else:
-        fft, exp = _counted(monkeypatch, lambda: eta_curve(pulse, MediumParams(depth=70.0, t2=280e-12), pulse, 0.62, delays))
-    assert fft <= budget[0] and exp <= budget[1]
+    m = MediumParams(depth=70.0, t2=5e-12)  # decays within the window: no field is built
+
+    def scan(delays):
+        if curve == "visibility":
+            return lambda: visibility_curve(pulse, pulse, delays)
+        return lambda: eta_curve(pulse, m, pulse, 0.62, delays)
+
+    on = np.arange(-40, 400) * 20e-15
+    cost = _counted(monkeypatch, scan(on + 3.3e-15))
+    assert cost == _counted(monkeypatch, scan(on))
+    assert cost[1] == (0 if curve == "visibility" else (GRID_N // 2 + 1) / GRID_N)
 
 
-def test_lo_wrapping_the_window_edge_correlates_over_its_support(monkeypatch):
+def test_lo_wrapping_the_window_edge_costs_what_a_centred_lo_costs(monkeypatch):
     grid = make_grid(GRID_N, 10e-15)
     centred = gaussian_pulse(grid, 100e-15)
     wrapped = TemporalField(grid, np.roll(centred.amp, -GRID_N // 8))  # peaks at sample 0
-    assert _time_support(wrapped)[0].size <= _time_support(centred)[0].size
     delays = np.arange(-40, 400) * 20e-15
-    assert _counted(monkeypatch, lambda: visibility_curve(centred, wrapped, delays)) == (0, 0)
+    cost = _counted(monkeypatch, lambda: visibility_curve(centred, wrapped, delays))
+    assert cost == _counted(monkeypatch, lambda: visibility_curve(centred, centred, delays))
+    assert cost[1] == 0
