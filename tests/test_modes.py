@@ -384,26 +384,6 @@ class TestScanPaths:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(delay_overlaps(*spectra, delays), got)
 
-    def test_off_lattice_start_matches_direct_sum(self, fields, spectra):
-        pulse, sig = fields
-        delays = np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151)
-        want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(*spectra, delays)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize(
-        "delays",
-        [np.linspace(-1e-12 + 3.3e-15, 2e-12 + 3.3e-15, 151), np.linspace(-1e-12, 8e-12, 400)],
-        ids=["off-lattice-start", "off-lattice-step"],
-    )
-    @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True), ids=lambda form: f"{form}-lo")
-    def test_either_lo_form_matches_direct_sum(self, fields, delays, form):
-        # the LO's half spectrum taken from its float64 or its complex128 form
-        pulse, sig = fields
-        want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_spectrum(REAL_FORMS[form](pulse)), to_spectrum(sig, half=True), delays)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     def test_both_paths_give_one_dtype(self, spectra):
         # one delay off the lattice sends the whole set to the spectral sum: real overlaps on both paths
         lattice = LATTICE_DELAYS["linspace"]
@@ -422,7 +402,7 @@ class TestScanPaths:
         else:
             # the pulse peaks at sample n/8; rolled to sample 0 it wraps the window edge
             lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
-            delays = delays + pulse.grid.window / 8 + (lo_kind.endswith("odd-lags")) * pulse.grid.dt
+            delays = delays + pulse.grid.window / 8 + pulse.grid.dt * lo_kind.endswith("odd-lags")
         want = self.direct_sum(lo, sig, delays)
         got = delay_overlaps(_spectrum(lo), _spectrum(sig), delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -432,7 +412,7 @@ class TestScanPaths:
     def test_delay_equivariance(self, fields, spectra, shift, start):
         # the signal moved later by k whole samples gives the same overlaps at delays moved by k*dt: an odd k
         # moves the default scan's even lags onto the full-length path
-        pulse, sig = fields
+        sig = fields[1]
         delays = LATTICE_DELAYS["linspace"] + start
         moved = _spectrum(TemporalField(sig.grid, np.roll(sig.amp, shift)))
         want = delay_overlaps(*spectra, delays)

@@ -153,6 +153,22 @@ def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
     }
 
 
+def _length(name, x, n=None, *args, **kwargs):
+    """The length of the transform ``np.fft.<name>(x, n)``: by default an irfft of m bins has 2 * (m - 1) points."""
+    return n or (2 * (np.size(x) - 1) if name == "irfft" else np.size(x))
+
+
+def _transforms(monkeypatch, run):
+    """The numpy transforms that ``run()`` makes, as (name, length) in call order, and its result."""
+    lengths = []
+    with monkeypatch.context() as mp:
+        for name in TRANSFORMS:
+            record = lambda *args, name=name, **kwargs: lengths.append((name, _length(name, *args, **kwargs))) or 0
+            _count_calls(mp, np.fft, name, {name: 0}, record)
+        result = run()
+    return lengths, result
+
+
 @pytest.mark.parametrize("verb", sorted(FFT_BUDGET))
 def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     monkeypatch.setattr(zapsim.config, "temperature_presets", _decayed_presets)
@@ -210,7 +226,8 @@ def test_scans_check_wrapped_edges_on_the_field(monkeypatch, tmp_path, verb, ste
     assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
     assert [("field" in vars(out)) for out in outs] == [True] * 5
     sidecar = (tmp_path / f"{stem}_params.txt").read_text(encoding="utf-8").split("\n[")[2:]
-    got = [[line[len("warning = "):] for line in body.splitlines() if line.startswith("warning = ")] for body in sidecar]
+    got = [[line.removeprefix("warning = ") for line in body.splitlines() if line.startswith("warning = ")]
+           for body in sidecar]
     want = _edge_warnings(apply_overrides(ScenarioConfig(), [f"grid.n={GRID_N}"]))
     assert all(any("window edges" in text for text in texts) for texts in want)
     assert got == want
@@ -220,13 +237,9 @@ def test_scans_check_wrapped_edges_on_the_field(monkeypatch, tmp_path, verb, ste
 def test_default_scans_transform_no_field(monkeypatch, tmp_path, verb):
     # at the default 2^19 x 10 fs grid the presets' tails decay within the window: a run makes the input's rfft
     # and, per medium, one half-length irfft of the folded spectral product for its 451 even-lag delays
-    lengths = []
-    for name in TRANSFORMS:
-        _count_calls(monkeypatch, np.fft, name, {name: 0}, lambda x, n=None, *args, name=name, **kwargs: (
-            lengths.append((name, n or (2 * (np.size(x) - 1) if name == "irfft" else np.size(x)))) or 0))
-    assert main([verb, "--out", str(tmp_path)]) == 0
-    n = 2**19
-    assert sorted(lengths) == [("irfft", n // 2)] * 5 + [("rfft", n)]
+    lengths, code = _transforms(monkeypatch, lambda: main([verb, "--out", str(tmp_path)]))
+    assert code == 0
+    assert sorted(lengths) == [("irfft", 2**18)] * 5 + [("rfft", 2**19)]
 
 
 def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path):
@@ -431,17 +444,6 @@ def test_in_place_product_rounds_alike_at_every_alignment(h_offset):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _lengths(monkeypatch, scan):
-    """The numpy transforms of ``scan()``, as (name, transform length) in call order."""
-    lengths = []
-    with monkeypatch.context() as mp:
-        for name in TRANSFORMS:
-            _count_calls(mp, np.fft, name, {name: 0}, lambda x, n=None, *args, name=name, **kwargs: (
-                lengths.append((name, n or (2 * (np.size(x) - 1) if name == "irfft" else np.size(x)))) or 0))
-        scan()
-    return lengths
-
-
 def test_lattice_curves_transform_half_spectra_and_one_half_length_irfft(monkeypatch):
     # a lattice scan of even lags reads the half-length transform of the folded spectral product: the LO's and
     # the signal's half spectra, and one irfft of length n/2; eta_curve's signal is the transmitted spectrum
@@ -449,12 +451,12 @@ def test_lattice_curves_transform_half_spectra_and_one_half_length_irfft(monkeyp
     pulse = gaussian_pulse(grid, 100e-15)
     delays = np.arange(-40, 400) * 20e-15
     half_irfft, rfft = ("irfft", GRID_N // 2), ("rfft", GRID_N)
-    assert _lengths(monkeypatch, lambda: visibility_curve(pulse, pulse, delays)) == [rfft, rfft, half_irfft]
+    assert _transforms(monkeypatch, lambda: visibility_curve(pulse, pulse, delays))[0] == [rfft, rfft, half_irfft]
     m = MediumParams(depth=70.0, t2=5e-12)  # decays within the window: no field is built
-    assert _lengths(monkeypatch, lambda: eta_curve(pulse, m, pulse, 0.62, delays)) == [rfft, rfft, half_irfft]
+    assert _transforms(monkeypatch, lambda: eta_curve(pulse, m, pulse, 0.62, delays))[0] == [rfft, rfft, half_irfft]
     # one odd lag reads the full-length irfft instead
     odd = np.append(delays, delays[-1] + 10e-15)
-    assert _lengths(monkeypatch, lambda: visibility_curve(pulse, pulse, odd)) == [rfft, rfft, ("irfft", GRID_N)]
+    assert _transforms(monkeypatch, lambda: visibility_curve(pulse, pulse, odd))[0] == [rfft, rfft, ("irfft", GRID_N)]
 
 
 def _counted(monkeypatch, scan):
