@@ -184,10 +184,7 @@ def delay_overlaps(lo_spec: SpectralField, sig_spec: SpectralField, delays) -> n
         lags = lags.astype(np.int64)
         if not np.any(lags % 2):
             return _even_lag_overlaps(g)[(lags // 2) % (grid.n // 2)]
-        np.conj(g.amp, out=g.amp)  # turns irfft's kernel into exp(-2*pi*i*nu*tau)
-        out = np.fft.irfft(g.amp, grid.n)
-        out *= grid.df * grid.n
-        return out[lags % grid.n]
+        return to_time(g).amp[lags % grid.n]  # A(t) = df * sum_nu g * exp(-2*pi*i*nu*t) is g's field
     terms, freqs = _support(g)
     sums = np.array([(terms * _phasors(freqs[0], grid.df, terms.size, tau)).sum() for tau in delays])
     return grid.df * sums.real  # a Hermitian g sums to a real A

@@ -5,13 +5,13 @@ layout serves ``propagate`` alone.  A real input is transmitted on its half
 spectrum (one rfft, the half-band H, one irfft) or on the full one (complex
 transforms).  Each case draws a grid of 2^10 - 2^13 samples, a pulse width, a
 preset or custom medium and an on-lattice, off-lattice-start or off-lattice
-delay set from numpy's seeded generator.  It holds the two transmissions
-to 1e-12 of the peak on the field and T_E; the delay overlaps computed on
-half spectra to 1e-12 of their peak against the direct sum over all n bins
-of the same transmission in extended precision; and the best-delay
-projections to 1e-12 of a test-side reference from the full-layout
-transmission: the direct sum maximized over delay by Brent's method
-polished by Newton steps.
+delay set from numpy's seeded generator, and holds the two transmissions to
+1e-12 of the peak on the field and T_E, and the delay overlaps and
+best-delay projections computed on half spectra to 1e-12 of a test-side
+reference from the full-layout transmission: the direct sum over all n bins
+in extended precision, with the LO's half spectrum (itself held to 1e-12 of
+the sum with the LO's full one), and that sum maximized over delay by
+Brent's method polished by Newton steps.
 
 The same cases hold a real field stored as float64 and as complex128 with a
 zero imaginary part to 1e-12 of each other on T_E, the delay overlaps and
@@ -119,11 +119,14 @@ def test_half_and_full_layouts_agree(case):
     assert abs(energy_transmission(spec[True], m) - energy_transmission(spec[False], m)) <= TOL
 
     delays = case["delays"]
-    # the scan against the exact sum over its own input: the two transmissions agree to round-off of the field, which
-    # for an overlap far below |lo|*|sig| (T_E = 3.7e-7 in case 1) is ~1e-12 of the overlaps' own peak
+    # the half path against the exact sum over the full-layout transmission, the LO's spectrum held fixed; and
+    # that sum against the one over the LO's full spectrum (in case 1 the overlaps peak at 1e-5 of |lo|*|sig|,
+    # where the LO's rfft and fft differ by 6e-13 of that peak)
     overlaps = delay_overlaps(spec[True], out[True].spectrum, delays)
     assert overlaps.dtype == np.float64
-    assert peak_gap(overlaps, extended_overlaps(spec[True], out[True].spectrum, delays)) <= TOL
+    reference = extended_overlaps(spec[True], out[False].spectrum, delays)
+    assert peak_gap(overlaps, reference) <= TOL
+    assert peak_gap(reference, extended_overlaps(spec[False], out[False].spectrum, delays)) <= TOL
 
     shaped = achievable_lo(out[True].field, ShaperConfig(), out[True].mode)
     for lo in (pulse, shaped):

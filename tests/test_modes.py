@@ -467,22 +467,48 @@ def draw_lattice_scan(rng, k: int) -> dict:
 _rng = np.random.default_rng(506)
 LATTICE_SCANS = [draw_lattice_scan(_rng, k) for k in range(24)]
 
+# draws whose scan peaks far below the Cauchy-Schwarz bound |lo| * |sig| (5.7e-5 and 4.2e-6 of it): a float64
+# transform rounds at ~1e-16 of that bound, so the lattice path misses 1e-13 of these scans' peaks (9.4e-13 and
+# 6.4e-12 of it; the time correlation it replaced missed by 6.3e-13 and 4.7e-12)
+BELOW_THE_ROUNDOFF_FLOOR = {"8-on-lattice-n4096-step3", "11-off-lattice-start-n1024-step3"}
+KNOWN_MISS = pytest.mark.xfail(strict=True, raises=AssertionError, reason="peak below float64 round-off of the bound")
 
-@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
-@pytest.mark.parametrize("case", LATTICE_SCANS, ids=[case["id"] for case in LATTICE_SCANS])
-def test_lattice_scans_match_the_exact_sum(case):
-    # the lattice path (half- or full-length transform, with or without the offset's phasors) against the exact
-    # sum per delay, to 1e-13 of the scan's peak; a float64 sum rounds at ~1e-16 of the Cauchy-Schwarz bound
-    # |lo| * |sig|, so a scan whose peak falls below 1e-2 of that bound (a strongly absorbed field, or a scan
-    # that misses the mode: down to 4e-6 of it here) is held to 1e-15 of the bound
+
+def lattice_scan(case):
+    """The case's LO (a unit-energy pulse), its half spectrum, the transmitted half spectrum and the delays."""
     grid = make_grid(case["n"], case["dt"])
     pulse = normalize(gaussian_pulse(grid, case["fwhm"]))
     lo_spec = to_spectrum(pulse, half=True)
-    sig_spec = propagate(lo_spec, case["medium"])
-    delays = case["delays"]
+    return pulse, lo_spec, propagate(lo_spec, case["medium"]), case["delays"]
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(c, id=c["id"], marks=[KNOWN_MISS] * (c["id"] in BELOW_THE_ROUNDOFF_FLOOR)) for c in LATTICE_SCANS],
+)
+def test_lattice_scans_match_the_exact_sum(case):
+    # the lattice path (half- or full-length transform, with or without the offset's phasors) against the exact
+    # sum per delay, to 1e-13 of the scan's peak
+    _, lo_spec, sig_spec, delays = lattice_scan(case)
     want = extended_overlaps(lo_spec, sig_spec, delays)
     got = delay_overlaps(lo_spec, sig_spec, delays)
-    assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-2 * np.sqrt(sig_spec.energy))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize("case", sorted(BELOW_THE_ROUNDOFF_FLOOR))
+def test_lattice_scans_below_the_floor_round_at_it(case):
+    # the known misses above are round-off of the bound |lo| * |sig| = |sig|, not of the path
+    _, lo_spec, sig_spec, delays = lattice_scan(next(c for c in LATTICE_SCANS if c["id"] == case))
+    got = delay_overlaps(lo_spec, sig_spec, delays)
+    assert np.max(np.abs(got - extended_overlaps(lo_spec, sig_spec, delays))) <= 1e-15 * np.sqrt(sig_spec.energy)
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+@pytest.mark.parametrize("case", LATTICE_SCANS, ids=[case["id"] for case in LATTICE_SCANS])
+def test_lattice_scan_visibility_stays_below_one(case):
+    pulse, _, sig_spec, delays = lattice_scan(case)
     assert visibility_curve(to_time(sig_spec), pulse, delays).ys.max() <= 1.0 + 1e-12
 
 
