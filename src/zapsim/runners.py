@@ -27,7 +27,7 @@ from .quantum import (
     wigner,
     wigner_grid,
 )
-from .shaper import _efficiencies, _shaped_input
+from .shaper import _efficiencies
 
 __all__ = [
     "run_propagate",
@@ -146,7 +146,7 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def _input_lo(cfg: ScenarioConfig):
     """The unit-energy input pulse's half spectrum: the signal sent through each medium, and the LO of the
-    delay scans."""
+    delay scans and of depth-scan's unshaped search."""
     return _spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
 
 
@@ -189,16 +189,12 @@ def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit peak efficiency per medium, with and without LO shaping."""
-    pulse = normalize(cfg.make_pulse(cfg.make_grid()))
     shaper_cfg = cfg.shaper_config()
-    spec_in = _spectrum(pulse)
-    # the shaped input LO does not depend on the medium
-    shaped_in = _shaped_input(pulse, spec_in, shaper_cfg)
-    del pulse  # only its spectrum is needed through the medium loop
+    spec_in = _input_lo(cfg)
     eta_base = cfg.detection_eta_base
 
     def row(entry, out):
-        unshaped, shaped = _efficiencies(out, eta_base, shaper_cfg, shaped_in)
+        unshaped, shaped = _efficiencies(out, spec_in, eta_base, shaper_cfg)
         t_e = out.transmission
         extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
         return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras

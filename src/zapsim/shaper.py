@@ -8,10 +8,12 @@ In the time domain the convolution is a multiplicative Gaussian window of
 FWHM 4*ln2/(pi*dnu), a few picoseconds at the default resolution, centered
 on the pulse; structure spreading beyond that window is unreachable by the
 shaped local oscillator.  An optional pixel width adds a box average of the
-spectrum before the resolution smoothing, one pixel wide and centred on each
-bin, as a pixelated mask is centred on each pixel (A. M. Weiner, Rev. Sci.
-Instrum. 71, 1929 (2000)).  The box averages in the pulse's frame, like the
-window: a pulse moved by whole samples gets the same LO, moved with it.
+spectrum, one pixel wide and centred on each bin, as a pixelated mask is
+centred on each pixel.  Averaged in the pulse's frame, the box is a second
+factor in time: the periodic Dirichlet kernel centred on the pulse, the
+sinc envelope of a pixelated mask (A. M. Weiner, Rev. Sci. Instrum. 71,
+1929 (2000)).  So a pulse moved by whole samples gets the same LO, moved
+with it.
 
 The shaper reference frame travels with the pulse, so the window is centered
 on the target's peak.  Global delay and phase of the local oscillator are
@@ -19,10 +21,10 @@ free experimental parameters and are optimized away before any efficiency is
 reported.
 
 The resonant input pulse is real, and so are the transmitted field and
-every LO shaped from it: a centred box keeps a spectrum Hermitian.  So the
+every LO shaped from it: both time-domain factors are real.  So the
 transmission, the LO shaping and the best-delay searches all run on nu >= 0
-half spectra (n/2 + 1 bins), each LO from one real inverse FFT and its
-spectrum from one real FFT.  A complex input raises ValueError
+half spectra (n/2 + 1 bins), each LO from at most one real inverse FFT and
+its spectrum from one real FFT.  A complex input raises ValueError
 (``fields._real``).
 """
 
@@ -98,8 +100,9 @@ class ShaperConfig:
         return None if self.span is None else self._to_freq(self.span)
 
 
-def _resolution_window(grid: Grid, k_center: int, dnu: float):
-    """Time-domain image of the unit-area Gaussian kernel, centered on sample ``k_center``.
+def _resolution_window(grid: Grid, k_center: int, dnu: float, size: int = 1):
+    """Time-domain image of the unit-area Gaussian kernel, centered on sample ``k_center``, times that of a
+    box of ``size`` bins (:func:`_box_kernel`) when the box covers more than one bin.
 
     Returns the sample indices where it can be nonzero and its values there.
     The exponent falls below -746, where exp is exactly 0, beyond 49 ps of
@@ -114,36 +117,24 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float):
         keep = k = np.arange(k_center - int(reach), k_center + int(reach) + 1) % grid.n
     # times k*dt from the sample indices, bit for bit Grid.t[k], which is not built
     tsig = ((k * grid.dt - k_center * grid.dt + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
-    return keep, np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
+    window = np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
+    if size > 1:
+        window *= _box_kernel(grid.n, k - k_center, size)
+    return keep, window
 
 
-def _sample_delay(n: int, k: int, count: int) -> np.ndarray:
-    """exp(-2*pi*i*q*k/n) for q < count, the phase a delay of k whole samples puts on bin q: as the outer
-    product of two ~sqrt(count) exponentials (see modes._phasors), each exponent reduced mod n in integers,
-    so every phase is right to round-off where a float delay q*df*k*dt would lose ~q*k/n ulps of a cycle."""
-    cols = max(1, int(np.ceil(np.sqrt(count))))
-    rows = -(-count // cols)
-    col = np.exp((-2j * np.pi / n) * (np.arange(cols) * k % n))
-    row = np.exp((-2j * np.pi / n) * (np.arange(rows) * (cols * k % n) % n))
-    return np.multiply.outer(row, col).ravel()[:count]
-
-
-def _box_average(x: np.ndarray, size: int) -> np.ndarray:
-    """Circular mean of a Hermitian spectrum, given and returned as its nu >= 0 half x, over a box size * df
-    wide centred on each bin: bins i - size//2 ... i + size//2, the end bins of an even size at half weight,
-    each bin q read as x[q mod n] or, past Nyquist, as conj(x[n - q mod n]).  The result is Hermitian."""
-    if size == 1:
-        return x
-    n, reach = 2 * (x.size - 1), size // 2
-    q = np.arange(-reach - 1, x.size + reach) % n
-    ext = x[np.minimum(q, n - q)]
-    np.conj(ext, out=ext, where=q > n // 2)
-    sums = np.cumsum(ext)
-    out = sums[2 * reach + 1 :] - sums[: x.size]
+def _box_kernel(n: int, m: np.ndarray, size: int) -> np.ndarray:
+    """Time-domain image, at whole-sample offsets m, of a centred box average over ``size`` of n bins:
+    the periodic Dirichlet kernel sin(pi*size*m/n) / (size*sin(pi*m/n)), 1 at m = 0 mod n, times
+    cos(pi*m/n) for an even size, whose two end bins weigh half.  m is reduced mod n to [-n/2, n/2) and
+    size*m mod 2n to [-n, n) in integers, so that an angle near 0 is formed as a small one, and each value
+    is right to round-off relative to the kernel's peak of 1."""
+    m = (m + n // 2) % n - n // 2
+    angle = np.pi / n
+    num = np.sin(angle * ((size * m + n) % (2 * n) - n))
     if size % 2 == 0:
-        out -= 0.5 * (ext[1 : x.size + 1] + ext[2 * reach + 1 :])
-    out /= size
-    return out
+        num *= np.cos(angle * m)
+    return np.divide(num, size * np.sin(angle * m), out=np.ones_like(num), where=m != 0)
 
 
 def _peak_sample(amp: np.ndarray) -> int:
@@ -167,18 +158,18 @@ def achievable_lo(
     A :class:`Transmitted` target carries both: its output mode is the
     spectrum, and its field is transformed only if it is read.
 
-    The LO is real, from one real inverse FFT of the shaped half spectrum.
-    Without a pixel that transform takes only the bins inside the span, and
-    zero-pads the rest itself.  The window is centred on that span-cut
-    field's peak sample k wherever k is provably the target's, and the
-    target is read only otherwise: the two fields' samples differ by at most
-    the cut-off bins' reach 2 * df * sum |S| beyond the span, plus the
-    round-off of either transform, so when no other sample of the cut field
-    lies within twice that of its peak, k is the target's argmax(|E|), first
-    of ties.  A pixel box reads bins across the cut, so the cut spectrum is
-    padded first; it is averaged with the delay phase of the target's peak
-    sample taken out, and that phase is put back after, so it always reads
-    the target.  Without an aperture or a pixel the LO is the windowed target.
+    The LO is the span-cut field E_cut, or the target itself without an
+    aperture, times the resolution window and, for a pixel of more than one
+    bin, the box's Dirichlet kernel, both centred on the target's peak
+    sample k and evaluated on the window's samples alone
+    (:func:`_resolution_window`).  E_cut is one real inverse FFT of the bins
+    inside the span, which zero-pads the rest itself.  k is that field's
+    own peak sample wherever it is provably the target's, and the target is
+    read only otherwise: the two fields' samples differ by at most the
+    cut-off bins' reach 2 * df * sum |S| beyond the span, plus the round-off
+    of either transform, so when no other sample of the cut field lies
+    within twice that of its peak, k is the target's argmax(|E|), first of
+    ties.
     """
     if isinstance(target, Transmitted):
         if spectrum is not None:
@@ -190,55 +181,37 @@ def achievable_lo(
         _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
         read_target = lambda: target
 
-    shaped = cfg.span_hz is not None or cfg.pixel_width_hz is not None
-    if not shaped:
-        target = read_target()
-        grid, amp = target.grid, target.amp
+    grid = (target if spectrum is None else spectrum).grid
+    size = 1 if cfg.pixel_width_hz is None else max(1, int(round(cfg.pixel_width_hz / grid.df)))
+    if size > grid.n:
+        raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
+    if cfg.span_hz is None:
+        amp = read_target().amp
         k_peak = _peak_sample(amp)
     else:
         spectrum = _spectrum(read_target()) if spectrum is None else spectrum
-        grid, source = spectrum.grid, spectrum.amp
-        if cfg.span_hz is not None:  # keep the bins with nu <= span / 2
-            source = source[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
-        if cfg.pixel_width_hz is None:
-            # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before
-            # the cut field exists
-            reach = 2.0 * grid.df * np.abs(spectrum.amp[source.size :]).sum() + 2.0 * _roundoff(grid, 1.0)
-            spec = np.conj(source)  # irfft zero-pads the bins past the span itself
-        else:  # the box reads bins across the cut, so the cut spectrum is padded first
-            k_peak = _peak_sample(read_target().amp)
-            size = max(1, int(round(cfg.pixel_width_hz / grid.df)))
-            if size > grid.n:
-                raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
-            spec = np.zeros(grid.n // 2 + 1, dtype=np.complex128)
-            spec[: source.size] = source
-            if size == 1:
-                np.conj(spec, out=spec)
-            else:  # the delay of k_peak, in whole samples so that its phase repeats past Nyquist, is taken
-                # out and then put back onto the conjugated bins: conj(box * conj(delay)) = conj(box) * delay
-                spec *= _sample_delay(grid.n, k_peak, spec.size)
-                spec = _box_average(spec, size)
-                np.conj(spec, out=spec)
-                spec *= _sample_delay(grid.n, k_peak, spec.size)
-        amp = np.fft.irfft(spec, grid.n)  # to_time's transform, of bins conjugated as it conjugates them
-        del spec  # freed before the window's temporaries
+        source = spectrum.amp[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
+        # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before the
+        # cut field exists
+        reach = 2.0 * grid.df * np.abs(spectrum.amp[source.size :]).sum() + 2.0 * _roundoff(grid, 1.0)
+        # to_time's transform, of bins conjugated as it conjugates them; irfft zero-pads past the span itself
+        amp = np.fft.irfft(np.conj(source), grid.n)
         amp /= grid.dt
-        if cfg.pixel_width_hz is None:  # k_peak is the target's when no other sample is within 2 * reach
-            k_peak = _peak_sample(amp)
-            level = abs(amp[k_peak]) - 2.0 * reach
-            if not (level > 0.0 and np.count_nonzero(amp >= level) + np.count_nonzero(amp <= -level) == 1):
-                k_peak = _peak_sample(read_target().amp)
+        k_peak = _peak_sample(amp)  # the target's when no other sample is within 2 * reach
+        level = abs(amp[k_peak]) - 2.0 * reach
+        if not (level > 0.0 and np.count_nonzero(amp >= level) + np.count_nonzero(amp <= -level) == 1):
+            k_peak = _peak_sample(read_target().amp)
 
-    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, size)
     windowed = amp[keep] * window
     energy = grid.dt * np.sum(np.abs(windowed) ** 2)  # the LO is zero outside keep
     if energy <= 0.0:
         raise ValueError("cannot normalize a zero field")
     windowed /= np.sqrt(energy)
-    if shaped:
-        amp.fill(0.0)  # the transform's own output array becomes the windowed LO
-    else:
+    if cfg.span_hz is None:
         amp = np.zeros_like(amp)
+    else:
+        amp.fill(0.0)  # the transform's own output array becomes the windowed LO
     amp[keep] = windowed
     return TemporalField(grid, amp)
 
@@ -247,10 +220,6 @@ def achievable_lo(
 # admits 1-2 samples at the default scenario; a pulse barely resolved by dt
 # can admit every sample, and each start costs a few support-length sums.
 _MAX_STARTS = 8
-
-# Slack, in units of |overlap|, on the bound that lets the shaped input LO be
-# skipped: covers Newton's stopping tolerance and round-off in the distance.
-_SKIP_SLACK = 1e-9
 
 
 def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
@@ -323,71 +292,31 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     return best
 
 
-@dataclass
-class _ShapedInput:
-    """The input LO u's half spectrum ``lo``, the shaped input LO s = achievable_lo(u) as a field, and
-    their distance min over phi of ||u - exp(i*phi)*s|| = sqrt(2 - 2*|<u|s>|).  s's half spectrum is
-    transformed on first use, by the first search that the distance cannot skip, and then replaces
-    the field, so that one of the two is held through the medium loop."""
+def _efficiencies(out: Transmitted, lo_in: SpectralField, eta_base: float, cfg: ShaperConfig) -> tuple[float, float]:
+    """(unshaped, shaped) efficiency for one medium, with the input LO's half spectrum ``lo_in``.
 
-    lo: SpectralField
-    field: TemporalField | None
-    distance: float
-    _spectrum: SpectralField | None = None
-
-    @property
-    def spectrum(self) -> SpectralField:
-        if self._spectrum is None:
-            self._spectrum, self.field = _spectrum(self.field), None
-        return self._spectrum
-
-
-def _shaped_input(mode_in: TemporalField, lo_in: SpectralField, cfg: ShaperConfig) -> _ShapedInput:
-    """The shaped input LO of the unit-energy input mode u and its half spectrum ``lo_in``, with
-    <u|s> = dt * sum u * s summed in time by einsum's own loop: a BLAS dot product would start threads,
-    and a product array would be a full-length temporary."""
-    mode_in = _real(mode_in)
-    shaped = achievable_lo(mode_in, cfg, lo_in)
-    inner = abs(lo_in.grid.dt * np.einsum("i,i->", mode_in.amp, shaped.amp))
-    return _ShapedInput(lo_in, shaped, float(np.sqrt(max(0.0, 2.0 - 2.0 * inner))))
-
-
-def _efficiencies(out: Transmitted, eta_base: float, cfg: ShaperConfig, shaped_in: _ShapedInput) -> tuple[float, float]:
-    """(unshaped, shaped) efficiency for one medium, with ``shaped_in`` from :func:`_shaped_input`.
-
-    The shaped efficiency is the best of the LO shaped to the transmitted
-    mode, the shaped input LO s and the input LO u itself.  Delay is unitary,
-    so at every delay |<s(tau)|out>| <= |<u(tau)|out>| + distance(u, s)
-    (Cauchy-Schwarz): the search over s, and with it s's transform, is
-    skipped when that bound on its result cannot reach the own-mode LO's.
-    The own-mode LO is shaped from the output mode's spectrum, and reads the
-    transmitted field only where its centre cannot be proven from the cut
-    spectrum's own field (:func:`achievable_lo`).
+    The shaped efficiency is the better of the LO shaped to the transmitted
+    mode and the input LO itself.  The own-mode LO is shaped from the output
+    mode's spectrum, and reads the transmitted field only where its centre
+    cannot be proven from the cut spectrum's own field (:func:`achievable_lo`).
     """
     mode = out.mode
-    p_in = _best_projection(shaped_in.lo, mode)
-    unshaped = float(_eta(eta_base, out, p_in))
-    best = _best_projection(_spectrum(achievable_lo(out, cfg)), mode)
-    if (np.sqrt(p_in) + shaped_in.distance + _SKIP_SLACK) ** 2 >= best:
-        best = max(best, _best_projection(shaped_in.spectrum, mode))
-    return unshaped, max(float(_eta(eta_base, out, best)), unshaped)
+    unshaped = float(_eta(eta_base, out, _best_projection(lo_in, mode)))
+    shaped = float(_eta(eta_base, out, _best_projection(_spectrum(achievable_lo(out, cfg)), mode)))
+    return unshaped, max(shaped, unshaped)
 
 
 def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfig, eta_base: float) -> float:
     """Best homodyne efficiency with the shaped local oscillator.
 
-    The shaper target is the transmitted mode itself (the unconstrained
-    projection maximizer); the shaped input mode, which can detect more
-    once a coarse pixel has averaged the target, is a second candidate.
-    Returns eta_base * T_E * |<lo|out>|^2 maximized over LO delay and the two
-    candidates, or :func:`max_unshaped_eta` where the un-modulated pulse
+    The shaper target is the transmitted mode itself, the unconstrained
+    projection maximizer.  Returns eta_base * T_E * |<lo|out>|^2 maximized
+    over LO delay, or :func:`max_unshaped_eta` where the un-modulated pulse
     detects more, so shaped >= unshaped by construction.
     """
     _check_eta_base(eta_base)
-    mode_in = normalize(input_field)
-    lo_in = _spectrum(mode_in)
-    out = transmit(lo_in, m)
-    return _efficiencies(out, eta_base, cfg, _shaped_input(mode_in, lo_in, cfg))[1]
+    lo_in = _spectrum(normalize(input_field))
+    return _efficiencies(transmit(lo_in, m), lo_in, eta_base, cfg)[1]
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:

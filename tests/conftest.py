@@ -128,8 +128,8 @@ def extended_overlaps(lo_spec, sig_spec, delays):
 
 
 def centred_box(full, size):
-    """The oracle of ``_box_average``: the mean over size + 1 bins with half-weight ends (size bins for an
-    odd size) centred on each bin, of a spectrum in the full layout, circular."""
+    """The shaper's pixel box as a direct correlation: the mean over size + 1 bins with half-weight ends
+    (size bins for an odd size) centred on each bin, of a spectrum in the full layout, circular."""
     weights = np.ones(size + 1 - size % 2)
     if size % 2 == 0:
         weights[[0, -1]] = 0.5
