@@ -14,18 +14,17 @@ Parseval holds exactly between the two energy sums, and the zero-detuning
 spectral sample equals the pulse area dt * sum_t E(t).  With this sign
 choice the response of a passive resonant medium is causal in time.
 
-A real field has a Hermitian spectrum, E(-nu) = conj E(nu), so its nu >= 0
-half, n/2 + 1 bins (``SpectralField(..., half=True)``), holds all of it: one
-real FFT makes it and one real inverse FFT undoes it into a float64 field,
-with no full-grid axis built (``Grid.half_freqs`` is computed).  Mode
-analysis (:mod:`zapsim.modes`, :mod:`zapsim.shaper`) runs on half spectra
-only: ``_spectrum`` gives a real field's, and ``_real`` refuses any other
-input.  A sum over the full spectrum of a product held in the half layout
-weights every bin but DC and Nyquist twice (``_spectral_sum``).  The full
-layout, all n bins ascending from -Nyquist, serves ``medium.propagate``
-alone; ``_full`` mirrors a half spectrum into it.  :func:`to_time` hands
-the real inverse FFT a conjugated copy of the bins; that copy is made for
-library callers only.  The runners' path makes none: the transmitted field
+The pulse is carried on resonance and the medium's impulse response is
+real, so every envelope analysed is real and its spectrum Hermitian,
+E(-nu) = conj E(nu).  A :class:`SpectralField` is therefore always the
+nu >= 0 half, n/2 + 1 bins from DC to +Nyquist (``Grid.half_freqs``): one
+real FFT makes it (:func:`to_spectrum`, which refuses a complex field with
+a nonzero imaginary part in ``_real``) and one real inverse FFT undoes it
+into a float64 field (:func:`to_time`).  A sum over the full spectrum of a
+product of half spectra weights every bin but DC and Nyquist twice
+(``_spectral_sum``).  :func:`to_time` hands the real inverse FFT a
+conjugated copy of the bins; that copy is made for library callers only.
+The runners' path makes none: the transmitted field
 (``medium.Transmitted.field``) is transformed only when it is read, with its
 F*H conjugated in place and back, and ``shaper.achievable_lo`` transforms
 only the bins inside its span.
@@ -63,7 +62,7 @@ class GridAdequacyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform time grid with its matching centered detuning grid.
+    """Uniform time grid with its matching detuning grid.
 
     Parameters
     ----------
@@ -72,9 +71,9 @@ class Grid:
     dt : float
         Time step in seconds.
 
-    The frequency samples are detunings from the carrier, ascending from
-    -1/(2*dt) to +1/(2*dt) - df with spacing df = 1/(n*dt).  The bin at
-    index ``n // 2`` sits exactly at zero detuning.
+    The frequency samples of a spectrum are detunings from the carrier,
+    ascending from 0 to +1/(2*dt) with spacing df = 1/(n*dt)
+    (``half_freqs``).
     """
 
     n: int
@@ -101,11 +100,6 @@ class Grid:
         """Largest representable |detuning|, 1/(2*dt) in Hz."""
         return 0.5 / self.dt
 
-    @property
-    def zero_bin(self) -> int:
-        """Index of the zero-detuning sample in spectral arrays."""
-        return self.n // 2
-
     @cached_property
     def t(self) -> np.ndarray:
         """Time samples, k*dt for k = 0 .. n-1."""
@@ -114,25 +108,17 @@ class Grid:
         return arr
 
     @cached_property
-    def freqs(self) -> np.ndarray:
-        """Detuning samples in Hz, ascending and symmetric about zero."""
-        arr = np.fft.fftshift(np.fft.fftfreq(self.n, self.dt))
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
     def half_freqs(self) -> np.ndarray:
-        """Detunings of a half spectrum, k*df for k = 0 .. n/2, scaled as fftfreq scales its bin
-        numbers: bit for bit the |freqs| they mirror, without building ``freqs``."""
+        """Detunings of a half spectrum in Hz, k*df for k = 0 .. n/2, scaled as fftfreq scales its bin
+        numbers: bit for bit the |fftfreq(n, dt)| they mirror."""
         arr = np.arange(self.n // 2 + 1) * self.df
         arr.flags.writeable = False
         return arr
 
 
-def _validate_amp(grid: Grid, amp, half: bool = False, keep_real: bool = False) -> np.ndarray:
+def _validate_amp(amp, size: int, keep_real: bool = False) -> np.ndarray:
     """amp as complex128, or as float64 when ``keep_real`` and it is not complex; checked for shape and finiteness."""
     out = np.asarray(amp, dtype=np.float64 if keep_real and not np.iscomplexobj(amp) else np.complex128)
-    size = grid.n // 2 + 1 if half else grid.n
     if out.shape != (size,):
         raise ValueError(f"amplitude array has shape {out.shape}, expected ({size},)")
     with np.errstate(all="ignore"):  # a finite sum proves it without a full-grid mask; finite samples may sum to inf
@@ -150,36 +136,26 @@ class TemporalField:
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp, keep_real=True))
+        object.__setattr__(self, "amp", _validate_amp(self.amp, self.grid.n, keep_real=True))
 
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex envelope E(nu) indexed by detuning, ascending frequency order.
-
-    With ``half`` set, ``amp`` holds the nu >= 0 half of the Hermitian
-    spectrum of a real field, n/2 + 1 bins from 0 to +Nyquist
-    (``Grid.half_freqs``); E(-nu) = conj E(nu) gives the rest.
-    """
+    """The nu >= 0 half of the Hermitian spectrum E(nu) of a real field: n/2 + 1 complex bins, ascending
+    from 0 to +Nyquist (``Grid.half_freqs``); E(-nu) = conj E(nu) gives the rest."""
 
     grid: Grid
     amp: np.ndarray
-    half: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _validate_amp(self.grid, self.amp, self.half))
-
-    @property
-    def freqs(self) -> np.ndarray:
-        """Detunings of the bins of ``amp``: ``Grid.half_freqs`` for a half spectrum, else ``Grid.freqs``."""
-        return self.grid.half_freqs if self.half else self.grid.freqs
+        object.__setattr__(self, "amp", _validate_amp(self.amp, self.grid.n // 2 + 1))
 
     @cached_property
     def energy(self) -> float:
         """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
         power = np.abs(self.amp)
         power *= power
-        return float(self.grid.df * _spectral_sum(self, power))
+        return float(self.grid.df * _spectral_sum(power))
 
 
 def _roundoff(grid: Grid, energy: float) -> float:
@@ -190,11 +166,11 @@ def _roundoff(grid: Grid, energy: float) -> float:
     return 16.0 * grid.n * float(np.finfo(np.float64).eps) * float(np.sqrt(energy / grid.window))
 
 
-def _spectral_sum(F: SpectralField, x: np.ndarray):
-    """Sum over the full spectrum of a product x of F's layout, such as conj(a) * b.  On a half
-    spectrum x(-nu) = conj x(nu), so every bin but DC and Nyquist counts twice and the sum is real."""
+def _spectral_sum(x: np.ndarray):
+    """Sum over the full spectrum of a product x of half spectra, such as conj(a) * b.  As
+    x(-nu) = conj x(nu), every bin but DC and Nyquist counts twice and the sum is real."""
     total = np.sum(x)
-    return (2.0 * total - x[0] - x[-1]).real if F.half else total
+    return (2.0 * total - x[0] - x[-1]).real
 
 
 def make_grid(n: int, dt: float) -> Grid:
@@ -239,73 +215,32 @@ def gaussian_pulse(grid: Grid, fwhm_t: float, center_t: float | None = None) -> 
     return TemporalField(grid, amp)
 
 
-def to_spectrum(f: TemporalField, half: bool = False) -> SpectralField:
-    """Forward transform; the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt.
-
-    With ``half``, the real part of f alone is transformed, by one real FFT,
-    into its half spectrum (see :class:`SpectralField`).  Without it, f is cast
-    to complex and transformed in place: numpy's complex FFT of a float64 input
-    takes another algorithm, with other round-off.
-    """
-    if half:
-        amp = np.fft.rfft(f.amp.real)
-        np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
-        amp *= f.grid.dt
-        return SpectralField(f.grid, amp, half=True)
-    amp = f.amp.astype(np.complex128)
-    np.fft.ifft(amp, out=amp)
-    mid = f.grid.n // 2  # fftshift of an even length swaps the halves: done in place through a half-length copy
-    low = amp[:mid].copy()
-    amp[:mid] = amp[mid:]
-    amp[mid:] = low
-    amp *= f.grid.n * f.grid.dt
+def to_spectrum(f: TemporalField) -> SpectralField:
+    """Forward transform of a real field into its half spectrum (see :class:`SpectralField`), by one real FFT;
+    the result approximates E(nu) = integral E(t) e^{2 pi i nu t} dt.  A complex field with a nonzero
+    imaginary part raises ValueError (:func:`_real`)."""
+    amp = np.fft.rfft(_real(f).amp)
+    np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
+    amp *= f.grid.dt
     return SpectralField(f.grid, amp)
 
 
-def _real(f: TemporalField | SpectralField) -> TemporalField | SpectralField:
-    """f as mode analysis takes it: a float64 field or a half spectrum as is, a complex128 field with an
-    all-zero imaginary part as float64; any other field raises ValueError."""
-    if isinstance(f, SpectralField):
-        if f.half:
-            return f
-        problem = "a full-layout spectrum"
-    elif not np.iscomplexobj(f.amp):
+def _real(f: TemporalField) -> TemporalField:
+    """f as mode analysis takes it: a float64 field as is, a complex128 field with an all-zero imaginary
+    part as float64; a complex field with a nonzero imaginary part raises ValueError."""
+    if not np.iscomplexobj(f.amp):
         return f
-    elif not np.any(f.amp.imag):
-        return TemporalField(f.grid, np.ascontiguousarray(f.amp.real))
-    else:
-        problem = "a complex envelope with a nonzero imaginary part"
-    raise ValueError(f"mode analysis takes real envelopes (float64, or complex128 with a zero imaginary part) "
-                     f"and their half spectra, got {problem}")
-
-
-def _spectrum(f: TemporalField) -> SpectralField:
-    """The half spectrum of a real field f (see :func:`_real`)."""
-    return to_spectrum(_real(f), half=True)
-
-
-def _full(F: SpectralField, out: np.ndarray | None = None) -> SpectralField:
-    """F in the full layout of ``medium.propagate``, written into ``out`` when given: a half spectrum is mirrored
-    by E(-nu) = conj E(nu), bit-exact and with no transform; the -Nyquist bin is the conjugate of +Nyquist."""
-    if not F.half:
-        return F
-    mid = F.grid.n // 2
-    amp = np.empty(F.grid.n, dtype=np.complex128) if out is None else out
-    amp[mid:] = F.amp[:mid]  # 0 .. Nyquist - df
-    np.conj(F.amp[:0:-1], out=amp[:mid])  # -Nyquist .. -df
-    return SpectralField(F.grid, amp)
+    if np.any(f.amp.imag):
+        raise ValueError("mode analysis takes real envelopes (float64, or complex128 with a zero imaginary part), "
+                         "got a complex envelope with a nonzero imaginary part")
+    return TemporalField(f.grid, np.ascontiguousarray(f.amp.real))
 
 
 def to_time(F: SpectralField) -> TemporalField:
-    """Inverse transform, exact round-trip partner of :func:`to_spectrum`; a half spectrum
-    takes one real inverse FFT, of a conjugated copy of its bins, and gives a real (float64) field."""
-    if F.half:
-        amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
-        amp /= F.grid.dt
-        return TemporalField(F.grid, amp)
-    amp = np.fft.ifftshift(F.amp)
-    np.fft.fft(amp, out=amp)
-    amp /= F.grid.n * F.grid.dt
+    """Inverse transform, exact round-trip partner of :func:`to_spectrum`: one real inverse FFT, of a
+    conjugated copy of the bins, into a real (float64) field."""
+    amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
+    amp /= F.grid.dt
     return TemporalField(F.grid, amp)
 
 

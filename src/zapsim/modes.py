@@ -13,10 +13,10 @@ with g first multiplied by the phase ramp of tau0's distance from the dt
 lattice when tau0 is off it.  Any other delay set is the exact sum, one
 delay at a time over the support of g.
 
-The LO and the signal are real envelopes, so every spectrum here is a half
+The LO and the signal are real envelopes, so every spectrum is a half
 spectrum (see :mod:`zapsim.fields`) and g is Hermitian: the sums run over
-nu >= 0 and are real.  A complex field with a nonzero imaginary part, or a
-spectrum in the full layout that serves ``propagate``, raises ValueError.
+nu >= 0 and are real.  A complex field with a nonzero imaginary part raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, _norm, _real, _spectrum, normalize, pulse_energy, to_time
+from .fields import SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -106,19 +106,19 @@ def overlap(a: TemporalField, b: TemporalField) -> complex:
 def delay_field(f: TemporalField | SpectralField, tau: float) -> TemporalField:
     """Shift a real envelope, or its half spectrum, later in time by tau seconds (circular, off-grid
     exact), by one real inverse transform of its spectrum times exp(2*pi*i*nu*tau)."""
-    F = _real(f) if isinstance(f, SpectralField) else _spectrum(f)
+    F = f if isinstance(f, SpectralField) else to_spectrum(f)
     shifted = _phasors(0.0, F.grid.df, F.amp.size, -tau)
     shifted *= F.amp
-    return to_time(SpectralField(F.grid, shifted, half=True))
+    return to_time(SpectralField(F.grid, shifted))
 
 
 def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> SpectralField:
     """g = conj(LO) * S of two half spectra, as a fresh half spectrum."""
     if lo_spec.grid != sig_spec.grid:
         raise ValueError("delay scan requires both spectra on the same grid")
-    g = np.conj(_real(lo_spec).amp)
-    g *= _real(sig_spec).amp
-    return SpectralField(lo_spec.grid, g, half=True)
+    g = np.conj(lo_spec.amp)
+    g *= sig_spec.amp
+    return SpectralField(lo_spec.grid, g)
 
 
 def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
     terms = g.amp[lo_i:hi_i].copy()
     terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.amp.size)] *= 2.0
-    return terms, g.freqs[lo_i:hi_i]
+    return terms, g.grid.half_freqs[lo_i:hi_i]
 
 
 def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
@@ -217,7 +217,7 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     if sig.grid != lo.grid:
         raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
-    overlaps = delay_overlaps(_spectrum(normalize(lo)), _spectrum(normalize(sig)), delays)
+    overlaps = delay_overlaps(to_spectrum(normalize(lo)), to_spectrum(normalize(sig)), delays)
     return _visibility_scan(overlaps, delays)
 
 
@@ -264,8 +264,8 @@ def eta_curve(
     if input_field.grid != lo.grid:
         raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
-    lo_spec = _spectrum(normalize(lo))
-    out = transmit(_spectrum(normalize(input_field)), m)
+    lo_spec = to_spectrum(normalize(lo))
+    out = transmit(to_spectrum(normalize(input_field)), m)
     overlaps = delay_overlaps(lo_spec, out.spectrum, delays)
     overlaps /= _norm(out.spectrum)
     return _eta_scan(out, overlaps, m, eta_base, delays)

@@ -39,11 +39,11 @@ from .fields import (
     LN2,
     _real,
     _roundoff,
-    _spectrum,
     Grid,
     SpectralField,
     TemporalField,
     normalize,
+    to_spectrum,
 )
 from .medium import MediumParams, Transmitted, transmit
 from .modes import _check_eta_base, _check_normalized, _eta, _even_lag_overlaps, _phasors, _spectral_product, _support
@@ -143,20 +143,17 @@ def _peak_sample(amp: np.ndarray) -> int:
     return min((-amp[k_max], k_max), (amp[k_min], k_min))[1]
 
 
-def achievable_lo(
-    target: TemporalField | Transmitted, cfg: ShaperConfig, spectrum: SpectralField | None = None
-) -> TemporalField:
+def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> TemporalField:
     """Closest mode to the real envelope ``target`` the shaper can actually produce.
 
     The target spectrum is aperture-limited, pixel-averaged when a pixel
     width is configured, smoothed by the resolution kernel, and renormalized.
     With ideal resolution (kernel much narrower than the grid spacing) the
-    target is returned unchanged up to normalization.  A caller that already
-    holds the target's unit-energy half spectrum passes it as ``spectrum`` to
-    save a transform; the target may then have any energy, since the result
-    is renormalized and its peak, which centers the window, does not move.
-    A :class:`Transmitted` target carries both: its output mode is the
-    spectrum, and its field is transformed only if it is read.
+    target is returned unchanged up to normalization.  A :class:`Transmitted`
+    target carries its unit-energy half spectrum (its output mode), so no
+    forward transform is made, and its field is transformed only if it is
+    read; that field need not have unit energy, as the result is
+    renormalized and its peak, which centers the window, does not move.
 
     The LO is the span-cut field E_cut, or the target itself without an
     aperture, times the resolution window and, for a pixel of more than one
@@ -172,13 +169,11 @@ def achievable_lo(
     ties.
     """
     if isinstance(target, Transmitted):
-        if spectrum is not None:
-            raise ValueError("a transmitted target carries its own spectrum")
         out, spectrum = target, target.mode
         read_target = lambda: out.field  # built on first read
     else:
-        target = _real(target)
-        _check_normalized(target if spectrum is None else _real(spectrum), "shaper target")
+        target, spectrum = _real(target), None
+        _check_normalized(target, "shaper target")
         read_target = lambda: target
 
     grid = (target if spectrum is None else spectrum).grid
@@ -189,7 +184,7 @@ def achievable_lo(
         amp = read_target().amp
         k_peak = _peak_sample(amp)
     else:
-        spectrum = _spectrum(read_target()) if spectrum is None else spectrum
+        spectrum = to_spectrum(read_target()) if spectrum is None else spectrum
         source = spectrum.amp[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
         # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before the
         # cut field exists
@@ -302,7 +297,7 @@ def _efficiencies(out: Transmitted, lo_in: SpectralField, eta_base: float, cfg: 
     """
     mode = out.mode
     unshaped = float(_eta(eta_base, out, _best_projection(lo_in, mode)))
-    shaped = float(_eta(eta_base, out, _best_projection(_spectrum(achievable_lo(out, cfg)), mode)))
+    shaped = float(_eta(eta_base, out, _best_projection(to_spectrum(achievable_lo(out, cfg)), mode)))
     return unshaped, max(shaped, unshaped)
 
 
@@ -315,13 +310,13 @@ def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfi
     detects more, so shaped >= unshaped by construction.
     """
     _check_eta_base(eta_base)
-    lo_in = _spectrum(normalize(input_field))
+    lo_in = to_spectrum(normalize(input_field))
     return _efficiencies(transmit(lo_in, m), lo_in, eta_base, cfg)[1]
 
 
 def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
-    lo_in = _spectrum(normalize(input_field))
+    lo_in = to_spectrum(normalize(input_field))
     out = transmit(lo_in, m)
     return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))

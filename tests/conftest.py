@@ -1,10 +1,20 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate1d
 from scipy.optimize import minimize_scalar
 
-from zapsim import SpectralField, TemporalField, gaussian_pulse, make_grid, normalize, to_spectrum, to_time
-from zapsim.fields import _full
+from zapsim import (
+    Grid,
+    SpectralField,
+    TemporalField,
+    gaussian_pulse,
+    make_grid,
+    normalize,
+    to_spectrum,
+    transfer_function,
+)
 from zapsim.shaper import _resolution_window
 
 DEFAULT_N = 2**19
@@ -58,6 +68,69 @@ def random_field(grid, seed, offset=0.0):
     return TemporalField(grid, amp)
 
 
+def real_field(grid, seed, offset=0.0):
+    """The real part of :func:`random_field`, as float64."""
+    return TemporalField(grid, random_field(grid, seed, offset).amp.real)
+
+
+# The full spectral layout, all n bins ascending from -Nyquist, built here with numpy alone as an oracle for
+# the library's half spectra: a half spectrum is mirrored by E(-nu) = conj E(nu), and a field of any dtype is
+# transformed by numpy's complex pair, whose ifft has the library's kernel exp(+2*pi*i*nu*t).
+
+
+@dataclass(frozen=True)
+class FullSpectrum:
+    """A spectrum in the full layout: ``amp`` holds all n bins, at the detunings ``full_freqs(grid)``."""
+
+    grid: Grid
+    amp: np.ndarray
+
+    @property
+    def energy(self) -> float:
+        return float(self.grid.df * np.sum(np.abs(self.amp) ** 2))
+
+
+def full_freqs(grid):
+    """The detunings of the full layout, ascending from -Nyquist, with 0 at index n/2."""
+    return np.fft.fftshift(np.fft.fftfreq(grid.n, grid.dt))
+
+
+def full_spectrum(x):
+    """x in the full layout: a half spectrum (``SpectralField``) mirrored, the -Nyquist bin being the conjugate
+    of +Nyquist; a field by the complex transform E(nu) = dt * sum_t E(t) * exp(2*pi*i*nu*t); a full
+    spectrum as is."""
+    if isinstance(x, FullSpectrum):
+        return x
+    if isinstance(x, SpectralField):
+        return FullSpectrum(x.grid, np.concatenate([np.conj(x.amp[:0:-1]), x.amp[:-1]]))
+    amp = np.fft.fftshift(np.fft.ifft(np.asarray(x.amp, dtype=np.complex128)))
+    return FullSpectrum(x.grid, amp * (x.grid.n * x.grid.dt))
+
+
+def full_field(F):
+    """The complex field of a full-layout spectrum, E(t) = df * sum_nu E(nu) * exp(-2*pi*i*nu*t)."""
+    return TemporalField(F.grid, np.fft.fft(np.fft.ifftshift(F.amp)) / (F.grid.n * F.grid.dt))
+
+
+@dataclass(frozen=True)
+class FullTransmitted:
+    """A transmission in the full layout (see :func:`full_transmit`)."""
+
+    spectrum: FullSpectrum
+    field: TemporalField
+    mode: FullSpectrum
+    transmission: float
+
+
+def full_transmit(x, m):
+    """x sent through the medium m in the full layout: F * H over all n bins, with H the library's half-band H
+    mirrored, its complex field, its unit-energy mode and its energy transmission T_E."""
+    F = full_spectrum(x)
+    out = FullSpectrum(F.grid, F.amp * full_spectrum(transfer_function(F.grid, m)).amp)
+    mode = FullSpectrum(F.grid, out.amp / np.sqrt(out.energy))
+    return FullTransmitted(out, full_field(out), mode, out.energy / F.energy)
+
+
 def lattice_overlaps(g, grid):
     """Overlaps at k*dt for every k, stored at index k mod n.  With g in ascending
     frequency order, nu_j = (j - n/2) * df, the sum over nu at k*dt is fft(g)[k] * (-1)^k."""
@@ -68,8 +141,8 @@ def lattice_overlaps(g, grid):
 
 
 def full_product(lo_spec, sig_spec):
-    """conj(LO) * S over all n bins of the full layout, the half spectra mirrored first."""
-    return np.conj(_full(lo_spec).amp) * _full(sig_spec).amp
+    """conj(LO) * S over all n bins of the full layout, half spectra mirrored first."""
+    return np.conj(full_spectrum(lo_spec).amp) * full_spectrum(sig_spec).amp
 
 
 def brent_projection(lo_spec, sig_spec):
@@ -86,7 +159,7 @@ def brent_projection(lo_spec, sig_spec):
     mag = np.abs(g)
     idx = np.nonzero(mag >= 1e-20 * mag.max())[0]
     keep = slice(idx[0], idx[-1] + 1)
-    g, freqs = g[keep], grid.freqs[keep]
+    g, freqs = g[keep], full_freqs(grid)[keep]
 
     def overlap_and_derivatives(t):
         h = grid.df * g * np.exp(-2j * np.pi * freqs * t)
@@ -113,7 +186,8 @@ def direct_overlaps(lo_spec, sig_spec, delays):
     """<lo(tau)|sig> = df * sum_nu conj(LO) * S * exp(-2*pi*i*nu*tau) over the full spectrum, one delay at a time."""
     grid = lo_spec.grid
     g = full_product(lo_spec, sig_spec)
-    return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in delays])
+    freqs = full_freqs(grid)
+    return np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * freqs * t)) for t in delays])
 
 
 def extended_overlaps(lo_spec, sig_spec, delays):
@@ -121,7 +195,7 @@ def extended_overlaps(lo_spec, sig_spec, delays):
     spectra's float64 values taken as exact, their product, the frequencies (j - n/2) / (n*dt), pi and the
     phases formed and summed in longdouble, so that its own round-off lies well below any float64 path's."""
     grid = lo_spec.grid
-    g = np.conj(_full(lo_spec).amp.astype(np.clongdouble)) * _full(sig_spec).amp.astype(np.clongdouble)
+    g = np.conj(full_spectrum(lo_spec).amp.astype(np.clongdouble)) * full_spectrum(sig_spec).amp.astype(np.clongdouble)
     window = np.longdouble(grid.n) * np.longdouble(grid.dt)
     turn = -2j * (4 * np.arctan(np.longdouble(1))) * (np.arange(grid.n) - grid.n // 2).astype(np.longdouble) / window
     return np.array([(g * np.exp(turn * np.longdouble(t))).sum().real / window for t in delays], dtype=np.float64)
@@ -145,15 +219,15 @@ def full_layout_lo(target, cfg):
     its imaginary part is round-off."""
     grid = target.grid
     k_peak = int(np.argmax(np.abs(target.amp)))
-    spec = to_spectrum(target).amp
+    spec = full_spectrum(target).amp
     if cfg.span_hz is not None:
-        spec = np.where(np.abs(grid.freqs) <= 0.5 * cfg.span_hz, spec, 0.0)
+        spec = np.where(np.abs(full_freqs(grid)) <= 0.5 * cfg.span_hz, spec, 0.0)
     if cfg.pixel_width_hz is not None:
         # nu*k*dt = q*k/n cycles for bin q: reduced mod n in integers, so each phase is exact to round-off
         cycles = (np.arange(-grid.n // 2, grid.n // 2) * k_peak) % grid.n / grid.n
         delay = np.exp(-2j * np.pi * cycles)
         spec = centred_box(spec * delay, max(1, int(round(cfg.pixel_width_hz / grid.df)))) / delay
-    amp = to_time(SpectralField(grid, spec)).amp
+    amp = full_field(FullSpectrum(grid, spec)).amp
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
     lo = np.zeros(grid.n, dtype=complex)
     lo[keep] = amp[keep] * window

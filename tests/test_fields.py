@@ -14,7 +14,7 @@ from zapsim import (
 )
 from zapsim.fields import _real
 
-from conftest import random_field
+from conftest import FullSpectrum, full_field, full_freqs, full_spectrum, random_field, real_field
 
 LN2 = np.log(2.0)
 
@@ -58,26 +58,33 @@ class TestMakeGrid:
 
     def test_frequency_axis(self):
         grid = make_grid(16, 0.5)
-        assert grid.freqs[0] == pytest.approx(-1.0, rel=1e-15)
-        assert grid.freqs[grid.zero_bin] == 0.0
-        assert np.allclose(np.diff(grid.freqs), grid.df, rtol=1e-15)
-        assert grid.freqs[-1] == pytest.approx(1.0 - grid.df, rel=1e-15)
+        assert grid.half_freqs.shape == (9,)
+        assert grid.half_freqs[0] == 0.0
+        assert np.allclose(np.diff(grid.half_freqs), grid.df, rtol=1e-15)
+        assert grid.half_freqs[-1] == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("n, dt", [(2, 1.0), (16, 0.5), (2**10, 2e-15), (2**19, 10e-15)])
     def test_frequency_axis_is_exactly_antisymmetric(self, n, dt):
-        f = make_grid(n, dt).freqs
-        assert np.array_equal(f[n // 2 + 1 :], -f[n // 2 - 1 : 0 : -1])
+        # in numpy's bin order the full axis is the half axis below Nyquist, then its exact negatives from
+        # -Nyquist up: so mirroring a half-band H(nu) by conj(H[:0:-1]), as run_propagate does, puts every
+        # bin at its own detuning bit for bit
+        half = make_grid(n, dt).half_freqs
+        f = np.fft.fftfreq(n, dt)
+        assert np.array_equal(f[: n // 2].view(np.uint64), half[: n // 2].view(np.uint64))
+        assert np.array_equal(f[n // 2 :].view(np.uint64), (-half[:0:-1]).view(np.uint64))
 
     @pytest.mark.parametrize(
         "n, dt", [(2, 1.0), (16, 0.5)] + [(2**p, dt) for dt in (10e-15, 3e-15, 0.7) for p in range(1, 21)]
     )
     def test_half_frequencies_are_the_nonnegative_ones(self, n, dt):
-        # k * (1 / (n * dt)), as fftfreq scales its bin numbers, is |freqs| mirrored from the zero bin, bit for bit
+        # k * (1 / (n * dt)), as fftfreq scales its bin numbers, is the full axis's |nu| mirrored from the zero
+        # bin, bit for bit
         grid = make_grid(n, dt)
-        mirrored = np.abs(grid.freqs[n // 2 :: -1])
+        freqs = full_freqs(grid)
+        mirrored = np.abs(freqs[n // 2 :: -1])
         assert np.array_equal(grid.half_freqs.view(np.uint64), mirrored.view(np.uint64))
-        assert np.array_equal(grid.half_freqs[:-1], grid.freqs[n // 2 :])
-        assert grid.half_freqs[-1] == -grid.freqs[0] == grid.nyquist
+        assert np.array_equal(grid.half_freqs[:-1], freqs[n // 2 :])
+        assert grid.half_freqs[-1] == -freqs[0] == grid.nyquist
 
 
 def full_grid_pulse(grid, fwhm_t, center_t):
@@ -125,12 +132,12 @@ class TestGaussianPulse:
 
     def test_zero_detuning_peaks_at_zero_bin(self, small_grid):
         spec = to_spectrum(gaussian_pulse(small_grid, 100e-15))
-        assert int(np.argmax(np.abs(spec.amp))) == small_grid.zero_bin
+        assert int(np.argmax(np.abs(spec.amp))) == 0
 
     def test_spectral_fwhm_time_bandwidth(self, small_grid):
         # transform-limited Gaussian: dnu * dt_fwhm = 2 ln2 / pi = 0.4413
         spec = to_spectrum(gaussian_pulse(small_grid, 100e-15))
-        dnu = measured_fwhm(small_grid.freqs, np.abs(spec.amp) ** 2)
+        dnu = measured_fwhm(full_freqs(small_grid), np.abs(full_spectrum(spec).amp) ** 2)
         expected = 2.0 * LN2 / (np.pi * 100e-15)
         assert expected == pytest.approx(4.4127e12, rel=1e-4)
         assert dnu == pytest.approx(expected, rel=1e-3)
@@ -144,21 +151,21 @@ class TestTransforms:
     def test_constant_field_concentrates_at_zero_bin(self):
         grid = make_grid(64, 1.0)
         spec = to_spectrum(TemporalField(grid, np.ones(64)))
-        others = np.delete(np.abs(spec.amp), grid.zero_bin)
-        assert np.abs(spec.amp[grid.zero_bin]) == pytest.approx(64.0, rel=1e-12)
-        assert others.max() < 1e-12 * np.abs(spec.amp[grid.zero_bin])
+        others = np.abs(spec.amp[1:])
+        assert np.abs(spec.amp[0]) == pytest.approx(64.0, rel=1e-12)
+        assert others.max() < 1e-12 * np.abs(spec.amp[0])
 
     def test_gaussian_maps_to_gaussian(self, small_grid):
         f = gaussian_pulse(small_grid, 200e-15)
         spec = np.abs(to_spectrum(f).amp)
         dnu = 2.0 * LN2 / (np.pi * 200e-15)
-        expected = spec.max() * np.exp(-2.0 * LN2 * (small_grid.freqs / dnu) ** 2)
+        expected = spec.max() * np.exp(-2.0 * LN2 * (small_grid.half_freqs / dnu) ** 2)
         assert np.max(np.abs(spec - expected)) < 1e-6 * spec.max()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parseval_direct_sum(self, seed):
         grid = make_grid(2**10, 2e-15)
-        f = random_field(grid, seed)
+        f = real_field(grid, seed)
         e_time = grid.dt * sum(abs(v) ** 2 for v in f.amp)  # direct summation oracle
         e_freq = pulse_energy(to_spectrum(f))
         assert e_freq == pytest.approx(e_time, rel=1e-12)
@@ -166,36 +173,39 @@ class TestTransforms:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_round_trip(self, seed):
         grid = make_grid(2**11, 1e-15)
-        f = random_field(grid, seed)
+        f = real_field(grid, seed)
         back = to_time(to_spectrum(f))
         err = np.sqrt(np.mean(np.abs(back.amp - f.amp) ** 2))
         ref = np.sqrt(np.mean(np.abs(f.amp) ** 2))
         assert err / ref < 1e-12
 
-    def test_single_bin_spectrum_gives_constant_magnitude(self):
+    def test_single_bin_spectrum_gives_a_cosine(self):
+        # the bin at +5 df and its mirror at -5 df: E(t) = 2 * df * cos(2*pi*5*t / window)
         grid = make_grid(128, 1.0)
-        amp = np.zeros(128, complex)
-        amp[grid.zero_bin + 5] = 1.0
+        amp = np.zeros(grid.n // 2 + 1, complex)
+        amp[5] = 1.0
         f = to_time(SpectralField(grid, amp))
-        mags = np.abs(f.amp)
-        assert np.allclose(mags, mags[0], rtol=1e-12)
+        assert f.amp.dtype == np.float64
+        expected = 2.0 * grid.df * np.cos(2.0 * np.pi * 5.0 * np.arange(grid.n) / grid.n)
+        assert np.max(np.abs(f.amp - expected)) <= 1e-12 * 2.0 * grid.df
 
     def test_conjugate_symmetric_spectrum_is_real(self):
+        # a random Hermitian spectrum in the full layout: its nu >= 0 half gives the real field that numpy's
+        # complex transform of all n bins gives, whose imaginary part is round-off
         grid = make_grid(2**10, 1e-15)
         n = grid.n
         rng = np.random.default_rng(11)
         amp = np.zeros(n, complex)
         pos = rng.normal(size=n // 2 - 1) + 1j * rng.normal(size=n // 2 - 1)
-        amp[grid.zero_bin + 1 :] = pos
-        amp[1 : grid.zero_bin] = np.conj(pos[::-1])
-        amp[grid.zero_bin] = rng.normal()
+        amp[n // 2 + 1 :] = pos
+        amp[1 : n // 2] = np.conj(pos[::-1])
+        amp[n // 2] = rng.normal()
         amp[0] = rng.normal()
-        f = to_time(SpectralField(grid, amp))
-        assert np.abs(f.amp.imag).max() < 1e-12 * np.abs(f.amp).max()
-
-
-def real_field(grid, seed):
-    return TemporalField(grid, random_field(grid, seed).amp.real)
+        full = full_field(FullSpectrum(grid, amp)).amp
+        half = to_time(SpectralField(grid, np.append(amp[n // 2 :], amp[0])))
+        assert half.amp.dtype == np.float64
+        assert np.abs(full.imag).max() < 1e-12 * np.abs(full).max()
+        assert np.max(np.abs(half.amp - full.real)) <= 1e-12 * np.abs(full).max()
 
 
 class TestHalfSpectrum:
@@ -205,9 +215,9 @@ class TestHalfSpectrum:
     def test_is_the_nonnegative_half_of_the_full_spectrum(self, n):
         grid = make_grid(n, 1e-15)
         f = real_field(grid, 12)
-        full = to_spectrum(f)
-        half = to_spectrum(f, half=True)
-        assert half.half and half.amp.shape == (n // 2 + 1,)
+        full = full_spectrum(f)
+        half = to_spectrum(f)
+        assert half.amp.shape == (n // 2 + 1,)
         # the nu >= 0 bins, and the -Nyquist bin, which is also +Nyquist
         nonnegative = np.append(full.amp[n // 2 :], full.amp[0])
         assert np.max(np.abs(half.amp - nonnegative)) <= 1e-15 * np.abs(full.amp).max()
@@ -216,34 +226,34 @@ class TestHalfSpectrum:
     def test_round_trip_gives_the_real_field(self):
         grid = make_grid(2**11, 1e-15)
         f = real_field(grid, 13)
-        back = to_time(to_spectrum(f, half=True))
+        back = to_time(to_spectrum(f))
         assert not np.any(back.amp.imag)
         assert np.max(np.abs(back.amp - f.amp)) <= 1e-13 * np.abs(f.amp).max()
 
-    def test_imaginary_part_is_ignored(self):
+    def test_imaginary_part_is_refused(self):
+        # the real transform takes real envelopes only: a complex field's imaginary part is neither dropped
+        # nor transformed, and its real part alone transforms as before
         grid = make_grid(64, 1e-15)
         f = random_field(grid, 14)
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            to_spectrum(f)
         real = TemporalField(grid, f.amp.real)
-        assert np.array_equal(to_spectrum(f, half=True).amp, to_spectrum(real, half=True).amp)
+        assert np.array_equal(to_spectrum(real).amp, to_spectrum(TemporalField(grid, real.amp + 0j)).amp)
 
     def test_layout_is_checked_and_kept(self, small_grid):
         amp = np.ones(small_grid.n // 2 + 1, complex)
         with pytest.raises(ValueError, match="shape"):
-            SpectralField(small_grid, amp)
-        with pytest.raises(ValueError, match="shape"):
-            SpectralField(small_grid, np.ones(small_grid.n), half=True)
-        unit = normalize(SpectralField(small_grid, amp, half=True))
-        assert unit.half and pulse_energy(unit) == pytest.approx(1.0, rel=1e-13)
+            SpectralField(small_grid, np.ones(small_grid.n))
+        unit = normalize(SpectralField(small_grid, amp))
+        assert unit.amp.shape == amp.shape and pulse_energy(unit) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestReal:
     """The one gate of mode analysis: a real envelope in any of its forms passes, anything else raises."""
 
-    @pytest.mark.parametrize("form", ["float64", "half-spectrum"])
+    @pytest.mark.parametrize("form", ["float64"])
     def test_real_forms_pass_as_they_are(self, small_grid, form):
         f = real_field(small_grid, 15)
-        if form == "half-spectrum":
-            f = to_spectrum(f, half=True)
         assert _real(f) is f
 
     @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
@@ -253,10 +263,6 @@ class TestReal:
         got = _real(TemporalField(small_grid, f.amp + 1j * zero))
         assert got.amp.dtype == np.float64 and got.amp.flags.c_contiguous
         assert np.array_equal(got.amp.view(np.uint64), f.amp.view(np.uint64))
-
-    def test_full_layout_spectrum_raises(self, small_grid):
-        with pytest.raises(ValueError, match="full-layout spectrum"):
-            _real(to_spectrum(real_field(small_grid, 17)))
 
     def test_one_tiny_imaginary_sample_raises(self, small_grid):
         # no tolerance: the smallest subnormal imaginary part in one sample is a complex envelope
@@ -281,9 +287,9 @@ class TestAreaAndEnergy:
 
     def test_area_equals_zero_detuning_bin(self):
         grid = make_grid(2**10, 1e-15)
-        f = random_field(grid, 7, offset=1.0)
+        f = real_field(grid, 7, offset=1.0)
         area = pulse_area(f)
-        dc = to_spectrum(f).amp[grid.zero_bin]
+        dc = to_spectrum(f).amp[0]
         assert abs(area - dc) <= 1e-12 * abs(area)
 
     def test_energy_quadratic_scaling(self, small_grid):
@@ -293,7 +299,7 @@ class TestAreaAndEnergy:
 
     def test_energy_parseval(self):
         grid = make_grid(2**10, 1e-15)
-        f = random_field(grid, 9)
+        f = real_field(grid, 9)
         assert pulse_energy(to_spectrum(f)) == pytest.approx(pulse_energy(f), rel=1e-12)
 
     def test_field_validation(self, small_grid):
@@ -308,7 +314,7 @@ class TestAreaAndEnergy:
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)])
     def test_non_finite_sample_rejected(self, small_grid, value):
-        amp = np.ones(small_grid.n, complex)
+        amp = np.ones(small_grid.n // 2 + 1, complex)
         amp[7] = value
         with pytest.raises(ValueError, match="non-finite"):
             SpectralField(small_grid, amp)

@@ -1,11 +1,11 @@
-"""Half and full spectral layouts give the same physics, over a seeded sweep of the config space.
+"""The library's half spectra give the physics of the full layout, over a seeded sweep of the config space.
 
-Mode analysis runs on the nu >= 0 half spectra of real fields; the full
-layout serves ``propagate`` alone.  A real input is transmitted on its half
-spectrum (one rfft, the half-band H, one irfft) or on the full one (complex
-transforms).  Each case draws a grid of 2^10 - 2^13 samples, a pulse width, a
-preset or custom medium and an on-lattice, off-lattice-start or off-lattice
-delay set from numpy's seeded generator, and holds the two transmissions to
+Every spectrum the library holds is the nu >= 0 half of a real field's.  A
+real input is transmitted on its half spectrum (one rfft, the half-band H,
+one irfft); a test-side transmission in the full layout (``conftest``:
+numpy's complex transforms, the half-band H mirrored) is the reference.
+Each case draws a grid of 2^10 - 2^13 samples, a pulse width, a preset or
+custom medium and an on-lattice, off-lattice-start or off-lattice delay set from numpy's seeded generator, and holds the two transmissions to
 1e-12 of the peak on the field and T_E, and the delay overlaps and
 best-delay projections computed on half spectra to 1e-12 of a test-side
 reference from the full-layout transmission: the direct sum over all n bins
@@ -41,11 +41,10 @@ from zapsim import (
     to_spectrum,
     transmit,
 )
-from zapsim.fields import _full, _spectrum
 from zapsim.modes import delay_overlaps
 from zapsim.shaper import CENTER_WAVELENGTH, SPEED_OF_LIGHT, _best_projection, max_shaped_eta
 
-from conftest import brent_projection, extended_overlaps, full_layout_lo
+from conftest import brent_projection, extended_overlaps, full_layout_lo, full_spectrum, full_transmit
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -109,14 +108,14 @@ def test_half_and_full_layouts_agree(case):
     grid = make_grid(case["n"], case["dt"])
     pulse = normalize(gaussian_pulse(grid, case["fwhm"]))
     m = case["medium"]
-    spec = {half: to_spectrum(pulse, half=half) for half in (True, False)}
-    out = {half: transmit(spec[half], m) for half in (True, False)}
-    assert out[True].spectrum.half and not out[False].spectrum.half
+    spec = {True: to_spectrum(pulse), False: full_spectrum(pulse)}
+    out = {True: transmit(spec[True], m), False: full_transmit(spec[False], m)}
+    assert spec[True].amp.shape == (grid.n // 2 + 1,) and spec[False].amp.shape == (grid.n,)
     assert not np.any(out[True].field.amp.imag)
 
     assert peak_gap(out[True].field.amp, out[False].field.amp) <= TOL
     assert abs(out[True].transmission - out[False].transmission) <= TOL
-    assert abs(energy_transmission(spec[True], m) - energy_transmission(spec[False], m)) <= TOL
+    assert abs(energy_transmission(spec[True], m) - out[False].transmission) <= TOL
 
     delays = case["delays"]
     # the half path against the exact sum over the full-layout transmission, the LO's spectrum held fixed; and
@@ -128,10 +127,10 @@ def test_half_and_full_layouts_agree(case):
     assert peak_gap(overlaps, reference) <= TOL
     assert peak_gap(reference, extended_overlaps(spec[False], out[False].spectrum, delays)) <= TOL
 
-    shaped = achievable_lo(out[True].field, ShaperConfig(), out[True].mode)
+    shaped = achievable_lo(out[True], ShaperConfig())
     for lo in (pulse, shaped):
-        best = _best_projection(to_spectrum(lo, half=True), out[True].mode)
-        assert abs(best - brent_projection(to_spectrum(lo), out[False].mode)) <= TOL
+        best = _best_projection(to_spectrum(lo), out[True].mode)
+        assert abs(best - brent_projection(full_spectrum(lo), out[False].mode)) <= TOL
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["id"] for c in CASES])
@@ -148,14 +147,15 @@ def test_float64_and_complex128_storage_agree(case):
     for dtype in (np.float64, np.complex128):
         lo = held(pulse, dtype)
         assert lo.amp.dtype == dtype
-        out = {half: transmit(to_spectrum(lo, half=half), m) for half in (True, False)}
-        assert _spectrum(lo).half  # a zero imaginary part is real data, whatever the storage
+        out = {True: transmit(to_spectrum(lo), m), False: full_transmit(lo, m)}
+        # a zero imaginary part is real data, whatever the storage
+        assert to_spectrum(lo).amp.shape == (grid.n // 2 + 1,)
         sig = held(out[True].field, dtype)
-        shaped = achievable_lo(sig, ShaperConfig(), out[True].mode)
+        shaped = achievable_lo(normalize(sig), ShaperConfig())
         got[dtype] = {
             "transmission": [out[half].transmission for half in (True, False)],
-            "overlaps": delay_overlaps(_spectrum(lo), _spectrum(sig), delays) / np.sqrt(out[True].spectrum.energy),
-            "best": [_best_projection(_spectrum(x), out[True].mode) for x in (lo, shaped)],
+            "overlaps": delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays) / np.sqrt(out[True].spectrum.energy),
+            "best": [_best_projection(to_spectrum(x), out[True].mode) for x in (lo, shaped)],
         }
     real, cplx = got[np.float64], got[np.complex128]
     assert np.max(np.abs(np.subtract(real["transmission"], cplx["transmission"]))) <= TOL
@@ -169,7 +169,7 @@ def test_parseval_on_half_spectra(case):
     # df * (|F_0|^2 + 2 * sum |F_k|^2 + |F_{n/2}|^2) equals dt * sum |f|^2, before and after the medium
     grid = make_grid(case["n"], case["dt"])
     pulse = gaussian_pulse(grid, case["fwhm"])
-    spec = to_spectrum(pulse, half=True)
+    spec = to_spectrum(pulse)
     assert spec.energy == pytest.approx(pulse_energy(pulse), rel=TOL)
     out = transmit(spec, case["medium"])
     assert out.spectrum.energy == pytest.approx(pulse_energy(out.field), rel=TOL)
@@ -178,14 +178,13 @@ def test_parseval_on_half_spectra(case):
 
 @pytest.mark.parametrize("case", CASES[:8], ids=[c["id"] for c in CASES[:8]])
 def test_mirrored_half_spectrum_is_the_full_one(case):
-    # the mirror E(-nu) = conj E(nu) of a real field's half spectrum, before and after the medium
+    # the mirror E(-nu) = conj E(nu) of a real field's half spectrum, before and after the medium, against
+    # the complex transform of the field
     grid = make_grid(case["n"], case["dt"])
     pulse = gaussian_pulse(grid, case["fwhm"])
-    for x in (pulse, transmit(to_spectrum(pulse, half=True), case["medium"]).field):
-        full = to_spectrum(x)
-        mirrored = _full(to_spectrum(x, half=True))
-        assert not mirrored.half
-        assert peak_gap(mirrored.amp, full.amp) <= 1e-15
+    for x in (pulse, transmit(to_spectrum(pulse), case["medium"]).field):
+        mirrored = full_spectrum(to_spectrum(x))
+        assert peak_gap(mirrored.amp, full_spectrum(x).amp) <= 1e-15
 
 
 @pytest.mark.parametrize("case", PIXEL_CASES, ids=[c["id"] for c in PIXEL_CASES])
@@ -196,17 +195,17 @@ def test_pixel_box_matches_the_all_full_reference(case):
     width = case["bins"] * grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT
     cfg = ShaperConfig(pixel_width=width)
     assert int(round(cfg.pixel_width_hz / grid.df)) == case["bins"]
-    out = transmit(_spectrum(pulse), m)  # the library's layout, and the all-full reference
-    ref = transmit(to_spectrum(pulse), m)
-    lo, ref_lo = achievable_lo(out.field, cfg, out.mode), full_layout_lo(ref.field, cfg)
+    out = transmit(to_spectrum(pulse), m)  # the library's layout, and the all-full reference
+    ref = full_transmit(pulse, m)
+    lo, ref_lo = achievable_lo(out, cfg), full_layout_lo(ref.field, cfg)
     assert lo.amp.dtype == np.float64
     assert peak_gap(lo.amp, ref_lo.amp) <= TOL
 
-    got = delay_overlaps(_spectrum(lo), out.spectrum, delays)
-    assert peak_gap(got, extended_overlaps(to_spectrum(ref_lo), ref.spectrum, delays)) <= TOL
-    assert abs(_best_projection(_spectrum(lo), out.mode) - brent_projection(to_spectrum(ref_lo), ref.mode)) <= TOL
+    got = delay_overlaps(to_spectrum(lo), out.spectrum, delays)
+    assert peak_gap(got, extended_overlaps(full_spectrum(ref_lo), ref.spectrum, delays)) <= TOL
+    assert abs(_best_projection(to_spectrum(lo), out.mode) - brent_projection(full_spectrum(ref_lo), ref.mode)) <= TOL
 
     # the best of the input pulse, the LO shaped to the transmitted mode and the shaped input LO
     candidates = (pulse, ref_lo, full_layout_lo(pulse, cfg))
-    want = 0.62 * ref.transmission * max(brent_projection(to_spectrum(x), ref.mode) for x in candidates)
+    want = 0.62 * ref.transmission * max(brent_projection(full_spectrum(x), ref.mode) for x in candidates)
     assert abs(max_shaped_eta(pulse, m, cfg, 0.62) - want) <= TOL

@@ -24,6 +24,8 @@ from zapsim import (
 from zapsim.fields import TemporalField
 from zapsim.medium import _warn_window_edges
 
+from conftest import full_freqs, full_spectrum
+
 LN2 = np.log(2.0)
 
 
@@ -51,8 +53,8 @@ def transmission_oracle(depth, t2, fwhm_t):
 
 
 def direct_transfer(grid, m):
-    """H(nu) by the full-grid formula, every bin evaluated."""
-    x = 2.0 * np.pi * grid.freqs * m.t2
+    """H(nu) by the full-grid formula, every bin of the full layout evaluated."""
+    x = 2.0 * np.pi * full_freqs(grid) * m.t2
     return np.exp(-m.depth / (1.0 - 1j * x))
 
 
@@ -88,15 +90,15 @@ class TestTransferFunction:
 
     def test_resonance_value(self, small_grid):
         filt = transfer_function(small_grid, MediumParams(depth=1.0, t2=1e-12))
-        assert filt.amp[small_grid.zero_bin] == pytest.approx(np.exp(-1.0), rel=1e-14)
+        assert filt.amp[0] == pytest.approx(np.exp(-1.0), rel=1e-14)
 
     def test_unit_dimensionless_detuning_point(self):
         # choose T2 so the bin at nu = 0.25 Hz sits at 2*pi*nu*T2 = 1 exactly
         grid = make_grid(8, 1.0)
         t2 = 1.0 / (2.0 * np.pi * 0.25)
         filt = transfer_function(grid, MediumParams(depth=1.0, t2=t2))
-        k = grid.zero_bin + 2
-        assert grid.freqs[k] == pytest.approx(0.25, rel=1e-15)
+        k = 2
+        assert grid.half_freqs[k] == pytest.approx(0.25, rel=1e-15)
         expected = np.exp(-1.0 / (1.0 - 1j))  # = exp(-(1+i)/2)
         assert filt.amp[k] == pytest.approx(expected, rel=1e-12)
         assert abs(filt.amp[k]) == pytest.approx(np.exp(-0.5), rel=1e-12)
@@ -112,23 +114,23 @@ class TestTransferFunction:
         assert np.all(np.abs(filt.amp) <= 1.0 + 1e-15)
 
     def test_far_detuned_transparency(self, mid_grid):
-        # |H| returns to 1 within 1e-6 at the grid edge for all presets
+        # |H| returns to 1 within 1e-6 at the grid edge (Nyquist, and the bin below it) for all presets
         for preset in temperature_presets():
             filt = transfer_function(mid_grid, preset.params)
-            assert abs(abs(filt.amp[0]) - 1.0) < 1e-6
             assert abs(abs(filt.amp[-1]) - 1.0) < 1e-6
+            assert abs(abs(filt.amp[-2]) - 1.0) < 1e-6
 
     @pytest.mark.parametrize("n", [2, 2**10, 2**19])
     @pytest.mark.parametrize("m", HALF_BAND_MEDIA, ids=lambda m: f"depth{m.depth:g}")
     def test_half_band_is_bit_exact(self, n, m):
-        # only nu >= 0 and the -Nyquist bin are evaluated; the rest are mirrored
+        # only nu >= 0 is evaluated; mirrored by H(-nu) = conj H(nu), it is the full-grid formula bit for bit
         grid = make_grid(n, 10e-15)
-        assert np.array_equal(bits(transfer_function(grid, m).amp), bits(direct_transfer(grid, m)))
+        assert np.array_equal(bits(full_spectrum(transfer_function(grid, m)).amp), bits(direct_transfer(grid, m)))
 
     def test_half_band_at_zero_depth_equals_in_value(self, default_grid):
         # -0/(1 - ix) and +0/(1 + ix) differ in the sign of a zero imaginary part, so only values match
         m = MediumParams(depth=0.0, t2=280e-12)
-        assert np.array_equal(transfer_function(default_grid, m).amp, direct_transfer(default_grid, m))
+        assert np.array_equal(full_spectrum(transfer_function(default_grid, m)).amp, direct_transfer(default_grid, m))
 
     def test_overflowing_t2_rejected(self, small_grid):
         # 2*pi*nu*T2 would overflow to inf and 1 - i*inf is NaN; refused before any array is built
@@ -138,7 +140,7 @@ class TestTransferFunction:
 
     def test_deep_line_underflows_to_zero(self, small_grid):
         filt = transfer_function(small_grid, MediumParams(depth=2200.0, t2=1e-12))
-        assert filt.amp[small_grid.zero_bin] == 0.0
+        assert filt.amp[0] == 0.0
 
 
 class TestPropagate:
@@ -166,7 +168,7 @@ class TestPropagate:
         monkeypatch.setattr(np, "sum", lambda x, *a, **k: sums.append(np.size(x)) or np_sum(x, *a, **k))
         for depth in (1.0, 3.0, 5.0):
             transmit(f, MediumParams(depth=depth, t2=1e-12)).transmission
-        assert sums == [small_grid.n] * 4
+        assert sums == [small_grid.n // 2 + 1] * 4
 
     def test_warns_on_coarse_line_sampling(self, small_grid):
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15, center_t=small_grid.window / 8))
@@ -190,48 +192,37 @@ class TestPropagate:
 
 
 class TestEdgeCheck:
-    """The window-edge warning compares |E| at the two edge samples with the peak |E(t)|; the largest
-    |part| of E bounds that peak from below, and a complex |E(t)| is read only when the bound cannot clear."""
+    """The window-edge warning compares |E| at the two edge samples of a real field with its peak |E(t)|,
+    the largest |sample|."""
 
     grid = make_grid(2**12, 10e-15)
-    line = MediumParams(depth=1.0, t2=1e-12)  # 13 samples across the line: no sampling warning
 
-    def check(self, amp, monkeypatch):
-        blocks = []
-        np_abs = np.abs
-        monkeypatch.setattr(np, "abs", lambda x, *a, **k: blocks.append(np.size(x) == 1024) or np_abs(x, *a, **k))
+    def check(self, amp):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _warn_window_edges(TemporalField(self.grid, amp))
-        return [str(w.message) for w in caught], sum(blocks)
+            _warn_window_edges(amp)
+        return [str(w.message) for w in caught]
 
-    @pytest.mark.parametrize("edge, warned", [(0.9e-6, False), (1.1e-6, True)])
-    def test_complex_peak_is_read_only_when_the_bound_cannot_clear(self, monkeypatch, edge, warned):
-        # |E| = 1 at 45 degrees, so the largest part is 0.707: edge / bound is above the limit either way
-        amp = np.zeros(self.grid.n, dtype=np.complex128)
-        amp[self.grid.n // 2] = (1.0 + 1.0j) / np.sqrt(2.0)
-        amp[0] = edge
-        messages, blocks = self.check(amp, monkeypatch)
-        assert blocks == self.grid.n // 1024
-        assert messages == (
-            [f"field amplitude at the window edges is {edge:.2e} of peak (> 1e-06); the response wraps around the window"]
-            if warned else []
-        )
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_a_decayed_edge_reads_no_block(self, monkeypatch, dtype):
-        amp = np.zeros(self.grid.n, dtype=dtype)
-        amp[self.grid.n // 2] = -1.0
-        amp[-1] = 0.9e-6
-        assert self.check(amp, monkeypatch) == ([], 0)
-
-    def test_real_peak_is_exact(self, monkeypatch):
+    def test_real_peak_is_exact(self):
         amp = np.zeros(self.grid.n)
         amp[self.grid.n // 2] = -2.0
+        amp[-1] = 1.8e-6
+        assert self.check(amp) == []
         amp[-1] = 2.2e-6
-        messages, blocks = self.check(amp, monkeypatch)
-        assert blocks == 0
-        assert messages == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
+        assert self.check(amp) == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
+
+    @pytest.mark.parametrize("edge_index", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_either_edge_of_either_sign_is_read(self, edge_index, sign):
+        # the peak is max(max, -min), so a positive peak with a negative lobe deeper than the edge, or a negative
+        # one, is found; the edge is read as |sample| at either end
+        amp = np.zeros(self.grid.n)
+        amp[self.grid.n // 2] = 4.0 * sign
+        amp[self.grid.n // 3] = -3.0 * sign
+        amp[edge_index] = -3.6e-6 * sign
+        assert self.check(amp) == []
+        amp[edge_index] = -4.4e-6 * sign
+        assert self.check(amp) == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
 
 
 class TestSpectralEdgeCheck:
@@ -248,7 +239,7 @@ class TestSpectralEdgeCheck:
         amp[at] = amp_at_edge
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = transmit(to_spectrum(TemporalField(grid, amp), half=True), self.line)
+            out = transmit(to_spectrum(TemporalField(grid, amp)), self.line)
         return out, "field" in vars(out), [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("n", [2**12, 2**13])
@@ -259,7 +250,7 @@ class TestSpectralEdgeCheck:
         assert was_built == built
         with warnings.catch_warnings(record=True) as exact:
             warnings.simplefilter("always")
-            _warn_window_edges(out.field)
+            _warn_window_edges(out.field.amp)
         assert messages == [str(w.message) for w in exact]
         assert len(messages) == (abs(edge) > 1e-6)
 
@@ -268,11 +259,6 @@ class TestSpectralEdgeCheck:
         assert not was_built and messages == []
         field = out.field
         assert out.field is field and "field" in vars(out)
-
-    def test_the_full_layout_checks_the_built_field(self):
-        grid = make_grid(2**12, 10e-15)
-        out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15, center_t=grid.window / 2)), self.line)
-        assert "field" in vars(out)
 
 
 @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
@@ -292,7 +278,7 @@ class TestAreaTheorem:
         f = gaussian_pulse(mid_grid, 100e-15)
         spec = to_spectrum(f)
         out = propagate(spec, MediumParams(depth=depth, t2=270e-12))
-        ratio = out.amp[mid_grid.zero_bin] / spec.amp[mid_grid.zero_bin]
+        ratio = out.amp[0] / spec.amp[0]
         assert abs(ratio - np.exp(-depth)) <= 1e-12 * np.exp(-depth)
 
     def test_area_ratio_with_resonant_carrier_example(self, mid_grid):
@@ -307,7 +293,7 @@ class TestAreaTheorem:
         f = gaussian_pulse(mid_grid, 100e-15)
         spec = to_spectrum(f)
         out = propagate(spec, MediumParams(depth=2200.0, t2=260e-12))
-        assert out.amp[mid_grid.zero_bin] == 0.0
+        assert out.amp[0] == 0.0
         time_ratio = pulse_area(to_time(out)) / pulse_area(f)
         assert abs(time_ratio) < 1e-9
 
@@ -318,7 +304,7 @@ class TestEnergyTransmission:
         assert energy_transmission(f, MediumParams(depth=0.0, t2=1e-12)) == 1.0
 
     def test_zero_field_rejected(self, small_grid):
-        f = SpectralField(small_grid, np.zeros(small_grid.n))
+        f = SpectralField(small_grid, np.zeros(small_grid.n // 2 + 1))
         with pytest.raises(ValueError):
             energy_transmission(f, MediumParams(depth=1.0, t2=1e-12))
 
@@ -374,8 +360,8 @@ class TestLimits:
     def test_large_t2_transparent_off_resonance(self, small_grid):
         filt = transfer_function(small_grid, MediumParams(depth=1.0, t2=1.0))
         vals = filt.amp.copy()
-        assert vals[small_grid.zero_bin] == pytest.approx(np.exp(-1.0), rel=1e-12)
-        off = np.delete(vals, small_grid.zero_bin)
+        assert vals[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+        off = vals[1:]
         assert np.max(np.abs(off - 1.0)) < 1e-6
 
 
@@ -427,7 +413,7 @@ class TestTransmit:
             transmit(f, MediumParams(depth=30.0, t2=100e-12))
 
     def test_zero_field_has_no_transmission(self, small_grid):
-        f = SpectralField(small_grid, np.zeros(small_grid.n))
+        f = SpectralField(small_grid, np.zeros(small_grid.n // 2 + 1))
         out = transmit(f, MediumParams(depth=1.0, t2=1e-12))
         assert not np.any(out.spectrum.amp)
         with pytest.raises(ValueError, match="zero-energy"):

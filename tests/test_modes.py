@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from zapsim import (
     MediumParams,
     ScanCurve,
-    SpectralField,
     TemporalField,
     delay_field,
     eta_curve,
@@ -22,10 +23,9 @@ from zapsim import (
 
 from zapsim import ShaperConfig, achievable_lo
 from zapsim import max_shaped_eta, max_unshaped_eta
-from zapsim.fields import _spectrum
 from zapsim.modes import _phasors, delay_overlaps
 
-from conftest import direct_overlaps, extended_overlaps, random_field
+from conftest import direct_overlaps, extended_overlaps, full_field, full_freqs, full_spectrum, random_field
 
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
@@ -41,7 +41,7 @@ REAL_FORMS = {
 def lobed_signal(mid_grid, mid_pulse):
     """Strongly reshaped transmitted field (mid grid keeps this quick)."""
     with pytest.warns(Warning):
-        spec = propagate(to_spectrum(normalize(mid_pulse), half=True), PRESET3)
+        spec = propagate(to_spectrum(normalize(mid_pulse)), PRESET3)
     return to_time(spec)
 
 
@@ -134,8 +134,8 @@ class TestDelayField:
     @staticmethod
     def full_grid_shift(f, tau):
         """The shift on the full spectrum, by one full-grid complex exponential."""
-        F = to_spectrum(f)
-        return to_time(SpectralField(F.grid, F.amp * np.exp(2j * np.pi * F.grid.freqs * tau))).amp
+        F = full_spectrum(f)
+        return full_field(replace(F, amp=F.amp * np.exp(2j * np.pi * full_freqs(F.grid) * tau))).amp
 
     @pytest.mark.parametrize("tau_steps", [37.0, -250.0, 37.3, -250.71, 0.5])
     @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True))
@@ -157,7 +157,7 @@ class TestDelayField:
     def test_takes_a_spectrum(self, mid_mode):
         tau = 12.7 * mid_mode.grid.dt
         want = delay_field(mid_mode, tau).amp
-        assert np.array_equal(delay_field(to_spectrum(mid_mode, half=True), tau).amp, want)
+        assert np.array_equal(delay_field(to_spectrum(mid_mode), tau).amp, want)
 
 
 class TestScanCurve:
@@ -328,18 +328,18 @@ class TestScanPaths:
     def fields(self):
         # 164 ps window, 1 ps line lifetime: reshaped yet quick to sum directly
         pulse = normalize(gaussian_pulse(make_grid(2**14, 10e-15), 100e-15))
-        sig = normalize(to_time(propagate(to_spectrum(pulse, half=True), MediumParams(depth=30.0, t2=1e-12))))
+        sig = normalize(to_time(propagate(to_spectrum(pulse), MediumParams(depth=30.0, t2=1e-12))))
         return pulse, sig
 
     @pytest.fixture(scope="class")
     def spectra(self, fields):
         pulse, sig = fields
-        return to_spectrum(pulse, half=True), to_spectrum(sig, half=True)
+        return to_spectrum(pulse), to_spectrum(sig)
 
     @staticmethod
     def direct_sum(lo, sig, delays):
         """The direct sum over the full spectra of two fields."""
-        return direct_overlaps(to_spectrum(lo), to_spectrum(sig), delays)
+        return direct_overlaps(full_spectrum(lo), full_spectrum(sig), delays)
 
     @pytest.mark.parametrize(
         "delays, on_lattice",
@@ -380,7 +380,7 @@ class TestScanPaths:
         pulse, sig = fields
         delays = LATTICE_DELAYS[name]
         want = self.direct_sum(pulse, sig, delays)
-        got = delay_overlaps(_spectrum(REAL_FORMS[form](pulse)), spectra[1], delays)
+        got = delay_overlaps(to_spectrum(REAL_FORMS[form](pulse)), spectra[1], delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(delay_overlaps(*spectra, delays), got)
 
@@ -404,7 +404,7 @@ class TestScanPaths:
             lo = TemporalField(pulse.grid, np.roll(pulse.amp, -pulse.grid.n // 8))
             delays = delays + pulse.grid.window / 8 + pulse.grid.dt * lo_kind.endswith("odd-lags")
         want = self.direct_sum(lo, sig, delays)
-        got = delay_overlaps(_spectrum(lo), _spectrum(sig), delays)
+        got = delay_overlaps(to_spectrum(lo), to_spectrum(sig), delays)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("shift", [-7, -2, 1, 2, 5, 4096])
@@ -414,7 +414,7 @@ class TestScanPaths:
         # moves the default scan's even lags onto the full-length path
         sig = fields[1]
         delays = LATTICE_DELAYS["linspace"] + start
-        moved = _spectrum(TemporalField(sig.grid, np.roll(sig.amp, shift)))
+        moved = to_spectrum(TemporalField(sig.grid, np.roll(sig.amp, shift)))
         want = delay_overlaps(*spectra, delays)
         got = delay_overlaps(spectra[0], moved, delays + shift * sig.grid.dt)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -424,7 +424,7 @@ class TestScanPaths:
     )
     def test_zero_lo_gives_zero_overlaps(self, fields, spectra, delays):
         pulse, sig = fields
-        zero = _spectrum(TemporalField(pulse.grid, np.zeros(pulse.grid.n)))
+        zero = to_spectrum(TemporalField(pulse.grid, np.zeros(pulse.grid.n)))
         got = delay_overlaps(zero, spectra[1], delays)
         assert got.shape == delays.shape and not np.any(got)
 
@@ -434,7 +434,7 @@ class TestScanPaths:
     @pytest.mark.parametrize("tau, tol", [(3e-12, 1e-13), (2**19 * 10e-15 / 4, 1e-10)])
     def test_phasors_match_exp(self, tau, tol):
         # the support of the default 100 fs pulse's spectral product on the default grid
-        freqs = make_grid(2**19, 10e-15).freqs
+        freqs = full_freqs(make_grid(2**19, 10e-15))
         band = freqs[np.abs(freqs) <= 18e12]
         df = freqs[1] - freqs[0]
         got = _phasors(band[0], df, band.size, tau)
@@ -478,7 +478,7 @@ def lattice_scan(case):
     """The case's LO (a unit-energy pulse), its half spectrum, the transmitted half spectrum and the delays."""
     grid = make_grid(case["n"], case["dt"])
     pulse = normalize(gaussian_pulse(grid, case["fwhm"]))
-    lo_spec = to_spectrum(pulse, half=True)
+    lo_spec = to_spectrum(pulse)
     return pulse, lo_spec, propagate(lo_spec, case["medium"]), case["delays"]
 
 
@@ -559,9 +559,3 @@ def test_complex_fields_with_a_zero_imaginary_part_are_taken_as_real(small_grid,
     got = _values(REAL_ONLY[call](widened, real, delays))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-
-
-def test_full_layout_spectra_are_refused(small_grid):
-    spec = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15)))
-    with pytest.raises(ValueError, match="full-layout spectrum"):
-        delay_field(spec, 3.3e-15)

@@ -12,9 +12,9 @@ the n-point grid, so a half-length transform counts as less than half of a
 full one, and a real transform (rfft, irfft) as half a complex one of its
 length; an exponential counts as its size in full grids.  The peak memory
 of one transmission and of one transform each way is measured in full-grid
-complex arrays, the real path is checked to build no full-grid axis, and
-the in-place product of a transmission is checked to round alike at every
-alignment of its operands.
+complex arrays, the real path is checked to build no time axis and to run
+no complex transform, and the in-place product of a transmission is checked
+to round alike at every alignment of its operands.
 """
 
 import tracemalloc
@@ -51,7 +51,8 @@ from zapsim.config import ScenarioConfig, apply_overrides
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
 # most FFT work (in full-grid complex transforms) one medium may cost, per verb.  propagate writes the
-# imaginary part of the field, so it keeps the complex inverse FFT; a real input is transmitted on its
+# imaginary part of the field, so it keeps a complex pair of its own, the only complex transforms of the
+# package: one ifft of the input per run and one fft per medium, 1; every other verb transmits the input's
 # half spectrum, and xcorr and eta-scan read their overlaps from one half-length irfft of the folded
 # spectral product and build no field: 0.232; depth-scan reads no field and measures 1.464: one irfft and
 # one rfft for the LO shaped to the transmitted mode, and two half-length irffts for the best-delay searches
@@ -129,16 +130,15 @@ def _decayed_presets():
 
 def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
     """Op counts of one CLI run on the GRID_N grid with ``medium.preset`` and further ``--set`` values."""
-    names = [*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "_full", "new_full", "exp"]
+    names = [*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "fft_calls", "ifft_calls", "exp"]
     counts = dict.fromkeys(names, 0)
     with monkeypatch.context() as mp:
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
         _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
-        _count_calls(mp, zapsim.fields, "_full", counts)
-        # a mirror that allocates and fills a fresh full grid: a half spectrum and no ``out``
-        _count_calls(mp, zapsim.fields, "_full", counts, lambda F, out=None: int(F.half and out is None), "new_full")
         _count_transforms(mp, counts)
+        for name in ("fft", "ifft"):
+            _count_calls(mp, np.fft, name, counts, key=f"{name}_calls")
         out = str(tmp_path / preset)
         args = [verb, "--out", out, "--set", f"grid.n={GRID_N}", "--set", f"medium.preset={preset}"]
         code = main(args + [arg for value in settings for arg in ("--set", value)])
@@ -148,8 +148,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
         "h": counts["transfer_function"],
         "lo": counts["achievable_lo"],
         "search": counts["_best_projection"],
-        "mirror": counts["_full"],
-        "new_full": counts["new_full"],
+        "complex": (counts["ifft_calls"], counts["fft_calls"]),
         "exp": counts["exp"],
     }
 
@@ -178,10 +177,11 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     assert five["h"] == 5 and one["h"] == 1
     assert (five["fft"] - one["fft"]) / 4 <= FFT_BUDGET[verb]
     # H(nu) is the only large complex exponential (no delay phase ramp, no full-length Newton phasors),
-    # and it is evaluated on nu >= 0 and the -Nyquist bin only
+    # and it is evaluated on the n/2 + 1 bins of nu >= 0 only
     assert (five["exp"] - one["exp"]) / 4 <= (GRID_N // 2 + 1) / GRID_N
-    # only a full-layout H is mirrored: no half spectrum meets a full one
-    assert five["mirror"] == (five["h"] if verb == "propagate" else 0)
+    # complex transforms serve propagate alone: one ifft of the input per run and one fft per medium; every
+    # other verb runs only rfft and irfft
+    assert (five["complex"], one["complex"]) == (((1, 5), (1, 1)) if verb == "propagate" else ((0, 0), (0, 0)))
     if verb == "depth-scan":
         # one shaped LO per medium, searched with the input LO
         assert five["lo"] == 5
@@ -192,26 +192,26 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
 def test_only_verbs_that_read_the_field_transform_it(monkeypatch, tmp_path, verb):
     # depth-scan and the delay scans read the transmitted spectrum alone: where the edge check clears the edges
     # from the spectrum, as it does for these media on this grid, no transmitted field is built; propagate
-    # writes the field
+    # writes the field, which its own complex pair transforms, and so transmits nothing through the library
     monkeypatch.setattr(zapsim.config, "temperature_presets", _decayed_presets)
     outs = []
     transmit = zapsim.runners.transmit
     monkeypatch.setattr(zapsim.runners, "transmit", lambda *args: outs.append(transmit(*args)) or outs[-1])
     assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
-    assert len(outs) == 5
-    assert [("field" in vars(out)) for out in outs] == [verb == "propagate"] * 5
+    assert len(outs) == (0 if verb == "propagate" else 5)
+    assert not any("field" in vars(out) for out in outs)
 
 
 def _edge_warnings(cfg: ScenarioConfig) -> list[list[str]]:
     """Per medium of ``cfg``, the grid-adequacy warning texts of the exact checks, on a field transformed here."""
-    spec = to_spectrum(zapsim.normalize(cfg.make_pulse(cfg.make_grid())), half=True)
+    spec = to_spectrum(zapsim.normalize(cfg.make_pulse(cfg.make_grid())))
     texts = []
     for entry in cfg.media():
-        h = transfer_function(spec.grid, entry.params, half=True)
+        h = transfer_function(spec.grid, entry.params)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", zapsim.GridAdequacyWarning)
             zapsim.medium._warn_line_sampling(spec.grid, entry.params)
-            zapsim.medium._warn_window_edges(to_time(SpectralField(spec.grid, spec.amp * h.amp, half=True)))
+            zapsim.medium._warn_window_edges(to_time(SpectralField(spec.grid, spec.amp * h.amp)).amp)
         texts.append([str(w.message) for w in caught])
     return texts
 
@@ -291,41 +291,23 @@ def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
     five = _run_counted(monkeypatch, tmp_path, "depth-scan", "all", f"shaper.pixel_nm={pixel_nm}")
     one = _run_counted(monkeypatch, tmp_path, "depth-scan", "1", f"shaper.pixel_nm={pixel_nm}")
     assert (five["fft"] - one["fft"]) / 4 <= PIXEL_FFT_BUDGET
-    # no spectrum is mirrored into the full layout
-    assert five["mirror"] == five["new_full"] == 0
+    # no complex transform runs
+    assert five["complex"] == (0, 0)
 
 
-def test_transmit_keeps_at_most_two_grids():
-    # H is formed in place into F*H and transformed in place: the output spectrum and the
-    # output field; the edge check holds no temporary of the field; plus a few KiB of Python objects
-    grid = make_grid(2**16, 10e-15)
-    grid.half_freqs  # H's abscissae, cached as they are after the first medium
-    spec = to_spectrum(gaussian_pulse(grid, 100e-15))
-    m = MediumParams(depth=70.0, t2=280e-12)
+def test_propagate_keeps_under_four_grids(tmp_path):
+    # the runner's complex pair holds the pulse (half a grid), its complex spectrum, the time axis (half a grid)
+    # and, per medium, the full H and the half-band H it is filled from: 3.8 grids, with no fftshift copy either
+    # way (4.8 grids with them)
+    cfg = apply_overrides(ScenarioConfig(), ["grid.n=65536", "medium.preset=1"])
+    zapsim.runners.run_propagate(cfg, tmp_path)  # numpy's and the grid's one-off allocations
     tracemalloc.start()
     try:
-        out = transmit(spec, m)
+        zapsim.runners.run_propagate(cfg, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out.spectrum.amp.view(np.uint64), (spec.amp * transfer_function(grid, m).amp).view(np.uint64))
-    assert peak <= 2.0 * grid.n * 16 + 16 * 1024
-
-
-def test_to_spectrum_keeps_at_most_one_and_a_half_grids():
-    # the inverse FFT's output is shifted in place through a half-length copy, bit for bit fftshift's result
-    grid = make_grid(2**16, 10e-15)
-    pulse = gaussian_pulse(grid, 100e-15)
-    tracemalloc.start()
-    try:
-        spec = to_spectrum(pulse)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    shifted = np.fft.fftshift(np.fft.ifft(pulse.amp.astype(np.complex128)))  # the complex transform of a complex field
-    shifted *= grid.n * grid.dt
-    assert np.array_equal(spec.amp.view(np.uint64), shifted.view(np.uint64))
-    assert peak <= 1.5 * grid.n * 16 + 16 * 1024
+    assert peak <= 4.0 * 65536 * 16
 
 
 def test_half_spectrum_keeps_half_a_grid():
@@ -334,11 +316,11 @@ def test_half_spectrum_keeps_half_a_grid():
     pulse = gaussian_pulse(grid, 100e-15)
     tracemalloc.start()
     try:
-        spec = to_spectrum(pulse, half=True)
+        spec = to_spectrum(pulse)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spec.half
+    assert spec.amp.shape == (grid.n // 2 + 1,)
     assert peak <= 0.5 * grid.n * 16 + 16 * 1024
 
 
@@ -348,7 +330,7 @@ def test_transmit_of_a_half_spectrum_keeps_one_grid():
     # later, it is the irfft of F*H conjugated in place and back
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
-    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15))
     m = MediumParams(depth=70.0, t2=5e-12)
     tracemalloc.start()
     try:
@@ -359,9 +341,9 @@ def test_transmit_of_a_half_spectrum_keeps_one_grid():
     assert "field" not in vars(out)
     # the in-place product rounds as a fresh one with F first: complex multiply is not commutative bit for bit,
     # and ``spec.amp * transfer_function(...).amp`` would let numpy reuse the temporary H as H*F
-    h = transfer_function(grid, m, half=True).amp
+    h = transfer_function(grid, m).amp
     want = np.multiply(spec.amp, h)
-    assert out.spectrum.half and np.array_equal(out.spectrum.amp.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(out.spectrum.amp.view(np.uint64), want.view(np.uint64))
     assert out.field.amp.dtype == np.float64
     assert np.array_equal(out.field.amp.view(np.uint64), to_time(out.spectrum).amp.view(np.uint64))
     assert peak <= 0.75 * grid.n * 16 + 16 * 1024
@@ -373,12 +355,12 @@ def test_shaped_lo_keeps_one_grid(pixel_nm, grids):
     # output (half a grid), which becomes the windowed LO in place; a pixel box adds only its Dirichlet factor
     # on the window's samples
     grid = make_grid(2**16, 10e-15)
-    out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15), half=True), temperature_presets()[2].params)
+    out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15)), temperature_presets()[2].params)
     cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
-    want = achievable_lo(out.field, cfg, out.mode)
+    want = achievable_lo(out, cfg)
     tracemalloc.start()
     try:
-        lo = achievable_lo(out.field, cfg, out.mode)
+        lo = achievable_lo(out, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -389,7 +371,7 @@ def test_shaped_lo_keeps_one_grid(pixel_nm, grids):
 def test_to_time_of_a_half_spectrum_keeps_one_grid():
     # the conjugated copy of the n/2 + 1 bins and the irfft's float64 output, half a grid each
     grid = make_grid(2**16, 10e-15)
-    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15))
     tracemalloc.start()
     try:
         field = to_time(spec)
@@ -407,20 +389,17 @@ def test_to_time_of_a_half_spectrum_keeps_one_grid():
 )
 def test_real_path_builds_no_full_grid_axis(monkeypatch, tmp_path, verb, settings):
     # a real field's spectra use Grid.half_freqs, computed from bin numbers, and the shaper window's times
-    # come from sample indices: neither Grid.freqs nor Grid.t is filled, no spectrum is mirrored into a
-    # fresh full grid, and no complex FFT runs
+    # come from sample indices: Grid.t is not filled, and no complex FFT runs
     read = []
-    for name in ("freqs", "t"):
-        build = vars(Grid)[name].func
-        monkeypatch.setattr(Grid, name, property(lambda grid, name=name, build=build: read.append(name) or build(grid)))
-    counts = {"new_full": 0, "fft": 0, "ifft": 0}
-    _count_calls(monkeypatch, zapsim.fields, "_full", counts, lambda F, out=None: int(F.half and out is None), "new_full")
+    build = vars(Grid)["t"].func
+    monkeypatch.setattr(Grid, "t", property(lambda grid: read.append("t") or build(grid)))
+    counts = {"fft": 0, "ifft": 0}
     for name in ("fft", "ifft"):
         _count_calls(monkeypatch, np.fft, name, counts)
     sets = [arg for value in settings for arg in ("--set", value)]
     assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}", *sets]) == 0
     assert read == []
-    assert counts == {"new_full": 0, "fft": 0, "ifft": 0}
+    assert counts == {"fft": 0, "ifft": 0}
 
 
 def _aligned_copy(x: np.ndarray, offset: int) -> np.ndarray:
@@ -437,9 +416,9 @@ def test_in_place_product_rounds_alike_at_every_alignment(h_offset):
     # transmit forms F*H in place into H's array, wherever the allocator put it: byte-identical reruns need
     # its bits to be those of a fresh product at every operand alignment
     grid = make_grid(2**16, 10e-15)
-    spec = to_spectrum(gaussian_pulse(grid, 100e-15), half=True)
+    spec = to_spectrum(gaussian_pulse(grid, 100e-15))
     for preset in temperature_presets():
-        h = transfer_function(grid, preset.params, half=True).amp
+        h = transfer_function(grid, preset.params).amp
         want = spec.amp * h
         for f_offset in (0, 16, 32, 48):
             f, got = _aligned_copy(spec.amp, f_offset), _aligned_copy(h, h_offset)

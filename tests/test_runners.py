@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,18 @@ import pytest
 import zapsim.runners
 
 from zapsim import (
+    GridAdequacyWarning,
+    TemporalField,
     energy_transmission,
     eta_curve,
     max_shaped_eta,
     max_unshaped_eta,
     normalize,
+    propagate,
     to_spectrum,
+    to_time,
     transmit,
+    visibility_curve,
 )
 from zapsim.config import parse_config_text
 from zapsim.quantum import HeraldedState, sample_quadratures
@@ -26,6 +32,8 @@ from zapsim.runners import (
     run_wigner,
     run_xcorr,
 )
+
+from conftest import direct_overlaps
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -153,6 +161,72 @@ class TestRunnersMatchLibrary:
             assert column(path, "eta_shaped")[k] == float(f"{shaped:.12g}")
             assert column(path, "transmission")[k] == pytest.approx(t_e, rel=1e-12)
 
+    @staticmethod
+    def written(monkeypatch):
+        """The header and columns each runner hands to ``_write_csv``, by file name, before they are printed."""
+        files = {}
+        monkeypatch.setattr(
+            zapsim.runners, "_write_csv", lambda path, header, names, columns: files.update({path.name: (header, columns)})
+        )
+        return files
+
+    def test_propagate_matches_transmit(self, small_cfg, tmp_path, monkeypatch):
+        # the runner's own complex transform pair, kept for its amp_im column, gives the library's real
+        # transmitted field: amp_re and amp_abs to 1e-12 of the amp_abs peak, amp_im below that, and T_E as printed
+        files = self.written(monkeypatch)
+        run_propagate(small_cfg, tmp_path)
+        pulse = normalize(small_cfg.make_pulse(small_cfg.make_grid()))
+        t = pulse.grid.t
+        center = t[int(np.argmax(np.abs(pulse.amp)))]
+        sel = (t >= center + small_cfg.scan_delay_min_ps * 1e-12) & (t <= center + small_cfg.scan_delay_max_ps * 1e-12)
+        for entry in small_cfg.media():
+            out = transmit(to_spectrum(pulse), entry.params)
+            want = out.field.amp[sel]
+            header, (_, amp_abs, amp_re, amp_im) = files[f"propagated_{entry.label}.csv"]
+            peak = amp_abs.max()
+            assert np.max(np.abs(amp_re - want)) <= 1e-12 * peak
+            assert np.max(np.abs(amp_abs - np.abs(want))) <= 1e-12 * peak
+            assert np.max(np.abs(amp_im)) <= 1e-12 * peak
+            assert f"transmission = {_fmt(out.transmission)}" in header
+
+    @pytest.mark.parametrize("wrapped", [True, False], ids=["presets", "short-line"])
+    def test_propagate_warns_as_transmit(self, small_cfg, tmp_path, wrapped):
+        # the runner checks its own field's edges on the real part, as transmit checks the real field it builds:
+        # its sidecar lists transmit's grid-adequacy warnings, medium by medium.  The presets' responses wrap
+        # around this 328 ps window; a 1 ps line decays inside it
+        cfg = small_cfg if wrapped else parse_config_text("grid.n = 32768\nmedium.depth = 30\nmedium.t2_ps = 1\n")
+        run_propagate(cfg, tmp_path)
+        sidecar = (tmp_path / "propagate_params.txt").read_text().splitlines()
+        got = [line.removeprefix("warning = ") for line in sidecar if line.startswith("warning = ")]
+        pulse = normalize(cfg.make_pulse(cfg.make_grid()))
+        want = []
+        for entry in cfg.media():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", GridAdequacyWarning)
+                transmit(to_spectrum(pulse), entry.params)
+            want += [str(w.message) for w in caught]
+        assert got == want
+        assert any("window edges" in text for text in want) == wrapped
+
+    @pytest.mark.parametrize("preset", ["1", "3", "5"])
+    def test_library_chain_matches_xcorr(self, small_cfg, tmp_path, monkeypatch, preset):
+        # to_spectrum gives a real field's half spectrum, so the chain from a mode through propagate and to_time
+        # is real and scans as xcorr does; a complex field with a nonzero imaginary part is refused, and a
+        # complex128 one with a zero imaginary part transforms to the bits of its float64 form
+        cfg = replace(small_cfg, medium_preset=preset)
+        files = self.written(monkeypatch)
+        run_xcorr(cfg, tmp_path)
+        pulse = cfg.make_pulse(cfg.make_grid())
+        mode = normalize(pulse)
+        (entry,) = cfg.media()
+        curve = visibility_curve(to_time(propagate(to_spectrum(mode), entry.params)), pulse, cfg.delays())
+        want = files[f"xcorr_{entry.label}.csv"][1][1]
+        assert np.max(np.abs(curve.ys - want)) <= 1e-12 * want.max()
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            to_spectrum(TemporalField(mode.grid, mode.amp * np.exp(0.3j)))
+        widened = to_spectrum(TemporalField(mode.grid, mode.amp.astype(np.complex128)))
+        assert np.array_equal(widened.amp.view(np.uint64), to_spectrum(mode).amp.view(np.uint64))
+
     def test_eta_scan_matches_eta_curve(self, small_cfg, tmp_path):
         cfg = replace(small_cfg, medium_preset="2,5")
         paths = run_eta_scan(cfg, tmp_path)
@@ -172,8 +246,7 @@ class TestOffLatticeScans:
         grid = cfg.make_grid()
         lo_spec = to_spectrum(normalize(cfg.make_pulse(grid)))
         out = transmit(lo_spec, params)
-        g = np.conj(lo_spec.amp) * out.mode.amp
-        a = np.array([grid.df * np.sum(g * np.exp(-2j * np.pi * grid.freqs * t)) for t in cfg.delays()])
+        a = direct_overlaps(lo_spec, out.mode, cfg.delays())
         return np.abs(a), cfg.detection_eta_base * out.transmission * np.abs(a) ** 2
 
     @pytest.mark.parametrize(

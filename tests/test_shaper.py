@@ -20,7 +20,6 @@ from zapsim import (
     to_time,
     transmit,
 )
-from zapsim.fields import _spectrum
 from zapsim.modes import _spectral_product
 from zapsim.shaper import (
     CENTER_WAVELENGTH,
@@ -30,7 +29,17 @@ from zapsim.shaper import (
     _resolution_window,
 )
 
-from conftest import brent_projection, centred_box, direct_overlaps, full_layout_lo, full_product, lattice_overlaps
+from conftest import (
+    brent_projection,
+    centred_box,
+    direct_overlaps,
+    full_freqs,
+    full_layout_lo,
+    full_product,
+    full_spectrum,
+    full_transmit,
+    lattice_overlaps,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -38,7 +47,7 @@ IDEAL = ShaperConfig(resolution_fwhm=1e-18, span=None)
 
 
 def transmitted_mode(pulse, params):
-    return normalize(to_time(propagate(to_spectrum(normalize(pulse), half=True), params)))
+    return normalize(to_time(propagate(to_spectrum(normalize(pulse)), params)))
 
 
 @pytest.fixture(scope="module")
@@ -119,22 +128,27 @@ class TestAchievableLo:
         b = achievable_lo(target, ShaperConfig())
         assert np.array_equal(a.amp, b.amp)  # a box of one bin is no factor at all
 
+    @staticmethod
+    def check_transmitted_lo(out, preset_modes, cfg):
+        """A Transmitted target is shaped from its output mode, with no forward transform, to a real LO: that of
+        its unit-energy field (preset_modes[2]) to 1e-13 of peak."""
+        got = achievable_lo(out, cfg).amp
+        want = achievable_lo(preset_modes[2], cfg).amp
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("cfg", [ShaperConfig(), ShaperConfig(pixel_width=2.0e-9)], ids=["span", "pixel"])
-    def test_given_spectrum_same_lo_and_left_unchanged(self, preset_modes, cfg):
-        target = preset_modes[2]
-        spec = to_spectrum(target, half=True)
-        before = spec.amp.copy()
-        assert np.array_equal(achievable_lo(target, cfg, spec).amp, achievable_lo(target, cfg).amp)
-        assert np.array_equal(spec.amp, before)
+    def test_given_spectrum_same_lo_and_left_unchanged(self, mid_pulse, preset_modes, cfg):
+        # a target that carries its spectrum (a Transmitted) keeps the bits of that spectrum and of its mode
+        out = transmit(to_spectrum(normalize(mid_pulse)), temperature_presets()[2].params)
+        spectrum, mode = out.spectrum.amp.copy(), out.mode.amp.copy()
+        self.check_transmitted_lo(out, preset_modes, cfg)
+        assert np.array_equal(out.spectrum.amp, spectrum) and np.array_equal(out.mode.amp, mode)
 
     @pytest.mark.parametrize("cfg", [ShaperConfig(), IDEAL, ShaperConfig(span=1e-9)], ids=["span", "ideal", "narrow"])
-    def test_half_spectrum_gives_the_same_lo_real(self, preset_modes, cfg):
-        target = preset_modes[2]
-        full = achievable_lo(target, cfg)
-        real = achievable_lo(target, cfg, to_spectrum(target, half=True))
-        assert np.max(np.abs(real.amp - full.amp)) <= 1e-13 * np.abs(full.amp).max()
-        if cfg.span is not None:
-            assert not np.any(real.amp.imag)
+    def test_half_spectrum_gives_the_same_lo_real(self, mid_pulse, preset_modes, cfg):
+        out = transmit(to_spectrum(normalize(mid_pulse)), temperature_presets()[2].params)
+        self.check_transmitted_lo(out, preset_modes, cfg)
 
     @pytest.mark.parametrize("bins", [2583, 2584])
     def test_pixel_lo_is_the_full_layout_one_real(self, preset_modes, bins):
@@ -144,7 +158,7 @@ class TestAchievableLo:
         cfg = ShaperConfig(pixel_width=bins * target.grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT)
         assert int(round(cfg.pixel_width_hz / target.grid.df)) == bins
         want = full_layout_lo(target, cfg).amp
-        got = achievable_lo(target, cfg, to_spectrum(target, half=True))
+        got = achievable_lo(target, cfg)
         assert got.amp.dtype == np.float64
         assert np.max(np.abs(want.imag)) <= 1e-13 * np.abs(want).max()
         assert np.max(np.abs(got.amp - want)) <= 1e-14 * np.abs(want).max()
@@ -171,7 +185,7 @@ class TestPixelBox:
         cfg = ShaperConfig(pixel_width=size * target.grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT, span=span)
         assert int(round(cfg.pixel_width_hz / target.grid.df)) == size
         want = full_layout_lo(target, cfg).amp
-        got = achievable_lo(target, cfg, to_spectrum(target, half=True)).amp
+        got = achievable_lo(target, cfg).amp
         assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
@@ -180,38 +194,32 @@ class TestBestProjection:
     @pytest.mark.parametrize("tau", [20e-12, -3e-12, 2e-12, 2.0037e-12])
     def test_finds_a_delayed_copy_anywhere_in_the_window(self, mid_mode, tau):
         # the search spans +-window/4, not a fixed delay range
-        lo_spec = to_spectrum(mid_mode, half=True)
-        sig_spec = to_spectrum(delay_field(mid_mode, tau), half=True)
+        lo_spec = to_spectrum(mid_mode)
+        sig_spec = to_spectrum(delay_field(mid_mode, tau))
         assert _best_projection(lo_spec, sig_spec) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("tau", [20e-12, -3e-12, 2e-12, 2.0037e-12])
     def test_delayed_copy_not_below_brent(self, mid_mode, tau):
-        lo_spec = to_spectrum(mid_mode, half=True)
-        sig_spec = to_spectrum(delay_field(mid_mode, tau), half=True)
+        lo_spec = to_spectrum(mid_mode)
+        sig_spec = to_spectrum(delay_field(mid_mode, tau))
         assert _best_projection(lo_spec, sig_spec) >= brent_projection(lo_spec, sig_spec) - 1e-15
 
     @pytest.mark.parametrize("preset_idx", [0, 4])
     def test_transmitted_mode_not_below_brent(self, preset_idx):
         grid = make_grid(2**16, 10e-15)
-        spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)), half=True)
+        spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
         out = transmit(spec, temperature_presets()[preset_idx].params)
-        shaped = to_spectrum(achievable_lo(normalize(out.field), ShaperConfig()), half=True)
+        shaped = to_spectrum(achievable_lo(normalize(out.field), ShaperConfig()))
         for lo_spec in (spec, shaped):
             assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
 
     def test_even_lags_fold_to_a_half_length_transform(self, preset_modes):
         lo, sig = achievable_lo(preset_modes[4], ShaperConfig()), preset_modes[4]
-        lo_spec, sig_spec = to_spectrum(lo, half=True), to_spectrum(sig, half=True)
+        lo_spec, sig_spec = to_spectrum(lo), to_spectrum(sig)
         full = lattice_overlaps(full_product(lo_spec, sig_spec), lo_spec.grid)
         even = _even_lag_overlaps(_spectral_product(lo_spec, sig_spec))
         assert even.dtype == np.float64 and even.size == lo_spec.grid.n // 2
         assert np.max(np.abs(even - full[::2])) <= 1e-13 * np.abs(full).max()
-
-    def test_full_layout_spectra_are_refused(self, preset_modes):
-        lo, sig = achievable_lo(preset_modes[2], ShaperConfig()), preset_modes[2]
-        for spectra in ((to_spectrum(lo), to_spectrum(sig, half=True)), (to_spectrum(lo, half=True), to_spectrum(sig))):
-            with pytest.raises(ValueError, match="full-layout spectrum"):
-                _best_projection(*spectra)
 
     @pytest.mark.parametrize("side, beyond", [(1.0, 1.5), (-1.0, 1.5), (1.0, -1.5)])
     def test_overlap_rising_through_the_edge_stops_there(self, side, beyond):
@@ -221,8 +229,8 @@ class TestBestProjection:
         grid = make_grid(2**12, 10e-15)
         mode = normalize(gaussian_pulse(grid, 100e-15))
         edge = side * 0.25 * grid.window
-        lo_spec = to_spectrum(mode, half=True)
-        sig_spec = to_spectrum(delay_field(mode, edge + side * beyond * grid.dt), half=True)
+        lo_spec = to_spectrum(mode)
+        sig_spec = to_spectrum(delay_field(mode, edge + side * beyond * grid.dt))
         at_edge = abs(direct_overlaps(lo_spec, sig_spec, [edge])[0]) ** 2
         want = 1.0 if beyond < 0.0 else at_edge
         assert at_edge < 0.99
@@ -233,7 +241,7 @@ class TestBestProjection:
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
         # peaks wrongly when one sits between samples, so refining only its maximum falls short
         grid = make_grid(2**14, 10e-15)
-        lo_spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)), half=True)
+        lo_spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
         rng = np.random.default_rng(7)
         short = []
         for case in range(200):
@@ -243,7 +251,7 @@ class TestBestProjection:
             nu = grid.half_freqs
             amp = lo_spec.amp * (np.exp(2j * np.pi * nu * t1) + weight * np.exp(2j * np.pi * nu * t2))
             amp[-1] = amp[-1].real  # the Nyquist bin of a real field
-            sig_spec = normalize(SpectralField(grid, amp, half=True))
+            sig_spec = normalize(SpectralField(grid, amp))
             if _best_projection(lo_spec, sig_spec) < brent_projection(lo_spec, sig_spec) - 1e-15:
                 short.append(case)
         assert short == []
@@ -274,8 +282,10 @@ class TestResolutionWindow:
         window = np.zeros(grid.n)
         window[keep] = values
         assert window[0] == 1.0
-        kernel = np.exp(-4.0 * np.log(2.0) * (grid.freqs / dnu) ** 2)
+        # the kernel over the full spectrum, normalized there, then its nu >= 0 bins and +Nyquist (= -Nyquist)
+        kernel = np.exp(-4.0 * np.log(2.0) * (full_freqs(grid) / dnu) ** 2)
         kernel /= grid.df * kernel.sum()
+        kernel = np.append(kernel[n // 2 :], kernel[0])
         spectrum = to_spectrum(TemporalField(grid, window)).amp
         assert np.max(np.abs(spectrum.real - kernel)) < 1e-12 * kernel.max()
         assert np.max(np.abs(spectrum.imag)) < 1e-12 * kernel.max()
@@ -337,8 +347,8 @@ def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_n
     pulse = normalize(gaussian_pulse(grid, 100e-15))
     params = temperature_presets()[preset_idx].params
     cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9, span=None if span_nm is None else span_nm * 1e-9)
-    out = transmit(_spectrum(pulse), params)
-    shaped_in = 0.62 * out.transmission * _best_projection(_spectrum(achievable_lo(pulse, cfg)), out.mode)
+    out = transmit(to_spectrum(pulse), params)
+    shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), out.mode)
     floor = max(max_unshaped_eta(pulse, params, 0.62), shaped_in)
     assert floor <= max_shaped_eta(pulse, params, cfg, 0.62) <= 0.62 * out.transmission + 1e-12
 
@@ -355,8 +365,8 @@ def test_pixel_box_moves_with_the_pulse(pixel_nm):
     pulses = [gaussian_pulse(grid, 100e-15, centre) for centre in centres]
     etas = [max_shaped_eta(pulse, params, cfg, 0.62) for pulse in pulses]
     assert max(etas) - min(etas) <= 1e-12
-    outs = [transmit(_spectrum(normalize(pulse)), params) for pulse in pulses]
-    los = [achievable_lo(out.field, cfg, out.mode) for out in outs]
+    outs = [transmit(to_spectrum(normalize(pulse)), params) for pulse in pulses]
+    los = [achievable_lo(out, cfg) for out in outs]
     for centre, lo in zip(centres[1:], los[1:]):
         moved = np.roll(los[0].amp, int(round((centre - first) / grid.dt)))
         assert np.max(np.abs(lo.amp - moved)) <= 1e-12 * np.abs(moved).max()
@@ -374,7 +384,7 @@ def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_
     # Dirichlet factor is centred there too; a 1 nm span leaves a smooth cut field with no proven peak, and the
     # field is built and read.  Either way the LO has the bits of the window centred on argmax |target|
     grid = default_grid
-    out = transmit(_spectrum(normalize(gaussian_pulse(grid, 100e-15))), temperature_presets()[preset_idx].params)
+    out = transmit(to_spectrum(normalize(gaussian_pulse(grid, 100e-15))), temperature_presets()[preset_idx].params)
     assert "field" not in vars(out)  # the default window holds the tail: the edge check built no field
     cfg = ShaperConfig(span=span_nm * 1e-9, pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
     lo = achievable_lo(out, cfg)
@@ -387,16 +397,13 @@ def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_
     want = np.zeros(grid.n)
     want[keep] = amp[keep] * window / np.sqrt(grid.dt * np.sum((amp[keep] * window) ** 2))
     assert np.array_equal(lo.amp.view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(lo.amp.view(np.uint64), achievable_lo(out.field, cfg, out.mode).amp.view(np.uint64))
-    with pytest.raises(ValueError, match="carries its own spectrum"):
-        achievable_lo(out, cfg, out.mode)
 
 
 @pytest.fixture(scope="module")
 def real_input():
     grid = make_grid(2**16, 10e-15)
     pulse = normalize(gaussian_pulse(grid, 100e-15))
-    return pulse, to_spectrum(pulse, half=True)
+    return pulse, to_spectrum(pulse)
 
 
 @pytest.mark.parametrize("span_nm", [60.0, None])
@@ -408,7 +415,7 @@ def test_half_spectrum_search_matches_the_full_one(real_input, preset_idx, span_
     cfg = ShaperConfig(span=None if span_nm is None else span_nm * 1e-9)
     out = transmit(lo_in, params)
     # what the half search rests on: at zero detuning S(-nu) = conj S(nu)
-    s = transmit(to_spectrum(pulse), params).mode.amp
+    s = full_transmit(pulse, params).mode.amp
     mid = lo_in.grid.n // 2
     assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
     half = [
@@ -417,8 +424,8 @@ def test_half_spectrum_search_matches_the_full_one(real_input, preset_idx, span_
         max_shaped_eta(pulse, params, cfg, 0.62),
     ]
     unshaped = brent_projection(lo_in, out.mode)
-    own = brent_projection(to_spectrum(full_layout_lo(out.field, cfg)), out.mode)
-    shaped_in = brent_projection(to_spectrum(full_layout_lo(pulse, cfg)), out.mode)
+    own = brent_projection(full_spectrum(full_layout_lo(out.field, cfg)), out.mode)
+    shaped_in = brent_projection(full_spectrum(full_layout_lo(pulse, cfg)), out.mode)
     scale = 0.62 * out.transmission
     full = [unshaped, scale * unshaped, scale * max(unshaped, own, shaped_in)]
     assert half == pytest.approx(full, rel=1e-13, abs=0.0)
@@ -435,11 +442,11 @@ def test_pixel_box_runs_only_real_transforms(monkeypatch):
     for name in ("fft", "ifft"):
         fn = getattr(np.fft, name)
         monkeypatch.setattr(np.fft, name, lambda *args, _fn=fn, **kwargs: complex_transforms.append(1) or _fn(*args, **kwargs))
-    lo = _spectrum(pulse)
+    lo = to_spectrum(pulse)
     out = transmit(lo, params)
-    shaped = _spectrum(achievable_lo(pulse, cfg, lo))  # the input shaped by the same pixel box
-    own = _spectrum(achievable_lo(out, cfg))
-    assert lo.half and shaped.half and own.half and out.mode.half
+    shaped = to_spectrum(achievable_lo(pulse, cfg))  # the input shaped by the same pixel box
+    own = to_spectrum(achievable_lo(out, cfg))
+    assert {x.amp.shape for x in (lo, shaped, own, out.mode)} == {(grid.n // 2 + 1,)}
     assert out.field.amp.dtype == np.float64
     eta = max_shaped_eta(pulse, params, cfg, 0.62)
     assert complex_transforms == []
@@ -462,11 +469,11 @@ def test_shaped_input_never_beats_the_own_mode_lo():
         pixel = None if rng.random() < 0.5 else rng.uniform(0.5e-9, 5e-9)  # below every span and above every resolution
         cfg = ShaperConfig(resolution_fwhm=resolution, pixel_width=pixel, span=span)
         pulse = normalize(gaussian_pulse(grid, fwhm))
-        lo_in = _spectrum(pulse)
-        shaped_in = _spectrum(achievable_lo(pulse, cfg, lo_in))
+        lo_in = to_spectrum(pulse)
+        shaped_in = to_spectrum(achievable_lo(pulse, cfg))
         for preset in temperature_presets():
             out = transmit(lo_in, preset.params)
-            own = _best_projection(_spectrum(achievable_lo(out, cfg)), out.mode)
+            own = _best_projection(to_spectrum(achievable_lo(out, cfg)), out.mode)
             losses.append(own - _best_projection(shaped_in, out.mode))
     assert len(losses) == 120
     assert min(losses) > 0.0
