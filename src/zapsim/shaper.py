@@ -24,8 +24,9 @@ The resonant input pulse is real, and so are the transmitted field and
 every LO shaped from it: both time-domain factors are real.  So the
 transmission, the LO shaping and the best-delay searches all run on nu >= 0
 half spectra (n/2 + 1 bins), each LO from at most one real inverse FFT and
-its spectrum from one real FFT.  A complex input raises ValueError
-(``fields._real``).
+its spectrum from one real FFT of every D-th sample, the rate of the band
+that the span, the window and the box leave it (:func:`_band_spectrum`).
+A complex input raises ValueError (``fields._real``).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .fields import (
     Grid,
     SpectralField,
     TemporalField,
+    _norm,
     normalize,
     to_spectrum,
 )
@@ -137,6 +139,11 @@ def _box_kernel(n: int, m: np.ndarray, size: int) -> np.ndarray:
     return np.divide(num, size * np.sin(angle * m), out=np.ones_like(num), where=m != 0)
 
 
+def _pixel_bins(grid: Grid, cfg: ShaperConfig) -> int:
+    """The bins one pixel of ``cfg`` covers on ``grid``: 1 without a pixel box."""
+    return 1 if cfg.pixel_width_hz is None else max(1, int(round(cfg.pixel_width_hz / grid.df)))
+
+
 def _peak_sample(amp: np.ndarray) -> int:
     """argmax(|amp|) of a real array, the first of ties, with no |amp| array."""
     k_max, k_min = int(np.argmax(amp)), int(np.argmin(amp))
@@ -150,10 +157,12 @@ def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> Tem
     width is configured, smoothed by the resolution kernel, and renormalized.
     With ideal resolution (kernel much narrower than the grid spacing) the
     target is returned unchanged up to normalization.  A :class:`Transmitted`
-    target carries its unit-energy half spectrum (its output mode), so no
-    forward transform is made, and its field is transformed only if it is
-    read; that field need not have unit energy, as the result is
-    renormalized and its peak, which centers the window, does not move.
+    target carries its half spectrum S, so no forward transform is made, and
+    its field is transformed only if it is read; neither need have unit
+    energy, as the result is renormalized and the field's peak, which centers
+    the window, does not move.  Only the bins inside the span are scaled by
+    1/|S|, to the bits of its unit-energy mode's, and no copy of that mode is
+    made.
 
     The LO is the span-cut field E_cut, or the target itself without an
     aperture, times the resolution window and, for a pixel of more than one
@@ -169,7 +178,7 @@ def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> Tem
     ties.
     """
     if isinstance(target, Transmitted):
-        out, spectrum = target, target.mode
+        out, spectrum = target, target.spectrum
         read_target = lambda: out.field  # built on first read
     else:
         target, spectrum = _real(target), None
@@ -177,20 +186,27 @@ def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> Tem
         read_target = lambda: target
 
     grid = (target if spectrum is None else spectrum).grid
-    size = 1 if cfg.pixel_width_hz is None else max(1, int(round(cfg.pixel_width_hz / grid.df)))
+    size = _pixel_bins(grid, cfg)
     if size > grid.n:
         raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
     if cfg.span_hz is None:
         amp = read_target().amp
         k_peak = _peak_sample(amp)
     else:
-        spectrum = to_spectrum(read_target()) if spectrum is None else spectrum
-        source = spectrum.amp[: np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")]
+        if spectrum is None:
+            spectrum, scale = to_spectrum(read_target()), 1.0
+        else:
+            scale = 1.0 / _norm(spectrum)  # as normalize scales the mode's bins; a zero field raises
+        cut = np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
         # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before the
         # cut field exists
-        reach = 2.0 * grid.df * np.abs(spectrum.amp[source.size :]).sum() + 2.0 * _roundoff(grid, 1.0)
-        # to_time's transform, of bins conjugated as it conjugates them; irfft zero-pads past the span itself
-        amp = np.fft.irfft(np.conj(source), grid.n)
+        reach = 2.0 * grid.df * np.abs(spectrum.amp[cut:]).sum() * scale + 2.0 * _roundoff(grid, 1.0)
+        # to_time's transform of the unit-energy bins, conjugated as it conjugates them, in the one buffer that
+        # irfft consumes; irfft zero-pads past the span itself
+        source = np.multiply(spectrum.amp[:cut], scale)
+        np.conj(source, out=source)
+        amp = np.fft.irfft(source, grid.n)
+        del source
         amp /= grid.dt
         k_peak = _peak_sample(amp)  # the target's when no other sample is within 2 * reach
         level = abs(amp[k_peak]) - 2.0 * reach
@@ -287,17 +303,56 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     return best
 
 
+def _band_spectrum(lo: TemporalField, cfg: ShaperConfig) -> SpectralField:
+    """The half spectrum of an LO that ``cfg`` shaped, from one real FFT of every D-th sample.
+
+    The span-cut field has no bins above span/2, and the resolution window and
+    the pixel box widen its band by the window's reach, where the kernel
+    exp(-4 ln2 nu^2 / dnu^2) falls below e^-746 (the image of the window's own
+    cut in time, :func:`_resolution_window`), and by half the box, size*df/2.
+    Above B = span/2 + dnu*sqrt(746 / (4 ln2)) + size*df/2 the LO's spectrum
+    is therefore below e^-746 of its peak, and every D-th sample, D the
+    largest power of two (at most n/2) with B < Nyquist/D, or 1, aliases nothing:
+    their rfft, conjugated and scaled by D*dt, holds the bins 0 .. n/(2D),
+    and the bins above are 0.  Without a span D = 1, with the bits of
+    :func:`fields.to_spectrum`.  The aperture's finite band is that of a 4-f
+    shaper's finite spot (A. M. Weiner, Rev. Sci. Instrum. 71, 1929 (2000)).
+    """
+    grid, step = lo.grid, 1
+    if cfg.span_hz is not None:
+        window_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
+        band = 0.5 * cfg.span_hz + window_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
+        while step < grid.n // 2 and band < grid.nyquist / (2 * step):
+            step *= 2
+    amp = np.zeros(grid.n // 2 + 1, dtype=np.complex128)
+    band_bins = amp[: grid.n // (2 * step) + 1]
+    np.fft.rfft(lo.amp[::step], out=band_bins)
+    np.conj(band_bins, out=band_bins)  # rfft's kernel is exp(-2*pi*i*nu*t)
+    band_bins *= step * grid.dt
+    return SpectralField(grid, amp)
+
+
+def _detected(eta_base: float, out: Transmitted, lo_spec: SpectralField) -> float:
+    """eta_base * T_E * max over delay of |<lo|mode>|^2 for the unit-energy output mode of ``out``, searched
+    on its spectrum S as it is: max |<lo|S>|^2 / |S|^2 is that projection, to round-off, and no mode is built.
+    A zero field has no mode and raises."""
+    _norm(out.spectrum)
+    return float(_eta(eta_base, out, _best_projection(lo_spec, out.spectrum) / out.spectrum.energy))
+
+
 def _efficiencies(out: Transmitted, lo_in: SpectralField, eta_base: float, cfg: ShaperConfig) -> tuple[float, float]:
     """(unshaped, shaped) efficiency for one medium, with the input LO's half spectrum ``lo_in``.
 
     The shaped efficiency is the better of the LO shaped to the transmitted
-    mode and the input LO itself.  The own-mode LO is shaped from the output
-    mode's spectrum, and reads the transmitted field only where its centre
-    cannot be proven from the cut spectrum's own field (:func:`achievable_lo`).
+    mode and the input LO itself.  The own-mode LO is shaped from the
+    transmitted spectrum, reads the transmitted field only where its centre
+    cannot be proven from the cut spectrum's own field (:func:`achievable_lo`),
+    and is transformed back at its band's rate (:func:`_band_spectrum`).  Both
+    searches read the transmitted spectrum as it is (:func:`_detected`), the
+    input LO's first, before the shaped LO's arrays exist.
     """
-    mode = out.mode
-    unshaped = float(_eta(eta_base, out, _best_projection(lo_in, mode)))
-    shaped = float(_eta(eta_base, out, _best_projection(to_spectrum(achievable_lo(out, cfg)), mode)))
+    unshaped = _detected(eta_base, out, lo_in)
+    shaped = _detected(eta_base, out, _band_spectrum(achievable_lo(out, cfg), cfg))
     return unshaped, max(shaped, unshaped)
 
 
@@ -318,5 +373,4 @@ def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: floa
     """Best homodyne efficiency with the un-modulated input pulse as LO."""
     _check_eta_base(eta_base)
     lo_in = to_spectrum(normalize(input_field))
-    out = transmit(lo_in, m)
-    return float(_eta(eta_base, out, _best_projection(lo_in, out.mode)))
+    return _detected(eta_base, transmit(lo_in, m), lo_in)

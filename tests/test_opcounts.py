@@ -54,14 +54,16 @@ pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 # imaginary part of the field, so it keeps a complex pair of its own, the only complex transforms of the
 # package: one ifft of the input per run and one fft per medium, 1; every other verb transmits the input's
 # half spectrum, and xcorr and eta-scan read their overlaps from one half-length irfft of the folded
-# spectral product and build no field: 0.232; depth-scan reads no field and measures 1.464: one irfft and
-# one rfft for the LO shaped to the transmitted mode, and two half-length irffts for the best-delay searches
-FFT_BUDGET = {"propagate": 1, "xcorr": 0.233, "eta-scan": 0.233, "depth-scan": 1.465}
+# spectral product and build no field: 0.232; depth-scan reads no field and measures 1.196: one irfft of n
+# for the LO shaped to the transmitted mode (0.5), one rfft of n/2 for its spectrum, read at the rate of its
+# band (D = 2 at the default span), and two half-length irffts for the best-delay searches (3 x 0.232); it
+# measured 1.464 while the LO's spectrum took an rfft of n
+FFT_BUDGET = {"propagate": 1, "xcorr": 0.233, "eta-scan": 0.233, "depth-scan": 1.197}
 
 # a pixel box is a real factor in time on the LO's window, which costs no transform: with the presets' own T2,
 # whose tails wrap this grid's window, the edge check builds each field (one irfft), and depth-scan measures
-# 1.964 per medium, the decayed presets' 1.464 and that irfft
-PIXEL_FFT_BUDGET = 1.965
+# 1.696 per medium, the decayed presets' 1.196 and that irfft (1.964 while the LO's spectrum took an rfft of n)
+PIXEL_FFT_BUDGET = 1.697
 
 GRID_N = 16384
 
@@ -245,8 +247,9 @@ def test_default_scans_transform_no_field(monkeypatch, tmp_path, verb):
 @pytest.mark.parametrize("pixel_nm", [None, 2, 3])
 def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm):
     # at the default 2^19 x 10 fs grid the presets' tails decay within the window: each medium's field stays
-    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 21 numpy transforms (the
-    # input's, then per medium the LO's irfft and rfft and two half-length irffts)
+    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 21 numpy transforms: the
+    # input's rfft of n, then per medium the LO's irfft of n, the rfft of its every second sample (its band,
+    # 19.7 THz, is below half the 50 THz Nyquist) and two half-length irffts
     built = []
     efficiencies = zapsim.runners._efficiencies
 
@@ -256,13 +259,21 @@ def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm)
         return result
 
     monkeypatch.setattr(zapsim.runners, "_efficiencies", spy)
-    counts = dict.fromkeys(TRANSFORMS, 0)
-    for name in TRANSFORMS:
-        _count_calls(monkeypatch, np.fft, name, counts)
     settings = [] if pixel_nm is None else ["--set", f"shaper.pixel_nm={pixel_nm}"]
-    assert main(["depth-scan", "--out", str(tmp_path), *settings]) == 0
+    lengths, code = _transforms(monkeypatch, lambda: main(["depth-scan", "--out", str(tmp_path), *settings]))
+    assert code == 0
     assert built == [False] * 5
-    assert counts == {"fft": 0, "ifft": 0, "rfft": 6, "irfft": 15}
+    n = 2**19
+    assert sorted(lengths) == [("irfft", n // 2)] * 10 + [("irfft", n)] * 5 + [("rfft", n // 2)] * 5 + [("rfft", n)]
+
+
+def test_depth_scan_without_a_span_reads_each_lo_at_the_full_rate(monkeypatch, tmp_path):
+    # with no aperture the LO's band is not bounded below Nyquist (D = 1): its spectrum is one rfft of n per
+    # medium, as to_spectrum makes it; the LO is shaped from the field, which the edge check has built here
+    run = lambda: main(["depth-scan", "--out", str(tmp_path), "--set", f"grid.n={GRID_N}", "--set", "shaper.span_nm=none"])
+    lengths, code = _transforms(monkeypatch, run)
+    assert code == 0
+    assert sorted(lengths) == [("irfft", GRID_N // 2)] * 10 + [("irfft", GRID_N)] * 5 + [("rfft", GRID_N)] * 6
 
 
 def _fmt_calls(monkeypatch, tmp_path, verb, *settings):

@@ -1,0 +1,103 @@
+"""Grid-free reference values for what a default depth-scan prints.
+
+For the Gaussian input pulse E(t) = exp(-2 ln2 t^2 / T^2) the spectral weight
+w(nu) = |F(nu)|^2 is proportional to exp(-pi^2 T^2 nu^2 / ln2), and with the
+input pulse as LO
+
+    eta_unshaped = eta_base * max_tau [ int w Re(H e^{-2 pi i nu tau}) dnu / int w ]^2,
+    T_E          = int w |H|^2 dnu / int w,
+
+over nu >= 0, where H(nu) = exp[-depth / (1 - 2 pi i nu T2)].  These need no
+time grid: ``scipy.integrate.quad`` evaluates them, with breakpoints at
+multiples of the spectral hole's width sqrt(2 depth) / (2 pi T2), where
+Re(H) oscillates fastest.  The best delay is bracketed by the peak of a
+lattice scan of even lags near 0 (``delay_overlaps``) and refined by a
+bounded scalar search on the quadrature itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+
+from zapsim import normalize, to_spectrum, transmit
+from zapsim.cli import main
+from zapsim.config import ScenarioConfig
+from zapsim.modes import delay_overlaps
+
+pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+
+CFG = ScenarioConfig()
+# breakpoints at the first this many multiples of the hole width; beyond them the phase of H varies slowly
+HOLE_WIDTHS = 32
+
+
+class Reference:
+    """The quadratures for one medium of depth ``depth`` and coherence time ``t2`` (s)."""
+
+    def __init__(self, depth: float, t2: float):
+        fwhm = CFG.pulse_fwhm_fs * 1e-15
+        self.depth, self.t2 = depth, t2
+        self.rate = math.pi**2 * fwhm**2 / math.log(2.0)  # w = exp(-rate * nu^2)
+        self.top = math.sqrt(60.0 / self.rate)  # w < e^-60 beyond
+        hole = math.sqrt(2.0 * depth) / (2.0 * math.pi * t2)
+        self.edges = [0.0, *(k * hole for k in range(1, HOLE_WIDTHS + 1) if k * hole < self.top), self.top]
+        # each piece to 1e-14 of int w = sqrt(pi / rate) / 2 absolute: a piece where Re(H) oscillates cancels
+        # too far for a relative bound alone
+        self.tol = 0.5e-14 * math.sqrt(math.pi / self.rate)
+        self.total = self.integral(lambda nu: math.exp(-self.rate * nu * nu))
+
+    def integral(self, f) -> float:
+        pieces = zip(self.edges, self.edges[1:])
+        return sum(quad(f, a, b, epsabs=self.tol, epsrel=1e-13, limit=200)[0] for a, b in pieces)
+
+    def log_h(self, nu: float) -> tuple[float, float]:
+        """log H(nu) = -depth (1 + i x) / (1 + x^2), x = 2 pi nu T2, as (real, imaginary)."""
+        x = 2.0 * math.pi * nu * self.t2
+        scale = -self.depth / (1.0 + x * x)
+        return scale, scale * x
+
+    def overlap(self, tau: float) -> float:
+        """<lo(tau)|out> of the unit-energy input LO with the transmitted field, per unit input energy."""
+
+        def f(nu):
+            re, im = self.log_h(nu)
+            return math.exp(re - self.rate * nu * nu) * math.cos(im - 2.0 * math.pi * nu * tau)
+
+        return self.integral(f) / self.total
+
+    def transmission(self) -> float:
+        return self.integral(lambda nu: math.exp(2.0 * self.log_h(nu)[0] - self.rate * nu * nu)) / self.total
+
+    def eta_unshaped(self, tau0: float, dt: float) -> float:
+        best = minimize_scalar(
+            lambda tau: -self.overlap(tau) ** 2, bounds=(tau0 - 2.0 * dt, tau0 + 2.0 * dt), method="bounded",
+            options={"xatol": 1e-22},
+        )
+        return CFG.detection_eta_base * -best.fun
+
+
+@pytest.fixture(scope="module")
+def printed(tmp_path_factory):
+    """The rows of a default depth-scan's CSV, by preset label."""
+    out = tmp_path_factory.mktemp("depth")
+    assert main(["depth-scan", "--out", str(out)]) == 0
+    lines = [l for l in (out / "efficiency_vs_depth.csv").read_text().splitlines() if not l.startswith("#")]
+    names = lines[0].split(",")
+    return {row[0]: dict(zip(names[1:], map(float, row[1:]))) for row in (l.split(",") for l in lines[1:])}
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_default_depth_scan_matches_the_quadrature(printed, index):
+    entry = CFG.media()[index]
+    grid = CFG.make_grid()
+    spec = to_spectrum(normalize(CFG.make_pulse(grid)))
+    delays = np.arange(-50, 401) * 2.0 * grid.dt  # even lags, -1 ps to 8 ps
+    overlaps = delay_overlaps(spec, transmit(spec, entry.params).spectrum, delays)
+    tau0 = delays[int(np.argmax(overlaps**2))]
+    ref = Reference(entry.params.depth, entry.params.t2)
+    row = printed[entry.label]
+    assert row["eta_unshaped"] == pytest.approx(ref.eta_unshaped(tau0, grid.dt), abs=1e-11, rel=0.0)
+    assert row["transmission"] == pytest.approx(ref.transmission(), abs=1e-11, rel=0.0)

@@ -24,7 +24,9 @@ from zapsim.modes import _spectral_product
 from zapsim.shaper import (
     CENTER_WAVELENGTH,
     SPEED_OF_LIGHT,
+    _band_spectrum,
     _best_projection,
+    _efficiencies,
     _even_lag_overlaps,
     _resolution_window,
 )
@@ -477,3 +479,60 @@ def test_shaped_input_never_beats_the_own_mode_lo():
             losses.append(own - _best_projection(shaped_in, out.mode))
     assert len(losses) == 120
     assert min(losses) > 0.0
+
+
+@pytest.fixture(scope="module")
+def band_outs(real_input):
+    _, lo_in = real_input
+    return {i: transmit(lo_in, temperature_presets()[i].params) for i in (0, 2, 4)}
+
+
+BAND_CASES = {"default": ShaperConfig(), "pixel2": ShaperConfig(pixel_width=2e-9), "span1": ShaperConfig(span=1e-9)}
+
+
+@pytest.mark.parametrize("case", sorted(BAND_CASES))
+@pytest.mark.parametrize("preset_idx", [0, 2, 4])
+def test_band_rate_spectrum_is_the_full_rate_one(band_outs, preset_idx, case):
+    # the LO's spectrum above B = span/2 + the window's reach + half the box is below e^-746 of its peak, so
+    # every D-th sample aliases nothing but round-off
+    lo = achievable_lo(band_outs[preset_idx], BAND_CASES[case])
+    want = to_spectrum(lo).amp
+    got = _band_spectrum(lo, BAND_CASES[case]).amp
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "cfg", [ShaperConfig(span=None), ShaperConfig(resolution_fwhm=5e-9)], ids=["no-span", "resolution-5nm"]
+)
+def test_band_rate_without_a_bounded_band_is_to_spectrum(band_outs, cfg):
+    # no span, or a window whose reach alone passes Nyquist: D = 1, and the bits of to_spectrum
+    lo = achievable_lo(band_outs[2], cfg)
+    got, want = _band_spectrum(lo, cfg).amp, to_spectrum(lo).amp
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("cfg, step", [(ShaperConfig(), 2), (ShaperConfig(span=1e-9), 8)], ids=["default", "span1"])
+def test_band_rate_is_the_largest_power_of_two_below_nyquist(monkeypatch, band_outs, cfg, step):
+    # B = 19.7 THz at the default (below 25 THz, above 12.5 THz) and 5.1 THz at a 1 nm span (below 6.25 THz,
+    # above 3.1 THz), against the 50 THz Nyquist of a 10 fs step: one rfft of n/D
+    lo = achievable_lo(band_outs[2], cfg)
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda x, *args, **kwargs: lengths.append(np.size(x)) or rfft(x, *args, **kwargs))
+    _band_spectrum(lo, cfg)
+    assert lengths == [lo.grid.n // step]
+
+
+@pytest.mark.parametrize("cfg", [ShaperConfig(), ShaperConfig(span=None)], ids=["span", "no-span"])
+def test_efficiencies_build_no_mode(real_input, cfg):
+    # both searches read the transmitted spectrum as it is and divide by its energy: no unit-energy copy is made,
+    # and the efficiencies are those of the searches on that copy, to round-off
+    _, lo_in = real_input
+    out = transmit(lo_in, temperature_presets()[2].params)
+    unshaped, shaped = _efficiencies(out, lo_in, 0.62, cfg)
+    assert "mode" not in vars(out)
+    scale = 0.62 * out.transmission
+    assert unshaped == pytest.approx(scale * _best_projection(lo_in, out.mode), rel=1e-14, abs=0.0)
+    shaped_lo = to_spectrum(achievable_lo(out, cfg))
+    assert shaped == pytest.approx(scale * _best_projection(shaped_lo, out.mode), rel=1e-13, abs=0.0)
