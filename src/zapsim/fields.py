@@ -23,11 +23,10 @@ a nonzero imaginary part in ``_real``) and one real inverse FFT undoes it
 into a float64 field (:func:`to_time`).  A sum over the full spectrum of a
 product of half spectra weights every bin but DC and Nyquist twice
 (``_spectral_sum``).  :func:`to_time` hands the real inverse FFT a
-conjugated copy of the bins; that copy is made for library callers only.
-The runners' path makes none: the transmitted field
-(``medium.Transmitted.field``) is transformed only when it is read, with its
-F*H conjugated in place and back, and ``shaper.achievable_lo`` transforms
-only the bins inside its span.
+conjugated copy of the bins.  The transmitted field
+(``medium.Transmitted.field``) is that transform of F*H, made only when it
+is read, and ``shaper.achievable_lo`` transforms only the bins inside its
+span.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ from .fields import (
     SpectralField,
     TemporalField,
     _roundoff,
-    _spectral_sum,
     normalize,
+    to_time,
 )
 
 __all__ = [
@@ -85,12 +85,10 @@ class MediumPreset(NamedTuple):
 
 @dataclass(frozen=True)
 class Transmitted:
-    """F*H for one medium; on first use, its envelope, the spectrum of the
-    unit-energy output mode (by Parseval) and the energy transmission T_E.
+    """F*H for one medium; on first use, its envelope (:func:`fields.to_time`
+    of F*H), the spectrum of the unit-energy output mode (by Parseval) and the
+    energy transmission T_E.
 
-    The envelope is ``fields.to_time``'s transform, bit for bit, without its
-    conjugated copy: F*H is conjugated in place for the one real inverse FFT
-    and then back, so the stored spectrum keeps its bits.
     A consumer that reads only the spectrum (a best-delay search, the shaper)
     makes no inverse FFT.
     """
@@ -100,12 +98,7 @@ class Transmitted:
 
     @cached_property
     def field(self) -> TemporalField:
-        grid, h = self.spectrum.grid, self.spectrum.amp
-        np.conj(h, out=h)
-        amp = np.fft.irfft(h, grid.n)
-        np.conj(h, out=h)
-        amp /= grid.dt
-        return TemporalField(grid, amp)
+        return to_time(self.spectrum)
 
     @cached_property
     def mode(self) -> SpectralField:
@@ -188,6 +181,13 @@ def _warn_window_edges(amp: np.ndarray) -> None:
             )
 
 
+def _transmitted(F: SpectralField, m: MediumParams) -> Transmitted:
+    """F*H, formed in the array of a fresh H: the product that :func:`transmit` and :func:`energy_transmission` read."""
+    input_energy = F.energy  # summed before the output arrays exist
+    h = transfer_function(F.grid, m).amp
+    return Transmitted(SpectralField(F.grid, np.multiply(F.amp, h, out=h)), input_energy)
+
+
 def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     """Send a half spectrum through the medium: one H(nu) on its n/2 + 1 bins and F*H in place.
 
@@ -198,11 +198,8 @@ def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     and the field is built for the exact check only where that bound cannot
     clear them.
     """
-    input_energy = F.energy  # summed before the output arrays exist
-    grid = F.grid
-    h = transfer_function(grid, m).amp
-    out = Transmitted(SpectralField(grid, np.multiply(F.amp, h, out=h)), input_energy)
-    _warn_line_sampling(grid, m)
+    out = _transmitted(F, m)
+    _warn_line_sampling(F.grid, m)
     if not _edges_decayed(out.spectrum):
         _warn_window_edges(out.field.amp)
     return out
@@ -214,13 +211,9 @@ def propagate(F: SpectralField, m: MediumParams) -> SpectralField:
 
 
 def energy_transmission(F: SpectralField, m: MediumParams) -> float:
-    """Transmitted energy fraction, sum |H F|^2 / sum |F|^2 over the full spectrum, in [0, 1]."""
-    h = transfer_function(F.grid, m)
-    w = np.abs(F.amp) ** 2
-    total = float(_spectral_sum(w))
-    if total <= 0.0:
-        raise ValueError("energy transmission of a zero-energy field is undefined")
-    return float(_spectral_sum(np.abs(h.amp) ** 2 * w) / total)
+    """Transmitted energy fraction, sum |H F|^2 / sum |F|^2 over the full spectrum, in [0, 1]: the T_E of
+    :class:`Transmitted`, equal bit for bit to ``transmit(F, m).transmission`` but without its warnings."""
+    return _transmitted(F, m).transmission
 
 
 def temperature_presets() -> list[MediumPreset]:

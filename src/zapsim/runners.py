@@ -1,11 +1,16 @@
 """Scenario runners: build the pipeline from a config and emit CSV datasets.
 
-Every emitted file starts with ``#``-prefixed header lines echoing the
-resolved configuration, so a run can be reproduced from any of its outputs.
-Numeric columns carry 12 significant digits.  Each data file is formatted in
-one pass: a row template is repeated once per row and filled by a single
-``%`` from its columns' values, so no Python call is made per value.  Outputs
-are byte-identical across reruns with a fixed config and seed.
+Every CSV starts with ``#``-prefixed header lines echoing the resolved
+configuration and the file's own values; the sidecars (``<stem>_params.txt``
+and the Wigner summary) echo the configuration as plain lines before their
+sections.  So a run can be reproduced from any of these outputs.  The
+quadrature samples file has a single header line instead,
+``# vacuum_variance = ..., eta = ..., seed = ..., n = ...``.  Every
+``key = value`` line formats its value by one rule (``_fmt``), and numeric
+values carry 12 significant digits.  Each data file is formatted in one
+pass: a row template is repeated once per row and filled by a single ``%``
+from its columns' values, so no Python call is made per value.  Outputs are
+byte-identical across reruns with a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .fields import GridAdequacyWarning, TemporalField, _norm, normalize, pulse_area, to_spectrum
-from .medium import MediumPreset, _warn_line_sampling, _warn_window_edges, transfer_function, transmit
+from .medium import _warn_line_sampling, _warn_window_edges, transfer_function, transmit
 from .modes import _check_delays, _eta_scan, _visibility_scan, delay_overlaps
 from .quantum import (
     HeraldedState,
@@ -42,27 +47,22 @@ __all__ = [
 LOG_FLOOR = 1e-12
 
 
+# the conversion of a value by its dtype kind, in a key = value line (_fmt) and in a CSV column alike: a bool or
+# int as an integer, a float to 12 significant digits, anything else (a label) as its str
+_SPEC = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    return "none" if value is None else _SPEC.get(np.asarray(value).dtype.kind, "%s") % (value,)
+
+
+def _pairs(values: dict) -> list[str]:
+    """One ``key = value`` line per entry, in the dict's order."""
+    return [f"{key} = {_fmt(value)}" for key, value in values.items()]
 
 
 def _header_lines(cfg: ScenarioConfig, verb: str, extra: dict | None = None) -> list[str]:
-    lines = [f"zapsim {verb}"]
-    lines.extend(cfg.to_lines())
-    for key in sorted(extra or {}):
-        lines.append(f"{key} = {_fmt(extra[key])}")
-    return lines
-
-
-# the conversion of a column by its dtype kind, as _fmt formats one value: a bool or int as an integer, a float
-# to 12 significant digits, anything else (a label) as its str
-_SPEC = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
+    return [f"zapsim {verb}", *cfg.to_lines(), *_pairs(dict(sorted((extra or {}).items())))]
 
 
 def _write_csv(path: Path, header: list[str], names: list[str], columns) -> None:
@@ -87,17 +87,6 @@ def _write_sidecar(path: Path, cfg: ScenarioConfig, verb: str, sections: list[tu
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _medium_lines(entry: MediumPreset, notes: list[str], extras: dict) -> list[str]:
-    body = [
-        f"depth = {_fmt(entry.params.depth)}",
-        f"t2_ps = {_fmt(entry.params.t2 * 1e12)}",
-        f"temperature_c = {'none' if entry.temperature_c is None else _fmt(entry.temperature_c)}",
-    ]
-    body += [f"{k} = {_fmt(v)}" for k, v in sorted(extras.items())]
-    body += [f"warning = {note}" for note in notes]
-    return body
-
-
 def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, send, row) -> list:
     """Transmit through each medium once, by ``send(params)``; ``row(entry, out)`` returns (result, sidecar
     values) from what ``send`` returned.  The sidecar ``<stem>_params.txt`` lists each medium's values and
@@ -105,8 +94,7 @@ def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, send,
     """
     grid = cfg.make_grid()
     results = []
-    grid_lines = [f"grid.window_ns = {_fmt(grid.window * 1e9)}", f"grid.df_mhz = {_fmt(grid.df / 1e6)}"]
-    sections = [("grid", grid_lines)]
+    sections = [("grid", _pairs({"grid.window_ns": grid.window * 1e9, "grid.df_mhz": grid.df / 1e6}))]
     for entry in cfg.media():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GridAdequacyWarning)
@@ -115,7 +103,9 @@ def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, send,
         result, extras = row(entry, out)
         del out  # free this medium's arrays before the next transmission
         results.append(result)
-        sections.append((entry.label, _medium_lines(entry, notes, extras)))
+        values = {"depth": entry.params.depth, "t2_ps": entry.params.t2 * 1e12, "temperature_c": entry.temperature_c}
+        lines = _pairs({**values, **dict(sorted(extras.items()))}) + [f"warning = {note}" for note in notes]
+        sections.append((entry.label, lines))
     _write_sidecar(out_dir / f"{stem}_params.txt", cfg, verb, sections)
     return results
 
@@ -184,41 +174,42 @@ def _input_lo(cfg: ScenarioConfig):
     return to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
 
 
-def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
-    """Emit the classical fringe-visibility delay scan for each medium."""
+def _run_scan(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, names: list[str], columns) -> list[Path]:
+    """Emit ``<stem>_<label>.csv`` per medium: ``delay_ps``, then the columns ``names``.  ``columns(entry, out,
+    overlaps, delays)`` returns those columns and the header's per-medium values, from the medium's transmitted
+    product and the overlaps of its unit-energy mode with the delayed input LO."""
     spec_in = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
     def row(entry, out):
         overlaps = delay_overlaps(spec_in, out.spectrum, delays) / _norm(out.spectrum)
-        curve = _visibility_scan(overlaps, delays)
-        columns = [curve.xs * 1e12, curve.ys, curve.peak_normalized().ys]
-        path = out_dir / f"xcorr_{entry.label}.csv"
-        header = _header_lines(cfg, "xcorr", {"medium.label": entry.label})
-        _write_csv(path, header, ["delay_ps", "visibility", "visibility_norm"], columns)
-        return path, {}
+        cols, extras = columns(entry, out, overlaps, delays)
+        path = out_dir / f"{stem}_{entry.label}.csv"
+        header = _header_lines(cfg, verb, {"medium.label": entry.label, **extras})
+        _write_csv(path, header, ["delay_ps", *names], [delays * 1e12, *cols])
+        return path, extras
 
-    return _each_medium(cfg, out_dir, "xcorr", "xcorr", partial(transmit, spec_in), row)
+    return _each_medium(cfg, out_dir, verb, stem, partial(transmit, spec_in), row)
+
+
+def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
+    """Emit the classical fringe-visibility delay scan for each medium."""
+
+    def columns(entry, out, overlaps, delays):
+        curve = _visibility_scan(overlaps, delays)
+        return [curve.ys, curve.peak_normalized().ys], {}
+
+    return _run_scan(cfg, out_dir, "xcorr", "xcorr", ["visibility", "visibility_norm"], columns)
 
 
 def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the homodyne efficiency delay scan (un-modulated LO) per medium."""
-    spec_in = _input_lo(cfg)
-    delays = _check_delays(spec_in.grid, cfg.delays())
 
-    def row(entry, out):
-        overlaps = delay_overlaps(spec_in, out.spectrum, delays) / _norm(out.spectrum)
-        curve = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays)
-        clamped = curve.ys < LOG_FLOOR
-        log_eta = np.log10(np.maximum(curve.ys, LOG_FLOOR))
-        extras = {"transmission": curve.meta["transmission"]}
-        path = out_dir / f"eta_scan_{entry.label}.csv"
-        header = _header_lines(cfg, "eta-scan", {"medium.label": entry.label, **extras})
-        columns = [curve.xs * 1e12, curve.ys, log_eta, clamped]
-        _write_csv(path, header, ["delay_ps", "eta", "log10_eta", "log_clamped"], columns)
-        return path, extras
+    def columns(entry, out, overlaps, delays):
+        eta = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays).ys
+        return [eta, np.log10(np.maximum(eta, LOG_FLOOR)), eta < LOG_FLOOR], {"transmission": out.transmission}
 
-    return _each_medium(cfg, out_dir, "eta-scan", "eta_scan", partial(transmit, spec_in), row)
+    return _run_scan(cfg, out_dir, "eta-scan", "eta_scan", ["eta", "log10_eta", "log_clamped"], columns)
 
 
 def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
@@ -252,20 +243,15 @@ def run_wigner(cfg: ScenarioConfig, out_dir: Path, from_samples: bool = False) -
     from synthetic quadrature data, exercising the full tomography chain.
     """
     eta_true = _mixture_eta(cfg)
-    summary = [f"eta = {_fmt(eta_true)}"]
+    summary = {"eta": eta_true}
     extra = {"eta": eta_true}
     if from_samples:
         sample = sample_quadratures(
             HeraldedState(eta_true), cfg.sampling_n_samples, cfg.sampling_seed
         )
         est = estimate_eta(sample)
-        summary += [
-            f"eta_hat = {_fmt(est.eta_hat)}",
-            f"stderr = {_fmt(est.stderr)}",
-            f"clamped = {_fmt(est.clamped)}",
-            f"n_samples = {cfg.sampling_n_samples}",
-            f"seed = {cfg.sampling_seed}",
-        ]
+        summary.update(eta_hat=est.eta_hat, stderr=est.stderr, clamped=est.clamped)
+        summary.update(n_samples=cfg.sampling_n_samples, seed=cfg.sampling_seed)
         extra.update({"eta_hat": est.eta_hat, "from_samples": True})
         state = HeraldedState(est.eta_hat)
     else:
@@ -278,14 +264,9 @@ def run_wigner(cfg: ScenarioConfig, out_dir: Path, from_samples: bool = False) -
     columns = [np.repeat(axis, n), np.tile(axis, n), grid_vals.ravel()]  # row i * n + j is (x_i, p_j)
     _write_csv(path, _header_lines(cfg, "wigner", extra), ["x", "p", "w"], columns)
 
-    w00 = wigner(state, 0.0, 0.0)
-    summary += [
-        f"rendered_eta = {_fmt(state.eta)}",
-        f"w_origin = {_fmt(w00)}",
-        f"nonclassical = {_fmt(is_nonclassical(state))}",
-    ]
+    summary.update(rendered_eta=state.eta, w_origin=wigner(state, 0.0, 0.0), nonclassical=is_nonclassical(state))
     summary_path = out_dir / "wigner_summary.txt"
-    _write_sidecar(summary_path, cfg, "wigner", [("summary", summary)])
+    _write_sidecar(summary_path, cfg, "wigner", [("summary", _pairs(summary))])
     return [path, summary_path]
 
 
@@ -294,10 +275,8 @@ def run_sample(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     eta_val = _mixture_eta(cfg)
     sample = sample_quadratures(HeraldedState(eta_val), cfg.sampling_n_samples, cfg.sampling_seed)
     path = out_dir / "quadrature_samples.txt"
-    header = (
-        f"# vacuum_variance = {_fmt(sample.meta['vacuum_variance'])}, "
-        f"eta = {_fmt(eta_val)}, seed = {cfg.sampling_seed}, n = {cfg.sampling_n_samples}\n"
-    )
+    values = {"vacuum_variance": sample.meta["vacuum_variance"], "eta": eta_val}
+    header = "# " + ", ".join(_pairs({**values, "seed": cfg.sampling_seed, "n": cfg.sampling_n_samples})) + "\n"
     body = "%.12g\n" * sample.values.size % tuple(sample.values.tolist())
     path.write_text(header + body, encoding="utf-8", newline="\n")
     return [path]

@@ -401,7 +401,7 @@ class TestTransmit:
         out = transmit(f, params)
         assert np.array_equal(out.spectrum.amp, propagate(f, params).amp)
         assert np.array_equal(out.field.amp, to_time(out.spectrum).amp)
-        assert out.transmission == pytest.approx(energy_transmission(f, params), rel=1e-12)
+        assert out.transmission == energy_transmission(f, params)
         assert pulse_energy(out.mode) == pytest.approx(1.0, abs=1e-12)
         round_trip = to_spectrum(normalize(to_time(propagate(f, params)))).amp
         assert np.max(np.abs(out.mode.amp - round_trip)) <= 1e-12 * np.max(np.abs(round_trip))

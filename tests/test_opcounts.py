@@ -338,7 +338,7 @@ def test_half_spectrum_keeps_half_a_grid():
 def test_transmit_of_a_half_spectrum_keeps_one_grid():
     # the half-band H becomes F*H in place (half a grid), and the edge check sums its energy from |F*H|^2
     # (a quarter of a grid): the field of a medium whose tail decays within the window is not built; read
-    # later, it is the irfft of F*H conjugated in place and back
+    # later, it is to_time of F*H
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15))

@@ -91,3 +91,25 @@ def resolves(module, ref: str) -> bool:
 def test_docstring_references_resolve(path):
     module = zapsim if path.stem == "__init__" else importlib.import_module(f"zapsim.{path.stem}")
     assert [ref for ref in docstring_references(path) if not resolves(module, ref)] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports at its top level but neither reads nor re-exports through ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read | exported]
+
+
+@pytest.mark.parametrize("path", sorted(Path(zapsim.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path) == []

@@ -299,3 +299,85 @@ class TestOnePassFormatting:
         values = sample_quadratures(HeraldedState(cfg.detection_eta_base), 5000, 11).values
         body = path.read_text().split("\n", 1)[1]
         assert body == "".join(f"{v:.12g}\n" for v in values)
+
+
+
+# the config echo that every sidecar prints before its sections, less its output.directory line: the defaults
+# but for the fields named
+ECHO = """\
+detection.eta_base = 0.62
+grid.dt_fs = 10
+grid.n = {n}
+medium.depth = {depth}
+medium.preset = all
+medium.t2_ps = {t2_ps}
+pulse.fwhm_fs = 100
+sampling.n_samples = 100000
+sampling.seed = 12345
+scan.delay_max_ps = {delay_max_ps}
+scan.delay_min_ps = -1
+scan.delay_steps = {delay_steps}
+shaper.pixel_nm = none
+shaper.resolution_nm = 0.6
+shaper.span_nm = 60
+wigner.eta = none
+wigner.half_width = 4
+wigner.n_side = 121
+"""
+DEFAULT_ECHO = ECHO.format(n=524288, depth="none", t2_ps="none", delay_max_ps=8, delay_steps=451)
+
+
+class TestGoldenText:
+    """The exact bytes of the ``key = value`` texts: the wigner summary, the sample header and a sidecar."""
+
+    @staticmethod
+    def text(path):
+        """The file's text without its output.directory line, which names the run's directory."""
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        return "".join(line for line in lines if not line.startswith("output.directory = "))
+
+    def test_wigner_summary(self, tmp_path):
+        run_wigner(parse_config_text(""), tmp_path)
+        summary = "eta = 0.62\nrendered_eta = 0.62\nw_origin = -0.0763943726841\nnonclassical = 1\n"
+        want = f"zapsim wigner parameters\n\n{DEFAULT_ECHO}\n[summary]\n{summary}"
+        assert self.text(tmp_path / "wigner_summary.txt") == want
+
+    def test_wigner_summary_from_samples(self, tmp_path):
+        run_wigner(parse_config_text(""), tmp_path, from_samples=True)
+        summary = (
+            "eta = 0.62\neta_hat = 0.625286146308\nstderr = 0.00369356628822\nclamped = 0\nn_samples = 100000\n"
+            "seed = 12345\nrendered_eta = 0.625286146308\nw_origin = -0.0797596379434\nnonclassical = 1\n"
+        )
+        want = f"zapsim wigner parameters\n\n{DEFAULT_ECHO}\n[summary]\n{summary}"
+        assert self.text(tmp_path / "wigner_summary.txt") == want
+
+    def test_sample_header(self, tmp_path):
+        (path,) = run_sample(parse_config_text(""), tmp_path)
+        first = path.read_bytes().split(b"\n", 1)[0]
+        assert first == b"# vacuum_variance = 0.5, eta = 0.62, seed = 12345, n = 100000"
+
+    @pytest.mark.parametrize(
+        "n, scan, grid_lines, warning_lines",
+        [
+            (16384, {}, "grid.window_ns = 0.16384\ngrid.df_mhz = 6103.515625\n", ""),
+            # a grid too coarse for the line and too short for its tail: both grid warnings fire
+            (
+                1024,
+                {"delay_max_ps": 1, "delay_steps": 11},
+                "grid.window_ns = 0.01024\ngrid.df_mhz = 97656.25\n",
+                "warning = only 3.3 frequency samples span the 318.310 GHz line FWHM (want >= 8); refine df\n"
+                "warning = field amplitude at the window edges is 5.53e-06 of peak (> 1e-06); the response wraps "
+                "around the window\n",
+            ),
+        ],
+        ids=["custom", "custom-warned"],
+    )
+    def test_custom_medium_xcorr_sidecar(self, tmp_path, n, scan, grid_lines, warning_lines):
+        scan = {"delay_max_ps": 8, "delay_steps": 451, **scan}
+        settings = f"grid.n = {n}\nmedium.depth = 30\nmedium.t2_ps = 1\n"
+        settings += "".join(f"scan.{key} = {value}\n" for key, value in scan.items())
+        run_xcorr(parse_config_text(settings), tmp_path)
+        echo = ECHO.format(n=n, depth=30, t2_ps=1, **scan)
+        medium = "depth = 30\nt2_ps = 1\ntemperature_c = none\n" + warning_lines
+        want = f"zapsim xcorr parameters\n\n{echo}\n[grid]\n{grid_lines}\n[custom]\n{medium}"
+        assert self.text(tmp_path / "xcorr_params.txt") == want
