@@ -14,11 +14,14 @@ pulse bandwidth, almost no energy is absorbed.  The reshaped output develops
 the sign-alternating free-induction lobes characteristic of zero-area pulses.
 
 The impulse response is real, so H(-nu) = conj H(nu): H is sampled on the
-nu >= 0 bins of a half spectrum (:mod:`zapsim.fields`) alone.
+nu >= 0 bins of a half spectrum (:mod:`zapsim.fields`) alone.  The DFT makes
+the response periodic in the window n*dt; :func:`_wrap_error` bounds what its
+tail beyond one window moves, in closed form.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +34,6 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
-    _roundoff,
     normalize,
     to_time,
 )
@@ -47,11 +49,10 @@ __all__ = [
     "temperature_presets",
 ]
 
-# Fewer frequency samples than this across the Lorentzian FWHM triggers a
-# sampling warning; so does relative field amplitude above this level at the
-# window edges (wrap-around risk).
-MIN_SAMPLES_PER_LINE = 8.0
-EDGE_AMPLITUDE_LIMIT = 1e-6
+# A medium whose tail beyond the window can move eta or T_E by more than this warns (:func:`_wrap_error`).
+WRAP_ERROR_LIMIT = 1e-9
+# max sqrt(x) |J1(x)| (0.8250309, at x ~ 2.166), rounded up: with |2 J1(x) / x| <= 1, it bounds the response's J1
+_J1_ENVELOPE = 0.825031
 
 # Note: depths above ~700 underflow exp(-depth) to zero at the resonance bin
 # in double precision.  The physical amplitude there is unmeasurably small,
@@ -90,7 +91,7 @@ class Transmitted:
     energy transmission T_E.
 
     A consumer that reads only the spectrum (a best-delay search, the shaper)
-    makes no inverse FFT.
+    makes no inverse FFT, and :func:`transmit`'s grid check reads none.
     """
 
     spectrum: SpectralField
@@ -132,53 +133,33 @@ def transfer_function(grid: Grid, m: MediumParams) -> SpectralField:
     return SpectralField(grid, np.exp(z, out=z))
 
 
-def _warn_line_sampling(grid: Grid, m: MediumParams) -> None:
-    samples = m.line_fwhm / grid.df
-    if samples < MIN_SAMPLES_PER_LINE:
+def _wrap_error(grid: Grid, m: MediumParams, area: float, energy: float) -> float:
+    """A closed-form bound on how far the medium's tail beyond one window can move eta (at eta_base = 1) or T_E
+    of an input of pulse area ``area`` and energy ``energy``; warns once when it exceeds ``WRAP_ERROR_LIMIT``.
+
+    The impulse response is h = delta - k, k(s) = a exp(-s/T2) 2 J1(x)/x, with a = depth/T2 and x = 2 sqrt(a s)
+    (M. D. Crisp, Phys. Rev. A 1, 1604 (1970)).  The DFT transmits the response made periodic in the window
+    W = n dt, so near the pulse the field carries -F(0) sum_{j>=1} k(jW + u), F(0) the input's area.  |k| is at
+    most a exp(-s/T2) min(1, 2C x^(-3/2)), C = max sqrt(x) |J1(x)|, which falls at least as fast as exp(-s/T2),
+    so the images sum to at most its value at W over 1 - exp(-W/T2).  A unit-energy LO sees that near-constant
+    offset through its own area, F(0)/sqrt(E_F) for the input LO, and |<lo|out>|^2 doubles it.  The F(0) form
+    assumes a nonnegative input envelope, whose area equals its L1 norm; every CLI input is one.
+    """
+    if m.depth == 0.0 or area == 0.0:
+        return 0.0
+    decay = grid.window / m.t2
+    x = 2.0 * math.sqrt(m.depth * decay)
+    bessel = 2.0 * _J1_ENVELOPE / max(x**1.5, 2.0 * _J1_ENVELOPE)  # min(1, 2C x^(-3/2))
+    tail = m.depth * math.exp(-decay) / m.t2 * bessel / -math.expm1(-decay)
+    error = 2.0 * area * area / energy * tail
+    if error > WRAP_ERROR_LIMIT:
         warnings.warn(
-            f"only {samples:.1f} frequency samples span the {m.line_fwhm / 1e9:.3f} GHz "
-            f"line FWHM (want >= {MIN_SAMPLES_PER_LINE:.0f}); refine df",
+            f"the medium's tail beyond the window can move eta or T_E by up to {error:.2e} "
+            f"(> {WRAP_ERROR_LIMIT:.0e}); widen the window n*dt",
             GridAdequacyWarning,
             stacklevel=3,
         )
-
-
-def _edges_decayed(S: SpectralField) -> bool:
-    """True when no window-edge warning can fire for the field of the half spectrum S, read from S alone.
-
-    The edge samples are sums over the nu >= 0 bins, every bin but DC and Nyquist weighted 2:
-    E(0) = df * sum S and E(-dt) = df * sum S * exp(2*pi*i*q/n), the latter as a row-by-column
-    contraction of the n/2 bins below Nyquist against two ~sqrt(n/2) phasor vectors (einsum's own
-    loop: a BLAS product would start threads), and the peak is at least the RMS sqrt(energy / window)
-    (Parseval).  So when both edges, widened by the round-off of either evaluation, stay within
-    EDGE_AMPLITUDE_LIMIT of the RMS, :func:`_warn_window_edges` on the built field would be silent.
-    """
-    grid, amp = S.grid, S.amp
-    mid = int(grid.n) // 2
-    cols = 1 << (mid.bit_length() // 2)
-    rows = mid // cols
-    col = np.exp((2j * np.pi / grid.n) * np.arange(cols))
-    row = np.exp((2j * np.pi * cols / grid.n) * np.arange(rows))
-    dc, nyquist = amp[0].real, amp[mid].real
-    at_start = 2.0 * amp[:mid].sum().real - dc + nyquist
-    at_end = 2.0 * (np.einsum("rc,c->r", amp[:mid].reshape(rows, cols), col) * row).sum().real - dc - nyquist
-    edge = grid.df * max(abs(at_start), abs(at_end))
-    slack = _roundoff(grid, S.energy)
-    return edge + slack <= EDGE_AMPLITUDE_LIMIT * (np.sqrt(S.energy / grid.window) - slack)
-
-
-def _warn_window_edges(amp: np.ndarray) -> None:
-    """Warn when the real field ``amp`` has not decayed at the window edges."""
-    peak = max(amp.max(), -amp.min())
-    if peak > 0.0:
-        edge = max(abs(amp[0]), abs(amp[-1])) / peak
-        if edge > EDGE_AMPLITUDE_LIMIT:
-            warnings.warn(
-                f"field amplitude at the window edges is {edge:.2e} of peak "
-                f"(> {EDGE_AMPLITUDE_LIMIT:.0e}); the response wraps around the window",
-                GridAdequacyWarning,
-                stacklevel=3,
-            )
+    return error
 
 
 def _transmitted(F: SpectralField, m: MediumParams) -> Transmitted:
@@ -192,16 +173,12 @@ def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
     """Send a half spectrum through the medium: one H(nu) on its n/2 + 1 bins and F*H in place.
 
     The real output field is transformed only when it is read
-    (:class:`Transmitted`).  Emits a :class:`GridAdequacyWarning` when the
-    line is under-sampled or the output field has not decayed at the window
-    edges; the edges are first read from the spectrum (:func:`_edges_decayed`),
-    and the field is built for the exact check only where that bound cannot
-    clear them.
+    (:class:`Transmitted`); no check builds it.  Emits a
+    :class:`GridAdequacyWarning` when the medium's tail beyond the window can
+    move eta or T_E by more than ``WRAP_ERROR_LIMIT`` (:func:`_wrap_error`).
     """
     out = _transmitted(F, m)
-    _warn_line_sampling(F.grid, m)
-    if not _edges_decayed(out.spectrum):
-        _warn_window_edges(out.field.amp)
+    _wrap_error(F.grid, m, F.amp[0].real, out.input_energy)
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .fields import GridAdequacyWarning, TemporalField, _norm, normalize, pulse_area, to_spectrum
-from .medium import _warn_line_sampling, _warn_window_edges, transfer_function, transmit
+from .medium import _wrap_error, transfer_function, transmit
 from .modes import _check_delays, _eta_scan, _visibility_scan, delay_overlaps
 from .quantum import (
     HeraldedState,
@@ -146,8 +146,7 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         t_e = energy(h) / energy_in
         np.fft.fft(h, out=h)
         h /= scale
-        _warn_line_sampling(grid, m)
-        _warn_window_edges(h.real)
+        _wrap_error(grid, m, spec_in[0].real, energy_in)
         return TemporalField(grid, h), t_e
 
     t = grid.t

@@ -40,8 +40,6 @@ from zapsim.cli import main as cli_main
 
 from conftest import real_field
 
-pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
-
 LN2 = np.log(2.0)
 ETA_BASE = 0.62
 PRESETS = temperature_presets()

@@ -21,8 +21,8 @@ from zapsim import (
     transfer_function,
     transmit,
 )
-from zapsim.fields import TemporalField
-from zapsim.medium import _warn_window_edges
+from zapsim.medium import _wrap_error
+from zapsim.shaper import ShaperConfig, _efficiencies
 
 from conftest import full_freqs, full_spectrum
 
@@ -171,17 +171,19 @@ class TestPropagate:
         assert sums == [small_grid.n // 2 + 1] * 4
 
     def test_warns_on_coarse_line_sampling(self, small_grid):
+        # a 270 ps line is far narrower than this 41 ps window's 24 GHz bins: its tail wraps, and one warning
+        # says so
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15, center_t=small_grid.window / 8))
-        with pytest.warns(GridAdequacyWarning, match="window edges"):
-            with pytest.warns(GridAdequacyWarning, match="frequency samples"):
-                propagate(f, MediumParams(depth=1.0, t2=270e-12))
+        with pytest.warns(GridAdequacyWarning, match="widen the window n") as caught:
+            propagate(f, MediumParams(depth=1.0, t2=270e-12))
+        assert len(caught) == 1
 
     def test_warns_on_window_wraparound(self):
         grid = make_grid(2**12, 10e-15)  # 41 ps window
         f = to_spectrum(gaussian_pulse(grid, 100e-15))
-        with pytest.warns(GridAdequacyWarning, match="frequency samples"):
-            with pytest.warns(GridAdequacyWarning, match="window edges"):
-                propagate(f, MediumParams(depth=30.0, t2=100e-12))
+        with pytest.warns(GridAdequacyWarning, match="can move eta or T_E by up to") as caught:
+            propagate(f, MediumParams(depth=30.0, t2=100e-12))
+        assert len(caught) == 1
 
     def test_clean_case_is_silent(self):
         grid = make_grid(2**12, 10e-15)
@@ -191,74 +193,63 @@ class TestPropagate:
             propagate(f, MediumParams(depth=5.0, t2=1e-12))
 
 
-class TestEdgeCheck:
-    """The window-edge warning compares |E| at the two edge samples of a real field with its peak |E(t)|,
-    the largest |sample|."""
-
-    grid = make_grid(2**12, 10e-15)
-
-    def check(self, amp):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _warn_window_edges(amp)
-        return [str(w.message) for w in caught]
-
-    def test_real_peak_is_exact(self):
-        amp = np.zeros(self.grid.n)
-        amp[self.grid.n // 2] = -2.0
-        amp[-1] = 1.8e-6
-        assert self.check(amp) == []
-        amp[-1] = 2.2e-6
-        assert self.check(amp) == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
-
-    @pytest.mark.parametrize("edge_index", [0, -1], ids=["first", "last"])
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
-    def test_either_edge_of_either_sign_is_read(self, edge_index, sign):
-        # the peak is max(max, -min), so a positive peak with a negative lobe deeper than the edge, or a negative
-        # one, is found; the edge is read as |sample| at either end
-        amp = np.zeros(self.grid.n)
-        amp[self.grid.n // 2] = 4.0 * sign
-        amp[self.grid.n // 3] = -3.0 * sign
-        amp[edge_index] = -3.6e-6 * sign
-        assert self.check(amp) == []
-        amp[edge_index] = -4.4e-6 * sign
-        assert self.check(amp) == ["field amplitude at the window edges is 1.10e-06 of peak (> 1e-06); the response wraps around the window"]
+def _wrap_draws():
+    """40 seeded configs: 2^10 to 2^13 samples of 10 fs, depth 1 to 3,160, T2 1 ps to 1 ns, pulse FWHM 40 to
+    300 fs and the shaper's resolution, span and pixel."""
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(40):
+        n = 2 ** int(rng.integers(10, 14))
+        m = MediumParams(depth=10 ** rng.uniform(0.0, 3.5), t2=10 ** rng.uniform(-12.0, -9.0))
+        fwhm = rng.uniform(40e-15, 300e-15)
+        resolution, span = [0.2e-9, 0.6e-9, 1.5e-9][rng.integers(3)], [None, 20e-9, 60e-9][rng.integers(3)]
+        pixel = [None, 0.05e-9, 0.2e-9, 1e-9][rng.integers(4)]
+        draws.append((n, m, fwhm, ShaperConfig(resolution, pixel, span)))
+    return draws
 
 
-class TestSpectralEdgeCheck:
-    """transmit reads the two edge samples of a half spectrum's field from the spectrum and bounds the peak by
-    the RMS; the field is built, for the exact check on its samples, only where that bound cannot clear the edges."""
+class TestWrapEstimate:
+    """The closed-form wrap bound against the same config on a window four times as long, at the same dt."""
 
-    line = MediumParams(depth=0.0, t2=1e-12)  # H = 1 exactly, so the output field is the input's; no sampling warning
-
-    def transmitted(self, n, amp_at_edge, at):
-        # a 100 fs pulse of unit peak in mid-window, whose RMS is 0.051 over a 2^12 x 10 fs window (0.036 over
-        # 2^13), and one edge value: only the smallest edges are cleared by the bound
+    @staticmethod
+    def measured(n, m, fwhm, cfg):
+        """(bound, eta_unshaped, eta_shaped, T_E) at eta_base = 1 for the input pulse as signal."""
         grid = make_grid(n, 10e-15)
-        amp = gaussian_pulse(grid, 100e-15, center_t=grid.window / 2).amp
-        amp[at] = amp_at_edge
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = transmit(to_spectrum(TemporalField(grid, amp)), self.line)
-        return out, "field" in vars(out), [str(w.message) for w in caught]
+        lo = to_spectrum(normalize(gaussian_pulse(grid, fwhm, center_t=1.28e-12)))  # at the same time on every n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GridAdequacyWarning)
+            out = transmit(lo, m)
+            bound = _wrap_error(grid, m, lo.amp[0].real, lo.energy)
+        return (bound, *_efficiencies(out, lo, 1.0, cfg), out.transmission)
 
-    @pytest.mark.parametrize("n", [2**12, 2**13])
-    @pytest.mark.parametrize("at", [0, -1])
-    @pytest.mark.parametrize("edge, built", [(1e-8, False), (-1e-8, False), (0.9e-6, True), (-1.1e-6, True), (1e-4, True)])
-    def test_warns_as_the_exact_check_on_the_built_field(self, n, at, edge, built):
-        out, was_built, messages = self.transmitted(n, edge, at)
-        assert was_built == built
-        with warnings.catch_warnings(record=True) as exact:
-            warnings.simplefilter("always")
-            _warn_window_edges(out.field.amp)
-        assert messages == [str(w.message) for w in exact]
-        assert len(messages) == (abs(edge) > 1e-6)
+    @pytest.mark.parametrize("draw", _wrap_draws(), ids=lambda draw: f"n{draw[0]}")
+    def test_bounds_the_change_on_a_longer_window(self, draw):
+        # 1e-12 covers round-off.  A span edge or a pixel takes other bins on the finer spectrum, which moves
+        # the shaped eta by quantisation, not wrap: that eta is held only without either
+        n, m, fwhm, cfg = draw
+        bound, unshaped, shaped, t_e = self.measured(n, m, fwhm, cfg)
+        _, unshaped_4n, shaped_4n, t_e_4n = self.measured(4 * n, m, fwhm, cfg)
+        assert abs(unshaped - unshaped_4n) <= bound + 1e-12
+        assert abs(t_e - t_e_4n) <= bound + 1e-12
+        if cfg.span is None and cfg.pixel_width is None:
+            assert abs(shaped - shaped_4n) <= bound + 1e-12
 
-    def test_a_clean_field_is_built_only_when_read(self):
-        out, was_built, messages = self.transmitted(2**12, 0.0, 0)
-        assert not was_built and messages == []
-        field = out.field
-        assert out.field is field and "field" in vars(out)
+    def test_lossless_medium_reads_zero_silently(self):
+        grid = make_grid(2**10, 10e-15)
+        f = to_spectrum(gaussian_pulse(grid, 100e-15))
+        m = MediumParams(depth=0.0, t2=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _wrap_error(grid, m, f.amp[0].real, f.energy) == 0.0
+            transmit(f, m)
+
+    def test_line_far_longer_than_the_window_reads_large_and_finite(self):
+        # a 1 ms T2 on a 10 ps window: the tail has not begun to decay, and the bound reads order 1
+        grid = make_grid(2**10, 10e-15)
+        f = to_spectrum(gaussian_pulse(grid, 100e-15))
+        with pytest.warns(GridAdequacyWarning) as caught:
+            bound = _wrap_error(grid, MediumParams(depth=30.0, t2=1e-3), f.amp[0].real, f.energy)
+        assert len(caught) == 1 and np.isfinite(bound) and bound > 1.0
 
 
 @pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
@@ -409,8 +400,18 @@ class TestTransmit:
     def test_warns_like_propagate(self):
         grid = make_grid(2**12, 10e-15)
         f = to_spectrum(gaussian_pulse(grid, 100e-15))
-        with pytest.warns(GridAdequacyWarning, match="window edges"):
+        with pytest.warns(GridAdequacyWarning, match="widen the window n") as caught:
             transmit(f, MediumParams(depth=30.0, t2=100e-12))
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("t2", [1e-12, 270e-12], ids=["decayed", "wrapped"])
+    def test_builds_no_field(self, small_grid, t2):
+        # the grid check reads the input's area and energy alone, so no field is built where the tail wraps
+        # either; the field is built when read, once
+        out = transmit(to_spectrum(gaussian_pulse(small_grid, 100e-15)), MediumParams(depth=30.0, t2=t2))
+        assert "field" not in vars(out)
+        field = out.field
+        assert out.field is field and "field" in vars(out)
 
     def test_zero_field_has_no_transmission(self, small_grid):
         f = SpectralField(small_grid, np.zeros(small_grid.n // 2 + 1))

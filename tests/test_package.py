@@ -2,8 +2,11 @@ import argparse
 import ast
 import contextlib
 import importlib
+import importlib.util
+import inspect
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from zapsim.cli import build_parser
 from zapsim.config import _PARSERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ["fields", "medium", "modes", "shaper", "quantum", "config", "runners"]
 
 
@@ -22,7 +26,6 @@ def library_block() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 def test_readme_library_block_runs_as_written():
     block, stdout = library_block(), io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -113,3 +116,17 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(Path(zapsim.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+def test_benchmark_tracer_finds_every_function_it_names(monkeypatch):
+    # a traced benchmark run leaves out each per-layer metric whose function the tracer cannot find, or whose
+    # per-call argument it cannot read by name: a renamed function or parameter drops metrics silently
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the benchmark's directory stays as committed
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert {layer: tracing._targets(layer)[1] for layer in tracing.LAYERS} == dict.fromkeys(tracing.LAYERS, [])
+    for name, parameter in [(tracing.DELAY_SCAN, "delays"), ("runners._write_csv", "path")]:
+        assert name in tracing.VALUES
+        layer, _, attr = name.partition(".")
+        assert parameter in inspect.signature(getattr(sys.modules[f"zapsim.{layer}"], attr)).parameters

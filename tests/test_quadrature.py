@@ -12,24 +12,28 @@ time grid: ``scipy.integrate.quad`` evaluates them, with breakpoints at
 multiples of the spectral hole's width sqrt(2 depth) / (2 pi T2), where
 Re(H) oscillates fastest.  The best delay is bracketed by the peak of a
 lattice scan of even lags near 0 (``delay_overlaps``) and refined by a
-bounded scalar search on the quadrature itself.
+bounded scalar search on the quadrature itself.  A grid whose window wraps
+the media's tails prints values off by more, and by no more than the wrap
+bound that its sidecar warns of.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from zapsim import normalize, to_spectrum, transmit
+from zapsim import GridAdequacyWarning, normalize, to_spectrum, transmit
 from zapsim.cli import main
-from zapsim.config import ScenarioConfig
+from zapsim.config import ScenarioConfig, apply_overrides
+from zapsim.medium import _wrap_error
 from zapsim.modes import delay_overlaps
 
-pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
-
 CFG = ScenarioConfig()
+# a 10 ps window, which wraps every preset's tail
+COARSE = ["grid.n=1024", "scan.delay_min_ps=-1", "scan.delay_max_ps=1", "scan.delay_steps=11"]
 # breakpoints at the first this many multiples of the hole width; beyond them the phase of H varies slowly
 HOLE_WIDTHS = 32
 
@@ -79,25 +83,53 @@ class Reference:
         return CFG.detection_eta_base * -best.fun
 
 
-@pytest.fixture(scope="module")
-def printed(tmp_path_factory):
-    """The rows of a default depth-scan's CSV, by preset label."""
-    out = tmp_path_factory.mktemp("depth")
-    assert main(["depth-scan", "--out", str(out)]) == 0
+def depth_scan(out, settings=()) -> dict:
+    """The rows of a depth-scan's CSV, by preset label."""
+    assert main(["depth-scan", "--out", str(out), *(arg for value in settings for arg in ("--set", value))]) == 0
     lines = [l for l in (out / "efficiency_vs_depth.csv").read_text().splitlines() if not l.startswith("#")]
     names = lines[0].split(",")
     return {row[0]: dict(zip(names[1:], map(float, row[1:]))) for row in (l.split(",") for l in lines[1:])}
 
 
+def lattice_peak(params) -> float:
+    """The best of a default-grid lattice scan of even lags, -1 ps to 8 ps: the start of the delay search."""
+    grid = CFG.make_grid()
+    spec = to_spectrum(normalize(CFG.make_pulse(grid)))
+    delays = np.arange(-50, 401) * 2.0 * grid.dt
+    overlaps = delay_overlaps(spec, transmit(spec, params).spectrum, delays)
+    return delays[int(np.argmax(overlaps**2))]
+
+
+@pytest.fixture(scope="module")
+def printed(tmp_path_factory):
+    """The rows of a default depth-scan's CSV, by preset label."""
+    return depth_scan(tmp_path_factory.mktemp("depth"))
+
+
 @pytest.mark.parametrize("index", range(5))
 def test_default_depth_scan_matches_the_quadrature(printed, index):
     entry = CFG.media()[index]
-    grid = CFG.make_grid()
-    spec = to_spectrum(normalize(CFG.make_pulse(grid)))
-    delays = np.arange(-50, 401) * 2.0 * grid.dt  # even lags, -1 ps to 8 ps
-    overlaps = delay_overlaps(spec, transmit(spec, entry.params).spectrum, delays)
-    tau0 = delays[int(np.argmax(overlaps**2))]
     ref = Reference(entry.params.depth, entry.params.t2)
+    eta = ref.eta_unshaped(lattice_peak(entry.params), CFG.make_grid().dt)
     row = printed[entry.label]
-    assert row["eta_unshaped"] == pytest.approx(ref.eta_unshaped(tau0, grid.dt), abs=1e-11, rel=0.0)
+    assert row["eta_unshaped"] == pytest.approx(eta, abs=1e-11, rel=0.0)
     assert row["transmission"] == pytest.approx(ref.transmission(), abs=1e-11, rel=0.0)
+
+
+def test_wrapped_depth_scan_is_off_by_at_most_its_warned_bound(tmp_path):
+    # preset 2 prints eta_unshaped 0.554076 for 0.540064 and preset 1 T_E 0.978898 for 0.994946: each medium's
+    # sidecar carries the one wrap warning, and the bound it names covers the miss
+    rows = depth_scan(tmp_path, COARSE)
+    cfg = apply_overrides(CFG, COARSE)
+    spec = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    sidecar = (tmp_path / "efficiency_vs_depth_params.txt").read_text(encoding="utf-8").split("\n[")[2:]
+    for entry, body in zip(cfg.media(), sidecar, strict=True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", GridAdequacyWarning)
+            bound = _wrap_error(spec.grid, entry.params, spec.amp[0].real, spec.energy)
+        notes = [line.removeprefix("warning = ") for line in body.splitlines() if line.startswith("warning = ")]
+        assert notes == [str(caught[0].message)]
+        ref = Reference(entry.params.depth, entry.params.t2)
+        row = rows[entry.label]
+        assert abs(row["eta_unshaped"] - ref.eta_unshaped(lattice_peak(entry.params), cfg.make_grid().dt)) <= bound
+        assert abs(row["transmission"] - ref.transmission()) <= bound

@@ -191,9 +191,9 @@ class TestRunnersMatchLibrary:
 
     @pytest.mark.parametrize("wrapped", [True, False], ids=["presets", "short-line"])
     def test_propagate_warns_as_transmit(self, small_cfg, tmp_path, wrapped):
-        # the runner checks its own field's edges on the real part, as transmit checks the real field it builds:
-        # its sidecar lists transmit's grid-adequacy warnings, medium by medium.  The presets' responses wrap
-        # around this 328 ps window; a 1 ps line decays inside it
+        # the runner bounds the wrap from its input's area and energy, as transmit does: its sidecar lists
+        # transmit's grid-adequacy warnings, medium by medium, one per medium whose tail wraps.  The presets'
+        # responses wrap around this 328 ps window; a 1 ps line decays inside it
         cfg = small_cfg if wrapped else parse_config_text("grid.n = 32768\nmedium.depth = 30\nmedium.t2_ps = 1\n")
         run_propagate(cfg, tmp_path)
         sidecar = (tmp_path / "propagate_params.txt").read_text().splitlines()
@@ -206,7 +206,7 @@ class TestRunnersMatchLibrary:
                 transmit(to_spectrum(pulse), entry.params)
             want += [str(w.message) for w in caught]
         assert got == want
-        assert any("window edges" in text for text in want) == wrapped
+        assert len(want) == (5 if wrapped else 0) and all("widen the window" in text for text in want)
 
     @pytest.mark.parametrize("preset", ["1", "3", "5"])
     def test_library_chain_matches_xcorr(self, small_cfg, tmp_path, monkeypatch, preset):
@@ -360,14 +360,13 @@ class TestGoldenText:
         "n, scan, grid_lines, warning_lines",
         [
             (16384, {}, "grid.window_ns = 0.16384\ngrid.df_mhz = 6103.515625\n", ""),
-            # a grid too coarse for the line and too short for its tail: both grid warnings fire
+            # a window too short for the line's tail: the one grid warning fires
             (
                 1024,
                 {"delay_max_ps": 1, "delay_steps": 11},
                 "grid.window_ns = 0.01024\ngrid.df_mhz = 97656.25\n",
-                "warning = only 3.3 frequency samples span the 318.310 GHz line FWHM (want >= 8); refine df\n"
-                "warning = field amplitude at the window edges is 5.53e-06 of peak (> 1e-06); the response wraps "
-                "around the window\n",
+                "warning = the medium's tail beyond the window can move eta or T_E by up to 3.63e-06 (> 1e-09); "
+                "widen the window n*dt\n",
             ),
         ],
         ids=["custom", "custom-warned"],

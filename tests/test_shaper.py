@@ -387,7 +387,7 @@ def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_
     # field is built and read.  Either way the LO has the bits of the window centred on argmax |target|
     grid = default_grid
     out = transmit(to_spectrum(normalize(gaussian_pulse(grid, 100e-15))), temperature_presets()[preset_idx].params)
-    assert "field" not in vars(out)  # the default window holds the tail: the edge check built no field
+    assert "field" not in vars(out)  # transmit builds no field
     cfg = ShaperConfig(span=span_nm * 1e-9, pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
     lo = achievable_lo(out, cfg)
     assert ("field" in vars(out)) == reads
