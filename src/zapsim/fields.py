@@ -20,10 +20,15 @@ E(-nu) = conj E(nu).  A :class:`SpectralField` is therefore always the
 nu >= 0 half, n/2 + 1 bins from DC to +Nyquist (``Grid.half_freqs``): one
 real FFT makes it (:func:`to_spectrum`, which refuses a complex field with
 a nonzero imaginary part in ``_real``) and one real inverse FFT undoes it
-into a float64 field (:func:`to_time`).  A sum over the full spectrum of a
-product of half spectra weights every bin but DC and Nyquist twice
-(``_spectral_sum``).  :func:`to_time` hands the real inverse FFT a
-conjugated copy of the bins.  The transmitted field
+into a float64 field (:func:`to_time`).  A spectrum made with
+``prefix=True`` may hold only its first bins, fewer than n/2 + 1, and the
+bins above them are exactly 0: the transmitted spectrum stops at the
+input's band (``SpectralField.band``, ``medium.transmit``), and a shaped
+LO's at its own (``shaper._band_spectrum``).  A sum over the full spectrum
+of a product of half spectra weights every bin but DC and Nyquist twice,
+and a prefix holds no Nyquist bin (``_spectral_sum``).  :func:`to_time`
+hands the real inverse FFT a conjugated copy of the bins, which it
+zero-pads to n/2 + 1.  The transmitted field
 (``medium.Transmitted.field``) is that transform of F*H, made only when it
 is read, and ``shaper.achievable_lo`` transforms only the bins inside its
 span.
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 LN2 = float(np.log(2.0))
+# A spectrum's band ends at its last bin whose modulus exceeds this fraction of its peak (SpectralField.band)
+BAND_CUTOFF = 1e-12
 # np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))
 _EXP_UNDERFLOW = -746.0
 
@@ -115,11 +122,13 @@ class Grid:
         return arr
 
 
-def _validate_amp(amp, size: int, keep_real: bool = False) -> np.ndarray:
-    """amp as complex128, or as float64 when ``keep_real`` and it is not complex; checked for shape and finiteness."""
+def _validate_amp(amp, size: int, keep_real: bool = False, prefix: bool = False) -> np.ndarray:
+    """amp as complex128, or as float64 when ``keep_real`` and it is not complex; checked for shape and finiteness.
+    With ``prefix`` it may hold fewer than ``size`` samples, at least one."""
     out = np.asarray(amp, dtype=np.float64 if keep_real and not np.iscomplexobj(amp) else np.complex128)
-    if out.shape != (size,):
-        raise ValueError(f"amplitude array has shape {out.shape}, expected ({size},)")
+    if out.ndim != 1 or not (0 < out.size <= size if prefix else out.size == size):
+        expected = f"at most ({size},)" if prefix else f"({size},)"
+        raise ValueError(f"amplitude array has shape {out.shape}, expected {expected}")
     with np.errstate(all="ignore"):  # a finite sum proves it without a full-grid mask; finite samples may sum to inf
         finite = np.isfinite(out.sum()) or np.all(np.isfinite(out))
     if not finite:
@@ -141,20 +150,34 @@ class TemporalField:
 @dataclass(frozen=True)
 class SpectralField:
     """The nu >= 0 half of the Hermitian spectrum E(nu) of a real field: n/2 + 1 complex bins, ascending
-    from 0 to +Nyquist (``Grid.half_freqs``); E(-nu) = conj E(nu) gives the rest."""
+    from 0 to +Nyquist (``Grid.half_freqs``); E(-nu) = conj E(nu) gives the rest.
+
+    With ``prefix`` the array may hold only the first bins, 1 to n/2 + 1 of them, and the bins above are
+    exactly 0: a prefix of fewer than n/2 + 1 bins holds no Nyquist bin.
+    """
 
     grid: Grid
     amp: np.ndarray
+    prefix: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amp", _validate_amp(self.amp, self.grid.n // 2 + 1))
+        object.__setattr__(self, "amp", _validate_amp(self.amp, self.grid.n // 2 + 1, prefix=self.prefix))
 
     @cached_property
     def energy(self) -> float:
         """df * sum |E(nu)|^2, summed on first use: amp must not change in place afterwards."""
         power = np.abs(self.amp)
         power *= power
-        return float(self.grid.df * _spectral_sum(power))
+        return float(self.grid.df * _spectral_sum(power, self.grid.n))
+
+    @cached_property
+    def band(self) -> int:
+        """K, 1 + the last bin whose modulus exceeds ``BAND_CUTOFF`` of the peak (1 for a zero spectrum): the bins
+        a product with this spectrum keeps (``medium.transmit``).  Dropping the bins above moves the field by
+        at most 2 * df * sum |E| over them."""
+        mag = np.abs(self.amp)
+        above = np.nonzero(mag > BAND_CUTOFF * mag.max())[0]
+        return int(above[-1]) + 1 if above.size else 1
 
 
 def _roundoff(grid: Grid, energy: float) -> float:
@@ -165,11 +188,12 @@ def _roundoff(grid: Grid, energy: float) -> float:
     return 16.0 * grid.n * float(np.finfo(np.float64).eps) * float(np.sqrt(energy / grid.window))
 
 
-def _spectral_sum(x: np.ndarray):
-    """Sum over the full spectrum of a product x of half spectra, such as conj(a) * b.  As
-    x(-nu) = conj x(nu), every bin but DC and Nyquist counts twice and the sum is real."""
-    total = np.sum(x)
-    return (2.0 * total - x[0] - x[-1]).real
+def _spectral_sum(x: np.ndarray, n: int):
+    """Sum over the full spectrum of a product x of half spectra of an n-point grid, such as conj(a) * b.  As
+    x(-nu) = conj x(nu), every bin but DC and Nyquist counts twice and the sum is real; x holds the Nyquist
+    bin only when it holds all n/2 + 1."""
+    total = 2.0 * np.sum(x) - x[0]
+    return (total - x[-1] if x.size == n // 2 + 1 else total).real
 
 
 def make_grid(n: int, dt: float) -> Grid:
@@ -237,7 +261,7 @@ def _real(f: TemporalField) -> TemporalField:
 
 def to_time(F: SpectralField) -> TemporalField:
     """Inverse transform, exact round-trip partner of :func:`to_spectrum`: one real inverse FFT, of a
-    conjugated copy of the bins, into a real (float64) field."""
+    conjugated copy of the bins, into a real (float64) field; the FFT zero-pads a prefix."""
     amp = np.fft.irfft(np.conj(F.amp), F.grid.n)
     amp /= F.grid.dt
     return TemporalField(F.grid, amp)

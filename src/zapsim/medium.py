@@ -14,9 +14,17 @@ pulse bandwidth, almost no energy is absorbed.  The reshaped output develops
 the sign-alternating free-induction lobes characteristic of zero-area pulses.
 
 The impulse response is real, so H(-nu) = conj H(nu): H is sampled on the
-nu >= 0 bins of a half spectrum (:mod:`zapsim.fields`) alone.  The DFT makes
-the response periodic in the window n*dt; :func:`_wrap_error` bounds what its
-tail beyond one window moves, in closed form.
+nu >= 0 bins of a half spectrum (:mod:`zapsim.fields`) alone, and
+:func:`transmit` samples it only on the input's band, the K bins up to the
+last whose modulus exceeds 1e-12 of the input spectrum's peak
+(``SpectralField.band``): the transmitted spectrum F*H is a prefix of K
+bins.  As |H| <= 1, the bins it drops would move the transmitted field by
+at most 2 * df * sum |F| over them; at the default 100 fs pulse they are
+the FFT's round-off, and K is 39% of the n/2 + 1 bins.  That bound is set
+by the input, so a medium that keeps less than half of the input's energy
+on the band is sent through on every bin (``MIN_BAND_TRANSMISSION``).  The
+DFT makes the response periodic in the window n*dt; :func:`_wrap_error`
+bounds what its tail beyond one window moves, in closed form.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ __all__ = [
 
 # A medium whose tail beyond the window can move eta or T_E by more than this warns (:func:`_wrap_error`).
 WRAP_ERROR_LIMIT = 1e-9
+# The least energy transmission on the input's band at which transmit drops the bins above it.  The bins'
+# bound on the field is set by the input; a weaker output reads it as a larger fraction of its own peak.
+MIN_BAND_TRANSMISSION = 0.5
 # max sqrt(x) |J1(x)| (0.8250309, at x ~ 2.166), rounded up: with |2 J1(x) / x| <= 1, it bounds the response's J1
 _J1_ENVELOPE = 0.825031
 
@@ -118,19 +129,21 @@ def _check_line(grid: Grid, m: MediumParams) -> None:
         raise ValueError(f"T2 {m.t2!r} s is too long for the grid: 2*pi*nyquist*T2 overflows")
 
 
-def transfer_function(grid: Grid, m: MediumParams) -> SpectralField:
-    """Sample H(nu) = exp[-depth / (1 - i 2 pi nu T2)] on the half spectrum's bins, ``Grid.half_freqs``.
+def transfer_function(grid: Grid, m: MediumParams, bins: int | None = None) -> SpectralField:
+    """Sample H(nu) = exp[-depth / (1 - i 2 pi nu T2)] on the half spectrum's bins, ``Grid.half_freqs``, or on
+    its first ``bins`` of them (a prefix, :class:`fields.SpectralField`), each to the same bits.
 
     |H| <= 1 everywhere (passive medium) and H(0) = exp(-depth) exactly.
     """
     _check_line(grid, m)
-    z = np.empty(grid.half_freqs.size, dtype=np.complex128)  # H from 1 - i*2*pi*nu*T2 in place
+    freqs = grid.half_freqs[:bins]
+    z = np.empty(freqs.size, dtype=np.complex128)  # H from 1 - i*2*pi*nu*T2 in place
     z.real = 1.0
-    np.multiply(2.0 * np.pi, grid.half_freqs, out=z.imag)
+    np.multiply(2.0 * np.pi, freqs, out=z.imag)
     z.imag *= m.t2
     np.subtract(0.0, z.imag, out=z.imag)  # 0 - x, as the complex 1 - i*x has it: +0.0 at DC, not -0.0
     np.divide(-m.depth, z, out=z)
-    return SpectralField(grid, np.exp(z, out=z))
+    return SpectralField(grid, np.exp(z, out=z), prefix=bins is not None)
 
 
 def _wrap_error(grid: Grid, m: MediumParams, area: float, energy: float) -> float:
@@ -163,14 +176,24 @@ def _wrap_error(grid: Grid, m: MediumParams, area: float, energy: float) -> floa
 
 
 def _transmitted(F: SpectralField, m: MediumParams) -> Transmitted:
-    """F*H, formed in the array of a fresh H: the product that :func:`transmit` and :func:`energy_transmission` read."""
+    """F*H on the input's band, formed in the array of a fresh H: the product that :func:`transmit` and
+    :func:`energy_transmission` read.  A medium that keeps less than ``MIN_BAND_TRANSMISSION`` of the input's
+    energy on the band gets F*H on every bin instead."""
     input_energy = F.energy  # summed before the output arrays exist
-    h = transfer_function(F.grid, m).amp
-    return Transmitted(SpectralField(F.grid, np.multiply(F.amp, h, out=h)), input_energy)
+    h = transfer_function(F.grid, m, bins=F.band).amp
+    out = SpectralField(F.grid, np.multiply(F.amp[: h.size], h, out=h), prefix=True)
+    if h.size < F.amp.size and out.energy < MIN_BAND_TRANSMISSION * input_energy:
+        del out, h
+        h = transfer_function(F.grid, m, bins=F.amp.size).amp
+        out = SpectralField(F.grid, np.multiply(F.amp, h, out=h), prefix=True)
+    return Transmitted(out, input_energy)
 
 
 def transmit(F: SpectralField, m: MediumParams) -> Transmitted:
-    """Send a half spectrum through the medium: one H(nu) on its n/2 + 1 bins and F*H in place.
+    """Send a half spectrum through the medium: one H(nu) on the K bins of its band (``SpectralField.band``,
+    computed once per input) and F*H in place, a prefix of K bins.  The bins above are 0, which moves the
+    transmitted field by at most 2 * df * sum |F| over them, as |H| <= 1; a medium that keeps less than
+    ``MIN_BAND_TRANSMISSION`` of the input's energy on the band gets F*H on all of its bins.
 
     The real output field is transformed only when it is read
     (:class:`Transmitted`); no check builds it.  Emits a

@@ -109,27 +109,30 @@ def delay_field(f: TemporalField | SpectralField, tau: float) -> TemporalField:
     F = f if isinstance(f, SpectralField) else to_spectrum(f)
     shifted = _phasors(0.0, F.grid.df, F.amp.size, -tau)
     shifted *= F.amp
-    return to_time(SpectralField(F.grid, shifted))
+    return to_time(SpectralField(F.grid, shifted, prefix=True))
 
 
 def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> SpectralField:
-    """g = conj(LO) * S of two half spectra, as a fresh half spectrum."""
+    """g = conj(LO) * S of two half spectra, as a fresh half spectrum on the shorter one's bins: the bins
+    above a prefix are 0 (:class:`fields.SpectralField`), and so is g there."""
     if lo_spec.grid != sig_spec.grid:
         raise ValueError("delay scan requires both spectra on the same grid")
-    g = np.conj(lo_spec.amp)
-    g *= sig_spec.amp
-    return SpectralField(lo_spec.grid, g)
+    bins = min(lo_spec.amp.size, sig_spec.amp.size)
+    g = np.conj(lo_spec.amp[:bins])
+    g *= sig_spec.amp[:bins]
+    return SpectralField(lo_spec.grid, g, prefix=True)
 
 
 def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     """The terms of a sum of g over the full spectrum and their abscissae, cut to the span where |g|
     reaches _SUPPORT_CUTOFF of its peak (all of a zero g).  The terms are a copy of the half spectrum g:
-    each bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``)."""
+    each bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``);
+    the last bin of g is Nyquist only when g holds all n/2 + 1."""
     mag = np.abs(g.amp)
     idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
     lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
     terms = g.amp[lo_i:hi_i].copy()
-    terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.amp.size)] *= 2.0
+    terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.grid.n // 2 + 1)] *= 2.0
     return terms, g.grid.half_freqs[lo_i:hi_i]
 
 
@@ -148,10 +151,12 @@ def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
     from one half-length transform.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
     of a Hermitian product: the even-lag phasors repeat every n/2 bins, so A is the real transform of
     length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken conjugate to turn irfft's
-    kernel into exp(-2*pi*i*nu*tau)."""
+    kernel into exp(-2*pi*i*nu*tau).  A prefix g of fewer bins is 0 above them: the mirrored term is added
+    only for q > n/2 - len(g), and irfft zero-pads the folded bins past len(g)."""
     mid = g.grid.n // 2
     folded = np.conj(g.amp[: mid // 2 + 1])
-    folded += g.amp[mid - mid // 2 :][::-1]
+    mirror = g.amp[mid - mid // 2 :][::-1]  # g_{n/2-q} for q = n/2 - len(g) + 1 .. n/4
+    folded[folded.size - mirror.size :] += mirror
     out = np.fft.irfft(folded, mid)
     out *= g.grid.df * mid
     return out

@@ -23,9 +23,11 @@ reported.
 The resonant input pulse is real, and so are the transmitted field and
 every LO shaped from it: both time-domain factors are real.  So the
 transmission, the LO shaping and the best-delay searches all run on nu >= 0
-half spectra (n/2 + 1 bins), each LO from at most one real inverse FFT and
-its spectrum from one real FFT of every D-th sample, the rate of the band
-that the span, the window and the box leave it (:func:`_band_spectrum`).
+half spectra (n/2 + 1 bins, or a prefix of them: the transmitted spectrum
+stops at the input's band), each LO from at most one real inverse FFT and
+its spectrum, the n/(2D) + 1 bins of its band, from one real FFT of every
+D-th sample, the rate of the band that the span, the window and the box
+leave it (:func:`_band_spectrum`).
 A complex input raises ValueError (``fields._real``).
 """
 
@@ -314,7 +316,9 @@ def _band_spectrum(lo: TemporalField, cfg: ShaperConfig) -> SpectralField:
     is therefore below e^-746 of its peak, and every D-th sample, D the
     largest power of two (at most n/2) with B < Nyquist/D, or 1, aliases nothing:
     their rfft, conjugated and scaled by D*dt, holds the bins 0 .. n/(2D),
-    and the bins above are 0.  Without a span D = 1, with the bits of
+    and the bins above are 0: the result is that prefix of n/(2D) + 1 bins
+    (:class:`fields.SpectralField`), and its product with S runs on the
+    shorter of the two.  Without a span D = 1, with the bits of
     :func:`fields.to_spectrum`.  The aperture's finite band is that of a 4-f
     shaper's finite spot (A. M. Weiner, Rev. Sci. Instrum. 71, 1929 (2000)).
     """
@@ -324,12 +328,10 @@ def _band_spectrum(lo: TemporalField, cfg: ShaperConfig) -> SpectralField:
         band = 0.5 * cfg.span_hz + window_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
         while step < grid.n // 2 and band < grid.nyquist / (2 * step):
             step *= 2
-    amp = np.zeros(grid.n // 2 + 1, dtype=np.complex128)
-    band_bins = amp[: grid.n // (2 * step) + 1]
-    np.fft.rfft(lo.amp[::step], out=band_bins)
-    np.conj(band_bins, out=band_bins)  # rfft's kernel is exp(-2*pi*i*nu*t)
-    band_bins *= step * grid.dt
-    return SpectralField(grid, amp)
+    amp = np.fft.rfft(lo.amp[::step])
+    np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
+    amp *= step * grid.dt
+    return SpectralField(grid, amp, prefix=True)
 
 
 def _detected(eta_base: float, out: Transmitted, lo_spec: SpectralField) -> float:

@@ -95,14 +95,22 @@ def full_freqs(grid):
     return np.fft.fftshift(np.fft.fftfreq(grid.n, grid.dt))
 
 
+def padded(F):
+    """The n/2 + 1 bins of a half spectrum, a prefix (``SpectralField(..., prefix=True)``) padded with zeros."""
+    amp = np.zeros(F.grid.n // 2 + 1, dtype=np.complex128)
+    amp[: F.amp.size] = F.amp
+    return amp
+
+
 def full_spectrum(x):
-    """x in the full layout: a half spectrum (``SpectralField``) mirrored, the -Nyquist bin being the conjugate
-    of +Nyquist; a field by the complex transform E(nu) = dt * sum_t E(t) * exp(2*pi*i*nu*t); a full
-    spectrum as is."""
+    """x in the full layout: a half spectrum (``SpectralField``, a prefix padded first) mirrored, the -Nyquist
+    bin being the conjugate of +Nyquist; a field by the complex transform E(nu) = dt * sum_t E(t) *
+    exp(2*pi*i*nu*t); a full spectrum as is."""
     if isinstance(x, FullSpectrum):
         return x
     if isinstance(x, SpectralField):
-        return FullSpectrum(x.grid, np.concatenate([np.conj(x.amp[:0:-1]), x.amp[:-1]]))
+        amp = padded(x)
+        return FullSpectrum(x.grid, np.concatenate([np.conj(amp[:0:-1]), amp[:-1]]))
     amp = np.fft.fftshift(np.fft.ifft(np.asarray(x.amp, dtype=np.complex128)))
     return FullSpectrum(x.grid, amp * (x.grid.n * x.grid.dt))
 

@@ -14,7 +14,7 @@ from zapsim import (
 )
 from zapsim.fields import _real
 
-from conftest import FullSpectrum, full_field, full_freqs, full_spectrum, random_field, real_field
+from conftest import FullSpectrum, full_field, full_freqs, full_spectrum, padded, random_field, real_field
 
 LN2 = np.log(2.0)
 
@@ -322,3 +322,48 @@ class TestAreaAndEnergy:
     def test_finite_samples_whose_sum_overflows_accepted(self, small_grid):
         amp = np.full(small_grid.n, complex(1e308, -1e308))
         assert np.array_equal(TemporalField(small_grid, amp).amp, amp)
+
+
+def dyadic_half_spectrum(grid, seed, size):
+    """``size`` complex bins whose parts are multiples of 1/16 below 4 in modulus: their squares and every sum
+    of them are exact in float64, so sums over them do not depend on the order of the terms."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(-64, 64, size) + 1j * rng.integers(-64, 64, size)) / 16.0
+
+
+class TestPrefix:
+    """A half spectrum stored as its first bins (``prefix=True``), the bins above being exactly zero."""
+
+    @pytest.mark.parametrize("size", [1, 700, 2**11, 2**11 + 1], ids=["dc", "below-nyquist", "one-below", "whole"])
+    def test_energy_is_that_of_the_zero_padded_spectrum(self, small_grid, size):
+        # a prefix below n/2 + 1 holds no Nyquist bin: its last bin is weighted 2, as in the padded spectrum
+        amp = dyadic_half_spectrum(small_grid, 21, size)
+        prefix = SpectralField(small_grid, amp, prefix=True)
+        whole = SpectralField(small_grid, padded(prefix))
+        assert prefix.energy == whole.energy
+        assert np.float64(prefix.energy).view(np.uint64) == np.float64(whole.energy).view(np.uint64)
+
+    @pytest.mark.parametrize("size", [1, 700, 2**11, 2**11 + 1])
+    def test_to_time_is_that_of_the_zero_padded_spectrum(self, small_grid, size):
+        rng = np.random.default_rng(22)
+        amp = rng.normal(size=size) + 1j * rng.normal(size=size)
+        prefix = SpectralField(small_grid, amp, prefix=True)
+        got, want = to_time(prefix).amp, to_time(SpectralField(small_grid, padded(prefix))).amp
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_lengths_are_checked(self, small_grid):
+        half = small_grid.n // 2 + 1
+        for size in (1, half - 1, half):
+            assert SpectralField(small_grid, np.ones(size), prefix=True).amp.shape == (size,)
+        for size in (0, half + 1):
+            with pytest.raises(ValueError, match="shape"):
+                SpectralField(small_grid, np.ones(size), prefix=True)
+        # without the flag a half spectrum holds all n/2 + 1 bins
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(small_grid, np.ones(half - 1))
+
+    def test_normalize_keeps_the_prefix(self, small_grid):
+        prefix = SpectralField(small_grid, np.ones(100), prefix=True)
+        unit = normalize(prefix)
+        assert unit.prefix and unit.amp.shape == (100,)
+        assert pulse_energy(unit) == pytest.approx(1.0, rel=1e-13)

@@ -8,6 +8,8 @@ from zapsim import (
     GridAdequacyWarning,
     MediumParams,
     SpectralField,
+    TemporalField,
+    achievable_lo,
     energy_transmission,
     gaussian_pulse,
     make_grid,
@@ -21,10 +23,10 @@ from zapsim import (
     transfer_function,
     transmit,
 )
-from zapsim.medium import _wrap_error
+from zapsim.medium import MIN_BAND_TRANSMISSION, _wrap_error
 from zapsim.shaper import ShaperConfig, _efficiencies
 
-from conftest import full_freqs, full_spectrum
+from conftest import full_freqs, full_spectrum, padded
 
 LN2 = np.log(2.0)
 
@@ -145,9 +147,10 @@ class TestTransferFunction:
 
 class TestPropagate:
     def test_zero_depth_identity(self, small_grid):
+        # H = 1 exactly: the output is the input's band, bit for bit
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15))
         out = propagate(f, MediumParams(depth=0.0, t2=1e-12))
-        assert np.array_equal(out.amp, f.amp)
+        assert np.array_equal(out.amp, f.amp[: f.band])
 
     def test_mismatched_inputs_rejected(self, small_grid):
         with pytest.raises(ValueError):
@@ -161,14 +164,15 @@ class TestPropagate:
         assert pulse_energy(out) <= pulse_energy(f)
 
     def test_input_energy_is_summed_once(self, small_grid, monkeypatch):
-        # one sum for the shared input spectrum, one per output for T_E
+        # one sum of all n/2 + 1 bins for the shared input spectrum, one per output, on the input's band, for T_E
         f = to_spectrum(gaussian_pulse(small_grid, 100e-15))
         sums = []
         np_sum = np.sum
         monkeypatch.setattr(np, "sum", lambda x, *a, **k: sums.append(np.size(x)) or np_sum(x, *a, **k))
         for depth in (1.0, 3.0, 5.0):
             transmit(f, MediumParams(depth=depth, t2=1e-12)).transmission
-        assert sums == [small_grid.n // 2 + 1] * 4
+        assert f.band == 807
+        assert sums == [small_grid.n // 2 + 1] + [f.band] * 3
 
     def test_warns_on_coarse_line_sampling(self, small_grid):
         # a 270 ps line is far narrower than this 41 ps window's 24 GHz bins: its tail wraps, and one warning
@@ -395,7 +399,7 @@ class TestTransmit:
         assert out.transmission == energy_transmission(f, params)
         assert pulse_energy(out.mode) == pytest.approx(1.0, abs=1e-12)
         round_trip = to_spectrum(normalize(to_time(propagate(f, params)))).amp
-        assert np.max(np.abs(out.mode.amp - round_trip)) <= 1e-12 * np.max(np.abs(round_trip))
+        assert np.max(np.abs(padded(out.mode) - round_trip)) <= 1e-12 * np.max(np.abs(round_trip))
 
     def test_warns_like_propagate(self):
         grid = make_grid(2**12, 10e-15)
@@ -419,3 +423,71 @@ class TestTransmit:
         assert not np.any(out.spectrum.amp)
         with pytest.raises(ValueError, match="zero-energy"):
             out.transmission
+
+
+BAND_GRIDS = [2**12, 2**13, 2**14, 2**15, 2**19]
+
+
+@pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
+class TestBand:
+    """transmit forms F*H on the input's band, the K bins up to the last where |F| > 1e-12 max|F|, and drops
+    the bins above, which moves the field by at most 2 * df * sum |F| over them."""
+
+    @pytest.mark.parametrize("n", BAND_GRIDS)
+    @pytest.mark.parametrize("preset", range(5))
+    def test_field_is_the_full_band_one(self, n, preset):
+        # within 1e-12 of its peak, and within the stated bound plus the transforms' round-off (3e-16 of the peak)
+        grid = make_grid(n, 10e-15)
+        F = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
+        m = temperature_presets()[preset].params
+        out = transmit(F, m)
+        assert out.spectrum.amp.size == F.band < 0.4 * (n // 2 + 1)
+        want = to_time(SpectralField(grid, np.multiply(F.amp, transfer_function(grid, m).amp))).amp
+        gap, peak = np.max(np.abs(out.field.amp - want)), np.max(np.abs(want))
+        assert gap <= 1e-12 * peak
+        assert gap <= 2.0 * grid.df * np.abs(F.amp[F.band :]).sum() + 1e-15 * peak
+
+    @pytest.mark.parametrize("kind", ["impulse", "noise"])
+    def test_broadband_input_keeps_every_bin(self, small_grid, kind):
+        n = small_grid.n
+        amp = np.random.default_rng(41).normal(size=n) if kind == "noise" else np.eye(1, n)[0]
+        F = to_spectrum(TemporalField(small_grid, amp))
+        m = MediumParams(depth=70.0, t2=5e-12)
+        out = transmit(F, m)
+        assert F.band == n // 2 + 1
+        assert np.array_equal(bits(out.spectrum.amp), bits(np.multiply(F.amp, transfer_function(small_grid, m).amp)))
+
+    @pytest.mark.parametrize("t2, kept", [(10e-15, False), (20e-15, True)], ids=["absorbing", "transmitting"])
+    def test_band_is_dropped_only_where_half_the_energy_passes(self, small_grid, t2, kept):
+        # a line about as broad as the pulse's spectrum: at T2 = 10 fs the band keeps 37% of the input's energy,
+        # and F*H is formed on every bin, to the bits of the full-band product; at 20 fs it keeps 57%
+        F = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15)))
+        m = MediumParams(depth={10e-15: 0.5, 20e-15: 0.3}[t2], t2=t2)
+        out = transmit(F, m)
+        full = np.multiply(F.amp, transfer_function(small_grid, m).amp)
+        assert out.spectrum.amp.size == (F.band if kept else small_grid.n // 2 + 1)
+        assert np.array_equal(bits(out.spectrum.amp), bits(full[: out.spectrum.amp.size]))
+        assert (out.spectrum.energy >= MIN_BAND_TRANSMISSION * F.energy) == kept
+        # a prefix input, such as a transmitted spectrum, falls back to its own bins
+        short = SpectralField(small_grid, F.amp[:1500], prefix=True)
+        assert transmit(short, m).spectrum.amp.size == (F.band if kept else 1500)
+
+    @pytest.mark.parametrize("source", ["zero-input", "absorbed"])
+    def test_zero_field_cannot_be_normalized(self, small_grid, source):
+        # a zero input's band is its DC bin, and a medium that absorbs everything leaves a zero product on every
+        # bin: either way the output mode, the shaped LO and the efficiencies raise as before
+        pulse = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15)))
+        if source == "zero-input":
+            out = transmit(SpectralField(small_grid, np.zeros(small_grid.n // 2 + 1)), MediumParams(1.0, 1e-12))
+        else:
+            out = transmit(pulse, MediumParams(depth=1e300, t2=280e-12))
+        assert out.spectrum.amp.size == (1 if source == "zero-input" else small_grid.n // 2 + 1)
+        calls = [
+            lambda: out.mode,
+            lambda: achievable_lo(out, ShaperConfig()),
+            lambda: achievable_lo(out, ShaperConfig(span=None)),
+            lambda: _efficiencies(out, pulse, 1.0, ShaperConfig()),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="cannot normalize a zero field"):
+                call()

@@ -6,6 +6,7 @@ import pytest
 from zapsim import (
     MediumParams,
     ScanCurve,
+    SpectralField,
     TemporalField,
     delay_field,
     eta_curve,
@@ -23,9 +24,9 @@ from zapsim import (
 
 from zapsim import ShaperConfig, achievable_lo
 from zapsim import max_shaped_eta, max_unshaped_eta
-from zapsim.modes import _phasors, delay_overlaps
+from zapsim.modes import _even_lag_overlaps, _phasors, _spectral_product, _support, delay_overlaps
 
-from conftest import direct_overlaps, extended_overlaps, full_field, full_freqs, full_spectrum, random_field
+from conftest import direct_overlaps, extended_overlaps, full_field, full_freqs, full_spectrum, padded, random_field
 
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
@@ -559,3 +560,61 @@ def test_complex_fields_with_a_zero_imaginary_part_are_taken_as_real(small_grid,
     got = _values(REAL_ONLY[call](widened, real, delays))
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+class TestPrefixLayout:
+    """Products, folds and sums of half spectra stored as prefixes (``SpectralField(..., prefix=True)``), whose
+    bins above are zero, against the same spectra zero-padded to all n/2 + 1 bins."""
+
+    @staticmethod
+    def prefix(grid, size, seed):
+        rng = np.random.default_rng(seed)
+        return SpectralField(grid, rng.normal(size=size) + 1j * rng.normal(size=size), prefix=True)
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x).view(np.uint64)
+
+    @pytest.mark.parametrize("size", [700, 2**11, 2**11 + 1], ids=["below-nyquist", "one-below", "whole"])
+    def test_support_is_that_of_the_zero_padded_spectrum(self, small_grid, size):
+        # the prefix's last bin is Nyquist only when it holds all n/2 + 1: below that it is weighted 2
+        g = self.prefix(small_grid, size, 31)
+        terms, freqs = _support(g)
+        want_terms, want_freqs = _support(SpectralField(small_grid, padded(g)))
+        assert terms.size == size
+        assert np.array_equal(self.bits(terms), self.bits(want_terms))
+        assert np.array_equal(self.bits(freqs), self.bits(want_freqs))
+
+    @pytest.mark.parametrize("size", [1, 300, 2**10, 2**10 + 1, 2**10 + 2, 1500, 2**11 + 1])
+    def test_fold_is_that_of_the_zero_padded_spectrum(self, small_grid, size):
+        # n/4 + 1 = 1025 bins: below it no bin has a mirror in the prefix, above it the mirrors of q > n/2 - size
+        g = self.prefix(small_grid, size, 32)
+        got, want = _even_lag_overlaps(g), _even_lag_overlaps(SpectralField(small_grid, padded(g)))
+        assert np.array_equal(self.bits(got), self.bits(want))
+
+    @pytest.mark.parametrize("sizes", [(700, 2**11 + 1), (2**11 + 1, 700), (300, 1500)])
+    def test_product_runs_on_the_shorter_spectrum(self, small_grid, sizes):
+        lo, sig = self.prefix(small_grid, sizes[0], 33), self.prefix(small_grid, sizes[1], 34)
+        g = _spectral_product(lo, sig)
+        want = np.conj(padded(lo)) * padded(sig)
+        assert g.amp.size == min(sizes)
+        assert np.array_equal(self.bits(g.amp), self.bits(want[: min(sizes)]))
+        assert not np.any(want[min(sizes) :])
+
+    @pytest.mark.parametrize("kind", ["even", "odd", "off-lattice-start", "off-lattice"])
+    def test_delay_overlaps_are_those_of_the_zero_padded_spectra(self, small_grid, kind):
+        # bit for bit, but for an off-lattice start: its phase ramp is the outer product of two exponentials
+        # whose lengths follow the product's (_phasors), and so does its round-off
+        lo, sig = self.prefix(small_grid, 1500, 35), self.prefix(small_grid, 700, 36)
+        delays = {
+            "even": np.arange(-20, 20) * 2 * small_grid.dt,
+            "odd": np.arange(-20, 21) * small_grid.dt,
+            "off-lattice-start": (np.arange(-20, 20) * 2 + 0.3) * small_grid.dt,
+            "off-lattice": np.linspace(-20.0, 20.5, 41) * small_grid.dt,
+        }[kind]
+        got = delay_overlaps(lo, sig, delays)
+        want = delay_overlaps(SpectralField(small_grid, padded(lo)), SpectralField(small_grid, padded(sig)), delays)
+        if kind == "off-lattice-start":
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(self.bits(got), self.bits(want))

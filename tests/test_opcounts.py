@@ -163,9 +163,10 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     one = _run_counted(monkeypatch, tmp_path, verb, "1")
     assert five["h"] == 5 and one["h"] == 1
     assert (five["fft"] - one["fft"]) / 4 <= FFT_BUDGET[verb]
-    # H(nu) is the only large complex exponential (no delay phase ramp, no full-length Newton phasors),
-    # and it is evaluated on the n/2 + 1 bins of nu >= 0 only
-    assert (five["exp"] - one["exp"]) / 4 <= (GRID_N // 2 + 1) / GRID_N
+    # H(nu) is the only large complex exponential (no delay phase ramp, no full-length Newton phasors): on the
+    # input's band, 3,228 of the n/2 + 1 = 8,193 bins of nu >= 0, or on all of them in propagate's own pair
+    bins = GRID_N // 2 + 1 if verb == "propagate" else 3228
+    assert (five["exp"] - one["exp"]) / 4 == bins / GRID_N
     # complex transforms serve propagate alone: one ifft of the input per run and one fft per medium; every
     # other verb runs only rfft and irfft
     assert (five["complex"], one["complex"]) == (((1, 5), (1, 1)) if verb == "propagate" else ((0, 0), (0, 0)))
@@ -298,8 +299,9 @@ def test_half_spectrum_keeps_half_a_grid():
 
 
 def test_transmit_of_a_half_spectrum_keeps_one_grid():
-    # the half-band H becomes F*H in place (half a grid), and nothing more: the grid check reads the input's
-    # area and energy, and the field is not built; read later, it is to_time of F*H
+    # H on the input's band becomes F*H in place (0.2 of a grid), and nothing more but the |.| arrays of the
+    # input's band, found once per input, and of the output's energy: 0.38 of a grid.  The grid check reads the
+    # input's area and energy, and the field is not built; read later, it is to_time of F*H
     grid = make_grid(2**16, 10e-15)
     grid.half_freqs  # H's abscissae, cached as they are after the first medium
     spec = to_spectrum(gaussian_pulse(grid, 100e-15))
@@ -312,13 +314,14 @@ def test_transmit_of_a_half_spectrum_keeps_one_grid():
         tracemalloc.stop()
     assert "field" not in vars(out)
     # the in-place product rounds as a fresh one with F first: complex multiply is not commutative bit for bit,
-    # and ``spec.amp * transfer_function(...).amp`` would let numpy reuse the temporary H as H*F
+    # and ``spec.amp * transfer_function(...).amp`` would let numpy reuse the temporary H as H*F.  On the band
+    # it has the bits of the full-band product
     h = transfer_function(grid, m).amp
-    want = np.multiply(spec.amp, h)
+    want = np.multiply(spec.amp, h)[: spec.band]
     assert np.array_equal(out.spectrum.amp.view(np.uint64), want.view(np.uint64))
     assert out.field.amp.dtype == np.float64
     assert np.array_equal(out.field.amp.view(np.uint64), to_time(out.spectrum).amp.view(np.uint64))
-    assert peak <= 0.5 * grid.n * 16 + 16 * 1024
+    assert peak <= 0.4 * grid.n * 16 + 16 * 1024
 
 
 @pytest.mark.parametrize("pixel_nm, grids", [(None, 1.0), (2, 1.1)], ids=["span", "pixel"])
@@ -440,7 +443,7 @@ def test_off_lattice_start_costs_no_extra_transform(monkeypatch, curve):
     on = np.arange(-40, 400) * 20e-15
     cost = _counted(monkeypatch, scan(on + 3.3e-15))
     assert cost == _counted(monkeypatch, scan(on))
-    assert cost[1] == (0 if curve == "visibility" else (GRID_N // 2 + 1) / GRID_N)
+    assert cost[1] == (0 if curve == "visibility" else to_spectrum(pulse).band / GRID_N)
 
 
 def test_lo_wrapping_the_window_edge_costs_what_a_centred_lo_costs(monkeypatch):
@@ -451,3 +454,41 @@ def test_lo_wrapping_the_window_edge_costs_what_a_centred_lo_costs(monkeypatch):
     cost = _counted(monkeypatch, lambda: visibility_curve(centred, wrapped, delays))
     assert cost == _counted(monkeypatch, lambda: visibility_curve(centred, centred, delays))
     assert cost[1] == 0
+
+
+def test_default_h_runs_on_the_input_band(monkeypatch, tmp_path):
+    # each medium's H(nu) is sampled on the input's band alone, the 103,067 bins up to 19.7 THz where the 100 fs
+    # pulse's half spectrum passes 1e-12 of its peak: 0.393 of the n/2 + 1 = 262,145 bins of nu >= 0
+    sizes = []
+    h = zapsim.medium.transfer_function
+
+    def spy(*args, **kwargs):
+        out = h(*args, **kwargs)
+        sizes.append(out.amp.size)
+        return out
+
+    monkeypatch.setattr(zapsim.medium, "transfer_function", spy)
+    assert main(["xcorr", "--out", str(tmp_path)]) == 0
+    band = zapsim.runners._input_lo(ScenarioConfig()).band
+    assert sizes == [band] * 5
+    assert 0.392 < band / (2**18 + 1) < 0.394
+
+
+# tracemalloc peaks of one default run after a warm-up run, as measured and rounded up, with the slack of the tests
+# above (16 KiB): 12.79 MiB for either delay scan (18.1 MiB while the transmitted spectra held all n/2 + 1 bins) and
+# 19.0 MiB for depth-scan (23.9 MiB); the pulse, its unit-energy copy and their half spectrum, 4 MiB each, make most
+# of the scans' peak
+DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 19.0}
+
+
+@pytest.mark.parametrize("verb", sorted(DEFAULT_PEAK_MIB))
+def test_default_run_peak_memory(tmp_path, verb):
+    args = [verb, "--out", str(tmp_path)]
+    assert main(args) == 0
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= DEFAULT_PEAK_MIB[verb] * 2**20 + 16 * 1024
