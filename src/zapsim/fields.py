@@ -28,10 +28,14 @@ LO's at its own (``shaper._band_spectrum``).  A sum over the full spectrum
 of a product of half spectra weights every bin but DC and Nyquist twice,
 and a prefix holds no Nyquist bin (``_spectral_sum``).  :func:`to_time`
 hands the real inverse FFT a conjugated copy of the bins, which it
-zero-pads to n/2 + 1.  The transmitted field
-(``medium.Transmitted.field``) is that transform of F*H, made only when it
-is read, and ``shaper.achievable_lo`` transforms only the bins inside its
-span.
+zero-pads to n/2 + 1.  These two are the package's only real FFTs, each
+called on the grid its samples live on: the even-lag delay scans read the
+field of a folded spectrum on the grid of n/2 samples 2*dt apart
+(``modes._even_lag_overlaps``), a shaped LO's spectrum is that of every
+D-th sample (``shaper._band_spectrum``), and every LO is the field of the
+bins inside its span (``shaper.achievable_lo``).  The transmitted field
+(``medium.Transmitted.field``) is :func:`to_time` of F*H, made only when it
+is read.
 """
 
 from __future__ import annotations

@@ -83,11 +83,6 @@ class MediumParams:
         if not (self.t2 > 0.0) or not np.isfinite(self.t2):
             raise ValueError(f"T2 must be positive, got {self.t2!r}")
 
-    @property
-    def line_fwhm(self) -> float:
-        """Lorentzian absorption linewidth (FWHM) in Hz, 1/(pi*T2)."""
-        return 1.0 / (np.pi * self.t2)
-
 
 class MediumPreset(NamedTuple):
     label: str

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
+from .fields import Grid, SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -147,19 +147,21 @@ def _phasors(nu0: float, df: float, count: int, tau: float) -> np.ndarray:
 
 
 def _even_lag_overlaps(g: SpectralField) -> np.ndarray:
-    """The real overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2,
-    from one half-length transform.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
-    of a Hermitian product: the even-lag phasors repeat every n/2 bins, so A is the real transform of
-    length n/2 of the folded bins g_q + conj(g_{n/2-q}), q <= n/4, taken conjugate to turn irfft's
-    kernel into exp(-2*pi*i*nu*tau).  A prefix g of fewer bins is 0 above them: the mirrored term is added
-    only for q > n/2 - len(g), and irfft zero-pads the folded bins past len(g)."""
-    mid = g.grid.n // 2
-    folded = np.conj(g.amp[: mid // 2 + 1])
-    mirror = g.amp[mid - mid // 2 :][::-1]  # g_{n/2-q} for q = n/2 - len(g) + 1 .. n/4
-    folded[folded.size - mirror.size :] += mirror
-    out = np.fft.irfft(folded, mid)
-    out *= g.grid.df * mid
-    return out
+    """The real overlaps A(2m*dt) = df * sum_nu g * exp(-2*pi*i*nu*2m*dt), stored at index m mod n/2: the field
+    of the folded spectrum on the 2*dt grid.  The half spectrum g holds the bins nu_q = q * df, q = 0 .. n/2,
+    of a Hermitian product, and sampling A every 2*dt folds its spectrum: the grid of n/2 samples holds the
+    bins q <= n/4, X_q = g_q + conj(g_{n/2-q}), and A is their :func:`fields.to_time`.  A prefix g of fewer
+    bins is 0 above them: the mirrored term exists only for q > n/2 - len(g), and X is a view of g when
+    there is none."""
+    quarter = g.grid.n // 4
+    if not quarter:  # n = 2: the one even lag, 0, has no grid of n/2 = 1 sample; A(0) = df * (g_0 + g_1)
+        return np.array([g.grid.df * g.amp.sum().real])
+    folded = g.amp[: quarter + 1]
+    if g.amp.size > quarter:
+        folded = folded.copy()
+        mirror = g.amp[quarter:][::-1]  # g_{n/2-q} for q = n/2 - len(g) + 1 .. n/4
+        folded[folded.size - mirror.size :] += np.conj(mirror)
+    return to_time(SpectralField(Grid(g.grid.n // 2, 2.0 * g.grid.dt), folded, prefix=True)).amp
 
 
 def delay_overlaps(lo_spec: SpectralField, sig_spec: SpectralField, delays) -> np.ndarray:

@@ -24,10 +24,12 @@ The resonant input pulse is real, and so are the transmitted field and
 every LO shaped from it: both time-domain factors are real.  So the
 transmission, the LO shaping and the best-delay searches all run on nu >= 0
 half spectra (n/2 + 1 bins, or a prefix of them: the transmitted spectrum
-stops at the input's band), each LO from at most one real inverse FFT and
-its spectrum, the n/(2D) + 1 bins of its band, from one real FFT of every
-D-th sample, the rate of the band that the span, the window and the box
-leave it (:func:`_band_spectrum`).
+stops at the input's band).  Every LO is built by one path: one
+:func:`fields.to_time` of the bins inside its span, or of all of them
+without a span (:func:`achievable_lo`).  Its spectrum, the n/(2D) + 1 bins
+of its band, is one :func:`fields.to_spectrum` of every D-th sample, the
+rate of the band that the span, the window and the box leave it
+(:func:`_band_spectrum`).
 A complex input raises ValueError (``fields._real``).
 """
 
@@ -48,6 +50,7 @@ from .fields import (
     _norm,
     normalize,
     to_spectrum,
+    to_time,
 )
 from .medium import MediumParams, Transmitted, transmit
 from .modes import _check_eta_base, _check_normalized, _eta, _even_lag_overlaps, _phasors, _spectral_product, _support
@@ -158,62 +161,46 @@ def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> Tem
     The target spectrum is aperture-limited, pixel-averaged when a pixel
     width is configured, smoothed by the resolution kernel, and renormalized.
     With ideal resolution (kernel much narrower than the grid spacing) the
-    target is returned unchanged up to normalization.  A :class:`Transmitted`
-    target carries its half spectrum S, so no forward transform is made, and
-    its field is transformed only if it is read; neither need have unit
-    energy, as the result is renormalized and the field's peak, which centers
-    the window, does not move.  Only the bins inside the span are scaled by
-    1/|S|, to the bits of its unit-energy mode's, and no copy of that mode is
-    made.
+    target is returned unchanged up to normalization.  One path serves every
+    target and span.  The spectrum S is a :class:`Transmitted` target's own,
+    with no forward transform, or :func:`fields.to_spectrum` of a unit-energy
+    field.  Its bins up to the cut, span/2 or without a span its last bin, are
+    scaled by 1/|S|, to the bits of its unit-energy mode's, and the cut field
+    E_cut is :func:`fields.to_time` of them.
 
-    The LO is the span-cut field E_cut, or the target itself without an
-    aperture, times the resolution window and, for a pixel of more than one
-    bin, the box's Dirichlet kernel, both centred on the target's peak
-    sample k and evaluated on the window's samples alone
-    (:func:`_resolution_window`).  E_cut is one real inverse FFT of the bins
-    inside the span, which zero-pads the rest itself.  k is that field's
-    own peak sample wherever it is provably the target's, and the target is
-    read only otherwise: the two fields' samples differ by at most the
-    cut-off bins' reach 2 * df * sum |S| beyond the span, plus the round-off
-    of either transform, so when no other sample of the cut field lies
+    The LO is E_cut times the resolution window and, for a pixel of more
+    than one bin, the box's Dirichlet kernel, both centred on the target's
+    peak sample k and evaluated on the window's samples alone
+    (:func:`_resolution_window`), in the transform's own output array.  k is
+    E_cut's own peak sample wherever it is provably the target's, and the
+    target's field is read (a transmitted one built) only otherwise: the two
+    fields' samples differ by at most the cut-off bins' reach
+    2 * df * sum |S| beyond the cut, round-off alone without a span, plus the
+    round-off of either transform, so when no other sample of E_cut lies
     within twice that of its peak, k is the target's argmax(|E|), first of
     ties.
     """
     if isinstance(target, Transmitted):
-        out, spectrum = target, target.spectrum
-        read_target = lambda: out.field  # built on first read
+        spectrum, read_target = target.spectrum, lambda: target.field  # the field is built on first read
     else:
-        target, spectrum = _real(target), None
+        target = _real(target)
         _check_normalized(target, "shaper target")
-        read_target = lambda: target
-
-    grid = (target if spectrum is None else spectrum).grid
+        spectrum, read_target = to_spectrum(target), lambda: target
+    grid = spectrum.grid
     size = _pixel_bins(grid, cfg)
     if size > grid.n:
         raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
-    if cfg.span_hz is None:
-        amp = read_target().amp
-        k_peak = _peak_sample(amp)
-    else:
-        if spectrum is None:
-            spectrum, scale = to_spectrum(read_target()), 1.0
-        else:
-            scale = 1.0 / _norm(spectrum)  # as normalize scales the mode's bins; a zero field raises
-        cut = np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
-        # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before the
-        # cut field exists
-        reach = 2.0 * grid.df * np.abs(spectrum.amp[cut:]).sum() * scale + 2.0 * _roundoff(grid, 1.0)
-        # to_time's transform of the unit-energy bins, conjugated as it conjugates them, in the one buffer that
-        # irfft consumes; irfft zero-pads past the span itself
-        source = np.multiply(spectrum.amp[:cut], scale)
-        np.conj(source, out=source)
-        amp = np.fft.irfft(source, grid.n)
-        del source
-        amp /= grid.dt
-        k_peak = _peak_sample(amp)  # the target's when no other sample is within 2 * reach
-        level = abs(amp[k_peak]) - 2.0 * reach
-        if not (level > 0.0 and np.count_nonzero(amp >= level) + np.count_nonzero(amp <= -level) == 1):
-            k_peak = _peak_sample(read_target().amp)
+    scale = 1.0 / _norm(spectrum)  # as normalize scales the mode's bins; a zero field raises
+    # no span (span_hz None) cuts at the spectrum's last bin
+    cut = np.searchsorted(grid.half_freqs[: spectrum.amp.size], 0.5 * (cfg.span_hz or np.inf), side="right")
+    # how far the fields of the cut and of the whole unit-energy spectrum can differ, summed before the cut
+    # field exists
+    reach = 2.0 * grid.df * np.abs(spectrum.amp[cut:]).sum() * scale + 2.0 * _roundoff(grid, 1.0)
+    amp = to_time(SpectralField(grid, spectrum.amp[:cut] * scale, prefix=True)).amp
+    k_peak = _peak_sample(amp)  # the target's when no other sample is within 2 * reach
+    level = abs(amp[k_peak]) - 2.0 * reach
+    if not (level > 0.0 and np.count_nonzero(amp >= level) + np.count_nonzero(amp <= -level) == 1):
+        k_peak = _peak_sample(read_target().amp)
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, size)
     windowed = amp[keep] * window
@@ -221,10 +208,7 @@ def achievable_lo(target: TemporalField | Transmitted, cfg: ShaperConfig) -> Tem
     if energy <= 0.0:
         raise ValueError("cannot normalize a zero field")
     windowed /= np.sqrt(energy)
-    if cfg.span_hz is None:
-        amp = np.zeros_like(amp)
-    else:
-        amp.fill(0.0)  # the transform's own output array becomes the windowed LO
+    amp.fill(0.0)  # the transform's own output array becomes the windowed LO
     amp[keep] = windowed
     return TemporalField(grid, amp)
 
@@ -306,7 +290,8 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
 
 
 def _band_spectrum(lo: TemporalField, cfg: ShaperConfig) -> SpectralField:
-    """The half spectrum of an LO that ``cfg`` shaped, from one real FFT of every D-th sample.
+    """The half spectrum of an LO that ``cfg`` shaped: :func:`fields.to_spectrum` of every D-th sample, on the
+    grid of n/D samples D*dt apart.
 
     The span-cut field has no bins above span/2, and the resolution window and
     the pixel box widen its band by the window's reach, where the kernel
@@ -315,23 +300,20 @@ def _band_spectrum(lo: TemporalField, cfg: ShaperConfig) -> SpectralField:
     Above B = span/2 + dnu*sqrt(746 / (4 ln2)) + size*df/2 the LO's spectrum
     is therefore below e^-746 of its peak, and every D-th sample, D the
     largest power of two (at most n/2) with B < Nyquist/D, or 1, aliases nothing:
-    their rfft, conjugated and scaled by D*dt, holds the bins 0 .. n/(2D),
-    and the bins above are 0: the result is that prefix of n/(2D) + 1 bins
+    their spectrum holds the bins 0 .. n/(2D), and the bins above are 0: the
+    result is that prefix of n/(2D) + 1 bins on the full grid
     (:class:`fields.SpectralField`), and its product with S runs on the
-    shorter of the two.  Without a span D = 1, with the bits of
-    :func:`fields.to_spectrum`.  The aperture's finite band is that of a 4-f
-    shaper's finite spot (A. M. Weiner, Rev. Sci. Instrum. 71, 1929 (2000)).
+    shorter of the two.  No span is an infinite band, so D = 1.  The
+    aperture's finite band is that of a 4-f shaper's finite spot
+    (A. M. Weiner, Rev. Sci. Instrum. 71, 1929 (2000)).
     """
     grid, step = lo.grid, 1
-    if cfg.span_hz is not None:
-        window_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
-        band = 0.5 * cfg.span_hz + window_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
-        while step < grid.n // 2 and band < grid.nyquist / (2 * step):
-            step *= 2
-    amp = np.fft.rfft(lo.amp[::step])
-    np.conj(amp, out=amp)  # rfft's kernel is exp(-2*pi*i*nu*t)
-    amp *= step * grid.dt
-    return SpectralField(grid, amp, prefix=True)
+    window_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
+    band = 0.5 * (cfg.span_hz or np.inf) + window_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
+    while step < grid.n // 2 and band < grid.nyquist / (2 * step):
+        step *= 2
+    spectrum = to_spectrum(TemporalField(Grid(grid.n // step, step * grid.dt), lo.amp[::step]))
+    return SpectralField(grid, spectrum.amp, prefix=True)
 
 
 def _detected(eta_base: float, out: Transmitted, lo_spec: SpectralField) -> float:

@@ -79,11 +79,6 @@ class TestMediumParams:
         with pytest.raises(ValueError):
             MediumParams(depth=1.0, t2=0.0)
 
-    def test_line_fwhm(self):
-        m = MediumParams(depth=1.0, t2=270e-12)
-        assert m.line_fwhm == pytest.approx(1.0 / (np.pi * 270e-12), rel=1e-12)
-        assert m.line_fwhm == pytest.approx(1.179e9, rel=1e-3)
-
 
 class TestTransferFunction:
     def test_zero_depth_is_identity(self, small_grid):

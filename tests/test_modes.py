@@ -592,6 +592,18 @@ class TestPrefixLayout:
         got, want = _even_lag_overlaps(g), _even_lag_overlaps(SpectralField(small_grid, padded(g)))
         assert np.array_equal(self.bits(got), self.bits(want))
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_fold_on_the_smallest_grids_is_the_even_lag_sum(self, n):
+        # A(2m*dt) = df * sum over the full spectrum of g * exp(-2*pi*i*nu*2m*dt), DC and Nyquist once; at
+        # n = 2 the one even lag, 0, lies on no grid of n/2 samples
+        grid = make_grid(n, 1e-12)
+        g = self.prefix(grid, n // 2 + 1, 35)
+        g.amp[[0, -1]] = g.amp[[0, -1]].real  # a Hermitian product's DC and Nyquist bins are real
+        m = np.arange(n // 2)
+        terms = g.amp * np.exp(-2j * np.pi * np.outer(2.0 * m * grid.dt, grid.half_freqs))
+        want = grid.df * (2.0 * terms.sum(axis=1) - terms[:, 0] - terms[:, -1]).real
+        assert _even_lag_overlaps(g) == pytest.approx(want, rel=0.0, abs=1e-14 * grid.df * np.abs(g.amp).sum())
+
     @pytest.mark.parametrize("sizes", [(700, 2**11 + 1), (2**11 + 1, 700), (300, 1500)])
     def test_product_runs_on_the_shorter_spectrum(self, small_grid, sizes):
         lo, sig = self.prefix(small_grid, sizes[0], 33), self.prefix(small_grid, sizes[1], 34)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zapsim
-from zapsim.cli import build_parser
+from zapsim.cli import build_parser, main
 from zapsim.config import _PARSERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -118,15 +118,80 @@ def test_every_import_is_used(path):
     assert unused_imports(path) == []
 
 
-def test_benchmark_tracer_finds_every_function_it_names(monkeypatch):
-    # a traced benchmark run leaves out each per-layer metric whose function the tracer cannot find, or whose
-    # per-call argument it cannot read by name: a renamed function or parameter drops metrics silently
+def fft_references(path: Path) -> set[str]:
+    """The top-level functions of a source file that reference ``numpy.fft``, by attribute or by import;
+    ``<module>`` for a reference outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "fft" and isinstance(child.value, ast.Name):
+                if child.value.id in ("np", "numpy"):
+                    found.add(owner)
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").startswith("numpy"):
+                if child.module.startswith("numpy.fft") or any(a.name == "fft" for a in child.names):
+                    found.add(owner)
+            elif isinstance(child, ast.Import) and any(a.name.startswith("numpy.fft") for a in child.names):
+                found.add(owner)
+            top = child.name if owner == "<module>" and isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            visit(child, top)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return {f"{path.stem}.{owner}" for owner in found}
+
+
+def test_numpy_fft_is_called_only_by_the_transform_pair():
+    # the sign, scale and time origin that tie a spectrum to its envelope live in fields.to_spectrum and
+    # fields.to_time alone; run_propagate keeps a complex pair whose round-off the benchmark's amp_im column pins
+    paths = sorted(Path(zapsim.__file__).parent.glob("*.py"))
+    found = set().union(*(fft_references(path) for path in paths))
+    assert found == {"fields.to_spectrum", "fields.to_time", "runners.run_propagate"}
+
+
+def test_fft_references_are_found_however_numpy_fft_is_reached(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import numpy as np\nimport numpy.fft\nfrom numpy import fft\n"
+        "class C:\n    def m(self):\n        from numpy.fft import irfft\n"
+        "def f():\n    def inner():\n        return np.fft.rfft\n"
+        "def g():\n    return np.conj\n"
+    )
+    assert fft_references(path) == {"probe.<module>", "probe.C", "probe.f"}
+
+
+def load_tracing(monkeypatch):
+    """The benchmark's tracer module, loaded by path."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the benchmark's directory stays as committed
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_function_it_names(monkeypatch):
+    # a traced benchmark run leaves out each per-layer metric whose function the tracer cannot find, or whose
+    # per-call argument it cannot read by name: a renamed function or parameter drops metrics silently
+    tracing = load_tracing(monkeypatch)
     assert {layer: tracing._targets(layer)[1] for layer in tracing.LAYERS} == dict.fromkeys(tracing.LAYERS, [])
     for name, parameter in [(tracing.DELAY_SCAN, "delays"), ("runners._write_csv", "path")]:
         assert name in tracing.VALUES
         layer, _, attr = name.partition(".")
         assert parameter in inspect.signature(getattr(sys.modules[f"zapsim.{layer}"], attr)).parameters
+
+
+def test_benchmark_tracer_sees_every_real_transform(monkeypatch, tmp_path):
+    # the tracer counts FFTs at fields.to_spectrum and fields.to_time, the only real transforms: one of the
+    # input pulse as set-up, then per medium xcorr's even-lag scan, and depth-scan's two searches, its LO and
+    # the LO's band-rate spectrum
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for verb in ("xcorr", "depth-scan"):
+            with tracer.invocation(verb):
+                assert main([verb, "--out", str(tmp_path / verb), "--set", "grid.n=16384"]) == 0
+    finally:
+        tracer.remove()
+    counts = {row["verb"]: row for row in tracing.verb_counts(tracer.spans, tracer.invocations)}
+    read = {verb: (row["media"], row["fft_setup"], row["fft_per_medium"]) for verb, row in counts.items()}
+    assert read == {"xcorr": (5, 1, 1.0), "depth-scan": (5, 1, 4.0)}

@@ -376,23 +376,28 @@ def test_pixel_box_moves_with_the_pulse(pixel_nm):
 
 
 @pytest.mark.parametrize(
-    "span_nm, pixel_nm, reads", [(60.0, None, False), (1.0, None, True), (60.0, 2.0, False)],
-    ids=["60.0-False", "1.0-True", "60.0-pixel2-False"],
+    "span_nm, pixel_nm, reads",
+    [(60.0, None, False), (1.0, None, True), (60.0, 2.0, False), (None, None, False)],
+    ids=["60.0-False", "1.0-True", "60.0-pixel2-False", "None-False"],
 )
 @pytest.mark.parametrize("preset_idx", [0, 2, 4])
 def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_idx, span_nm, pixel_nm, reads):
     # the LO window is centred on the transmitted field's peak sample: the default span cuts only bins whose
     # reach is far below the gap between the cut field's two highest samples, so that field's peak is proven
     # the target's and the unbuilt transmitted field stays unbuilt, with or without a pixel box, whose
-    # Dirichlet factor is centred there too; a 1 nm span leaves a smooth cut field with no proven peak, and the
-    # field is built and read.  Either way the LO has the bits of the window centred on argmax |target|
+    # Dirichlet factor is centred there too; without a span the cut is all of the output mode, its reach is
+    # round-off alone, and the field stays unbuilt as well; a 1 nm span leaves a smooth cut field with no
+    # proven peak, and the field is built and read.  Either way the LO has the bits of the window centred on
+    # argmax |target|
     grid = default_grid
     out = transmit(to_spectrum(normalize(gaussian_pulse(grid, 100e-15))), temperature_presets()[preset_idx].params)
     assert "field" not in vars(out)  # transmit builds no field
-    cfg = ShaperConfig(span=span_nm * 1e-9, pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
+    cfg = ShaperConfig(
+        span=None if span_nm is None else span_nm * 1e-9, pixel_width=None if pixel_nm is None else pixel_nm * 1e-9
+    )
     lo = achievable_lo(out, cfg)
     assert ("field" in vars(out)) == reads
-    cut = np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
+    cut = out.mode.amp.size if span_nm is None else np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
     amp = np.fft.irfft(np.conj(out.mode.amp[:cut]), grid.n) / grid.dt
     size = 1 if pixel_nm is None else int(round(cfg.pixel_width_hz / grid.df))
     k_peak = int(np.argmax(np.abs(out.field.amp)))
