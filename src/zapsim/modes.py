@@ -21,7 +21,7 @@ ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ScanCurve:
 
     xs: np.ndarray
     ys: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=np.float64)
@@ -75,13 +74,11 @@ class ScanCurve:
         object.__setattr__(self, "ys", ys)
 
     def peak_normalized(self) -> "ScanCurve":
-        """Same curve scaled so the maximum value is 1."""
+        """The curve scaled so that its maximum value is 1; a curve that is never positive raises."""
         peak = float(self.ys.max())
         if peak <= 0.0:
             raise ValueError("cannot peak-normalize a non-positive curve")
-        meta = dict(self.meta)
-        meta["peak_normalized"] = True
-        return ScanCurve(self.xs, self.ys / peak, meta)
+        return ScanCurve(self.xs, self.ys / peak)
 
 
 def _check_normalized(f, name: str) -> None:
@@ -209,11 +206,6 @@ def _check_delays(grid, delays) -> np.ndarray:
     return delays
 
 
-def _visibility_scan(overlaps: np.ndarray, delays: np.ndarray) -> ScanCurve:
-    meta = {"kind": "visibility", "delay_step_s": float(delays[1] - delays[0]) if delays.size > 1 else 0.0}
-    return ScanCurve(delays, np.abs(overlaps), meta)
-
-
 def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve:
     """Field cross-correlation magnitude |<lo(tau)|sig>| versus delay.
 
@@ -221,11 +213,9 @@ def visibility_curve(sig: TemporalField, lo: TemporalField, delays) -> ScanCurve
     overlap magnitude.  Use :meth:`ScanCurve.peak_normalized` for the
     arbitrary-units variant.
     """
-    if sig.grid != lo.grid:
-        raise ValueError("signal and local oscillator must share a grid")
     delays = _check_delays(sig.grid, delays)
     overlaps = delay_overlaps(to_spectrum(normalize(lo)), to_spectrum(normalize(sig)), delays)
-    return _visibility_scan(overlaps, delays)
+    return ScanCurve(delays, np.abs(overlaps))
 
 
 def _check_eta_base(eta_base: float) -> None:
@@ -236,18 +226,6 @@ def _check_eta_base(eta_base: float) -> None:
 def _eta(eta_base: float, out: Transmitted, proj):
     """Detected fraction eta_base * T_E * |<lo|out>|^2, given the projection."""
     return eta_base * out.transmission * proj
-
-
-def _eta_scan(out: Transmitted, overlaps: np.ndarray, m: MediumParams, eta_base: float, delays):
-    proj = np.abs(overlaps) ** 2
-    meta = {
-        "kind": "eta",
-        "eta_base": float(eta_base),
-        "transmission": float(out.transmission),
-        "depth": float(m.depth),
-        "t2_s": float(m.t2),
-    }
-    return ScanCurve(delays, _eta(eta_base, out, proj), meta)
 
 
 def eta_curve(
@@ -268,14 +246,12 @@ def eta_curve(
     detector efficiency, electronic noise).
     """
     _check_eta_base(eta_base)
-    if input_field.grid != lo.grid:
-        raise ValueError("input and local oscillator must share a grid")
     delays = _check_delays(input_field.grid, delays)
     lo_spec = to_spectrum(normalize(lo))
     out = transmit(to_spectrum(normalize(input_field)), m)
     overlaps = delay_overlaps(lo_spec, out.spectrum, delays)
     overlaps /= _norm(out.spectrum)
-    return _eta_scan(out, overlaps, m, eta_base, delays)
+    return ScanCurve(delays, _eta(eta_base, out, np.abs(overlaps) ** 2))
 
 
 def peak_eta(curve: ScanCurve) -> tuple[float, float]:

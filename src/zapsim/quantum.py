@@ -19,7 +19,7 @@ always the raw detected fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -59,10 +59,10 @@ class HeraldedState:
 
 @dataclass(frozen=True)
 class QuadratureSample:
-    """Phase-averaged quadrature outcomes with their generation metadata."""
+    """Phase-averaged quadrature outcomes: a non-empty 1-d array of finite values, in the convention of
+    vacuum variance ``VACUUM_VARIANCE``."""
 
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -71,9 +71,6 @@ class QuadratureSample:
         if not np.all(np.isfinite(vals)):
             raise ValueError("quadrature sample contains non-finite values")
         object.__setattr__(self, "values", vals)
-        meta = {"vacuum_variance": VACUUM_VARIANCE}
-        meta.update(self.meta)
-        object.__setattr__(self, "meta", meta)
 
 
 class EtaEstimate(NamedTuple):
@@ -113,7 +110,7 @@ def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     values = np.interp(u, cdf, xs)
-    return QuadratureSample(values, {"seed": int(seed), "n": int(n), "eta": float(s.eta)})
+    return QuadratureSample(values)
 
 
 def estimate_eta(q: QuadratureSample) -> EtaEstimate:

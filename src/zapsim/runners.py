@@ -16,7 +16,6 @@ byte-identical across reruns with a fixed config and seed.
 from __future__ import annotations
 
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,9 @@ import numpy as np
 from .config import ScenarioConfig
 from .fields import GridAdequacyWarning, TemporalField, _norm, normalize, pulse_area, to_spectrum
 from .medium import _wrap_error, transfer_function, transmit
-from .modes import _check_delays, _eta_scan, _visibility_scan, delay_overlaps
+from .modes import ScanCurve, _check_delays, _eta, delay_overlaps
 from .quantum import (
+    VACUUM_VARIANCE,
     HeraldedState,
     estimate_eta,
     is_nonclassical,
@@ -87,10 +87,10 @@ def _write_sidecar(path: Path, cfg: ScenarioConfig, verb: str, sections: list[tu
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, send, row) -> list:
-    """Transmit through each medium once, by ``send(params)``; ``row(entry, out)`` returns (result, sidecar
-    values) from what ``send`` returned.  The sidecar ``<stem>_params.txt`` lists each medium's values and
-    grid-adequacy warnings, in the order they were raised.
+def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, row) -> list:
+    """``row(entry)`` sends the pulse through one of the config's media once and returns (result, sidecar
+    values).  The sidecar ``<stem>_params.txt`` lists each medium's values and the grid-adequacy warnings
+    raised anywhere in its row, in the order they were raised.
     """
     grid = cfg.make_grid()
     results = []
@@ -98,10 +98,8 @@ def _each_medium(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, send,
     for entry in cfg.media():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GridAdequacyWarning)
-            out = send(entry.params)
+            result, extras = row(entry)
         notes = [str(w.message) for w in caught if issubclass(w.category, GridAdequacyWarning)]
-        result, extras = row(entry, out)
-        del out  # free this medium's arrays before the next transmission
         results.append(result)
         values = {"depth": entry.params.depth, "t2_ps": entry.params.t2 * 1e12, "temperature_c": entry.temperature_c}
         lines = _pairs({**values, **dict(sorted(extras.items()))}) + [f"warning = {note}" for note in notes]
@@ -134,7 +132,14 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     spec_in *= scale
     energy_in = energy(spec_in)
 
-    def send(m):
+    t = grid.t
+    center = t[int(np.argmax(np.abs(pulse.amp)))]
+    sel = (t >= center + cfg.scan_delay_min_ps * 1e-12) & (t <= center + cfg.scan_delay_max_ps * 1e-12)
+    t_ps = (t[sel] - center) * 1e12
+    area_in = abs(pulse_area(pulse))
+
+    def row(entry):
+        m = entry.params
         # allocated before transfer_function's temporaries: allocated after them, it raised the peak RSS of a
         # default propagate run from 90.7 to 96.9 MB (the allocator reuses memory differently)
         h = np.empty(grid.n, dtype=np.complex128)
@@ -147,24 +152,14 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         np.fft.fft(h, out=h)
         h /= scale
         _wrap_error(grid, m, spec_in[0].real, energy_in)
-        return TemporalField(grid, h), t_e
-
-    t = grid.t
-    center = t[int(np.argmax(np.abs(pulse.amp)))]
-    sel = (t >= center + cfg.scan_delay_min_ps * 1e-12) & (t <= center + cfg.scan_delay_max_ps * 1e-12)
-    t_ps = (t[sel] - center) * 1e12
-    area_in = abs(pulse_area(pulse))
-
-    def row(entry, out):
-        field, t_e = out
-        extras = {"transmission": t_e, "area_ratio": abs(pulse_area(field)) / area_in}
-        a = field.amp[sel]
+        extras = {"transmission": t_e, "area_ratio": abs(pulse_area(TemporalField(grid, h))) / area_in}
+        a = h[sel]
         path = out_dir / f"propagated_{entry.label}.csv"
         header = _header_lines(cfg, "propagate", {"medium.label": entry.label, **extras})
         _write_csv(path, header, ["t_ps", "amp_abs", "amp_re", "amp_im"], [t_ps, np.abs(a), a.real, a.imag])
         return path, extras
 
-    return _each_medium(cfg, out_dir, "propagate", "propagate", send, row)
+    return _each_medium(cfg, out_dir, "propagate", "propagate", row)
 
 
 def _input_lo(cfg: ScenarioConfig):
@@ -174,28 +169,29 @@ def _input_lo(cfg: ScenarioConfig):
 
 
 def _run_scan(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, names: list[str], columns) -> list[Path]:
-    """Emit ``<stem>_<label>.csv`` per medium: ``delay_ps``, then the columns ``names``.  ``columns(entry, out,
+    """Emit ``<stem>_<label>.csv`` per medium: ``delay_ps``, then the columns ``names``.  ``columns(out,
     overlaps, delays)`` returns those columns and the header's per-medium values, from the medium's transmitted
     product and the overlaps of its unit-energy mode with the delayed input LO."""
     spec_in = _input_lo(cfg)
     delays = _check_delays(spec_in.grid, cfg.delays())
 
-    def row(entry, out):
+    def row(entry):
+        out = transmit(spec_in, entry.params)
         overlaps = delay_overlaps(spec_in, out.spectrum, delays) / _norm(out.spectrum)
-        cols, extras = columns(entry, out, overlaps, delays)
+        cols, extras = columns(out, overlaps, delays)
         path = out_dir / f"{stem}_{entry.label}.csv"
         header = _header_lines(cfg, verb, {"medium.label": entry.label, **extras})
         _write_csv(path, header, ["delay_ps", *names], [delays * 1e12, *cols])
         return path, extras
 
-    return _each_medium(cfg, out_dir, verb, stem, partial(transmit, spec_in), row)
+    return _each_medium(cfg, out_dir, verb, stem, row)
 
 
 def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the classical fringe-visibility delay scan for each medium."""
 
-    def columns(entry, out, overlaps, delays):
-        curve = _visibility_scan(overlaps, delays)
+    def columns(out, overlaps, delays):
+        curve = ScanCurve(delays, np.abs(overlaps))
         return [curve.ys, curve.peak_normalized().ys], {}
 
     return _run_scan(cfg, out_dir, "xcorr", "xcorr", ["visibility", "visibility_norm"], columns)
@@ -204,8 +200,8 @@ def run_xcorr(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 def run_eta_scan(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     """Emit the homodyne efficiency delay scan (un-modulated LO) per medium."""
 
-    def columns(entry, out, overlaps, delays):
-        eta = _eta_scan(out, overlaps, entry.params, cfg.detection_eta_base, delays).ys
+    def columns(out, overlaps, delays):
+        eta = ScanCurve(delays, _eta(cfg.detection_eta_base, out, np.abs(overlaps) ** 2)).ys
         return [eta, np.log10(np.maximum(eta, LOG_FLOOR)), eta < LOG_FLOOR], {"transmission": out.transmission}
 
     return _run_scan(cfg, out_dir, "eta-scan", "eta_scan", ["eta", "log10_eta", "log_clamped"], columns)
@@ -217,13 +213,14 @@ def run_efficiency_vs_depth(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     spec_in = _input_lo(cfg)
     eta_base = cfg.detection_eta_base
 
-    def row(entry, out):
+    def row(entry):
+        out = transmit(spec_in, entry.params)
         unshaped, shaped = _efficiencies(out, spec_in, eta_base, shaper_cfg)
         t_e = out.transmission
         extras = {"eta_unshaped": unshaped, "eta_shaped": shaped, "transmission": t_e}
         return (entry.label, entry.params.depth, entry.params.t2 * 1e12, unshaped, shaped, t_e), extras
 
-    rows = _each_medium(cfg, out_dir, "depth-scan", "efficiency_vs_depth", partial(transmit, spec_in), row)
+    rows = _each_medium(cfg, out_dir, "depth-scan", "efficiency_vs_depth", row)
     path = out_dir / "efficiency_vs_depth.csv"
     names = ["preset", "depth", "t2_ps", "eta_unshaped", "eta_shaped", "transmission"]
     _write_csv(path, _header_lines(cfg, "depth-scan"), names, zip(*rows))
@@ -274,7 +271,7 @@ def run_sample(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     eta_val = _mixture_eta(cfg)
     sample = sample_quadratures(HeraldedState(eta_val), cfg.sampling_n_samples, cfg.sampling_seed)
     path = out_dir / "quadrature_samples.txt"
-    values = {"vacuum_variance": sample.meta["vacuum_variance"], "eta": eta_val}
+    values = {"vacuum_variance": VACUUM_VARIANCE, "eta": eta_val}
     header = "# " + ", ".join(_pairs({**values, "seed": cfg.sampling_seed, "n": cfg.sampling_n_samples})) + "\n"
     body = "%.12g\n" * sample.values.size % tuple(sample.values.tolist())
     path.write_text(header + body, encoding="utf-8", newline="\n")

@@ -227,7 +227,8 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     The coarse search samples f at the even lags 2m*dt within +-window/4,
     all from one half-length transform (:func:`_even_lag_overlaps`).
     On the support of g, |f''| <= 2*(2*pi)^2*(M1^2 + M0*M2) with
-    Mk = df * sum |g| * |nu|^k (|g| is even, so its centroid is nu = 0), so the
+    Mk = df * sum |g| * |nu|^k over the full spectrum: the half spectrum's
+    terms of :func:`_support`, at nu >= 0, weighted for their mirrors.  So the
     sample nearest the true maximum, at most dt from it, falls short of it by
     at most L = (2*pi*dt)^2 * (M1^2 + M0*M2).  Newton steps on f, each kept
     within 2*dt of its start, refine from every sample within L of the best
@@ -257,10 +258,9 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     m0 = mag.sum()
     if m0 == 0.0:  # disjoint spectra: every overlap is 0
         return best
-    dev = np.abs(freqs)
-    mag *= dev
+    mag *= freqs
     m1 = mag.sum()
-    mag *= dev
+    mag *= freqs
     loss = (2.0 * np.pi * grid.dt) ** 2 * (m1**2 + m0 * mag.sum())
     starts = np.nonzero(coarse >= best - loss)[0]
     starts = starts[np.argsort(-coarse[starts], kind="stable")[:_MAX_STARTS]]

@@ -220,6 +220,11 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: override 'pulse.center_fs=3': unknown key 'pulse.center_fs'\n"
 
+    def test_empty_override_is_one(self, tmp_path, capsys):
+        assert main(["xcorr", "--set", "", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: empty override ''\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_is_two(self, tmp_path):
         assert main(["xcorr", "--config", str(tmp_path / "absent.cfg")]) == 2
 

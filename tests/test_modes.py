@@ -9,6 +9,7 @@ from zapsim import (
     SpectralField,
     TemporalField,
     delay_field,
+    energy_transmission,
     eta_curve,
     gaussian_pulse,
     make_grid,
@@ -183,7 +184,30 @@ class TestScanCurve:
         c = ScanCurve(np.arange(3.0), np.array([1.0, 4.0, 2.0]))
         n = c.peak_normalized()
         assert n.ys.max() == 1.0
-        assert n.meta["peak_normalized"] is True
+
+    def test_peak_normalizing_a_curve_never_positive_raises(self):
+        with pytest.raises(ValueError, match="non-positive curve"):
+            ScanCurve(np.arange(3.0), np.array([0.0, -1.0, 0.0])).peak_normalized()
+
+
+class TestScanPreconditions:
+    """The grid and delay checks a scan makes before it forms any overlap."""
+
+    def test_visibility_scan_on_two_grids_raises(self, small_grid):
+        other = make_grid(small_grid.n, 2.0 * small_grid.dt)
+        with pytest.raises(ValueError, match="same grid"):
+            visibility_curve(gaussian_pulse(small_grid, 100e-15), gaussian_pulse(other, 100e-15), [0.0])
+
+    def test_eta_scan_on_two_grids_raises(self, small_grid):
+        other = make_grid(small_grid.n, 2.0 * small_grid.dt)
+        lo = gaussian_pulse(other, 100e-15)
+        with pytest.raises(ValueError, match="same grid"):
+            eta_curve(gaussian_pulse(small_grid, 100e-15), MediumParams(depth=0.0, t2=1e-12), lo, 0.62, [0.0])
+
+    def test_empty_delays_raise(self, small_grid):
+        f = gaussian_pulse(small_grid, 100e-15)
+        with pytest.raises(ValueError, match="non-empty"):
+            visibility_curve(f, f, [])
 
 
 class TestVisibilityCurve:
@@ -267,7 +291,7 @@ class TestEtaCurve:
     def test_bounded_by_transmitted_fraction(self, mid_grid, mid_pulse):
         delays = np.linspace(-0.5e-12, 3e-12, 101)
         curve = eta_curve(mid_pulse, PRESET3, mid_pulse, 0.62, delays)
-        cap = curve.meta["eta_base"] * curve.meta["transmission"]
+        cap = 0.62 * energy_transmission(to_spectrum(normalize(mid_pulse)), PRESET3)
         assert np.all(curve.ys <= cap + 1e-12)
         assert np.all(curve.ys >= 0.0)
 

@@ -118,6 +118,42 @@ def test_every_import_is_used(path):
     assert unused_imports(path) == []
 
 
+def unread_private_names(paths) -> list[str]:
+    """``module.name`` for each private module-level function, class or constant of the source files ``paths``
+    that no code among them reads: by name, as an attribute, or through an import that the importer reads
+    (:func:`test_every_import_is_used`).  Dunders are exempt."""
+    defined, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.stem, name) for name in names if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_name_is_read_by_package_code():
+    assert unread_private_names(sorted(Path(zapsim.__file__).parent.glob("*.py"))) == []
+
+
+def test_an_unread_private_helper_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("_LIMIT = 1\n_KEPT = 2\n\ndef _helper():\n    return _KEPT\n\nclass _Unused:\n    pass\n")
+    (tmp_path / "b.py").write_text("from a import _helper\n\nVALUE = _helper()\n")
+    assert unread_private_names([tmp_path / "a.py", tmp_path / "b.py"]) == ["a._LIMIT", "a._Unused"]
+
+
 def fft_references(path: Path) -> set[str]:
     """The top-level functions of a source file that reference ``numpy.fft``, by attribute or by import;
     ``<module>`` for a reference outside any function."""

@@ -149,6 +149,35 @@ def test_wrapped_depth_scan_is_off_by_at_most_its_warned_bound(tmp_path):
         assert abs(row["transmission"] - ref.transmission()) <= bound
 
 
+def scan_rows(out, verb: str, stem: str, column: str) -> dict:
+    """``column`` of a default ``verb`` run at the delays ``SCAN_ROWS``, by preset label."""
+    assert main([verb, "--out", str(out)]) == 0
+    rows = {}
+    for entry in CFG.media():
+        lines = [l for l in (out / f"{stem}_{entry.label}.csv").read_text().splitlines() if not l.startswith("#")]
+        k = lines[0].split(",").index(column)
+        rows[entry.label] = [float(lines[1 + i].split(",")[k]) for i in SCAN_ROWS]
+    return rows
+
+
+# rows of the default scan's 451 delays: -1, 0, +0.02, +4 and +8 ps, the peak, its neighbour and the tail
+SCAN_ROWS = [0, 50, 51, 250, 450]
+
+
+def test_default_scans_match_the_quadrature(tmp_path):
+    # the unit-energy output mode's overlap with the delayed LO is ov / sqrt(T_E), ov the overlap per unit
+    # input energy: xcorr prints |ov| / sqrt(T_E) and eta-scan eta_base * ov^2
+    visibility = scan_rows(tmp_path / "xcorr", "xcorr", "xcorr", "visibility")
+    eta = scan_rows(tmp_path / "eta", "eta-scan", "eta_scan", "eta")
+    delays = CFG.delays()[SCAN_ROWS]
+    for entry in CFG.media():
+        ref = Reference(entry.params.depth, entry.params.t2)
+        ov = np.array([ref.overlap(tau) for tau in delays])
+        want_vis = np.abs(ov) / math.sqrt(ref.transmission())
+        assert visibility[entry.label] == pytest.approx(want_vis, abs=1e-11, rel=0.0), entry.label
+        assert eta[entry.label] == pytest.approx(CFG.detection_eta_base * ov**2, abs=1e-11, rel=0.0), entry.label
+
+
 def crisp_kernel(s: np.ndarray, depth: float, t2: float) -> np.ndarray:
     """k(s) = exp(-s/T2) a 2 J1(x)/x, x = 2 sqrt(a s), a = depth/T2, for s >= 0; 2 J1(x)/x is 1 at x = 0."""
     a = depth / t2

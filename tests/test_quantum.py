@@ -68,14 +68,17 @@ class TestSampling:
         q = sample_quadratures(HeraldedState(1.0), 10**6, seed=8)
         assert np.var(q.values) == pytest.approx(1.5, abs=0.004)
 
-    def test_metadata_records_convention(self):
-        q = sample_quadratures(HeraldedState(0.3), 10, seed=1)
-        assert q.meta["vacuum_variance"] == 0.5
-        assert q.meta["seed"] == 1
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             sample_quadratures(HeraldedState(0.5), 0, seed=1)
+
+    def test_sample_of_no_values_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            QuadratureSample(np.array([]))
+
+    def test_sample_with_a_non_finite_value_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadratureSample(np.array([0.1, np.nan, -0.2]))
 
     @pytest.mark.parametrize("eta", [0.0, 0.62, 1.0])
     def test_table_tail_truncation_negligible(self, eta):

@@ -20,6 +20,7 @@ from zapsim import (
     to_time,
     transmit,
 )
+from zapsim.medium import Transmitted
 from zapsim.modes import _spectral_product
 from zapsim.shaper import (
     CENTER_WAVELENGTH,
@@ -108,6 +109,15 @@ class TestAchievableLo:
     def test_unnormalized_target_rejected(self, mid_pulse):
         with pytest.raises(ValueError):
             achievable_lo(mid_pulse, ShaperConfig())
+
+    def test_target_with_no_content_inside_the_span_is_refused(self, small_grid):
+        # the span keeps only the bins where the spectrum is 0, so the LO is a zero field
+        cfg = ShaperConfig()
+        amp = np.zeros(small_grid.n // 2 + 1, dtype=np.complex128)
+        amp[small_grid.half_freqs > 0.5 * cfg.span_hz] = 1.0
+        spectrum = SpectralField(small_grid, amp)
+        with pytest.raises(ValueError, match="cannot normalize a zero field"):
+            achievable_lo(Transmitted(spectrum, spectrum.energy), cfg)
 
     def test_output_is_normalized(self, preset_modes):
         from zapsim import pulse_energy
@@ -239,6 +249,15 @@ class TestBestProjection:
         assert at_edge < 0.99
         assert _best_projection(lo_spec, sig_spec) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert brent_projection(lo_spec, sig_spec) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_disjoint_spectra_project_to_zero_with_no_newton_step(self, small_grid, monkeypatch):
+        # every overlap of an LO on bins 0-9 with a signal that is 0 there is 0: the search stops at the lattice
+        lo = np.ones(10, dtype=np.complex128)
+        sig = np.zeros(small_grid.n // 2 + 1, dtype=np.complex128)
+        sig[10:] = 1.0
+        monkeypatch.setattr("zapsim.shaper._phasors", lambda *args: pytest.fail("a Newton step ran"))
+        got = _best_projection(SpectralField(small_grid, lo, prefix=True), SpectralField(small_grid, sig))
+        assert got == 0.0
 
     def test_nearly_tied_peaks_not_below_brent(self):
         # two delayed copies of the pulse of nearly equal weight: the lattice can rank their
