@@ -31,9 +31,11 @@ hands the real inverse FFT a conjugated copy of the bins, which it
 zero-pads to n/2 + 1.  These two are the package's only real FFTs, each
 called on the grid its samples live on: the even-lag delay scans read the
 field of a folded spectrum on the grid of n/2 samples 2*dt apart
-(``modes._even_lag_overlaps``), a shaped LO's spectrum is that of every
-D-th sample (``shaper._band_spectrum``), and every LO is the field of the
-bins inside its span (``shaper.achievable_lo``).  The transmitted field
+(``modes._even_lag_overlaps``), and every LO is the field of the bins
+inside its span on the grid of n/D samples D*dt apart that its band needs,
+whose spectrum is the forward transform of that same array
+(``shaper._shaped_lo``, ``shaper._band_spectrum``; D = 1 for
+``shaper.achievable_lo``).  The transmitted field
 (``medium.Transmitted.field``) is :func:`to_time` of F*H, made only when it
 is read.
 """

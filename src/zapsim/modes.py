@@ -126,8 +126,8 @@ def _support(g: SpectralField) -> tuple[np.ndarray, np.ndarray]:
     each bin but DC and Nyquist stands for itself and its mirror and is weighted 2 (``fields._spectral_sum``);
     the last bin of g is Nyquist only when g holds all n/2 + 1."""
     mag = np.abs(g.amp)
-    idx = np.nonzero(mag >= mag.max() * _SUPPORT_CUTOFF)[0]
-    lo_i, hi_i = int(idx[0]), int(idx[-1]) + 1
+    inside = mag >= mag.max() * _SUPPORT_CUTOFF
+    lo_i, hi_i = int(np.argmax(inside)), inside.size - int(np.argmax(inside[::-1]))
     terms = g.amp[lo_i:hi_i].copy()
     terms[max(1 - lo_i, 0) : terms.size - (hi_i == g.grid.n // 2 + 1)] *= 2.0
     return terms, g.grid.half_freqs[lo_i:hi_i]

@@ -50,11 +50,11 @@ pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 # imaginary part of the field, so it keeps a complex pair of its own, the only complex transforms of the
 # package: one ifft of the input per run and one fft per medium, 1; every other verb transmits the input's
 # half spectrum, and xcorr and eta-scan read their overlaps from one half-length irfft of the folded
-# spectral product and build no field: 0.232; depth-scan reads no field and measures 1.196: one irfft of n
-# for the LO shaped to the transmitted mode (0.5), one rfft of n/2 for its spectrum, read at the rate of its
-# band (D = 2 at the default span), and two half-length irffts for the best-delay searches (3 x 0.232); it
-# measured 1.464 while the LO's spectrum took an rfft of n
-FFT_BUDGET = {"propagate": 1, "xcorr": 0.233, "eta-scan": 0.233, "depth-scan": 1.197}
+# spectral product and build no field: 0.232; depth-scan reads no field and measures 0.929: the LO shaped to
+# the transmitted mode is built at the rate of its band (D = 2 at the default span), one irfft of n/2 for the
+# LO and one rfft of n/2 for its spectrum, and two half-length irffts serve the best-delay searches
+# (4 x 0.232); it measured 1.196 while the LO took an irfft of n, and 1.464 while its spectrum took an rfft of n
+FFT_BUDGET = {"propagate": 1, "xcorr": 0.233, "eta-scan": 0.233, "depth-scan": 0.929}
 
 GRID_N = 16384
 
@@ -118,11 +118,11 @@ def _count_transforms(monkeypatch, counts):
 
 def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
     """Op counts of one CLI run on the GRID_N grid with ``medium.preset`` and further ``--set`` values."""
-    names = [*TRANSFORMS, "transfer_function", "achievable_lo", "_best_projection", "fft_calls", "ifft_calls", "exp"]
+    names = [*TRANSFORMS, "transfer_function", "_shaped_lo", "_best_projection", "fft_calls", "ifft_calls", "exp"]
     counts = dict.fromkeys(names, 0)
     with monkeypatch.context() as mp:
         _count_calls(mp, zapsim.medium, "transfer_function", counts)
-        _count_calls(mp, zapsim.shaper, "achievable_lo", counts)
+        _count_calls(mp, zapsim.shaper, "_shaped_lo", counts)
         _count_calls(mp, zapsim.shaper, "_best_projection", counts)
         _count_transforms(mp, counts)
         for name in ("fft", "ifft"):
@@ -134,7 +134,7 @@ def _run_counted(monkeypatch, tmp_path, verb, preset, *settings):
     return {
         "fft": sum(counts[name] for name in TRANSFORMS),
         "h": counts["transfer_function"],
-        "lo": counts["achievable_lo"],
+        "lo": counts["_shaped_lo"],
         "search": counts["_best_projection"],
         "complex": (counts["ifft_calls"], counts["fft_calls"]),
         "exp": counts["exp"],
@@ -171,7 +171,7 @@ def test_one_propagation_per_medium(monkeypatch, tmp_path, verb):
     # other verb runs only rfft and irfft
     assert (five["complex"], one["complex"]) == (((1, 5), (1, 1)) if verb == "propagate" else ((0, 0), (0, 0)))
     if verb == "depth-scan":
-        # one shaped LO per medium, searched with the input LO
+        # one shaped LO per medium, built once at its band's rate, searched with the input LO
         assert five["lo"] == 5
         assert (five["search"] - one["search"]) / 4 == 2
 
@@ -209,9 +209,10 @@ def test_default_scans_transform_no_field(monkeypatch, tmp_path, verb):
 @pytest.mark.parametrize("pixel_nm", [None, 2, 3])
 def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm):
     # at the default 2^19 x 10 fs grid the presets' tails decay within the window: each medium's field stays
-    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 21 numpy transforms: the
-    # input's rfft of n, then per medium the LO's irfft of n, the rfft of its every second sample (its band,
-    # 19.7 THz, is below half the 50 THz Nyquist) and two half-length irffts
+    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 21 numpy transforms and
+    # none of length n after the input's rfft: per medium the LO is built on the grid of every second sample
+    # (its band, 19.7 THz, is below half the 50 THz Nyquist), one irfft of n/2 and one rfft of n/2, and two
+    # half-length irffts serve the searches
     built = []
     efficiencies = zapsim.runners._efficiencies
 
@@ -226,7 +227,8 @@ def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm)
     assert code == 0
     assert built == [False] * 5
     n = 2**19
-    assert sorted(lengths) == [("irfft", n // 2)] * 10 + [("irfft", n)] * 5 + [("rfft", n // 2)] * 5 + [("rfft", n)]
+    assert lengths[0] == ("rfft", n)
+    assert sorted(lengths) == [("irfft", n // 2)] * 15 + [("rfft", n // 2)] * 5 + [("rfft", n)]
 
 
 def test_depth_scan_without_a_span_reads_each_lo_at_the_full_rate(monkeypatch, tmp_path):
@@ -341,6 +343,52 @@ def test_shaped_lo_keeps_one_grid(pixel_nm, grids):
         tracemalloc.stop()
     assert np.array_equal(lo.amp.view(np.uint64), want.amp.view(np.uint64))
     assert peak <= grids * grid.n * 16 + 16 * 1024
+
+
+@pytest.mark.parametrize("pixel_nm", [None, 2], ids=["span", "pixel"])
+def test_band_rate_lo_keeps_under_one_grid(pixel_nm):
+    # at D = 2: the bins inside the span (0.15 of a grid here), their conjugated copy and the irfft's output of
+    # n/2 samples (a quarter of a grid), which becomes the LO in place; the centre proof's few sums each hold one
+    # array of phasors and numpy's 256 KiB iterator buffer (a quarter of this grid): 0.80 of a grid, against 0.88
+    # for the LO of n samples (test_shaped_lo_keeps_one_grid)
+    grid = make_grid(2**16, 10e-15)
+    out = transmit(to_spectrum(gaussian_pulse(grid, 100e-15)), temperature_presets()[2].params)
+    cfg = ShaperConfig(pixel_width=None if pixel_nm is None else pixel_nm * 1e-9)
+    want = zapsim.shaper._shaped_lo(out, cfg, 2)
+    tracemalloc.start()
+    try:
+        lo = zapsim.shaper._shaped_lo(out, cfg, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lo.grid == Grid(grid.n // 2, 2 * grid.dt)
+    assert np.array_equal(lo.amp.view(np.uint64), want.amp.view(np.uint64))
+    assert peak <= 0.81 * grid.n * 16 + 16 * 1024
+
+
+def test_default_depth_scan_newton_evaluations(monkeypatch, tmp_path):
+    # each best-delay search starts Newton at the vertex of the parabola through its three coarse samples: a
+    # default depth-scan evaluates the overlap and its derivatives 31 times over its 10 searches (42 when each
+    # start was the sample itself); each evaluation is one product of g with the phasors
+    counts = {"evaluations": 0}
+    searching = []
+    phasors, search = zapsim.shaper._phasors, zapsim.shaper._best_projection
+
+    def counted_phasors(*args):
+        counts["evaluations"] += bool(searching)
+        return phasors(*args)
+
+    def counted_search(*args):
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(zapsim.shaper, "_phasors", counted_phasors)
+    monkeypatch.setattr(zapsim.shaper, "_best_projection", counted_search)
+    assert main(["depth-scan", "--out", str(tmp_path)]) == 0
+    assert counts["evaluations"] <= 31
 
 
 def test_to_time_of_a_half_spectrum_keeps_one_grid():
@@ -476,9 +524,9 @@ def test_default_h_runs_on_the_input_band(monkeypatch, tmp_path):
 
 # tracemalloc peaks of one default run after a warm-up run, as measured and rounded up, with the slack of the tests
 # above (16 KiB): 12.79 MiB for either delay scan (18.1 MiB while the transmitted spectra held all n/2 + 1 bins) and
-# 19.0 MiB for depth-scan (23.9 MiB); the pulse, its unit-energy copy and their half spectrum, 4 MiB each, make most
-# of the scans' peak
-DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 19.0}
+# 16.8 MiB for depth-scan (19.0 MiB while each shaped LO held n samples, 23.9 MiB before that); the pulse, its
+# unit-energy copy and their half spectrum, 4 MiB each, make most of the scans' peak
+DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 16.8}
 
 
 @pytest.mark.parametrize("verb", sorted(DEFAULT_PEAK_MIB))

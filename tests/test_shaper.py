@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import zapsim.shaper
 from zapsim import (
+    Grid,
     MediumParams,
     ShaperConfig,
     SpectralField,
@@ -27,9 +29,13 @@ from zapsim.shaper import (
     SPEED_OF_LIGHT,
     _band_spectrum,
     _best_projection,
+    _detected,
     _efficiencies,
     _even_lag_overlaps,
+    _newton_start,
     _resolution_window,
+    _rise,
+    _shaped_lo,
 )
 
 from conftest import (
@@ -520,10 +526,9 @@ BAND_CASES = {"default": ShaperConfig(), "pixel2": ShaperConfig(pixel_width=2e-9
 @pytest.mark.parametrize("preset_idx", [0, 2, 4])
 def test_band_rate_spectrum_is_the_full_rate_one(band_outs, preset_idx, case):
     # the LO's spectrum above B = span/2 + the window's reach + half the box is below e^-746 of its peak, so
-    # every D-th sample aliases nothing but round-off
-    lo = achievable_lo(band_outs[preset_idx], BAND_CASES[case])
-    want = to_spectrum(lo).amp
-    got = padded(_band_spectrum(lo, BAND_CASES[case]))
+    # the LO built at every D-th sample aliases nothing but round-off
+    want = to_spectrum(achievable_lo(band_outs[preset_idx], BAND_CASES[case])).amp
+    got = padded(_band_spectrum(band_outs[preset_idx], BAND_CASES[case]))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
@@ -532,9 +537,8 @@ def test_band_rate_spectrum_is_the_full_rate_one(band_outs, preset_idx, case):
     "cfg", [ShaperConfig(span=None), ShaperConfig(resolution_fwhm=5e-9)], ids=["no-span", "resolution-5nm"]
 )
 def test_band_rate_without_a_bounded_band_is_to_spectrum(band_outs, cfg):
-    # no span, or a window whose reach alone passes Nyquist: D = 1, and the bits of to_spectrum
-    lo = achievable_lo(band_outs[2], cfg)
-    got, want = _band_spectrum(lo, cfg).amp, to_spectrum(lo).amp
+    # no span, or a window whose reach alone passes Nyquist: D = 1, and the bits of to_spectrum of achievable_lo
+    got, want = _band_spectrum(band_outs[2], cfg).amp, to_spectrum(achievable_lo(band_outs[2], cfg)).amp
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -542,12 +546,11 @@ def test_band_rate_without_a_bounded_band_is_to_spectrum(band_outs, cfg):
 def test_band_rate_is_the_largest_power_of_two_below_nyquist(monkeypatch, band_outs, cfg, step):
     # B = 19.7 THz at the default (below 25 THz, above 12.5 THz) and 5.1 THz at a 1 nm span (below 6.25 THz,
     # above 3.1 THz), against the 50 THz Nyquist of a 10 fs step: one rfft of n/D
-    lo = achievable_lo(band_outs[2], cfg)
     lengths = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda x, *args, **kwargs: lengths.append(np.size(x)) or rfft(x, *args, **kwargs))
-    _band_spectrum(lo, cfg)
-    assert lengths == [lo.grid.n // step]
+    _band_spectrum(band_outs[2], cfg)
+    assert lengths == [band_outs[2].spectrum.grid.n // step]
 
 
 @pytest.mark.parametrize("cfg", [ShaperConfig(), ShaperConfig(span=None)], ids=["span", "no-span"])
@@ -562,3 +565,176 @@ def test_efficiencies_build_no_mode(real_input, cfg):
     assert unshaped == pytest.approx(scale * _best_projection(lo_in, out.mode), rel=1e-14, abs=0.0)
     shaped_lo = to_spectrum(achievable_lo(out, cfg))
     assert shaped == pytest.approx(scale * _best_projection(shaped_lo, out.mode), rel=1e-13, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def default_outs(default_mode_spec):
+    return [transmit(default_mode_spec, preset.params) for preset in temperature_presets()]
+
+
+def shaped_with_centre(monkeypatch, out, cfg, step):
+    """``_shaped_lo(out, cfg, step)``, the full-grid sample its window was centred on, and whether it read the
+    target's field."""
+    centres = []
+    window = zapsim.shaper._resolution_window
+    with monkeypatch.context() as mp:
+        spy = lambda grid, k, *rest: centres.append(k) or window(grid, k, *rest)
+        mp.setattr(zapsim.shaper, "_resolution_window", spy)
+        built = "field" in vars(out)
+        lo = _shaped_lo(out, cfg, step)
+    (centre,) = centres
+    return lo, centre, not built and "field" in vars(out)
+
+
+# each case's D: 19.7 THz and 20.4 THz of band at the default span without and with a 2 nm pixel (below 25 THz),
+# 5.1 THz at a 1 nm span (below 6.25 THz), against the 50 THz Nyquist of a 10 fs step
+STEP_CASES = {
+    "default": (ShaperConfig(), 2),
+    "pixel2": (ShaperConfig(pixel_width=2e-9), 2),
+    "span1": (ShaperConfig(span=1e-9), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+@pytest.mark.parametrize("preset_idx", range(5))
+def test_band_rate_lo_is_every_dth_sample_of_the_full_rate_one(default_outs, preset_idx, case):
+    # on the default grid the cut fields' samples agree to the bit at D = 2, and the two normalizations, sums over
+    # the step grid's and over every sample, to round-off: up to 1.4e-15 of the peak at D = 2 and 8.4e-15 at
+    # D = 8, whose transform of n/8 rounds apart from the one of n
+    cfg, step = STEP_CASES[case]
+    out = default_outs[preset_idx]
+    want = achievable_lo(out, cfg)
+    got = _shaped_lo(out, cfg, step)
+    assert got.grid == Grid(want.grid.n // step, step * want.grid.dt)
+    assert got.amp.dtype == np.float64
+    assert np.max(np.abs(got.amp - want.amp[::step])) <= 1e-14 * np.abs(want.amp).max()
+
+
+def test_band_rate_centres_are_the_full_grid_peaks(monkeypatch, default_outs):
+    # at D = 2 the centre is proven from the cut field's samples and the few in between summed exactly, with the
+    # transmitted fields unbuilt: presets 3 and 4 peak on an odd sample, preset 5 on its negative lobe
+    centres = [shaped_with_centre(monkeypatch, out, ShaperConfig(), 2)[1:] for out in default_outs]
+    assert centres == [(65536, False), (65536, False), (65535, False), (65535, False), (65550, False)]
+    for out, (centre, _) in zip(default_outs, centres):
+        assert centre == np.argmax(np.abs(out.field.amp))  # the first of ties
+    assert default_outs[4].field.amp[65550] < 0.0
+
+
+def test_band_rate_centres_follow_the_target_at_every_offset(monkeypatch):
+    # targets moved by r*dt for every r < D: the centre is the target's argmax |E|, first of ties, whether it is
+    # proven (at D = 2, 4 and 8) or read from the target; the 1 nm span proves none and reads each target, and
+    # the LO is every D-th sample of the full-rate one either way
+    grid = make_grid(2**14, 10e-15)
+    rng = np.random.default_rng(30)
+    presets = temperature_presets()
+    cases = [(60e-9, 2, (100e-15, 200e-15)), (20e-9, 4, (100e-15, 200e-15)), (4e-9, 8, (2e-12,)), (1e-9, 8, (2e-12,))]
+    proven = {}
+    for span, step, widths in cases:
+        cfg = ShaperConfig(span=span)
+        for _ in range(3):
+            fwhm, params = rng.choice(widths), presets[rng.integers(5)].params
+            first = grid.window / 8 + rng.integers(64) * grid.dt
+            for r in range(step):
+                out = transmit(to_spectrum(normalize(gaussian_pulse(grid, fwhm, first + r * grid.dt))), params)
+                lo, centre, read = shaped_with_centre(monkeypatch, out, cfg, step)
+                want = achievable_lo(out, cfg).amp
+                assert centre == np.argmax(np.abs(out.field.amp))
+                assert np.max(np.abs(lo.amp - want[::step])) <= 1e-15 * np.abs(want).max()
+                proven.setdefault(span, []).append(not read)
+    assert all(proven[60e-9]) and any(proven[20e-9]) and all(proven[4e-9])
+    assert not any(proven[1e-9])
+
+
+@pytest.mark.parametrize("step", [2, 4, 8])
+def test_rise_bounds_every_sample_in_between(step):
+    # band-limited fields below Nyquist/D: no sample between two of the step grid's rises above the larger of
+    # them by more than _rise, for white spectra up to that band's edge and for smooth ones
+    grid = make_grid(2**10, 10e-15)
+    rng = np.random.default_rng(step)
+    worst = 0.0
+    for draw in range(40):
+        bins = rng.integers(2, grid.n // (2 * step) + 1)
+        amp = rng.normal(size=bins) + 1j * rng.normal(size=bins)
+        if draw % 2:
+            amp *= np.exp(-((np.arange(bins) / rng.uniform(1.0, bins)) ** 2))
+        amp[0] = amp[0].real
+        field = to_time(SpectralField(grid, amp, prefix=True)).amp
+        ends = np.abs(field[::step])
+        limit = np.maximum(ends, np.roll(ends, -1)) + _rise(amp, grid, step)
+        between = np.abs(field).reshape(-1, step)[:, 1:].max(axis=1)
+        worst = max(worst, float(np.max((between - limit) / np.abs(field).max())))
+    assert worst <= 1e-15
+
+
+def nm_config(span_nm, pixel_nm):
+    """A shaper of the default resolution with the span and the pixel given in nm, None for none."""
+    to_m = lambda nm: None if nm is None else nm * 1e-9
+    return ShaperConfig(span=to_m(span_nm), pixel_width=to_m(pixel_nm))
+
+
+def assert_full_rate_efficiencies(out, lo_in, cfg):
+    """_efficiencies, whose shaped LO is built at its band's rate, against the searches with the full-rate LO."""
+    unshaped = _detected(0.62, out, lo_in)
+    want = (unshaped, max(unshaped, _detected(0.62, out, to_spectrum(achievable_lo(out, cfg)))))
+    assert _efficiencies(out, lo_in, 0.62, cfg) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "span_nm, pixel_nm",
+    [(60.0, None), (60.0, 2.0), (60.0, 3.0), (1.0, None), (None, None), (None, 2.0), (None, 3.0)],
+)
+@pytest.mark.parametrize("preset_idx", range(5))
+def test_efficiencies_match_the_full_rate_lo(real_input, preset_idx, span_nm, pixel_nm):
+    # the span and pixel of the shaped LO do not change what the searches find: presets x spans x pixels, where
+    # the pixel is below the span
+    _, lo_in = real_input
+    out = transmit(lo_in, temperature_presets()[preset_idx].params)
+    assert_full_rate_efficiencies(out, lo_in, nm_config(span_nm, pixel_nm))
+
+
+@pytest.mark.parametrize("span_nm, pixel_nm", [(60.0, None), (60.0, 2.0), (60.0, 3.0), (None, None), (None, 3.0)])
+def test_efficiencies_match_the_full_rate_lo_in_an_absorbing_medium(span_nm, pixel_nm):
+    # depth 3000 at T2 0.5 ps on a 4096-sample grid, which the resolution window covers and wraps: the LO's
+    # energy sums the samples in between too
+    grid = make_grid(4096, 10e-15)
+    lo_in = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
+    out = transmit(lo_in, MediumParams(depth=3000.0, t2=0.5e-12))
+    cfg = nm_config(span_nm, pixel_nm)
+    assert isinstance(_resolution_window(grid, 0, cfg.resolution_fwhm_hz)[0], slice)
+    assert_full_rate_efficiencies(out, lo_in, cfg)
+
+
+class TestNewtonStart:
+    DT = 10e-15
+
+    @staticmethod
+    def coarse(n, m, vertex, dt=10e-15, curvature=-1e26):
+        """Squared overlaps at the even lags of an n-point grid: a parabola with its vertex ``vertex`` seconds
+        past the lag 2m*dt, stored at index m mod n/2."""
+        lags = np.arange(n // 2)
+        lags = np.where(lags <= n // 4, lags, lags - n // 2)
+        return 1.0 + curvature * (2.0 * lags * dt - 2.0 * m * dt - vertex) ** 2
+
+    @pytest.mark.parametrize("m", [0, 3, -5])
+    @pytest.mark.parametrize("vertex", [0.0, 0.7e-15, -13e-15])
+    def test_a_concave_triple_starts_at_its_vertex(self, m, vertex):
+        coarse = self.coarse(64, m, vertex)
+        got = _newton_start(coarse, m, 8, self.DT, -2 * self.DT, 2 * self.DT)
+        assert got == pytest.approx(vertex, abs=1e-9 * self.DT)
+
+    @pytest.mark.parametrize(
+        "vertex, low, high, want",
+        [(35e-15, -20e-15, 20e-15, 20e-15), (-35e-15, -20e-15, 20e-15, -20e-15), (15e-15, -20e-15, 5e-15, 5e-15)],
+    )
+    def test_the_vertex_is_clamped(self, vertex, low, high, want):
+        assert _newton_start(self.coarse(64, 2, vertex), 2, 8, self.DT, low, high) == want
+
+    def test_a_triple_that_is_not_concave_starts_at_the_sample(self):
+        assert _newton_start(self.coarse(64, 1, 3e-15, curvature=1e26), 1, 8, self.DT, -2 * self.DT, 2 * self.DT) == 0.0
+        flat = np.ones(32)
+        assert _newton_start(flat, 1, 8, self.DT, -2 * self.DT, 2 * self.DT) == 0.0
+
+    @pytest.mark.parametrize("n, m", [(64, 8), (64, -8), (8, 1), (8, -1), (4, 0), (2, 0)])
+    def test_a_start_at_the_range_end_starts_at_the_sample(self, n, m):
+        coarse = self.coarse(n, m, 5e-15)
+        assert _newton_start(coarse, m, n // 8, self.DT, -2 * self.DT, 2 * self.DT) == 0.0
