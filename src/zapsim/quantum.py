@@ -100,7 +100,7 @@ def _check_sampling(n: int, seed: int = 0) -> None:
 def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
     """Draw n i.i.d. quadrature outcomes, deterministically for a given seed.
 
-    Sampling inverts the tabulated CDF with linear interpolation.
+    Sampling inverts the tabulated CDF with linear interpolation on the sorted draws.
     """
     _check_sampling(n, seed)
     xs = np.linspace(-_TABLE_HALF_WIDTH, _TABLE_HALF_WIDTH, _TABLE_NODES)
@@ -109,7 +109,9 @@ def sample_quadratures(s: HeraldedState, n: int, seed: int) -> QuadratureSample:
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     u = rng.random(n)
-    values = np.interp(u, cdf, xs)
+    order = np.argsort(u)
+    values = np.empty(n)
+    values[order] = np.interp(u[order], cdf, xs)  # each lookup starts near the last; in draw order, the same bits
     return QuadratureSample(values)
 
 

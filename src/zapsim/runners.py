@@ -9,8 +9,9 @@ quadrature samples file has a single header line instead,
 ``key = value`` line formats its value by one rule (``_fmt``), and numeric
 values carry 12 significant digits.  Each data file is formatted in one
 pass: a row template is repeated once per row and filled by a single ``%``
-from its columns' values, so no Python call is made per value.  Outputs are
-byte-identical across reruns with a fixed config and seed.
+from its columns' values, so no Python call is made per value (the Wigner
+map's axis values and distinct W values are formatted once, ``_texts``).
+Outputs are byte-identical across reruns with a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ _SPEC = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
 
 def _fmt(value) -> str:
     return "none" if value is None else _SPEC.get(np.asarray(value).dtype.kind, "%s") % (value,)
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``_fmt``'s text of each of ``values``, in one ``%`` pass, as an object array of strings."""
+    text = (_SPEC.get(values.dtype.kind, "%s") + "\n") * values.size % tuple(values.tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)
 
 
 def _pairs(values: dict) -> list[str]:
@@ -241,23 +248,21 @@ def run_wigner(cfg: ScenarioConfig, out_dir: Path, from_samples: bool = False) -
     eta_true = _mixture_eta(cfg)
     summary = {"eta": eta_true}
     extra = {"eta": eta_true}
+    state = HeraldedState(eta_true)
     if from_samples:
-        sample = sample_quadratures(
-            HeraldedState(eta_true), cfg.sampling_n_samples, cfg.sampling_seed
-        )
+        sample = sample_quadratures(state, cfg.sampling_n_samples, cfg.sampling_seed)
         est = estimate_eta(sample)
         summary.update(eta_hat=est.eta_hat, stderr=est.stderr, clamped=est.clamped)
         summary.update(n_samples=cfg.sampling_n_samples, seed=cfg.sampling_seed)
         extra.update({"eta_hat": est.eta_hat, "from_samples": True})
         state = HeraldedState(est.eta_hat)
-    else:
-        state = HeraldedState(eta_true)
 
     n = cfg.wigner_n_side
-    axis = np.linspace(-cfg.wigner_half_width, cfg.wigner_half_width, n)
+    ax = _texts(np.linspace(-cfg.wigner_half_width, cfg.wigner_half_width, n))
     grid_vals = wigner_grid(state, cfg.wigner_half_width, n)
     path = out_dir / "wigner_grid.csv"
-    columns = [np.repeat(axis, n), np.tile(axis, n), grid_vals.ravel()]  # row i * n + j is (x_i, p_j)
+    distinct, index = np.unique(grid_vals.ravel().view(np.int64), return_inverse=True)  # by bits: 0.0 is not -0.0
+    columns = [np.repeat(ax, n), np.tile(ax, n), _texts(distinct.view(np.float64))[index]]  # row i*n + j: (x_i, p_j)
     _write_csv(path, _header_lines(cfg, "wigner", extra), ["x", "p", "w"], columns)
 
     summary.update(rendered_eta=state.eta, w_origin=wigner(state, 0.0, 0.0), nonclassical=is_nonclassical(state))

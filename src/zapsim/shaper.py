@@ -64,7 +64,6 @@ from .modes import (
     _phasors,
     _spectral_product,
     _support,
-    delay_field,
 )
 
 __all__ = [
@@ -129,17 +128,23 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float, size: int = 1):
     only that span is evaluated; the indices are ``slice(None)`` when the
     span covers the grid.
     """
-    reach = np.sqrt(-_EXP_UNDERFLOW * 4.0 * LN2) / (np.pi * dnu * grid.dt) + 2.0  # in samples, with margin
-    if 2.0 * reach + 1.0 >= grid.n:
+    reach = _window_reach(grid, dnu)
+    if reach is None:
         keep, k = slice(None), np.arange(grid.n)
     else:
-        keep = k = np.arange(k_center - int(reach), k_center + int(reach) + 1) % grid.n
+        keep = k = np.arange(k_center - reach, k_center + reach + 1) % grid.n
     # times k*dt from the sample indices, bit for bit Grid.t[k], which is not built
     tsig = ((k * grid.dt - k_center * grid.dt + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
     window = np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
     if size > 1:
         window *= _box_kernel(grid.n, k - k_center, size)
     return keep, window
+
+
+def _window_reach(grid: Grid, dnu: float) -> int | None:
+    """The samples either side of its centre where the resolution window can be nonzero; None if they cover the grid."""
+    reach = np.sqrt(-_EXP_UNDERFLOW * 4.0 * LN2) / (np.pi * dnu * grid.dt) + 2.0  # in samples, with margin
+    return None if 2.0 * reach + 1.0 >= grid.n else int(reach)
 
 
 def _box_kernel(n: int, m: np.ndarray, size: int) -> np.ndarray:
@@ -196,12 +201,10 @@ def _shaped_lo(target: TemporalField | Transmitted, cfg: ShaperConfig, step: int
     sample k of the full grid and evaluated on the window's samples alone
     (:func:`_resolution_window`) that the step grid holds, in the transform's
     own output array.  It is normalized by step*dt times its sum of squares,
-    which equals the full rate's sum on the band (Parseval); a window that
-    covers the whole grid wraps there and bounds no band, so its LO's energy
-    also sums the samples in between, E_cut moved by 1 .. step - 1 samples
-    (:func:`modes.delay_field`).  k is E_cut's own peak sample wherever it is
-    provably the target's (:func:`_proven_peak`), and the target's field is
-    read (a transmitted one built) only otherwise.
+    which equals the full rate's sum on the band (Parseval).  k is E_cut's
+    own peak sample wherever it is provably the target's
+    (:func:`_proven_peak`), and the target's field is read (a transmitted one
+    built) only otherwise.
     """
     if isinstance(target, Transmitted):
         spectrum, read_target = target.spectrum, lambda: target.field  # the field is built on first read
@@ -228,18 +231,11 @@ def _shaped_lo(target: TemporalField | Transmitted, cfg: ShaperConfig, step: int
         k_peak = _peak_sample(read_target().amp)
 
     keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, size)
-    weight, between = rate.dt, 0.0
-    if step > 1 and isinstance(keep, slice):
-        # a window over the whole grid wraps there and bounds no band, so the step grid's sum is not the full
-        # rate's: the samples in between, E_cut moved by r samples, are summed too
-        cut_field = SpectralField(rate, spectrum.amp[:cut] * scale, prefix=True)
-        between = sum(np.sum((delay_field(cut_field, -r * grid.dt).amp * window[r::step]) ** 2) for r in range(1, step))
-        weight, window = grid.dt, window[::step]
-    elif step > 1:  # the window's samples that the step grid holds
+    if step > 1:  # the window's samples that the step grid holds
         held = keep % step == 0
         keep, window = keep[held] // step, window[held]
     windowed = amp[keep] * window
-    energy = weight * (np.sum(np.abs(windowed) ** 2) + between)  # the LO is zero outside keep
+    energy = rate.dt * np.sum(np.abs(windowed) ** 2)  # the LO is zero outside keep
     if energy <= 0.0:
         raise ValueError("cannot normalize a zero field")
     windowed /= np.sqrt(energy)
@@ -401,14 +397,16 @@ def _band_spectrum(out: Transmitted, cfg: ShaperConfig) -> SpectralField:
     nothing: their spectrum holds the bins 0 .. n/(2D), and the bins above
     are 0.  The result is that prefix of n/(2D) + 1 bins on the full grid
     (:class:`fields.SpectralField`), and its product with S runs on the
-    shorter of the two.  No span is an infinite band, so D = 1.  The
+    shorter of the two.  No span is an infinite band, so D = 1, as where the
+    window covers the grid (:func:`_window_reach`) and bounds no band.  The
     aperture's finite band is that of a 4-f shaper's finite spot
     (A. M. Weiner, Rev. Sci. Instrum. 71, 1929 (2000)).
     """
     grid, step = out.spectrum.grid, 1
-    window_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
-    band = 0.5 * (cfg.span_hz or np.inf) + window_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
-    while step < grid.n // 2 and band < grid.nyquist / (2 * step):
+    kernel_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
+    band = 0.5 * (cfg.span_hz or np.inf) + kernel_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
+    wraps = _window_reach(grid, cfg.resolution_fwhm_hz) is None
+    while not wraps and step < grid.n // 2 and band < grid.nyquist / (2 * step):
         step *= 2
     return SpectralField(grid, to_spectrum(_shaped_lo(out, cfg, step)).amp, prefix=True)
 

@@ -80,6 +80,20 @@ class TestSampling:
         with pytest.raises(ValueError, match="non-finite"):
             QuadratureSample(np.array([0.1, np.nan, -0.2]))
 
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("n", [1, 2, 16383, 16384, 10**5])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.62, 1.0])
+    def test_sorted_lookup_is_the_lookup_in_draw_order(self, eta, n, seed):
+        # the inverse CDF is looked up on the sorted draws: bit for bit np.interp on the draws as drawn, on both
+        # sides of the 2^14 draws (the table's node count) from which interp precomputes its slopes
+        xs = np.linspace(-6.0, 6.0, 2**14)
+        pdf = quadrature_pdf(HeraldedState(eta), xs)
+        cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(xs))))
+        cdf /= cdf[-1]
+        want = np.interp(np.random.default_rng(seed).random(n), cdf, xs)
+        got = sample_quadratures(HeraldedState(eta), n, seed).values
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("eta", [0.0, 0.62, 1.0])
     def test_table_tail_truncation_negligible(self, eta):
         # probability mass beyond the tabulated [-6, 6] range

@@ -21,9 +21,11 @@ from zapsim import (
     visibility_curve,
 )
 from zapsim.config import parse_config_text
-from zapsim.quantum import HeraldedState, sample_quadratures
+from zapsim.quantum import HeraldedState, estimate_eta, sample_quadratures, wigner_grid
 from zapsim.runners import (
     _fmt,
+    _mixture_eta,
+    _texts,
     _write_csv,
     run_efficiency_vs_depth,
     run_eta_scan,
@@ -292,6 +294,69 @@ class TestOnePassFormatting:
         _write_csv(path, ["zapsim test", "k = 1"], names, columns)
         want = self.per_value(["zapsim test", "k = 1"], names, zip(*columns))
         assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 2.2250738585072014e-308, 0.1 + 0.2]),
+            np.array([0, -3, 2**62]),
+            np.array([0, 255], dtype=np.uint8),
+            np.array([True, False, True]),
+        ],
+        ids=["floats", "ints", "uints", "bools"],
+    )
+    def test_texts_are_the_per_value_texts(self, values):
+        got = _texts(values)
+        assert got.dtype == object
+        assert list(got) == [_fmt(v) for v in values]
+
+    @staticmethod
+    def raw_wigner_csv(monkeypatch, tmp_path, settings, from_samples):
+        """The Wigner CSV run_wigner writes, and the one _write_csv writes from the raw float columns."""
+        cfg = parse_config_text(settings)
+        headers = []
+        write = lambda path, header, *rest: headers.append(header) or _write_csv(path, header, *rest)
+        monkeypatch.setattr(zapsim.runners, "_write_csv", write)
+        (path, _) = run_wigner(cfg, tmp_path, from_samples)
+        eta = _mixture_eta(cfg)
+        if from_samples:
+            eta = estimate_eta(sample_quadratures(HeraldedState(eta), cfg.sampling_n_samples, cfg.sampling_seed)).eta_hat
+        n, half_width = cfg.wigner_n_side, cfg.wigner_half_width
+        axis = np.linspace(-half_width, half_width, n)
+        w = zapsim.runners.wigner_grid(HeraldedState(eta), half_width, n)
+        raw = tmp_path / "raw.csv"
+        _write_csv(raw, headers[0], ["x", "p", "w"], [np.repeat(axis, n), np.tile(axis, n), w.ravel()])
+        return path.read_bytes(), raw.read_bytes(), w
+
+    @pytest.mark.parametrize(
+        "settings, from_samples, zeros",
+        [
+            ("", False, 0.0),
+            ("", True, 0.0),
+            ("wigner.n_side = 2\n", False, 0.0),
+            ("wigner.eta = 1\nwigner.n_side = 200\n", False, 0.0),
+            ("wigner.half_width = 60\n", False, 0.8),
+        ],
+        ids=["default", "from-samples", "two-side", "fock-200", "underflow"],
+    )
+    def test_wigner_csv_is_the_raw_float_columns_csv(self, monkeypatch, tmp_path, settings, from_samples, zeros):
+        # each axis value and each distinct W value formatted once give the bytes of every value formatted in the
+        # one-pass writer, also where exp underflows and W is exactly 0 on most of the map (half width 60)
+        got, want, w = self.raw_wigner_csv(monkeypatch, tmp_path, settings, from_samples)
+        assert got == want
+        assert np.count_nonzero(w == 0.0) >= zeros * w.size
+
+    def test_wigner_csv_keeps_signed_zeros_apart(self, monkeypatch, tmp_path):
+        # the distinct W values are taken by bit pattern, so 0.0 and -0.0 keep their own texts
+        def signed(s, half_width, n):
+            w = wigner_grid(s, half_width, n)
+            w[::2, ::3], w[1::4, ::5], w[3, 3] = -0.0, 0.0, np.nan
+            return w
+
+        monkeypatch.setattr(zapsim.runners, "wigner_grid", signed)
+        got, want, w = self.raw_wigner_csv(monkeypatch, tmp_path, "wigner.n_side = 11\n", False)
+        assert got == want
+        assert b",-0\n" in got and b",0\n" in got and b",nan\n" in got
 
     def test_sample_body_matches_the_per_value_writer(self, tmp_path):
         cfg = parse_config_text("sampling.n_samples = 5000\nsampling.seed = 11\n")

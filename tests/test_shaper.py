@@ -694,14 +694,30 @@ def test_efficiencies_match_the_full_rate_lo(real_input, preset_idx, span_nm, pi
 
 @pytest.mark.parametrize("span_nm, pixel_nm", [(60.0, None), (60.0, 2.0), (60.0, 3.0), (None, None), (None, 3.0)])
 def test_efficiencies_match_the_full_rate_lo_in_an_absorbing_medium(span_nm, pixel_nm):
-    # depth 3000 at T2 0.5 ps on a 4096-sample grid, which the resolution window covers and wraps: the LO's
-    # energy sums the samples in between too
+    # depth 3000 at T2 0.5 ps on a 4096-sample grid, which the resolution window covers and wraps: it bounds no
+    # band, so the LO is built at the full rate (D = 1)
     grid = make_grid(4096, 10e-15)
     lo_in = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
     out = transmit(lo_in, MediumParams(depth=3000.0, t2=0.5e-12))
     cfg = nm_config(span_nm, pixel_nm)
     assert isinstance(_resolution_window(grid, 0, cfg.resolution_fwhm_hz)[0], slice)
     assert_full_rate_efficiencies(out, lo_in, cfg)
+
+
+@pytest.mark.parametrize("preset_idx", range(5))
+def test_a_window_over_the_whole_grid_shapes_at_the_full_rate(preset_idx):
+    # at grid.n = 1024 the resolution window covers the grid and wraps there, with a kink at +-window/2: it bounds
+    # no band, so D = 1 and the shaped efficiency is the full-rate LO's to the bit (at D = 2 the printed preset-4
+    # eta_shaped was 0.560053471417 against the full-rate 0.56005347026)
+    grid = make_grid(1024, 10e-15)
+    lo_in = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
+    out = transmit(lo_in, temperature_presets()[preset_idx].params)
+    cfg = ShaperConfig()
+    assert isinstance(_resolution_window(grid, 0, cfg.resolution_fwhm_hz)[0], slice)
+    unshaped = _detected(0.62, out, lo_in)
+    shaped = _detected(0.62, out, to_spectrum(achievable_lo(out, cfg)))
+    assert _efficiencies(out, lo_in, 0.62, cfg) == (unshaped, max(unshaped, shaped))
+    assert _band_spectrum(out, cfg).amp.size == grid.n // 2 + 1
 
 
 class TestNewtonStart:
