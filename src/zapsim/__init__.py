@@ -30,10 +30,7 @@ from .medium import (
 )
 from .modes import (
     ScanCurve,
-    delay_field,
     eta_curve,
-    overlap,
-    peak_eta,
     visibility_curve,
 )
 from .quantum import (
@@ -50,10 +47,8 @@ from .quantum import (
 from .shaper import (
     ShaperConfig,
     achievable_lo,
-    max_shaped_eta,
-    max_unshaped_eta,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig
 
 __version__ = "0.1.0"
 
@@ -77,10 +72,7 @@ __all__ = [
     "transfer_function",
     "transmit",
     "ScanCurve",
-    "delay_field",
     "eta_curve",
-    "overlap",
-    "peak_eta",
     "visibility_curve",
     "EtaEstimate",
     "HeraldedState",
@@ -93,10 +85,7 @@ __all__ = [
     "wigner_grid",
     "ShaperConfig",
     "achievable_lo",
-    "max_shaped_eta",
-    "max_unshaped_eta",
     "ConfigError",
     "ScenarioConfig",
-    "load_config",
     "__version__",
 ]

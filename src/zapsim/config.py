@@ -18,7 +18,7 @@ from .modes import _check_delays, _check_eta_base
 from .quantum import HeraldedState, _check_sampling, _check_wigner_axis
 from .shaper import ShaperConfig
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config_text", "apply_overrides"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config_text", "apply_overrides"]
 
 
 class ConfigError(ValueError):
@@ -142,12 +142,6 @@ def _assign(cfg: ScenarioConfig, lines, overrides: bool = False) -> ScenarioConf
 
 def parse_config_text(text: str) -> ScenarioConfig:
     return validate(_assign(ScenarioConfig(), text.splitlines()))
-
-
-def load_config(path) -> ScenarioConfig:
-    """Read and validate a scenario file; missing file raises OSError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def apply_overrides(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:

@@ -31,12 +31,9 @@ from .medium import MediumParams, Transmitted, transmit
 __all__ = [
     "ScanCurve",
     "normalize",
-    "overlap",
-    "delay_field",
     "delay_overlaps",
     "visibility_curve",
     "eta_curve",
-    "peak_eta",
 ]
 
 NORMALIZATION_TOL = 1e-6
@@ -85,28 +82,6 @@ def _check_normalized(f, name: str) -> None:
     e = pulse_energy(f)
     if abs(e - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"{name} must be normalized to unit energy (got energy {e!r})")
-
-
-def overlap(a: TemporalField, b: TemporalField) -> complex:
-    """Complex mode overlap <a|b> = dt * sum conj(a) b for unit-energy modes.
-
-    |overlap| <= 1 with equality only when the modes agree up to a global
-    phase.
-    """
-    if a.grid != b.grid:
-        raise ValueError("overlap requires both fields on the same grid")
-    _check_normalized(a, "first mode")
-    _check_normalized(b, "second mode")
-    return complex(a.grid.dt * np.sum(np.conj(a.amp) * b.amp))
-
-
-def delay_field(f: TemporalField | SpectralField, tau: float) -> TemporalField:
-    """Shift a real envelope, or its half spectrum, later in time by tau seconds (circular, off-grid
-    exact), by one real inverse transform of its spectrum times exp(2*pi*i*nu*tau)."""
-    F = f if isinstance(f, SpectralField) else to_spectrum(f)
-    shifted = _phasors(0.0, F.grid.df, F.amp.size, -tau)
-    shifted *= F.amp
-    return to_time(SpectralField(F.grid, shifted, prefix=True))
 
 
 def _spectral_product(lo_spec: SpectralField, sig_spec: SpectralField) -> SpectralField:
@@ -253,8 +228,3 @@ def eta_curve(
     overlaps /= _norm(out.spectrum)
     return ScanCurve(delays, _eta(eta_base, out, np.abs(overlaps) ** 2))
 
-
-def peak_eta(curve: ScanCurve) -> tuple[float, float]:
-    """Argmax and max of a scan curve; ties resolve to the smallest abscissa."""
-    k = int(np.argmax(curve.ys))
-    return float(curve.xs[k]), float(curve.ys[k])

@@ -51,13 +51,11 @@ from .fields import (
     SpectralField,
     TemporalField,
     _norm,
-    normalize,
     to_spectrum,
     to_time,
 )
-from .medium import MediumParams, Transmitted, transmit
+from .medium import Transmitted
 from .modes import (
-    _check_eta_base,
     _check_normalized,
     _eta,
     _even_lag_overlaps,
@@ -69,8 +67,6 @@ from .modes import (
 __all__ = [
     "ShaperConfig",
     "achievable_lo",
-    "max_shaped_eta",
-    "max_unshaped_eta",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -435,22 +431,3 @@ def _efficiencies(out: Transmitted, lo_in: SpectralField, eta_base: float, cfg: 
     shaped = _detected(eta_base, out, _band_spectrum(out, cfg))
     return unshaped, max(shaped, unshaped)
 
-
-def max_shaped_eta(input_field: TemporalField, m: MediumParams, cfg: ShaperConfig, eta_base: float) -> float:
-    """Best homodyne efficiency with the shaped local oscillator.
-
-    The shaper target is the transmitted mode itself, the unconstrained
-    projection maximizer.  Returns eta_base * T_E * |<lo|out>|^2 maximized
-    over LO delay, or :func:`max_unshaped_eta` where the un-modulated pulse
-    detects more, so shaped >= unshaped by construction.
-    """
-    _check_eta_base(eta_base)
-    lo_in = to_spectrum(normalize(input_field))
-    return _efficiencies(transmit(lo_in, m), lo_in, eta_base, cfg)[1]
-
-
-def max_unshaped_eta(input_field: TemporalField, m: MediumParams, eta_base: float) -> float:
-    """Best homodyne efficiency with the un-modulated input pulse as LO."""
-    _check_eta_base(eta_base)
-    lo_in = to_spectrum(normalize(input_field))
-    return _detected(eta_base, transmit(lo_in, m), lo_in)

@@ -11,11 +11,14 @@ from zapsim import (
     TemporalField,
     gaussian_pulse,
     make_grid,
+    ShaperConfig,
     normalize,
     to_spectrum,
+    to_time,
     transfer_function,
+    transmit,
 )
-from zapsim.shaper import _resolution_window
+from zapsim.shaper import _efficiencies, _resolution_window
 
 DEFAULT_N = 2**19
 DEFAULT_DT = 10e-15
@@ -71,6 +74,27 @@ def random_field(grid, seed, offset=0.0):
 def real_field(grid, seed, offset=0.0):
     """The real part of :func:`random_field`, as float64."""
     return TemporalField(grid, random_field(grid, seed, offset).amp.real)
+
+
+def overlap(a, b) -> complex:
+    """<a|b> = dt * sum conj(a) * b of two fields on one grid, by its definition: the overlap of two unit-energy
+    modes, at most 1 in modulus."""
+    assert a.grid == b.grid
+    return complex(a.grid.dt * np.sum(np.conj(a.amp) * b.amp))
+
+
+def delay_field(f, tau):
+    """The real envelope f shifted later by tau (circular, exact off the dt lattice): its half spectrum times
+    exp(2*pi*i*nu*tau), transformed back."""
+    F = to_spectrum(f)
+    return to_time(SpectralField(F.grid, F.amp * np.exp(2j * np.pi * F.grid.half_freqs * tau)))
+
+
+def efficiencies(pulse, m, eta_base=0.62, cfg=ShaperConfig()):
+    """(eta_unshaped, eta_shaped) after the medium m, as depth-scan computes them: the unit-energy input mode's
+    half spectrum is the signal sent through ``transmit`` and the unshaped LO of ``shaper._efficiencies``."""
+    spec = to_spectrum(normalize(pulse))
+    return _efficiencies(transmit(spec, m), spec, eta_base, cfg)
 
 
 # The full spectral layout, all n bins ascending from -Nyquist, built here with numpy alone as an oracle for

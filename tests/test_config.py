@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zapsim import ConfigError, ScenarioConfig, load_config
+from zapsim import ConfigError, ScenarioConfig
+from zapsim.cli import main
 from zapsim.config import apply_overrides, parse_config_text, validate
 
 
@@ -158,20 +159,14 @@ class TestOverridesAndFiles:
         with pytest.raises(ConfigError):
             apply_overrides(ScenarioConfig(), ["detection.eta_base=2"])
 
-    def test_load_config(self, tmp_path):
-        path = tmp_path / "scenario.cfg"
-        path.write_text("grid.n = 16384\nmedium.preset = 2\n", encoding="utf-8")
-        cfg = load_config(path)
-        assert cfg.grid_n == 16384
-
     def test_empty_file_gives_defaults(self, tmp_path):
-        path = tmp_path / "empty.cfg"
+        # a run from an empty scenario file writes the bytes of a run with no file
+        path, out = tmp_path / "empty.cfg", tmp_path / "out"
         path.write_text("", encoding="utf-8")
-        assert load_config(path) == ScenarioConfig()
-
-    def test_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
-            load_config(tmp_path / "absent.cfg")
+        assert main(["wigner", "--config", str(path), "--out", str(out)]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["wigner", "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 # (overrides, key the rejection names): every rule validate enforces

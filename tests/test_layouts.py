@@ -42,7 +42,7 @@ from zapsim import (
     transmit,
 )
 from zapsim.modes import delay_overlaps
-from zapsim.shaper import CENTER_WAVELENGTH, SPEED_OF_LIGHT, _best_projection, max_shaped_eta
+from zapsim.shaper import CENTER_WAVELENGTH, SPEED_OF_LIGHT, _best_projection, _efficiencies
 
 from conftest import brent_projection, extended_overlaps, full_layout_lo, full_spectrum, full_transmit
 
@@ -208,4 +208,4 @@ def test_pixel_box_matches_the_all_full_reference(case):
     # the best of the input pulse, the LO shaped to the transmitted mode and the shaped input LO
     candidates = (pulse, ref_lo, full_layout_lo(pulse, cfg))
     want = 0.62 * ref.transmission * max(brent_projection(full_spectrum(x), ref.mode) for x in candidates)
-    assert abs(max_shaped_eta(pulse, m, cfg, 0.62) - want) <= TOL
+    assert abs(_efficiencies(out, to_spectrum(pulse), 0.62, cfg)[1] - want) <= TOL

@@ -8,14 +8,11 @@ from zapsim import (
     ScanCurve,
     SpectralField,
     TemporalField,
-    delay_field,
     energy_transmission,
     eta_curve,
     gaussian_pulse,
     make_grid,
     normalize,
-    overlap,
-    peak_eta,
     propagate,
     pulse_energy,
     to_spectrum,
@@ -24,10 +21,21 @@ from zapsim import (
 )
 
 from zapsim import ShaperConfig, achievable_lo
-from zapsim import max_shaped_eta, max_unshaped_eta
 from zapsim.modes import _even_lag_overlaps, _phasors, _spectral_product, _support, delay_overlaps
 
-from conftest import direct_overlaps, extended_overlaps, full_field, full_freqs, full_spectrum, padded, random_field
+from conftest import (
+    delay_field,
+    direct_overlaps,
+    efficiencies,
+    extended_overlaps,
+    full_field,
+    full_freqs,
+    full_spectrum,
+    overlap,
+    padded,
+    random_field,
+    real_field,
+)
 
 LN2 = np.log(2.0)
 PRESET3 = MediumParams(depth=440.0, t2=270e-12)
@@ -69,97 +77,101 @@ class TestNormalize:
 
 
 class TestOverlap:
+    """Overlaps of unit-energy real modes as every verb forms them: :func:`modes.delay_overlaps` of their half
+    spectra."""
+
+    @staticmethod
+    def mode(f):
+        return to_spectrum(normalize(f))
+
     def test_self_overlap_is_one(self, small_grid):
-        f = normalize(random_field(small_grid, 3))
-        assert overlap(f, f) == pytest.approx(1.0, abs=1e-12)
+        f = self.mode(real_field(small_grid, 3))
+        assert delay_overlaps(f, f, [0.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_global_phase(self, small_grid):
-        f = normalize(random_field(small_grid, 4))
-        phi = 0.8
-        g = TemporalField(small_grid, f.amp * np.exp(1j * phi))
-        ov = overlap(f, g)
+        # a real mode's global phases are 0 and pi: its overlap with -f is -1, whose sign aligns the two
+        f = normalize(real_field(small_grid, 4))
+        g = TemporalField(small_grid, -f.amp)
+        ov = delay_overlaps(to_spectrum(f), to_spectrum(g), [0.0])[0]
         assert abs(ov) == pytest.approx(1.0, abs=1e-12)
-        assert np.angle(ov) == pytest.approx(phi, abs=1e-12)
+        assert np.angle(ov) == pytest.approx(np.pi, abs=1e-12)
         # unit overlap magnitude means equality after phase alignment
-        aligned = g.amp * np.exp(-1j * np.angle(ov))
+        aligned = g.amp * np.sign(ov)
         assert np.max(np.abs(aligned - f.amp)) < 1e-9
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_cauchy_schwarz(self, small_grid, seed):
-        a = normalize(random_field(small_grid, seed))
-        b = normalize(random_field(small_grid, seed + 100))
-        assert abs(overlap(a, b)) <= 1.0 + 1e-12
-        assert abs(overlap(a, b)) < 1.0 - 1e-6  # distinct random modes
+        # at every delay, on the dt lattice and off it
+        a = self.mode(real_field(small_grid, seed))
+        b = self.mode(real_field(small_grid, seed + 100))
+        lattice = np.arange(-200, 201) * small_grid.dt
+        for delays in (lattice, lattice + 0.37 * small_grid.dt):
+            assert np.abs(delay_overlaps(a, b, delays)).max() <= 1.0 + 1e-12
+        assert abs(delay_overlaps(a, b, [0.0])[0]) < 1.0 - 1e-6  # distinct random modes
 
     @pytest.mark.parametrize("tau_fs", [37.0, 150.0, 400.0])
     def test_delayed_gaussian_closed_form(self, small_grid, tau_fs):
-        # |<e|e_tau>|^2 = exp(-2 ln2 (tau/fwhm)^2) for matched Gaussians
+        # |<e(tau)|e>|^2 = exp(-2 ln2 (tau/fwhm)^2) for matched Gaussians
         fwhm = 100e-15
         tau = tau_fs * 1e-15
-        f = normalize(gaussian_pulse(small_grid, fwhm))
-        g = delay_field(f, tau)
+        f = self.mode(gaussian_pulse(small_grid, fwhm))
         expected = np.exp(-2.0 * LN2 * (tau / fwhm) ** 2)
-        assert abs(overlap(f, g)) ** 2 == pytest.approx(expected, rel=1e-9)
+        assert delay_overlaps(f, f, [tau])[0] ** 2 == pytest.approx(expected, rel=1e-9)
 
     def test_grid_mismatch_rejected(self, small_grid):
         other = make_grid(small_grid.n * 2, small_grid.dt)
-        a = normalize(gaussian_pulse(small_grid, 100e-15))
-        b = normalize(gaussian_pulse(other, 100e-15))
-        with pytest.raises(ValueError):
-            overlap(a, b)
-
-    def test_unnormalized_rejected(self, small_grid):
-        a = normalize(gaussian_pulse(small_grid, 100e-15))
-        b = gaussian_pulse(small_grid, 100e-15)
-        with pytest.raises(ValueError):
-            overlap(a, b)
+        a = self.mode(gaussian_pulse(small_grid, 100e-15))
+        b = self.mode(gaussian_pulse(other, 100e-15))
+        with pytest.raises(ValueError, match="same grid"):
+            delay_overlaps(a, b, [0.0])
 
     @pytest.mark.parametrize("tau_fs", [90.0, 700.0])
     def test_delay_covariance(self, small_grid, tau_fs):
-        a = normalize(gaussian_pulse(small_grid, 100e-15))
-        b = normalize(gaussian_pulse(small_grid, 170e-15, center_t=small_grid.window / 8 + 50e-15))
+        # delaying the signal by a shift moves every overlap that far in delay
+        a = self.mode(gaussian_pulse(small_grid, 100e-15))
+        b = gaussian_pulse(small_grid, 170e-15, center_t=small_grid.window / 8 + 50e-15)
         shift = tau_fs * 1e-15
-        before = abs(overlap(a, b))
-        after = abs(overlap(delay_field(a, shift), delay_field(b, shift)))
-        assert after == pytest.approx(before, abs=1e-9)
+        delays = np.arange(-40, 41) * small_grid.dt
+        before = delay_overlaps(a, self.mode(b), delays)
+        after = delay_overlaps(a, self.mode(delay_field(b, shift)), delays + shift)
+        assert np.max(np.abs(after - before)) < 1e-9
 
 
 class TestDelayField:
+    """The delay of :func:`modes.delay_overlaps`: <lo(tau)|sig> is the overlap with the LO moved later by tau."""
+
     def test_matches_analytic_shift(self, small_grid):
+        # a pulse moved later by tau, analytically, has the overlaps of the pulse itself tau later
         tau = 123.4e-15
         center = small_grid.window / 8
-        f = gaussian_pulse(small_grid, 100e-15, center_t=center)
-        shifted = delay_field(f, tau)
-        expected = gaussian_pulse(small_grid, 100e-15, center_t=center + tau)
-        assert np.max(np.abs(shifted.amp - expected.amp)) < 1e-12
+        lo = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15, center_t=center)))
+        moved = to_spectrum(normalize(gaussian_pulse(small_grid, 100e-15, center_t=center + tau)))
+        delays = np.arange(-30, 31) * small_grid.dt
+        assert np.max(np.abs(delay_overlaps(lo, moved, delays + tau) - delay_overlaps(lo, lo, delays))) < 1e-12
 
     @staticmethod
     def full_grid_shift(f, tau):
         """The shift on the full spectrum, by one full-grid complex exponential."""
         F = full_spectrum(f)
-        return full_field(replace(F, amp=F.amp * np.exp(2j * np.pi * full_freqs(F.grid) * tau))).amp
+        return full_field(replace(F, amp=F.amp * np.exp(2j * np.pi * full_freqs(F.grid) * tau)))
 
     @pytest.mark.parametrize("tau_steps", [37.0, -250.0, 37.3, -250.71, 0.5])
     @pytest.mark.parametrize("form", sorted(REAL_FORMS, reverse=True))
-    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, tau_steps, form):
-        # on- and off-lattice delays, on the half spectrum, from a float64 field or a complex128 one with a zero
-        # imaginary part
-        f = REAL_FORMS[form](mid_mode)
+    def test_matches_the_full_grid_exponential(self, mid_grid, mid_mode, lobed_signal, tau_steps, form):
+        # on- and off-lattice delays of an LO given as a float64 field or a complex128 one with a zero imaginary
+        # part, against the overlap with that LO shifted by a full-grid exponential
+        lo = REAL_FORMS[form](mid_mode)
+        sig = normalize(lobed_signal)
         tau = tau_steps * mid_grid.dt
-        want = self.full_grid_shift(f, tau)
-        got = delay_field(f, tau).amp
+        want = overlap(self.full_grid_shift(lo, tau), sig)
+        got = delay_overlaps(to_spectrum(lo), to_spectrum(sig), [tau])
         assert got.dtype == np.float64
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
+        assert abs(got[0] - want) <= 1e-13
 
     @pytest.mark.parametrize("tau_steps", [37.0, 37.3])
     def test_real_field_stays_exactly_real(self, mid_mode, tau_steps):
-        assert not np.any(mid_mode.amp.imag)
-        assert not np.any(delay_field(mid_mode, tau_steps * mid_mode.grid.dt).amp.imag)
-
-    def test_takes_a_spectrum(self, mid_mode):
-        tau = 12.7 * mid_mode.grid.dt
-        want = delay_field(mid_mode, tau).amp
-        assert np.array_equal(delay_field(to_spectrum(mid_mode), tau).amp, want)
+        spec = to_spectrum(mid_mode)
+        assert delay_overlaps(spec, spec, [tau_steps * mid_mode.grid.dt]).dtype == np.float64
 
 
 class TestScanCurve:
@@ -176,7 +188,6 @@ class TestScanCurve:
             ScanCurve(np.arange(2.0), np.array([1.0, np.inf]))
 
     def test_rejects_empty(self):
-        # so peak_eta never sees an empty curve
         with pytest.raises(ValueError, match="at least one point"):
             ScanCurve(np.array([]), np.array([]))
 
@@ -274,9 +285,9 @@ class TestEtaCurve:
     def test_matched_lo_peak_equals_eta_base(self, mid_grid, mid_pulse):
         delays = np.linspace(-0.2e-12, 0.2e-12, 41)
         curve = eta_curve(mid_pulse, MediumParams(depth=0.0, t2=1e-12), mid_pulse, 0.62, delays)
-        tau_star, eta_star = peak_eta(curve)
-        assert tau_star == pytest.approx(0.0, abs=1e-18)
-        assert eta_star == pytest.approx(0.62, abs=1e-6)
+        k = int(np.argmax(curve.ys))
+        assert curve.xs[k] == pytest.approx(0.0, abs=1e-18)
+        assert curve.ys[k] == pytest.approx(0.62, abs=1e-6)
 
     def test_zero_eta_base_gives_zero_curve(self, mid_grid, mid_pulse):
         delays = np.linspace(-0.1e-12, 0.1e-12, 11)
@@ -309,18 +320,6 @@ class TestEtaCurve:
         on = eta_curve(mid_pulse, PRESET3, mid_pulse, 0.62, delays)
         off = eta_curve(mid_pulse, PRESET3, mid_pulse, 0.62, delays + 1e-9 * mid_grid.dt)
         assert np.max(np.abs(off.ys - on.ys)) < 1e-9 * on.ys.max()
-
-
-class TestPeakEta:
-    def test_monotone_curves(self):
-        up = ScanCurve(np.arange(4.0), np.array([0.0, 0.1, 0.2, 0.3]))
-        assert peak_eta(up) == (3.0, 0.3)
-        down = ScanCurve(np.arange(4.0), np.array([0.3, 0.2, 0.1, 0.0]))
-        assert peak_eta(down) == (0.0, 0.3)
-
-    def test_tie_breaks_to_smallest_delay(self):
-        flat = ScanCurve(np.arange(5.0), np.array([0.1, 0.4, 0.2, 0.4, 0.1]))
-        assert peak_eta(flat) == (1.0, 0.4)
 
 
 class TestDeterminism:
@@ -537,7 +536,8 @@ def test_lattice_scan_visibility_stays_below_one(case):
     assert visibility_curve(to_time(sig_spec), pulse, delays).ys.max() <= 1.0 + 1e-12
 
 
-# every entry point of mode analysis, called with the complex field f in one role and the real field r in the others
+# every entry point of mode analysis, and the test helpers that delay a field and compute depth-scan's efficiencies,
+# called with the complex field f in one role and the real field r in the others
 REAL_ONLY = {
     "delay_field": lambda f, r, delays: delay_field(f, delays[1]),
     "visibility_curve-signal": lambda f, r, delays: visibility_curve(f, r, delays),
@@ -545,8 +545,8 @@ REAL_ONLY = {
     "eta_curve-input": lambda f, r, delays: eta_curve(f, PRESET3, r, 0.62, delays),
     "eta_curve-lo": lambda f, r, delays: eta_curve(r, PRESET3, f, 0.62, delays),
     "achievable_lo": lambda f, r, delays: achievable_lo(f, ShaperConfig()),
-    "max_shaped_eta": lambda f, r, delays: max_shaped_eta(f, PRESET3, ShaperConfig(), 0.62),
-    "max_unshaped_eta": lambda f, r, delays: max_unshaped_eta(f, PRESET3, 0.62),
+    "max_shaped_eta": lambda f, r, delays: efficiencies(f, PRESET3)[1],
+    "max_unshaped_eta": lambda f, r, delays: efficiencies(f, PRESET3)[0],
 }
 
 

@@ -23,19 +23,33 @@ impulse response is h = delta - k with
 
 (M. D. Crisp, Phys. Rev. A 1, 1604 (1970)), finite at s = 0, so
 E_T(t) = E_in(t) - int_0^inf E_in(t - s) k(s) ds.  Gauss-Legendre nodes over
-the input's times within 6 FWHM of its peak evaluate it with no transform,
+the input's times within 8 FWHM of its peak evaluate it with no transform,
 which checks the sign, scale and time origin of the transform pair.
+
+The same rule gives eta_shaped with no grid.  The shaper's LO is E_T times
+the resolution window w, a Gaussian in time, centred on the peak t_c of E_T:
+``brentq`` on E_T', formed by the same rule from E_in', finds t_c.  With
+u = t - t0 over t_c +- 15 ps and ||E_T||^2 = T_E ||E_in||^2,
+
+    eta_shaped = eta_base * max_tau (int E_T(u) w(u - t_c) E_T(u + tau) du)^2
+                 / (int (E_T w)^2 du * int E_in^2 du),
+
+the delay found by a bounded scalar search within +-200 fs.  E_T(u + tau) is
+the response to the input moved earlier by tau, so the kernel's nodes are
+formed once.  The shaper's 60 nm span is left out of this model.
 """
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import j1
 
+import zapsim.shaper
 from zapsim import GridAdequacyWarning, normalize, to_spectrum, transmit
 from zapsim.cli import main
 from zapsim.config import ScenarioConfig, apply_overrides
@@ -47,9 +61,14 @@ CFG = ScenarioConfig()
 COARSE = ["grid.n=1024", "scan.delay_min_ps=-1", "scan.delay_max_ps=1", "scan.delay_steps=11"]
 # breakpoints at the first this many multiples of the hole width; beyond them the phase of H varies slowly
 HOLE_WIDTHS = 32
-# Gauss-Legendre rule of the time-domain referee: nodes per panel and panels over the input pulse
-NODES, WEIGHTS = np.polynomial.legendre.leggauss(32)
-PANELS = 8
+# Gauss-Legendre rule of the time-domain referees: 16 nodes per panel, this many panels over the input's
+# times within 8 FWHM of its peak and over the shaped LO's within LO_REACH_FS of its centre
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(16)
+INPUT_PANELS, LO_PANELS = 60, 120
+LO_REACH_FS = 15000.0  # the resolution window is below e^-70 beyond
+DELAY_BOUND_FS = 200.0
+# eta_shaped of presets 1-5 at the default config, grid-free
+SHAPED_ETA = [0.599699156709, 0.591671715432, 0.581275812520, 0.558391428836, 0.532756044716]
 
 
 class Reference:
@@ -132,12 +151,12 @@ def test_default_depth_scan_matches_the_quadrature(printed, index):
 
 def test_wrapped_depth_scan_is_off_by_at_most_its_warned_bound(tmp_path):
     # preset 2 prints eta_unshaped 0.554076 for 0.540064 and preset 1 T_E 0.978898 for 0.994946: each medium's
-    # sidecar carries the one wrap warning, and the bound it names covers the miss
+    # sidecar carries the one wrap warning, and the bound it names covers the miss, eta_shaped's too
     rows = depth_scan(tmp_path, COARSE)
     cfg = apply_overrides(CFG, COARSE)
     spec = to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
     sidecar = (tmp_path / "efficiency_vs_depth_params.txt").read_text(encoding="utf-8").split("\n[")[2:]
-    for entry, body in zip(cfg.media(), sidecar, strict=True):
+    for index, (entry, body) in enumerate(zip(cfg.media(), sidecar, strict=True)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", GridAdequacyWarning)
             bound = _wrap_error(spec.grid, entry.params, spec.amp[0].real, spec.energy)
@@ -147,6 +166,7 @@ def test_wrapped_depth_scan_is_off_by_at_most_its_warned_bound(tmp_path):
         row = rows[entry.label]
         assert abs(row["eta_unshaped"] - ref.eta_unshaped(lattice_peak(entry.params), cfg.make_grid().dt)) <= bound
         assert abs(row["transmission"] - ref.transmission()) <= bound
+        assert abs(row["eta_shaped"] - shaped_referee(index)[1]) <= bound
 
 
 def scan_rows(out, verb: str, stem: str, column: str) -> dict:
@@ -186,24 +206,59 @@ def crisp_kernel(s: np.ndarray, depth: float, t2: float) -> np.ndarray:
     return a * np.exp(-s / t2) * ratio
 
 
-def referee_field(times: np.ndarray, peak: float, depth: float, t2: float) -> np.ndarray:
-    """E_T(t) = E_in(t) - int_0^inf E_in(t - s) k(s) ds for E_in(u) = peak exp(-2 ln2 u^2 / FWHM^2), at times t
-    from its peak: Gauss-Legendre over the input times u = t - s within 6 FWHM of the peak and before t."""
-    fwhm = CFG.pulse_fwhm_fs * 1e-15
+def panels(start, stop, count: int):
+    """Nodes and weights of ``count`` equal Gauss-Legendre panels over [start, stop], for arrays of ends: each of
+    shape start.shape + (16 * count,)."""
+    edges = np.linspace(start, stop, count + 1, axis=-1)
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    shape = np.shape(start) + (-1,)
+    return (mid + half * NODES).reshape(shape), (half * WEIGHTS).reshape(shape)
 
-    def env(u):
-        return peak * np.exp(-2.0 * math.log(2.0) * (u / fwhm) ** 2)
 
-    out = env(times)
-    for i, t in enumerate(times):
-        start, stop = -6.0 * fwhm, min(t, 6.0 * fwhm)
-        if stop <= start:
-            continue
-        edges = np.linspace(start, stop, PANELS + 1)
-        half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
-        u = (mid + half * NODES).ravel()
-        out[i] -= np.sum((half * WEIGHTS).ravel() * env(u) * crisp_kernel(t - u, depth, t2))
-    return out
+def envelope(u, slope: bool = False):
+    """E_in(u) = exp(-2 ln2 u^2 / FWHM^2) at times u (fs) from its peak, or with ``slope`` its derivative."""
+    fwhm = CFG.pulse_fwhm_fs
+    value = np.exp(-2.0 * math.log(2.0) * (u / fwhm) ** 2)
+    return -4.0 * math.log(2.0) * u / fwhm**2 * value if slope else value
+
+
+class Impulse:
+    """E_T(u) = E_in(u) - int_0^inf E_in(u - s) k(s) ds of one medium at the times u (fs from the input's peak):
+    the input times r = u - s and the weights times k(s) of the rule over s >= 0 within 8 FWHM of the input's
+    peak, formed once."""
+
+    def __init__(self, u: np.ndarray, depth: float, t2: float):
+        fwhm = CFG.pulse_fwhm_fs
+        start = np.maximum(u - 8.0 * fwhm, 0.0)
+        s, w = panels(start, np.maximum(u + 8.0 * fwhm, start), INPUT_PANELS)
+        self.u, self.r, self.wk = u, u[..., None] - s, w * crisp_kernel(s, depth, t2 * 1e15)
+
+    def field(self, tau: float = 0.0, slope: bool = False) -> np.ndarray:
+        """E_T(u + tau), or with ``slope`` E_T'(u + tau): the response to the input moved earlier by tau."""
+        return envelope(self.u + tau, slope) - np.sum(self.wk * envelope(self.r + tau, slope), axis=-1)
+
+
+@functools.cache
+def shaped_referee(index: int) -> tuple[float, float]:
+    """(t_c in fs from the input's peak, eta_shaped) of the default config's preset ``index``: t_c is the root of
+    E_T' within dt of the dt-lattice sample of largest |E_T|, the LO is E_T times the resolution window centred
+    there."""
+    params, dt = CFG.media()[index].params, CFG.grid_dt_fs
+    lattice = Impulse(np.arange(-30, 31) * dt, params.depth, params.t2)
+    peak = lattice.u[int(np.argmax(np.abs(lattice.field())))]
+    t_c = brentq(lambda t: Impulse(np.array([t]), params.depth, params.t2).field(slope=True)[0], peak - dt, peak + dt)
+    u, weights = panels(t_c - LO_REACH_FS, t_c + LO_REACH_FS, LO_PANELS)
+    out = Impulse(u, params.depth, params.t2)
+    dnu = CFG.shaper_config().resolution_fwhm_hz
+    lo = out.field() * np.exp(-((math.pi * dnu * (u - t_c) * 1e-15) ** 2) / (4.0 * math.log(2.0)))
+    norm = np.sum(weights * lo * lo) * CFG.pulse_fwhm_fs * math.sqrt(math.pi / (4.0 * math.log(2.0)))
+    lo *= weights
+    best = minimize_scalar(
+        lambda tau: -np.dot(lo, out.field(tau)) ** 2, bounds=(-DELAY_BOUND_FS, DELAY_BOUND_FS), method="bounded",
+        options={"xatol": 1e-7},
+    )
+    return t_c, CFG.detection_eta_base * -best.fun / norm
 
 
 @pytest.mark.parametrize("index", [0, 2, 4])
@@ -217,5 +272,36 @@ def test_transmitted_field_matches_the_impulse_response(index):
     lags = np.arange(-500, 2001, 7)
     params = CFG.media()[index].params
     field = transmit(to_spectrum(pulse), params).field.amp[centre + lags]
-    want = referee_field(lags * grid.dt, pulse.amp[centre], params.depth, params.t2)
+    want = pulse.amp[centre] * Impulse(lags * CFG.grid_dt_fs, params.depth, params.t2).field()
     assert np.max(np.abs(field - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_default_depth_scan_shaped_matches_the_referee(printed, index):
+    # the shaper centres its window on the sample nearest t_c, up to dt/2 from it, so the printed eta_shaped
+    # carries the whole-sample centre's error, up to 1.0e-4 (preset 5), and is held at 1.5e-4; centring the window
+    # at t_c itself would hold it at 1e-9
+    _, eta = shaped_referee(index)
+    assert eta == pytest.approx(SHAPED_ETA[index], abs=1e-10, rel=0.0)
+    assert printed[CFG.media()[index].label]["eta_shaped"] == pytest.approx(eta, abs=1.5e-4, rel=0.0)
+
+
+def test_window_centres_are_the_samples_nearest_the_peak(monkeypatch, tmp_path):
+    # a default depth-scan centres each medium's window on the sample nearest the referee's t_c: -0.893097,
+    # -2.304326, -5.549113, -12.037115 and +135.784657 fs from the input's peak sample, 0, 0, -1, -1 and +14
+    # samples from it (preset 5 peaks on its negative lobe)
+    centres = []
+    window = zapsim.shaper._resolution_window
+
+    def recorded(grid, k_center, *args):
+        centres.append(k_center)
+        return window(grid, k_center, *args)
+
+    monkeypatch.setattr(zapsim.shaper, "_resolution_window", recorded)
+    depth_scan(tmp_path)
+    start = int(np.argmax(CFG.make_pulse(CFG.make_grid()).amp))
+    peaks = [shaped_referee(index)[0] for index in range(5)]
+    assert peaks == pytest.approx([-0.893097, -2.304326, -5.549113, -12.037115, 135.784657], abs=1e-6, rel=0.0)
+    offsets = [round(t_c / CFG.grid_dt_fs) for t_c in peaks]
+    assert offsets == [0, 0, -1, -1, 14]
+    assert centres == [start + offset for offset in offsets] == [65536, 65536, 65535, 65535, 65550]

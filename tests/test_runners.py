@@ -11,8 +11,6 @@ from zapsim import (
     TemporalField,
     energy_transmission,
     eta_curve,
-    max_shaped_eta,
-    max_unshaped_eta,
     normalize,
     propagate,
     to_spectrum,
@@ -35,7 +33,7 @@ from zapsim.runners import (
     run_xcorr,
 )
 
-from conftest import direct_overlaps
+from conftest import direct_overlaps, efficiencies
 
 pytestmark = pytest.mark.filterwarnings("ignore::zapsim.GridAdequacyWarning")
 
@@ -155,8 +153,7 @@ class TestRunnersMatchLibrary:
         media = small_cfg.media()
         assert len(media) == 5
         for k, entry in enumerate(media):
-            unshaped = max_unshaped_eta(pulse, entry.params, eta_base)
-            shaped = max_shaped_eta(pulse, entry.params, small_cfg.shaper_config(), eta_base)
+            unshaped, shaped = efficiencies(pulse, entry.params, eta_base, small_cfg.shaper_config())
             t_e = energy_transmission(to_spectrum(normalize(pulse)), entry.params)
             # printed with 12 significant digits
             assert column(path, "eta_unshaped")[k] == float(f"{unshaped:.12g}")

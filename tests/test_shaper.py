@@ -9,19 +9,16 @@ from zapsim import (
     SpectralField,
     TemporalField,
     achievable_lo,
-    delay_field,
     gaussian_pulse,
     make_grid,
-    max_shaped_eta,
-    max_unshaped_eta,
     normalize,
-    overlap,
     propagate,
     temperature_presets,
     to_spectrum,
     to_time,
     transmit,
 )
+from zapsim.cli import main
 from zapsim.medium import Transmitted
 from zapsim.modes import _spectral_product
 from zapsim.shaper import (
@@ -41,13 +38,16 @@ from zapsim.shaper import (
 from conftest import (
     brent_projection,
     centred_box,
+    delay_field,
     direct_overlaps,
+    efficiencies,
     full_freqs,
     full_layout_lo,
     full_product,
     full_spectrum,
     full_transmit,
     lattice_overlaps,
+    overlap,
     padded,
 )
 
@@ -322,8 +322,7 @@ class TestResolutionWindow:
 class TestMaxEta:
     def test_no_medium_recovers_eta_base(self, mid_pulse):
         m = MediumParams(depth=0.0, t2=1e-12)
-        assert max_unshaped_eta(mid_pulse, m, 0.62) == pytest.approx(0.62, abs=1e-6)
-        assert max_shaped_eta(mid_pulse, m, ShaperConfig(), 0.62) == pytest.approx(0.62, abs=1e-6)
+        assert efficiencies(mid_pulse, m, 0.62) == pytest.approx((0.62, 0.62), abs=1e-6)
 
     def test_ideal_resolution_reaches_transmission_cap(self, mid_pulse):
         from zapsim import energy_transmission
@@ -331,21 +330,20 @@ class TestMaxEta:
         params = temperature_presets()[2].params
         spec = to_spectrum(normalize(mid_pulse))
         cap = 0.62 * energy_transmission(spec, params)
-        got = max_shaped_eta(mid_pulse, params, IDEAL, 0.62)
+        got = efficiencies(mid_pulse, params, 0.62, IDEAL)[1]
         assert got == pytest.approx(cap, abs=1e-6)
 
     @pytest.mark.parametrize("preset_idx", [0, 2, 4])
     def test_shaped_never_below_unshaped(self, mid_pulse, preset_idx):
         params = temperature_presets()[preset_idx].params
-        shaped = max_shaped_eta(mid_pulse, params, ShaperConfig(), 0.62)
-        unshaped = max_unshaped_eta(mid_pulse, params, 0.62)
+        unshaped, shaped = efficiencies(mid_pulse, params, 0.62)
         assert shaped >= unshaped - 1e-12
 
     @pytest.mark.parametrize("preset_idx", [0, 2, 4])
     def test_coarser_resolution_never_helps(self, mid_pulse, preset_idx):
         params = temperature_presets()[preset_idx].params
         ladder = [
-            max_shaped_eta(mid_pulse, params, ShaperConfig(resolution_fwhm=r), 0.62)
+            efficiencies(mid_pulse, params, 0.62, ShaperConfig(resolution_fwhm=r))[1]
             for r in (0.3e-9, 0.6e-9, 1.2e-9)
         ]
         assert ladder[0] >= ladder[1] >= ladder[2]
@@ -355,14 +353,15 @@ class TestMaxEta:
 
         params = temperature_presets()[4].params
         cap = 0.62 * energy_transmission(to_spectrum(normalize(mid_pulse)), params)
-        assert max_shaped_eta(mid_pulse, params, ShaperConfig(), 0.62) <= cap + 1e-12
+        assert efficiencies(mid_pulse, params, 0.62)[1] <= cap + 1e-12
 
-    def test_eta_base_validated(self, mid_pulse):
-        params = temperature_presets()[0].params
-        with pytest.raises(ValueError):
-            max_shaped_eta(mid_pulse, params, ShaperConfig(), -0.1)
-        with pytest.raises(ValueError):
-            max_unshaped_eta(mid_pulse, params, 1.5)
+    def test_eta_base_validated(self, tmp_path):
+        # eta_base enters the efficiencies through the config: depth-scan refuses one outside [0, 1] with exit 1
+        # and writes nothing
+        for eta_base in ("-0.1", "1.5"):
+            out = tmp_path / eta_base
+            assert main(["depth-scan", "--out", str(out), "--set", f"detection.eta_base={eta_base}"]) == 1
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("span_nm", [None, 60.0])
@@ -377,8 +376,8 @@ def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_n
     cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9, span=None if span_nm is None else span_nm * 1e-9)
     out = transmit(to_spectrum(pulse), params)
     shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), out.mode)
-    floor = max(max_unshaped_eta(pulse, params, 0.62), shaped_in)
-    assert floor <= max_shaped_eta(pulse, params, cfg, 0.62) <= 0.62 * out.transmission + 1e-12
+    unshaped, shaped = efficiencies(pulse, params, 0.62, cfg)
+    assert max(unshaped, shaped_in) <= shaped <= 0.62 * out.transmission + 1e-12
 
 
 @pytest.mark.parametrize("pixel_nm", [2.0, 3.0])
@@ -391,7 +390,7 @@ def test_pixel_box_moves_with_the_pulse(pixel_nm):
     first = grid.window / 8
     centres = (first, first + 50e-12, grid.window / 4, grid.window / 2)
     pulses = [gaussian_pulse(grid, 100e-15, centre) for centre in centres]
-    etas = [max_shaped_eta(pulse, params, cfg, 0.62) for pulse in pulses]
+    etas = [efficiencies(pulse, params, 0.62, cfg)[1] for pulse in pulses]
     assert max(etas) - min(etas) <= 1e-12
     outs = [transmit(to_spectrum(normalize(pulse)), params) for pulse in pulses]
     los = [achievable_lo(out, cfg) for out in outs]
@@ -453,8 +452,7 @@ def test_half_spectrum_search_matches_the_full_one(real_input, preset_idx, span_
     assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
     half = [
         _best_projection(lo_in, out.mode),
-        max_unshaped_eta(pulse, params, 0.62),
-        max_shaped_eta(pulse, params, cfg, 0.62),
+        *efficiencies(pulse, params, 0.62, cfg),
     ]
     unshaped = brent_projection(lo_in, out.mode)
     own = brent_projection(full_spectrum(full_layout_lo(out.field, cfg)), out.mode)
@@ -482,7 +480,7 @@ def test_pixel_box_runs_only_real_transforms(monkeypatch):
     assert {x.amp.shape for x in (lo, shaped, own)} == {(grid.n // 2 + 1,)}
     assert out.mode.amp.shape == (lo.band,)  # the half spectrum on the input's band
     assert out.field.amp.dtype == np.float64
-    eta = max_shaped_eta(pulse, params, cfg, 0.62)
+    eta = efficiencies(pulse, params, 0.62, cfg)[1]
     assert complex_transforms == []
     monkeypatch.undo()
     for lo_spec in (lo, shaped, own):
