@@ -7,11 +7,11 @@ from scipy.optimize import minimize_scalar
 
 from zapsim import (
     Grid,
+    ShaperConfig,
     SpectralField,
     TemporalField,
     gaussian_pulse,
     make_grid,
-    ShaperConfig,
     normalize,
     to_spectrum,
     to_time,

@@ -204,11 +204,7 @@ def test_criterion_4_lobe_crossover_at_highest_depth(setup):
 def test_criterion_5_shaping_recovery(setup):
     grid, pulse, mode, spec = setup
     cfg = ShaperConfig()  # 0.6 nm at 780 nm
-    shaped, unshaped = [], []
-    for preset in PRESETS:
-        u, s = _efficiencies(transmit(spec, preset.params), spec, ETA_BASE, cfg)
-        unshaped.append(u)
-        shaped.append(s)
+    unshaped, shaped = zip(*(_efficiencies(transmit(spec, p.params), spec, ETA_BASE, cfg) for p in PRESETS))
 
     for s, u in zip(shaped, unshaped):
         assert s >= u - 1e-12
