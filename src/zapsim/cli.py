@@ -11,6 +11,7 @@ run removes the output directories it created while they are empty.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -81,7 +82,24 @@ def _remove_empty(created: list[Path]) -> None:
             return
 
 
+def _pin_malloc() -> None:
+    """Keep glibc's heap for the grid's 8-16 MiB arrays and pocketfft's scratch, not fresh mmaps faulted on every
+    call: the thresholds glibc's own rule reaches once a 32 MiB chunk is freed.  A user's setting is left alone."""
+    names = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+    if any(name in os.environ for name in names) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    import ctypes  # here, so that importing the CLI loads and sets nothing
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: no C library handle, or no mallopt in it
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)  # and restype c_int, ctypes' default
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: glibc's DEFAULT_MMAP_THRESHOLD_MAX
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's dynamic rule sets it
+
+
 def main(argv=None) -> int:
+    _pin_malloc()
     created: list[Path] = []
     try:
         args = build_parser().parse_args(argv)

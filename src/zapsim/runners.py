@@ -128,22 +128,24 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
     pulse = normalize(cfg.make_pulse(cfg.make_grid()))
     grid = pulse.grid
     scale, mid = grid.n * grid.dt, grid.n // 2
+    peak, area_in = int(np.argmax(np.abs(pulse.amp))), abs(pulse_area(pulse))
+    spec_in = pulse.amp.astype(np.complex128)  # cast first: a float64 input takes another FFT, with other round-off
+    del pulse
 
     def energy(amp):
         power = np.abs(amp)
         power *= power
         return float(grid.df * np.sum(power))
 
-    spec_in = pulse.amp.astype(np.complex128)  # cast first: a float64 input takes another FFT, with other round-off
     np.fft.ifft(spec_in, out=spec_in)  # ifft's kernel is exp(+2*pi*i*nu*t)
     spec_in *= scale
     energy_in = energy(spec_in)
 
-    t = grid.t
-    center = t[int(np.argmax(np.abs(pulse.amp)))]
-    sel = (t >= center + cfg.scan_delay_min_ps * 1e-12) & (t <= center + cfg.scan_delay_max_ps * 1e-12)
+    center, lo, hi = peak * grid.dt, cfg.scan_delay_min_ps * 1e-12, cfg.scan_delay_max_ps * 1e-12
+    k0, k1 = (min(max(int((center + d) // grid.dt) + s, 0), grid.n) for d, s in ((lo, -1), (hi, 2)))
+    t = np.arange(k0, k1) * grid.dt  # Grid.t[k0:k1] bit for bit: the window and a sample either side, no full axis
+    sel = (t >= center + lo) & (t <= center + hi)
     t_ps = (t[sel] - center) * 1e12
-    area_in = abs(pulse_area(pulse))
 
     def row(entry):
         m = entry.params
@@ -160,7 +162,7 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
         h /= scale
         _wrap_error(grid, m, spec_in[0].real, energy_in)
         extras = {"transmission": t_e, "area_ratio": abs(pulse_area(TemporalField(grid, h))) / area_in}
-        a = h[sel]
+        a = h[k0:k1][sel]
         path = out_dir / f"propagated_{entry.label}.csv"
         header = _header_lines(cfg, "propagate", {"medium.label": entry.label, **extras})
         _write_csv(path, header, ["t_ps", "amp_abs", "amp_re", "amp_im"], [t_ps, np.abs(a), a.real, a.imag])

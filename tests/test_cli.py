@@ -1,4 +1,6 @@
+import ctypes
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zapsim.cli import _remove_empty, main
+from zapsim.cli import _pin_malloc, _remove_empty, main
 from zapsim.config import _PARSERS
 
 # small, fast, warning-free scenario: 164 ps window, 1 ps line lifetime
@@ -302,3 +304,117 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports zapsim from this checkout, with no malloc setting of
+    the user's (MALLOC_*_ variables, GLIBC_TUNABLES)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    return {**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def test_cli_import_sets_no_allocator():
+    # importing the CLI, and the set-up a library user or the benchmark's set-up probe runs, opens no C library
+    # handle: the allocator is pinned only when main runs.  (numpy imports ctypes itself, so whether ctypes is in
+    # sys.modules says nothing.)
+    code = (
+        "import ctypes, numpy\n"
+        "opened = []\n"
+        "ctypes.CDLL = lambda *args, **kwargs: opened.append(args)\n"
+        "import zapsim, zapsim.cli\n"
+        "from zapsim.config import ScenarioConfig, apply_overrides\n"
+        "cfg = apply_overrides(ScenarioConfig(), ['sampling.seed=1'])\n"
+        "cfg.make_pulse(cfg.make_grid())\n"
+        "print(opened)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+class TestAllocator:
+    """main first sets glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB, unless the user has
+    set either, so that the grid's arrays and pocketfft's scratch come from a heap that is reused."""
+
+    @pytest.fixture()
+    def unset(self, monkeypatch):
+        """No malloc setting of the user's in the environment."""
+        for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+            monkeypatch.delenv(name, raising=False)
+
+    @pytest.fixture()
+    def calls(self, unset, monkeypatch):
+        seen = []
+
+        class Library:
+            def __init__(self, name):
+                seen.append(("CDLL", name))
+                self.mallopt = lambda param, value: seen.append((param, value)) or 1
+
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        return seen
+
+    def test_main_sets_both_thresholds(self, scenario, tmp_path, calls):
+        assert run(scenario, tmp_path / "out", "wigner") == 0
+        assert calls == [("CDLL", None), (-3, 32 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("MALLOC_TRIM_THRESHOLD_", "1048576"),
+            ("MALLOC_MMAP_THRESHOLD_", "1048576"),
+            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=1048576"),
+            ("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512:glibc.malloc.mmap_threshold=1048576"),
+        ],
+        ids=["trim-variable", "mmap-variable", "trim-tunable", "mmap-tunable-second"],
+    )
+    def test_a_users_setting_is_left_alone(self, scenario, tmp_path, calls, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        assert run(scenario, tmp_path / "out", "wigner") == 0
+        assert calls == []
+
+    def test_an_unrelated_tunable_still_pins(self, scenario, tmp_path, calls, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
+        assert run(scenario, tmp_path / "out", "wigner") == 0
+        assert [call[0] for call in calls] == ["CDLL", -3, -1]
+
+    @pytest.mark.parametrize("verb", ["propagate", "sample"])
+    def test_a_c_library_without_mallopt_changes_no_output(self, scenario, tmp_path, monkeypatch, verb):
+        out = tmp_path / "out"
+        assert run(scenario, out, verb) == 0
+        pinned = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert run(scenario, out, verb) == 0
+        assert {p.name: p.read_bytes() for p in sorted(out.iterdir())} == pinned
+
+    @pytest.mark.parametrize("error", [OSError, TypeError], ids=["no-handle", "no-dlopen-of-none"])
+    def test_no_c_library_handle_still_runs(self, scenario, tmp_path, monkeypatch, error):
+        def refuse(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert run(scenario, tmp_path / "out", "wigner") == 0
+
+    def test_pinning_prints_nothing(self, unset, capfd):
+        _pin_malloc()  # the C library's own mallopt, where there is one
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds only")
+    def test_a_complex_fft_after_main_reuses_the_heap(self, scenario, tmp_path):
+        # under glibc's defaults each length-2^19 complex FFT maps its 16 MiB scratch afresh and faults about
+        # 4,000 pages; after main has run, the second one in the process reuses the first one's memory
+        code = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from zapsim.cli import main\n"
+            "assert main(['wigner', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "x = np.ones(2**19, dtype=complex)\n"
+            "np.fft.fft(x)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "np.fft.fft(x)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        argv = [sys.executable, "-c", code, str(scenario), str(tmp_path / "out")]
+        done = subprocess.run(argv, env=_src_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.splitlines()[-1]) < 100

@@ -12,7 +12,8 @@ full one, and a real transform (rfft, irfft) as half a complex one of its
 length; an exponential counts as its size in full grids.  The peak memory
 of one transmission and of one transform each way is measured in full-grid
 complex arrays, the real path is checked to build no time axis and to run
-no complex transform, and the in-place product of a transmission is checked
+no complex transform, propagate's complex pair to build no time axis either,
+and the in-place product of a transmission is checked
 to round alike at every alignment of its operands.
 """
 
@@ -272,9 +273,10 @@ def test_pixel_box_transmits_on_half_spectra(monkeypatch, tmp_path, pixel_nm):
 
 
 def test_propagate_keeps_under_four_grids(tmp_path):
-    # the runner's complex pair holds the pulse (half a grid), its complex spectrum, the time axis (half a grid)
-    # and, per medium, the full H and the half-band H it is filled from: 3.8 grids, with no fftshift copy either
-    # way (4.8 grids with them)
+    # the runner's complex pair holds its complex spectrum of the input and, per medium, the full H and the
+    # half-band H it is filled from: 2.77 grids, with the pulse freed before the transform and the output window's
+    # times built from its own indices (3.8 grids while the pulse and the time axis, half a grid each, stayed
+    # alive; 4.8 grids with an fftshift copy either way)
     cfg = apply_overrides(ScenarioConfig(), ["grid.n=65536", "medium.preset=1"])
     zapsim.runners.run_propagate(cfg, tmp_path)  # numpy's and the grid's one-off allocations
     tracemalloc.start()
@@ -283,7 +285,7 @@ def test_propagate_keeps_under_four_grids(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * 65536 * 16
+    assert peak <= 2.8 * 65536 * 16
 
 
 def test_half_spectrum_keeps_half_a_grid():
@@ -425,6 +427,16 @@ def test_real_path_builds_no_full_grid_axis(monkeypatch, tmp_path, verb, setting
     assert counts == {"fft": 0, "ifft": 0}
 
 
+def test_propagate_builds_no_full_grid_axis(monkeypatch, tmp_path):
+    # propagate keeps its complex pair, but the times of its output window come from sample indices, k*dt, the
+    # bits of Grid.t[k]: Grid.t is not filled
+    read = []
+    build = vars(Grid)["t"].func
+    monkeypatch.setattr(Grid, "t", property(lambda grid: read.append("t") or build(grid)))
+    assert main(["propagate", "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
+    assert read == []
+
+
 def _aligned_copy(x: np.ndarray, offset: int) -> np.ndarray:
     """A copy of x that starts ``offset`` bytes past a 64-byte boundary."""
     buf = np.empty(x.nbytes + 64, dtype=np.uint8)
@@ -523,10 +535,11 @@ def test_default_h_runs_on_the_input_band(monkeypatch, tmp_path):
 
 
 # tracemalloc peaks of one default run after a warm-up run, as measured and rounded up, with the slack of the tests
-# above (16 KiB): 12.79 MiB for either delay scan (18.1 MiB while the transmitted spectra held all n/2 + 1 bins) and
-# 16.8 MiB for depth-scan (19.0 MiB while each shaped LO held n samples, 23.9 MiB before that); the pulse, its
+# above (16 KiB): 12.79 MiB for either delay scan (18.1 MiB while the transmitted spectra held all n/2 + 1 bins),
+# 16.8 MiB for depth-scan (19.0 MiB while each shaped LO held n samples, 23.9 MiB before that) and 22.1 MiB for
+# propagate (30.6 MiB while the pulse and the time axis stayed alive through its transforms); the pulse, its
 # unit-energy copy and their half spectrum, 4 MiB each, make most of the scans' peak
-DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 16.8}
+DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 16.8, "propagate": 22.1}
 
 
 @pytest.mark.parametrize("verb", sorted(DEFAULT_PEAK_MIB))
