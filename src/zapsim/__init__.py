@@ -6,6 +6,16 @@ finite-resolution LO shaper (``shaper``), the vacuum/single-photon mixture
 (``quantum``), and the scenario/CSV layer (``config``, ``runners``, ``cli``).
 """
 
+import sys
+from os import environ
+
+if "numpy" not in sys.modules and {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(environ):
+    environ["OPENBLAS_NUM_THREADS"] = "1"  # zapsim makes no BLAS call: numpy loads without OpenBLAS's idle pool
+    try:
+        import numpy  # noqa: F401  (OpenBLAS reads the variable only as it loads)
+    finally:
+        del environ["OPENBLAS_NUM_THREADS"]
+
 from .fields import (
     Grid,
     GridAdequacyWarning,

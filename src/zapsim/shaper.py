@@ -313,10 +313,10 @@ def _best_projection(lo_spec: SpectralField, sig_spec: SpectralField) -> float:
     of :func:`_phasors`: A = sum Re h, A' = sum 2*pi*nu * Im h and
     A'' = -sum (2*pi*nu)^2 * Re h.  A is a pairwise ufunc sum, right to
     round-off; the derivatives, which only steer the step, are ``np.einsum``
-    sums, numpy's own loops: a BLAS dot product here runs on OpenBLAS's own
-    threads and nearly doubles the CPU time of a depth scan for no gain in
-    wall time.  The sums run over nu >= 0, every bin but DC and Nyquist
-    weighted 2 (:func:`_support`).
+    sums, numpy's own loops, for their bits and for callers that import numpy
+    before zapsim (whose import pins OpenBLAS to one thread): on OpenBLAS's
+    pool a BLAS dot nearly doubles a depth scan's CPU time.  The sums run over
+    nu >= 0, every bin but DC and Nyquist weighted 2 (:func:`_support`).
     """
     product = _spectral_product(lo_spec, sig_spec)
     grid = product.grid

@@ -313,6 +313,15 @@ def _src_env():
     return {**env, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 
+# the set-up that the benchmark's set-up probe times: import the CLI, load the config, build grid and pulse
+SETUP_CODE = (
+    "import zapsim.cli\n"
+    "from zapsim.config import ScenarioConfig, apply_overrides\n"
+    "cfg = apply_overrides(ScenarioConfig(), ['sampling.seed=1'])\n"
+    "cfg.make_pulse(cfg.make_grid())\n"
+)
+
+
 def test_cli_import_sets_no_allocator():
     # importing the CLI, and the set-up a library user or the benchmark's set-up probe runs, opens no C library
     # handle: the allocator is pinned only when main runs.  (numpy imports ctypes itself, so whether ctypes is in
@@ -321,15 +330,59 @@ def test_cli_import_sets_no_allocator():
         "import ctypes, numpy\n"
         "opened = []\n"
         "ctypes.CDLL = lambda *args, **kwargs: opened.append(args)\n"
-        "import zapsim, zapsim.cli\n"
-        "from zapsim.config import ScenarioConfig, apply_overrides\n"
-        "cfg = apply_overrides(ScenarioConfig(), ['sampling.seed=1'])\n"
-        "cfg.make_pulse(cfg.make_grid())\n"
-        "print(opened)\n"
+        "import zapsim\n" + SETUP_CODE + "print(opened)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+class TestBlasPool:
+    """Importing zapsim before numpy loads OpenBLAS with one thread, unless the user has sized its pool, and
+    leaves the environment as it found it: zapsim makes no BLAS call, so the pool would only spin at start-up."""
+
+    POOL_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    REPORT = "import os\nprint(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+
+    def fresh(self, code, **variables):
+        """The thread count and ``OPENBLAS_NUM_THREADS`` (or ``'None'``) that a fresh interpreter reports after
+        running ``code``, with none of the pool's variables set but ``variables``."""
+        env = {k: v for k, v in _src_env().items() if k not in self.POOL_VARIABLES}
+        done = subprocess.run(
+            [sys.executable, "-c", code + self.REPORT], env={**env, **variables}, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        threads, variable = done.stdout.split()
+        return int(threads), variable
+
+    def test_the_probe_set_up_and_a_product_leave_one_thread(self):
+        code = SETUP_CODE + "import numpy as np\na = np.ones((64, 64))\na @ a\n"
+        assert self.fresh(code) == (1, "None")
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per CPU at most")
+    def test_a_users_pool_size_is_kept(self):
+        assert self.fresh("import zapsim.cli\n", OPENBLAS_NUM_THREADS="2") == (2, "2")
+
+    @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "GOTO_NUM_THREADS"])
+    def test_another_pool_variable_is_left_alone(self, name):
+        check = f"import os\nassert os.environ[{name!r}] == '2'\n"
+        assert self.fresh("import zapsim.cli\n" + check, **{name: "2"}) == self.fresh("import numpy\n", **{name: "2"})
+
+    def test_numpy_imported_first_keeps_its_pool(self):
+        assert self.fresh("import numpy\nimport zapsim.cli\n") == self.fresh("import numpy\n")
+
+    def test_the_environment_is_unchanged(self):
+        # os.environ, and the C library's environment that a child process inherits, are as before the import
+        code = (
+            "import os, subprocess, sys\n"
+            "before = dict(os.environ)\n"
+            "import zapsim\n"
+            "assert dict(os.environ) == before\n"
+            "child = [sys.executable, '-c', 'import os; print(sorted(os.environ))']\n"
+            "assert subprocess.run(child, capture_output=True, text=True).stdout == f'{sorted(before)}\\n'\n"
+        )
+        assert self.fresh(code)[1] == "None"
 
 
 class TestAllocator:

@@ -249,6 +249,52 @@ def test_fft_references_are_found_however_numpy_fft_is_reached(tmp_path):
     assert fft_references(path) == {"probe.<module>", "probe.C", "probe.f"}
 
 
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+
+
+def blas_uses(path: Path) -> list[str]:
+    """``line: form`` for each way a source file reaches BLAS through numpy: the ``@`` and ``@=`` operators,
+    a name among ``BLAS_NAMES`` read, reached as an attribute, imported or imported from, and ``einsum`` given
+    ``optimize``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@=" if isinstance(node, ast.AugAssign) else "@"))
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias) and BLAS_NAMES & set(node.name.split(".")):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.ImportFrom) and BLAS_NAMES & set((node.module or "").split(".")):
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call) and any(keyword.arg == "optimize" for keyword in node.keywords):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "einsum":
+                found.append((node.lineno, "einsum(optimize=)"))
+    return [f"{line}: {form}" for line, form in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_calls_blas(path):
+    # the package's import loads OpenBLAS with a one-thread pool (zapsim/__init__.py), which is right only
+    # while no zapsim code hands numpy work that BLAS would run
+    assert blas_uses(path) == []
+
+
+def test_blas_uses_are_found_in_every_form(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import numpy as np\nimport numpy.linalg\nfrom numpy import vdot\nfrom numpy.linalg import norm\n"
+        "c = a @ b\nc @= a\nnp.dot(a, b)\na.dot(b)\nnp.matmul(a, b)\ninner(a, b)\nnp.tensordot(a, b)\n"
+        "np.einsum('i,i->', a, b, optimize=True)\nnp.einsum('i,i->', a, b)\nnp.sum(a * b)\n"
+    )
+    assert blas_uses(path) == [
+        "2: numpy.linalg", "3: vdot", "4: numpy.linalg", "5: @", "6: @=", "7: dot", "8: dot", "9: matmul",
+        "10: inner", "11: tensordot", "12: einsum(optimize=)",
+    ]
+
+
 def load_tracing(monkeypatch):
     """The benchmark's tracer module, loaded by path."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the benchmark's directory stays as committed
