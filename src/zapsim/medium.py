@@ -42,7 +42,6 @@ from .fields import (
     GridAdequacyWarning,
     SpectralField,
     TemporalField,
-    normalize,
     to_time,
 )
 
@@ -93,8 +92,8 @@ class MediumPreset(NamedTuple):
 @dataclass(frozen=True)
 class Transmitted:
     """F*H for one medium; on first use, its envelope (:func:`fields.to_time`
-    of F*H), the spectrum of the unit-energy output mode (by Parseval) and the
-    energy transmission T_E.
+    of F*H) and the energy transmission T_E.  The unit-energy output mode's
+    spectrum is :func:`fields.normalize` of ``spectrum`` (by Parseval).
 
     A consumer that reads only the spectrum (a best-delay search, the shaper)
     makes no inverse FFT, and :func:`transmit`'s grid check reads none.
@@ -106,10 +105,6 @@ class Transmitted:
     @cached_property
     def field(self) -> TemporalField:
         return to_time(self.spectrum)
-
-    @cached_property
-    def mode(self) -> SpectralField:
-        return normalize(self.spectrum)
 
     @cached_property
     def transmission(self) -> float:

@@ -7,13 +7,13 @@ wavelength FWHM (default 0.6 nm) converts to frequency as dnu = c*dlam/lam^2.
 In the time domain the convolution is a multiplicative Gaussian window of
 FWHM 4*ln2/(pi*dnu), a few picoseconds at the default resolution, centered
 on the pulse; structure spreading beyond that window is unreachable by the
-shaped local oscillator.  An optional pixel width adds a box average of the
-spectrum, one pixel wide and centred on each bin, as a pixelated mask is
+shaped local oscillator.  An optional pixel width P adds a box average of
+the spectrum, P wide and centred on each frequency, as a pixelated mask is
 centred on each pixel.  Averaged in the pulse's frame, the box is a second
-factor in time: the periodic Dirichlet kernel centred on the pulse, the
-sinc envelope of a pixelated mask (A. M. Weiner, Rev. Sci. Instrum. 71,
-1929 (2000)).  So a pulse moved by whole samples gets the same LO, moved
-with it.
+factor in time, sin(pi*P*t) / (pi*P*t) centred on the pulse: the sinc
+envelope of a pixelated mask (A. M. Weiner, Rev. Sci. Instrum. 71, 1929
+(2000)), at the configured width on every grid.  So a pulse moved by whole
+samples gets the same LO, moved with it.
 
 The shaper reference frame travels with the pulse, so the window is centered
 on the target's peak.  Global delay and phase of the local oscillator are
@@ -114,9 +114,9 @@ class ShaperConfig:
         return None if self.span is None else self._to_freq(self.span)
 
 
-def _resolution_window(grid: Grid, k_center: int, dnu: float, size: int = 1):
+def _resolution_window(grid: Grid, k_center: int, dnu: float, pixel_hz: float | None = None):
     """Time-domain image of the unit-area Gaussian kernel, centered on sample ``k_center``, times that of a
-    box of ``size`` bins (:func:`_box_kernel`) when the box covers more than one bin.
+    box ``pixel_hz`` wide when one is given: sin(pi*P*t) / (pi*P*t), 1 at the centre.
 
     Returns the sample indices where it can be nonzero and its values there.
     The exponent falls below -746, where exp is exactly 0, beyond 49 ps of
@@ -132,8 +132,9 @@ def _resolution_window(grid: Grid, k_center: int, dnu: float, size: int = 1):
     # times k*dt from the sample indices, bit for bit Grid.t[k], which is not built
     tsig = ((k * grid.dt - k_center * grid.dt + 0.5 * grid.window) % grid.window) - 0.5 * grid.window
     window = np.exp(-((np.pi * dnu * tsig) ** 2) / (4.0 * LN2))
-    if size > 1:
-        window *= _box_kernel(grid.n, k - k_center, size)
+    if pixel_hz is not None:  # the box's sinc over tsig scaled in place, 1 where tsig is 0: at the centre alone
+        tsig *= np.pi * pixel_hz
+        window *= np.divide(np.sin(tsig), tsig, out=np.ones_like(tsig), where=tsig != 0.0)
     return keep, window
 
 
@@ -141,25 +142,6 @@ def _window_reach(grid: Grid, dnu: float) -> int | None:
     """The samples either side of its centre where the resolution window can be nonzero; None if they cover the grid."""
     reach = np.sqrt(-_EXP_UNDERFLOW * 4.0 * LN2) / (np.pi * dnu * grid.dt) + 2.0  # in samples, with margin
     return None if 2.0 * reach + 1.0 >= grid.n else int(reach)
-
-
-def _box_kernel(n: int, m: np.ndarray, size: int) -> np.ndarray:
-    """Time-domain image, at whole-sample offsets m, of a centred box average over ``size`` of n bins:
-    the periodic Dirichlet kernel sin(pi*size*m/n) / (size*sin(pi*m/n)), 1 at m = 0 mod n, times
-    cos(pi*m/n) for an even size, whose two end bins weigh half.  m is reduced mod n to [-n/2, n/2) and
-    size*m mod 2n to [-n, n) in integers, so that an angle near 0 is formed as a small one, and each value
-    is right to round-off relative to the kernel's peak of 1."""
-    m = (m + n // 2) % n - n // 2
-    angle = np.pi / n
-    num = np.sin(angle * ((size * m + n) % (2 * n) - n))
-    if size % 2 == 0:
-        num *= np.cos(angle * m)
-    return np.divide(num, size * np.sin(angle * m), out=np.ones_like(num), where=m != 0)
-
-
-def _pixel_bins(grid: Grid, cfg: ShaperConfig) -> int:
-    """The bins one pixel of ``cfg`` covers on ``grid``: 1 without a pixel box."""
-    return 1 if cfg.pixel_width_hz is None else max(1, int(round(cfg.pixel_width_hz / grid.df)))
 
 
 def _peak_sample(amp: np.ndarray) -> int:
@@ -192,9 +174,9 @@ def _shaped_lo(target: TemporalField | Transmitted, cfg: ShaperConfig, step: int
     :func:`fields.to_time` of them on the step grid: below Nyquist/step they
     are the same bins, so that field is E_cut at every step-th sample.
 
-    The LO is E_cut times the resolution window and, for a pixel of more than
-    one bin, the box's Dirichlet kernel, both centred on the target's peak
-    sample k of the full grid and evaluated on the window's samples alone
+    The LO is E_cut times the resolution window and, for a pixel, the box's
+    sinc at the configured width, both centred on the target's peak sample k
+    of the full grid and evaluated on the window's samples alone
     (:func:`_resolution_window`) that the step grid holds, in the transform's
     own output array.  It is normalized by step*dt times its sum of squares,
     which equals the full rate's sum on the band (Parseval).  k is E_cut's
@@ -209,9 +191,8 @@ def _shaped_lo(target: TemporalField | Transmitted, cfg: ShaperConfig, step: int
         _check_normalized(target, "shaper target")
         spectrum, read_target = to_spectrum(target), lambda: target
     grid = spectrum.grid
-    size = _pixel_bins(grid, cfg)
-    if size > grid.n:
-        raise ValueError(f"shaper pixel covers {size} frequency bins, more than the grid's {grid.n}")
+    if cfg.pixel_width_hz is not None and cfg.pixel_width_hz * grid.dt > 1.0:
+        raise ValueError(f"shaper pixel of {cfg.pixel_width_hz:g} Hz is wider than the grid's {1.0 / grid.dt:g} Hz")
     scale = 1.0 / _norm(spectrum)  # as normalize scales the mode's bins; a zero field raises
     # no span (span_hz None) cuts at the spectrum's last bin
     cut = np.searchsorted(grid.half_freqs[: spectrum.amp.size], 0.5 * (cfg.span_hz or np.inf), side="right")
@@ -226,7 +207,7 @@ def _shaped_lo(target: TemporalField | Transmitted, cfg: ShaperConfig, step: int
     if k_peak is None:
         k_peak = _peak_sample(read_target().amp)
 
-    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, size)
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, cfg.pixel_width_hz)
     if step > 1:  # the window's samples that the step grid holds
         held = keep % step == 0
         keep, window = keep[held] // step, window[held]
@@ -386,8 +367,8 @@ def _band_spectrum(out: Transmitted, cfg: ShaperConfig) -> SpectralField:
     The span-cut field has no bins above span/2, and the resolution window and
     the pixel box widen its band by the window's reach, where the kernel
     exp(-4 ln2 nu^2 / dnu^2) falls below e^-746 (the image of the window's own
-    cut in time, :func:`_resolution_window`), and by half the box, size*df/2.
-    Above B = span/2 + dnu*sqrt(746 / (4 ln2)) + size*df/2 the LO's spectrum
+    cut in time, :func:`_resolution_window`), and by half the pixel, P/2.
+    Above B = span/2 + dnu*sqrt(746 / (4 ln2)) + P/2 the LO's spectrum
     is therefore below e^-746 of its peak, and its every D-th sample, D the
     largest power of two (at most n/2) with B < Nyquist/D, or 1, aliases
     nothing: their spectrum holds the bins 0 .. n/(2D), and the bins above
@@ -400,7 +381,7 @@ def _band_spectrum(out: Transmitted, cfg: ShaperConfig) -> SpectralField:
     """
     grid, step = out.spectrum.grid, 1
     kernel_reach = cfg.resolution_fwhm_hz * np.sqrt(-_EXP_UNDERFLOW / (4.0 * LN2))
-    band = 0.5 * (cfg.span_hz or np.inf) + kernel_reach + 0.5 * _pixel_bins(grid, cfg) * grid.df
+    band = 0.5 * (cfg.span_hz or np.inf) + kernel_reach + 0.5 * (cfg.pixel_width_hz or 0.0)
     wraps = _window_reach(grid, cfg.resolution_fwhm_hz) is None
     while not wraps and step < grid.n // 2 and band < grid.nyquist / (2 * step):
         step *= 2

@@ -2,7 +2,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.ndimage import correlate1d
 from scipy.optimize import minimize_scalar
 
 from zapsim import (
@@ -233,34 +232,18 @@ def extended_overlaps(lo_spec, sig_spec, delays):
     return np.array([(g * np.exp(turn * np.longdouble(t))).sum().real / window for t in delays], dtype=np.float64)
 
 
-def centred_box(full, size):
-    """The shaper's pixel box as a direct correlation: the mean over size + 1 bins with half-weight ends
-    (size bins for an odd size) centred on each bin, of a spectrum in the full layout, circular."""
-    weights = np.ones(size + 1 - size % 2)
-    if size % 2 == 0:
-        weights[[0, -1]] = 0.5
-    weights /= size
-    return correlate1d(full.real, weights, mode="wrap") + 1j * correlate1d(full.imag, weights, mode="wrap")
-
-
 def full_layout_lo(target, cfg):
     """``achievable_lo`` with every spectrum in the full layout: the target's full spectrum cut to
-    |nu| <= span / 2, box-averaged by :func:`centred_box` in the frame of the target's peak sample k
-    (the spectrum times exp(-2*pi*i*nu*k*dt) is averaged, then multiplied by exp(+2*pi*i*nu*k*dt)),
-    back to time by the complex inverse transform, windowed about k and normalized.  A complex field:
-    its imaginary part is round-off."""
+    |nu| <= span / 2, back to time by the complex inverse transform, windowed about the target's peak sample
+    and, with a pixel, multiplied there by the box's sinc (``_resolution_window``), and normalized.  A complex
+    field: its imaginary part is round-off."""
     grid = target.grid
     k_peak = int(np.argmax(np.abs(target.amp)))
     spec = full_spectrum(target).amp
     if cfg.span_hz is not None:
         spec = np.where(np.abs(full_freqs(grid)) <= 0.5 * cfg.span_hz, spec, 0.0)
-    if cfg.pixel_width_hz is not None:
-        # nu*k*dt = q*k/n cycles for bin q: reduced mod n in integers, so each phase is exact to round-off
-        cycles = (np.arange(-grid.n // 2, grid.n // 2) * k_peak) % grid.n / grid.n
-        delay = np.exp(-2j * np.pi * cycles)
-        spec = centred_box(spec * delay, max(1, int(round(cfg.pixel_width_hz / grid.df)))) / delay
     amp = full_field(FullSpectrum(grid, spec)).amp
-    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz)
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, cfg.pixel_width_hz)
     lo = np.zeros(grid.n, dtype=complex)
     lo[keep] = amp[keep] * window
     return TemporalField(grid, lo / np.sqrt(grid.dt * np.sum(np.abs(lo) ** 2)))

@@ -27,16 +27,19 @@ the input's times within 8 FWHM of its peak evaluate it with no transform,
 which checks the sign, scale and time origin of the transform pair.
 
 The same rule gives eta_shaped with no grid.  The shaper's LO is E_T times
-the resolution window w, a Gaussian in time, centred on the peak t_c of E_T:
-``brentq`` on E_T', formed by the same rule from E_in', finds t_c.  With
-u = t - t0 over t_c +- 15 ps and ||E_T||^2 = T_E ||E_in||^2,
+the resolution window w, a Gaussian in time, and with a pixel of width P
+times the box's sinc(pi P t), both centred on a time t_w: the peak t_c of E_T,
+which ``brentq`` on E_T' (formed by the same rule from E_in') finds, or the
+dt-lattice sample of largest |E_T|, where the shaper centres them.  With
+u = t - t0 over t_w +- 15 ps and ||E_T||^2 = T_E ||E_in||^2,
 
-    eta_shaped = eta_base * max_tau (int E_T(u) w(u - t_c) E_T(u + tau) du)^2
+    eta_shaped = eta_base * max_tau (int E_T(u) w(u - t_w) E_T(u + tau) du)^2
                  / (int (E_T w)^2 du * int E_in^2 du),
 
-the delay found by a bounded scalar search within +-200 fs.  E_T(u + tau) is
-the response to the input moved earlier by tau, so the kernel's nodes are
-formed once.  The shaper's 60 nm span is left out of this model.
+w including the sinc, the delay found by a bounded scalar search within
++-200 fs.  E_T(u + tau) is the response to the input moved earlier by tau,
+so the kernel's nodes are formed once.  The shaper's 60 nm span is left out
+of this model.
 """
 
 import functools
@@ -134,9 +137,22 @@ def lattice_peak(params) -> float:
 
 
 @pytest.fixture(scope="module")
-def printed(tmp_path_factory):
+def printed_with(tmp_path_factory):
+    """The rows of a depth-scan's CSV with the given settings, by preset label, each run once."""
+    runs = {}
+
+    def rows(*settings):
+        if settings not in runs:
+            runs[settings] = depth_scan(tmp_path_factory.mktemp("depth"), settings)
+        return runs[settings]
+
+    return rows
+
+
+@pytest.fixture(scope="module")
+def printed(printed_with):
     """The rows of a default depth-scan's CSV, by preset label."""
-    return depth_scan(tmp_path_factory.mktemp("depth"))
+    return printed_with()
 
 
 @pytest.mark.parametrize("index", range(5))
@@ -166,7 +182,7 @@ def test_wrapped_depth_scan_is_off_by_at_most_its_warned_bound(tmp_path):
         row = rows[entry.label]
         assert abs(row["eta_unshaped"] - ref.eta_unshaped(lattice_peak(entry.params), cfg.make_grid().dt)) <= bound
         assert abs(row["transmission"] - ref.transmission()) <= bound
-        assert abs(row["eta_shaped"] - shaped_referee(index)[1]) <= bound
+        assert abs(row["eta_shaped"] - shaped_referee(index, peak_times(index)[1])) <= bound
 
 
 def scan_rows(out, verb: str, stem: str, column: str) -> dict:
@@ -240,25 +256,34 @@ class Impulse:
 
 
 @functools.cache
-def shaped_referee(index: int) -> tuple[float, float]:
-    """(t_c in fs from the input's peak, eta_shaped) of the default config's preset ``index``: t_c is the root of
-    E_T' within dt of the dt-lattice sample of largest |E_T|, the LO is E_T times the resolution window centred
-    there."""
+def peak_times(index: int) -> tuple[float, float]:
+    """(the dt-lattice sample of largest |E_T|, the root t_c of E_T' within dt of it) of the default config's
+    preset ``index``, in fs from the input's peak."""
     params, dt = CFG.media()[index].params, CFG.grid_dt_fs
     lattice = Impulse(np.arange(-30, 31) * dt, params.depth, params.t2)
-    peak = lattice.u[int(np.argmax(np.abs(lattice.field())))]
+    peak = float(lattice.u[int(np.argmax(np.abs(lattice.field())))])
     t_c = brentq(lambda t: Impulse(np.array([t]), params.depth, params.t2).field(slope=True)[0], peak - dt, peak + dt)
-    u, weights = panels(t_c - LO_REACH_FS, t_c + LO_REACH_FS, LO_PANELS)
+    return peak, t_c
+
+
+@functools.cache
+def shaped_referee(index: int, centre: float, pixel_hz: float | None = None) -> float:
+    """eta_shaped of the default config's preset ``index`` with the LO E_T times the resolution window centred
+    ``centre`` fs from the input's peak and, for a pixel ``pixel_hz`` wide, times the box's sinc centred there."""
+    params = CFG.media()[index].params
+    u, weights = panels(centre - LO_REACH_FS, centre + LO_REACH_FS, LO_PANELS)
     out = Impulse(u, params.depth, params.t2)
     dnu = CFG.shaper_config().resolution_fwhm_hz
-    lo = out.field() * np.exp(-((math.pi * dnu * (u - t_c) * 1e-15) ** 2) / (4.0 * math.log(2.0)))
+    lo = out.field() * np.exp(-((math.pi * dnu * (u - centre) * 1e-15) ** 2) / (4.0 * math.log(2.0)))
+    if pixel_hz is not None:
+        lo *= np.sinc(pixel_hz * (u - centre) * 1e-15)
     norm = np.sum(weights * lo * lo) * CFG.pulse_fwhm_fs * math.sqrt(math.pi / (4.0 * math.log(2.0)))
     lo *= weights
     best = minimize_scalar(
         lambda tau: -np.dot(lo, out.field(tau)) ** 2, bounds=(-DELAY_BOUND_FS, DELAY_BOUND_FS), method="bounded",
         options={"xatol": 1e-7},
     )
-    return t_c, CFG.detection_eta_base * -best.fun / norm
+    return CFG.detection_eta_base * -best.fun / norm
 
 
 @pytest.mark.parametrize("index", [0, 2, 4])
@@ -281,7 +306,7 @@ def test_default_depth_scan_shaped_matches_the_referee(printed, index):
     # the shaper centres its window on the sample nearest t_c, up to dt/2 from it, so the printed eta_shaped
     # carries the whole-sample centre's error, up to 1.0e-4 (preset 5), and is held at 1.5e-4; centring the window
     # at t_c itself would hold it at 1e-9
-    _, eta = shaped_referee(index)
+    eta = shaped_referee(index, peak_times(index)[1])
     assert eta == pytest.approx(SHAPED_ETA[index], abs=1e-10, rel=0.0)
     assert printed[CFG.media()[index].label]["eta_shaped"] == pytest.approx(eta, abs=1.5e-4, rel=0.0)
 
@@ -300,8 +325,30 @@ def test_window_centres_are_the_samples_nearest_the_peak(monkeypatch, tmp_path):
     monkeypatch.setattr(zapsim.shaper, "_resolution_window", recorded)
     depth_scan(tmp_path)
     start = int(np.argmax(CFG.make_pulse(CFG.make_grid()).amp))
-    peaks = [shaped_referee(index)[0] for index in range(5)]
+    peaks = [peak_times(index)[1] for index in range(5)]
     assert peaks == pytest.approx([-0.893097, -2.304326, -5.549113, -12.037115, 135.784657], abs=1e-6, rel=0.0)
     offsets = [round(t_c / CFG.grid_dt_fs) for t_c in peaks]
     assert offsets == [0, 0, -1, -1, 14]
     assert centres == [start + offset for offset in offsets] == [65536, 65536, 65535, 65535, 65550]
+
+
+@pytest.mark.parametrize("pixel_nm", [None, 0.5, 2.0, 3.0])
+def test_depth_scan_shaped_matches_the_sample_centred_referee(printed_with, pixel_nm):
+    # the referee's window and sinc centred on the lattice sample, as the shaper centres them: the printed
+    # eta_shaped is the referee's to 9e-13 with or without a pixel, as the box is the sinc of its own width; a
+    # box rounded to whole bins misses it by up to 5.0e-6 at 0.5-3 nm
+    settings = () if pixel_nm is None else (f"shaper.pixel_nm={pixel_nm}",)
+    rows = printed_with(*settings)
+    pixel_hz = apply_overrides(CFG, settings).shaper_config().pixel_width_hz
+    for index, entry in enumerate(CFG.media()):
+        eta = shaped_referee(index, peak_times(index)[0], pixel_hz)
+        assert rows[entry.label]["eta_shaped"] == pytest.approx(eta, abs=1e-9, rel=0.0), entry.label
+
+
+def test_pixel_depth_scan_converges_with_the_grid(printed_with):
+    # a 2 nm pixel is 2,583.458 bins at 2^19 samples and half as many at 2^18: at its own width on both grids,
+    # every preset's eta_shaped agrees to 6.3e-9, where a box rounded to whole bins moves it by 1.4e-5
+    fine = printed_with("shaper.pixel_nm=2")
+    coarse = printed_with("shaper.pixel_nm=2", f"grid.n={CFG.grid_n // 2}")
+    for entry in CFG.media():
+        assert coarse[entry.label]["eta_shaped"] == pytest.approx(fine[entry.label]["eta_shaped"], abs=1e-7, rel=0.0)

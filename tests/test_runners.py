@@ -245,7 +245,7 @@ class TestOffLatticeScans:
         grid = cfg.make_grid()
         lo_spec = to_spectrum(normalize(cfg.make_pulse(grid)))
         out = transmit(lo_spec, params)
-        a = direct_overlaps(lo_spec, out.mode, cfg.delays())
+        a = direct_overlaps(lo_spec, normalize(out.spectrum), cfg.delays())
         return np.abs(a), cfg.detection_eta_base * out.transmission * np.abs(a) ** 2
 
     @pytest.mark.parametrize(

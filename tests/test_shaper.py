@@ -37,7 +37,6 @@ from zapsim.shaper import (
 
 from conftest import (
     brent_projection,
-    centred_box,
     delay_field,
     direct_overlaps,
     efficiencies,
@@ -139,13 +138,19 @@ class TestAchievableLo:
         ) ** 2
         assert pixelated < plain
 
-    def test_sub_bin_pixels_are_noop(self, preset_modes):
+    def test_sub_bin_pixel_narrows_the_lo_by_its_sinc(self, preset_modes):
+        # a pixel of 0.4 bins is a box of that width, not rounded to one bin and away: the LO is the pixel-free
+        # one times sin(pi*P*t) / (pi*P*t) about its centre sample, renormalized
         target = preset_modes[2]
-        lam = 780e-9
-        tiny = 0.4 * target.grid.df * lam**2 / 299792458.0
-        a = achievable_lo(target, ShaperConfig(pixel_width=tiny))
-        b = achievable_lo(target, ShaperConfig())
-        assert np.array_equal(a.amp, b.amp)  # a box of one bin is no factor at all
+        grid = target.grid
+        cfg = ShaperConfig(pixel_width=0.4 * grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT)
+        got = achievable_lo(target, cfg).amp
+        plain = achievable_lo(target, ShaperConfig()).amp
+        assert not np.array_equal(got, plain)
+        m = (np.arange(grid.n) - int(np.argmax(np.abs(target.amp))) + grid.n // 2) % grid.n - grid.n // 2
+        want = plain * np.sinc(cfg.pixel_width_hz * m * grid.dt)
+        want /= np.sqrt(grid.dt * np.sum(want**2))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
     @staticmethod
     def check_transmitted_lo(out, preset_modes, cfg):
@@ -158,24 +163,27 @@ class TestAchievableLo:
 
     @pytest.mark.parametrize("cfg", [ShaperConfig(), ShaperConfig(pixel_width=2.0e-9)], ids=["span", "pixel"])
     def test_given_spectrum_same_lo_and_left_unchanged(self, mid_pulse, preset_modes, cfg):
-        # a target that carries its spectrum (a Transmitted) keeps the bits of that spectrum and of its mode
+        # a target that carries its spectrum (a Transmitted) keeps the bits of that spectrum
         out = transmit(to_spectrum(normalize(mid_pulse)), temperature_presets()[2].params)
-        spectrum, mode = out.spectrum.amp.copy(), out.mode.amp.copy()
+        spectrum = out.spectrum.amp.copy()
         self.check_transmitted_lo(out, preset_modes, cfg)
-        assert np.array_equal(out.spectrum.amp, spectrum) and np.array_equal(out.mode.amp, mode)
+        assert np.array_equal(out.spectrum.amp, spectrum)
 
     @pytest.mark.parametrize("cfg", [ShaperConfig(), IDEAL, ShaperConfig(span=1e-9)], ids=["span", "ideal", "narrow"])
     def test_half_spectrum_gives_the_same_lo_real(self, mid_pulse, preset_modes, cfg):
         out = transmit(to_spectrum(normalize(mid_pulse)), temperature_presets()[2].params)
         self.check_transmitted_lo(out, preset_modes, cfg)
 
-    @pytest.mark.parametrize("bins", [2583, 2584])
-    def test_pixel_lo_is_the_full_layout_one_real(self, preset_modes, bins):
-        # a pixel of 2 nm, an odd number of bins on this 2^18 grid, and one bin wider: a centred box of
-        # either parity keeps the spectrum Hermitian
+    @pytest.mark.parametrize(
+        "pixel_width",
+        [2e-9, 2583.5 / (2**18 * 10e-15) * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT],
+        ids=["2nm", "2583.5-bins"],
+    )
+    def test_pixel_lo_is_the_full_layout_one_real(self, preset_modes, pixel_width):
+        # a pixel of 2 nm, 1,291.7 bins of this 2^18 grid, and one of 2,583.5 bins, half a bin from either whole
+        # count: the box's sinc in time keeps the spectrum Hermitian at any width
         target = preset_modes[2]
-        cfg = ShaperConfig(pixel_width=bins * target.grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT)
-        assert int(round(cfg.pixel_width_hz / target.grid.df)) == bins
+        cfg = ShaperConfig(pixel_width=pixel_width)
         want = full_layout_lo(target, cfg).amp
         got = achievable_lo(target, cfg)
         assert got.amp.dtype == np.float64
@@ -193,16 +201,14 @@ class TestPixelBox:
         "size, span_nm", [(size, span) for size in (2, 3, 4, 5171) for span in (60.0, None)] + [("n", None)]
     )
     def test_pixel_lo_matches_the_full_layout_box(self, preset_modes, size, span_nm):
-        # the Dirichlet factor in time against the box averaged over the mirrored full spectrum in the frame of
-        # the target's peak sample (scipy's direct wrap correlation); a box as wide as the grid, wider than any
-        # span, on a 2^12 grid, where that correlation is quick
+        # the LO on half spectra, at the band's rate, against the full layout's with the same sinc factor in
+        # time; widths of whole bins and a box as wide as the grid, wider than any span, on a 2^12 grid
         target = preset_modes[4]
         if size == "n":
             target = transmitted_mode(gaussian_pulse(make_grid(2**12, 10e-15), 100e-15), temperature_presets()[4].params)
             size = target.grid.n
         span = None if span_nm is None else span_nm * 1e-9
         cfg = ShaperConfig(pixel_width=size * target.grid.df * CENTER_WAVELENGTH**2 / SPEED_OF_LIGHT, span=span)
-        assert int(round(cfg.pixel_width_hz / target.grid.df)) == size
         want = full_layout_lo(target, cfg).amp
         got = achievable_lo(target, cfg).amp
         assert got.dtype == np.float64
@@ -229,8 +235,9 @@ class TestBestProjection:
         spec = to_spectrum(normalize(gaussian_pulse(grid, 100e-15)))
         out = transmit(spec, temperature_presets()[preset_idx].params)
         shaped = to_spectrum(achievable_lo(normalize(out.field), ShaperConfig()))
+        mode = normalize(out.spectrum)
         for lo_spec in (spec, shaped):
-            assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
+            assert _best_projection(lo_spec, mode) >= brent_projection(lo_spec, mode) - 1e-15
 
     def test_even_lags_fold_to_a_half_length_transform(self, preset_modes):
         lo, sig = achievable_lo(preset_modes[4], ShaperConfig()), preset_modes[4]
@@ -375,7 +382,8 @@ def test_shaped_is_best_candidate_below_transmitted_fraction(preset_idx, pixel_n
     params = temperature_presets()[preset_idx].params
     cfg = ShaperConfig(pixel_width=pixel_nm * 1e-9, span=None if span_nm is None else span_nm * 1e-9)
     out = transmit(to_spectrum(pulse), params)
-    shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), out.mode)
+    mode = normalize(out.spectrum)
+    shaped_in = 0.62 * out.transmission * _best_projection(to_spectrum(achievable_lo(pulse, cfg)), mode)
     unshaped, shaped = efficiencies(pulse, params, 0.62, cfg)
     assert max(unshaped, shaped_in) <= shaped <= 0.62 * out.transmission + 1e-12
 
@@ -409,7 +417,7 @@ def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_
     # the LO window is centred on the transmitted field's peak sample: the default span cuts only bins whose
     # reach is far below the gap between the cut field's two highest samples, so that field's peak is proven
     # the target's and the unbuilt transmitted field stays unbuilt, with or without a pixel box, whose
-    # Dirichlet factor is centred there too; without a span the cut is all of the output mode, its reach is
+    # sinc factor is centred there too; without a span the cut is all of the output mode, its reach is
     # round-off alone, and the field stays unbuilt as well; a 1 nm span leaves a smooth cut field with no
     # proven peak, and the field is built and read.  Either way the LO has the bits of the window centred on
     # argmax |target|
@@ -421,11 +429,11 @@ def test_lo_centre_is_read_from_the_cut_field_where_proven(default_grid, preset_
     )
     lo = achievable_lo(out, cfg)
     assert ("field" in vars(out)) == reads
-    cut = out.mode.amp.size if span_nm is None else np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
-    amp = np.fft.irfft(np.conj(out.mode.amp[:cut]), grid.n) / grid.dt
-    size = 1 if pixel_nm is None else int(round(cfg.pixel_width_hz / grid.df))
+    mode = normalize(out.spectrum).amp
+    cut = mode.size if span_nm is None else np.searchsorted(grid.half_freqs, 0.5 * cfg.span_hz, side="right")
+    amp = np.fft.irfft(np.conj(mode[:cut]), grid.n) / grid.dt
     k_peak = int(np.argmax(np.abs(out.field.amp)))
-    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, size)
+    keep, window = _resolution_window(grid, k_peak, cfg.resolution_fwhm_hz, cfg.pixel_width_hz)
     want = np.zeros(grid.n)
     want[keep] = amp[keep] * window / np.sqrt(grid.dt * np.sum((amp[keep] * window) ** 2))
     assert np.array_equal(lo.amp.view(np.uint64), want.view(np.uint64))
@@ -446,17 +454,18 @@ def test_half_spectrum_search_matches_the_full_one(real_input, preset_idx, span_
     params = temperature_presets()[preset_idx].params
     cfg = ShaperConfig(span=None if span_nm is None else span_nm * 1e-9)
     out = transmit(lo_in, params)
+    mode = normalize(out.spectrum)
     # what the half search rests on: at zero detuning S(-nu) = conj S(nu)
     s = full_transmit(pulse, params).mode.amp
     mid = lo_in.grid.n // 2
     assert np.max(np.abs(s[mid - 1 : 0 : -1] - np.conj(s[mid + 1 :]))) <= 1e-15 * np.abs(s).max()
     half = [
-        _best_projection(lo_in, out.mode),
+        _best_projection(lo_in, mode),
         *efficiencies(pulse, params, 0.62, cfg),
     ]
-    unshaped = brent_projection(lo_in, out.mode)
-    own = brent_projection(full_spectrum(full_layout_lo(out.field, cfg)), out.mode)
-    shaped_in = brent_projection(full_spectrum(full_layout_lo(pulse, cfg)), out.mode)
+    unshaped = brent_projection(lo_in, mode)
+    own = brent_projection(full_spectrum(full_layout_lo(out.field, cfg)), mode)
+    shaped_in = brent_projection(full_spectrum(full_layout_lo(pulse, cfg)), mode)
     scale = 0.62 * out.transmission
     full = [unshaped, scale * unshaped, scale * max(unshaped, own, shaped_in)]
     assert half == pytest.approx(full, rel=1e-13, abs=0.0)
@@ -478,14 +487,15 @@ def test_pixel_box_runs_only_real_transforms(monkeypatch):
     shaped = to_spectrum(achievable_lo(pulse, cfg))  # the input shaped by the same pixel box
     own = to_spectrum(achievable_lo(out, cfg))
     assert {x.amp.shape for x in (lo, shaped, own)} == {(grid.n // 2 + 1,)}
-    assert out.mode.amp.shape == (lo.band,)  # the half spectrum on the input's band
+    mode = normalize(out.spectrum)
+    assert mode.amp.shape == (lo.band,)  # the half spectrum on the input's band
     assert out.field.amp.dtype == np.float64
     eta = efficiencies(pulse, params, 0.62, cfg)[1]
     assert complex_transforms == []
     monkeypatch.undo()
     for lo_spec in (lo, shaped, own):
-        assert _best_projection(lo_spec, out.mode) >= brent_projection(lo_spec, out.mode) - 1e-15
-    assert eta >= 0.62 * out.transmission * _best_projection(lo, out.mode)
+        assert _best_projection(lo_spec, mode) >= brent_projection(lo_spec, mode) - 1e-15
+    assert eta >= 0.62 * out.transmission * _best_projection(lo, mode)
 
 
 def test_shaped_input_never_beats_the_own_mode_lo():
@@ -505,8 +515,9 @@ def test_shaped_input_never_beats_the_own_mode_lo():
         shaped_in = to_spectrum(achievable_lo(pulse, cfg))
         for preset in temperature_presets():
             out = transmit(lo_in, preset.params)
-            own = _best_projection(to_spectrum(achievable_lo(out, cfg)), out.mode)
-            losses.append(own - _best_projection(shaped_in, out.mode))
+            mode = normalize(out.spectrum)
+            own = _best_projection(to_spectrum(achievable_lo(out, cfg)), mode)
+            losses.append(own - _best_projection(shaped_in, mode))
     assert len(losses) == 120
     assert min(losses) > 0.0
 
@@ -558,11 +569,10 @@ def test_efficiencies_build_no_mode(real_input, cfg):
     _, lo_in = real_input
     out = transmit(lo_in, temperature_presets()[2].params)
     unshaped, shaped = _efficiencies(out, lo_in, 0.62, cfg)
-    assert "mode" not in vars(out)
-    scale = 0.62 * out.transmission
-    assert unshaped == pytest.approx(scale * _best_projection(lo_in, out.mode), rel=1e-14, abs=0.0)
+    scale, mode = 0.62 * out.transmission, normalize(out.spectrum)
+    assert unshaped == pytest.approx(scale * _best_projection(lo_in, mode), rel=1e-14, abs=0.0)
     shaped_lo = to_spectrum(achievable_lo(out, cfg))
-    assert shaped == pytest.approx(scale * _best_projection(shaped_lo, out.mode), rel=1e-13, abs=0.0)
+    assert shaped == pytest.approx(scale * _best_projection(shaped_lo, mode), rel=1e-13, abs=0.0)
 
 
 @pytest.fixture(scope="module")
