@@ -28,7 +28,8 @@ LO's at its own (``shaper._band_spectrum``).  A sum over the full spectrum
 of a product of half spectra weights every bin but DC and Nyquist twice,
 and a prefix holds no Nyquist bin (``_spectral_sum``).  :func:`to_time`
 hands the real inverse FFT a conjugated copy of the bins, which it
-zero-pads to n/2 + 1.  These two are the package's only real FFTs, each
+zero-pads to n/2 + 1.  These two are the package's only real FFTs (the
+input pulse's spectrum is in closed form, ``_gaussian_spectrum``), each
 called on the grid its samples live on: the even-lag delay scans read the
 field of a folded spectrum on the grid of n/2 samples 2*dt apart
 (``modes._even_lag_overlaps``), and every LO is the field of the bins
@@ -42,6 +43,7 @@ is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -66,6 +68,8 @@ LN2 = float(np.log(2.0))
 BAND_CUTOFF = 1e-12
 # np.exp returns exactly 0 for any argument below this (its smallest subnormal is exp(-745.13))
 _EXP_UNDERFLOW = -746.0
+# a spectrum's bins below this fraction of its peak move any overlap by < ~1e-14 (modes._support, _gaussian_spectrum)
+_SUPPORT_CUTOFF = 1e-20
 
 
 class GridAdequacyWarning(UserWarning):
@@ -242,6 +246,19 @@ def gaussian_pulse(grid: Grid, fwhm_t: float, center_t: float | None = None) -> 
     amp = np.zeros(grid.n)
     amp[lo:hi] = env
     return TemporalField(grid, amp)
+
+
+def _gaussian_spectrum(grid: Grid, fwhm_t: float) -> SpectralField:
+    """The unit-energy half spectrum of :func:`gaussian_pulse` at its default centre t_c = window/8, in closed
+    form: F(nu) ~ exp(-(pi*fwhm_t*nu)^2 / (2 ln 2)) e^{2 pi i nu t_c}, a prefix of the bins where |F| reaches
+    ``_SUPPORT_CUTOFF`` of its peak.  At bin q, nu * t_c = q/8, so the phase is an exact eighth root of unity."""
+    _check_pulse(grid, fwhm_t)
+    step = math.pi * fwhm_t * grid.df / math.sqrt(2.0 * LN2)  # |F| / |F(0)| = exp(-(k * step)^2) at bin k
+    bins = int(min(math.sqrt(-math.log(_SUPPORT_CUTOFF)) / step, grid.n // 2)) + 1  # a short pulse holds every bin
+    mag = np.square(np.arange(-(-bins // 8) * 8) * step)  # on whole rows of 8 bins
+    quarter = np.sqrt([1.0, 0.5, 1.0, 0.5]) * np.array([1, 1 + 1j, 1j, -1 + 1j])  # e^{i pi q/4}, q < 4; -it at q + 4
+    amp = np.exp(np.negative(mag, out=mag), out=mag).reshape(-1, 8) * np.concatenate([quarter, -quarter])
+    return normalize(SpectralField(grid, amp.ravel()[:bins], prefix=True))
 
 
 def to_spectrum(f: TemporalField) -> SpectralField:

@@ -19,12 +19,12 @@ nu >= 0 bins of a half spectrum (:mod:`zapsim.fields`) alone, and
 last whose modulus exceeds 1e-12 of the input spectrum's peak
 (``SpectralField.band``): the transmitted spectrum F*H is a prefix of K
 bins.  As |H| <= 1, the bins it drops would move the transmitted field by
-at most 2 * df * sum |F| over them; at the default 100 fs pulse they are
-the FFT's round-off, and K is 39% of the n/2 + 1 bins.  That bound is set
-by the input, so a medium that keeps less than half of the input's energy
-on the band is sent through on every bin (``MIN_BAND_TRANSMISSION``).  The
-DFT makes the response periodic in the window n*dt; :func:`_wrap_error`
-bounds what its tail beyond one window moves, in closed form.
+at most 2 * df * sum |F| over them; the default 100 fs pulse's closed-form
+spectrum holds 133,344 bins, K = 103,288 of them.  That bound is set by
+the input, so a medium that keeps less than half of the input's energy on
+the band is sent through on every bin the input holds
+(``MIN_BAND_TRANSMISSION``).  The DFT makes the response periodic in the
+window n*dt; :func:`_wrap_error` bounds its tail's effect in closed form.
 """
 
 from __future__ import annotations

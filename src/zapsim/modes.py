@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time
+from .fields import (
+    _SUPPORT_CUTOFF, Grid, SpectralField, TemporalField, _norm, normalize, pulse_energy, to_spectrum, to_time,
+)
 from .medium import MediumParams, Transmitted, transmit
 
 __all__ = [
@@ -37,10 +39,6 @@ __all__ = [
 ]
 
 NORMALIZATION_TOL = 1e-6
-
-# |g| below this fraction of its peak contributes < ~1e-14 to any overlap;
-# truncating to the support speeds up direct sums.
-_SUPPORT_CUTOFF = 1e-20
 
 # Largest distance from the dt lattice, in units of dt, at which a delay is
 # still taken as a lattice point.  Float-built uniform grids (linspace,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .fields import GridAdequacyWarning, TemporalField, _norm, normalize, pulse_area, to_spectrum
+from .fields import GridAdequacyWarning, TemporalField, _gaussian_spectrum, _norm, normalize, pulse_area
 from .medium import _wrap_error, transfer_function, transmit
 from .modes import ScanCurve, _check_delays, _eta, delay_overlaps
 from .quantum import (
@@ -172,9 +172,9 @@ def run_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Path]:
 
 
 def _input_lo(cfg: ScenarioConfig):
-    """The unit-energy input pulse's half spectrum: the signal sent through each medium, and the LO of the
-    delay scans and of depth-scan's unshaped search."""
-    return to_spectrum(normalize(cfg.make_pulse(cfg.make_grid())))
+    """The unit-energy input pulse's half spectrum in closed form, by no transform (``fields._gaussian_spectrum``):
+    the signal sent through each medium, and the LO of the delay scans and of depth-scan's unshaped search."""
+    return _gaussian_spectrum(cfg.make_grid(), cfg.pulse_fwhm_fs * 1e-15)
 
 
 def _run_scan(cfg: ScenarioConfig, out_dir: Path, verb: str, stem: str, names: list[str], columns) -> list[Path]:

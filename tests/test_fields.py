@@ -12,7 +12,7 @@ from zapsim import (
     to_spectrum,
     to_time,
 )
-from zapsim.fields import _real
+from zapsim.fields import BAND_CUTOFF, _gaussian_spectrum, _real
 
 from conftest import FullSpectrum, full_field, full_freqs, full_spectrum, padded, random_field, real_field
 
@@ -145,6 +145,55 @@ class TestGaussianPulse:
     def test_unresolvable_pulse_rejected(self, small_grid):
         with pytest.raises(ValueError):
             gaussian_pulse(small_grid, small_grid.window * 1.5)
+
+
+class TestGaussianSpectrum:
+    """The input's unit-energy half spectrum in closed form (``fields._gaussian_spectrum``), which the scan and
+    depth-scan runners read in place of the sampled pulse's transform."""
+
+    @pytest.mark.parametrize("n", [2**19, 2**14])
+    def test_matches_the_sampled_pulse(self, n):
+        grid = make_grid(n, 10e-15)
+        closed = _gaussian_spectrum(grid, 100e-15)
+        sampled = to_spectrum(normalize(gaussian_pulse(grid, 100e-15))).amp
+        held = closed.amp.size
+        assert closed.prefix and held < sampled.size
+        err = max(np.abs(closed.amp - sampled[:held]).max(), np.abs(sampled[held:]).max())
+        assert err <= 3e-13 * np.abs(sampled).max()
+
+    @pytest.mark.parametrize("n", [2**19, 2**14])
+    def test_area_energy_and_bins_are_the_closed_forms(self, n):
+        # the unit-energy pulse's area fwhm * sqrt(pi / (2 ln 2)) / sqrt(E), E = fwhm * sqrt(pi / (4 ln 2)); the
+        # sampled pulse misses it by 1.1e-14 at 2^19, as its offsets k*dt - center_t cancel.  The band ends where
+        # |F| / |F(0)| = exp(-rate nu^2) passes BAND_CUTOFF, and the bins held where it passes 1e-20
+        grid, fwhm = make_grid(n, 10e-15), 100e-15
+        f = _gaussian_spectrum(grid, fwhm)
+        area = fwhm * np.sqrt(np.pi / (2.0 * LN2)) / np.sqrt(fwhm * np.sqrt(np.pi / (4.0 * LN2)))
+        assert f.amp[0].imag == 0.0 and abs(f.amp[0].real / area - 1.0) <= 1e-15
+        assert abs(f.energy - 1.0) <= 1e-15
+        rate = (np.pi * fwhm) ** 2 / (2.0 * LN2)
+        for cutoff, count in ((BAND_CUTOFF, f.band), (1e-20, f.amp.size)):
+            assert count == int(np.sqrt(np.log(1.0 / cutoff) / rate) / grid.df) + 1
+
+    def test_phase_is_an_exact_eighth_root_of_unity(self, default_grid):
+        # nu * t_c = q/8 at bin q, with t_c = window/8: each bin is its modulus along e^{i pi q/4} with no phase
+        # round-off, at the band edge too, where a phasor exp(2 pi i nu t_c) of ~1e5 rad errs by ~1e-11
+        f = _gaussian_spectrum(default_grid, 100e-15).amp
+        rows = f[: f.size // 8 * 8].reshape(-1, 8)
+        roots = np.array([1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j])
+        assert np.array_equal(rows, np.maximum(np.abs(rows.real), np.abs(rows.imag)) * roots)
+
+    def test_a_pulse_shorter_than_a_sample_holds_every_bin(self, small_grid):
+        # the sampled pulse is one sample and its spectrum flat, as is the closed form's once its exponent rounds
+        # to 0: every bin is held
+        closed = _gaussian_spectrum(small_grid, 1e-160)
+        sampled = to_spectrum(normalize(gaussian_pulse(small_grid, 1e-160))).amp
+        assert closed.amp.size == sampled.size
+        assert np.abs(closed.amp - sampled).max() <= 1e-15 * np.abs(sampled).max()
+
+    def test_rejects_what_the_pulse_rejects(self, small_grid):
+        with pytest.raises(ValueError, match="must lie in"):
+            _gaussian_spectrum(small_grid, small_grid.window * 1.5)
 
 
 class TestTransforms:

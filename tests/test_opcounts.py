@@ -198,22 +198,32 @@ def test_only_verbs_that_read_the_field_transform_it(monkeypatch, tmp_path, verb
     assert all("widen the window n*dt" in line for (line,) in notes)
 
 
+@pytest.mark.parametrize("verb", sorted(FFT_BUDGET))
+def test_only_propagate_samples_the_input_pulse(monkeypatch, tmp_path, verb):
+    # the other verbs take the input's half spectrum in closed form, with no field of n samples to build
+    counts = {"gaussian_pulse": 0}
+    _count_calls(monkeypatch, zapsim.fields, "gaussian_pulse", counts)
+    assert main([verb, "--out", str(tmp_path), "--set", f"grid.n={GRID_N}"]) == 0
+    assert counts["gaussian_pulse"] == (verb == "propagate")
+
+
 @pytest.mark.parametrize("verb", ["xcorr", "eta-scan"])
 def test_default_scans_transform_no_field(monkeypatch, tmp_path, verb):
-    # at the default 2^19 x 10 fs grid the presets' tails decay within the window: a run makes the input's rfft
-    # and, per medium, one half-length irfft of the folded spectral product for its 451 even-lag delays
+    # at the default 2^19 x 10 fs grid the presets' tails decay within the window: the input's spectrum is in
+    # closed form, so a run makes only, per medium, one half-length irfft of the folded spectral product for its
+    # 451 even-lag delays
     lengths, code = _transforms(monkeypatch, lambda: main([verb, "--out", str(tmp_path)]))
     assert code == 0
-    assert sorted(lengths) == [("irfft", 2**18)] * 5 + [("rfft", 2**19)]
+    assert lengths == [("irfft", 2**18)] * 5
 
 
 @pytest.mark.parametrize("pixel_nm", [None, 2, 3])
 def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm):
     # at the default 2^19 x 10 fs grid the presets' tails decay within the window: each medium's field stays
-    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 21 numpy transforms and
-    # none of length n after the input's rfft: per medium the LO is built on the grid of every second sample
-    # (its band, 19.7 THz, is below half the 50 THz Nyquist), one irfft of n/2 and one rfft of n/2, and two
-    # half-length irffts serve the searches
+    # unbuilt through its efficiencies, with or without a pixel box, and the run makes 20 numpy transforms and
+    # none of length n, as the input's spectrum is in closed form: per medium the LO is built on the grid of
+    # every second sample (its band, 19.7 THz, is below half the 50 THz Nyquist), one irfft of n/2 and one rfft
+    # of n/2, and two half-length irffts serve the searches
     built = []
     efficiencies = zapsim.runners._efficiencies
 
@@ -228,8 +238,7 @@ def test_default_depth_scan_transforms_no_field(monkeypatch, tmp_path, pixel_nm)
     assert code == 0
     assert built == [False] * 5
     n = 2**19
-    assert lengths[0] == ("rfft", n)
-    assert sorted(lengths) == [("irfft", n // 2)] * 15 + [("rfft", n // 2)] * 5 + [("rfft", n)]
+    assert sorted(lengths) == [("irfft", n // 2)] * 15 + [("rfft", n // 2)] * 5
 
 
 def test_depth_scan_without_a_span_reads_each_lo_at_the_full_rate(monkeypatch, tmp_path):
@@ -238,7 +247,7 @@ def test_depth_scan_without_a_span_reads_each_lo_at_the_full_rate(monkeypatch, t
     run = lambda: main(["depth-scan", "--out", str(tmp_path), "--set", f"grid.n={GRID_N}", "--set", "shaper.span_nm=none"])
     lengths, code = _transforms(monkeypatch, run)
     assert code == 0
-    assert sorted(lengths) == [("irfft", GRID_N // 2)] * 10 + [("irfft", GRID_N)] * 5 + [("rfft", GRID_N)] * 6
+    assert sorted(lengths) == [("irfft", GRID_N // 2)] * 10 + [("irfft", GRID_N)] * 5 + [("rfft", GRID_N)] * 5
 
 
 def _fmt_calls(monkeypatch, tmp_path, verb, *settings):
@@ -517,8 +526,9 @@ def test_lo_wrapping_the_window_edge_costs_what_a_centred_lo_costs(monkeypatch):
 
 
 def test_default_h_runs_on_the_input_band(monkeypatch, tmp_path):
-    # each medium's H(nu) is sampled on the input's band alone, the 103,067 bins up to 19.7 THz where the 100 fs
-    # pulse's half spectrum passes 1e-12 of its peak: 0.393 of the n/2 + 1 = 262,145 bins of nu >= 0
+    # each medium's H(nu) is sampled on the input's band alone, the 103,288 bins up to 19.7 THz where the 100 fs
+    # pulse's closed-form half spectrum passes 1e-12 of its peak: 0.394 of the n/2 + 1 = 262,145 bins of nu >= 0;
+    # the input holds 133,344 bins, down to 1e-20 of its peak
     sizes = []
     h = zapsim.medium.transfer_function
 
@@ -529,17 +539,17 @@ def test_default_h_runs_on_the_input_band(monkeypatch, tmp_path):
 
     monkeypatch.setattr(zapsim.medium, "transfer_function", spy)
     assert main(["xcorr", "--out", str(tmp_path)]) == 0
-    band = zapsim.runners._input_lo(ScenarioConfig()).band
-    assert sizes == [band] * 5
-    assert 0.392 < band / (2**18 + 1) < 0.394
+    spec_in = zapsim.runners._input_lo(ScenarioConfig())
+    assert sizes == [103_288] * 5
+    assert (spec_in.band, spec_in.amp.size) == (103_288, 133_344)
 
 
 # tracemalloc peaks of one default run after a warm-up run, as measured and rounded up, with the slack of the tests
-# above (16 KiB): 12.79 MiB for either delay scan (18.1 MiB while the transmitted spectra held all n/2 + 1 bins),
-# 16.8 MiB for depth-scan (19.0 MiB while each shaped LO held n samples, 23.9 MiB before that) and 22.1 MiB for
-# propagate (30.6 MiB while the pulse and the time axis stayed alive through its transforms); the pulse, its
-# unit-energy copy and their half spectrum, 4 MiB each, make most of the scans' peak
-DEFAULT_PEAK_MIB = {"xcorr": 12.79, "eta-scan": 12.79, "depth-scan": 16.8, "propagate": 22.1}
+# above (16 KiB): 10.84 MiB for either delay scan (12.79 MiB while the input's spectrum was the rfft of the sampled
+# pulse's unit-energy copy, 4 MiB each, and 18.1 MiB while the transmitted spectra held all n/2 + 1 bins), 14.83 MiB
+# for depth-scan (16.8 MiB with the sampled input, 19.0 MiB while each shaped LO held n samples, 23.9 MiB before
+# that) and 22.1 MiB for propagate (30.6 MiB while the pulse and the time axis stayed alive through its transforms)
+DEFAULT_PEAK_MIB = {"xcorr": 10.84, "eta-scan": 10.84, "depth-scan": 14.83, "propagate": 22.1}
 
 
 @pytest.mark.parametrize("verb", sorted(DEFAULT_PEAK_MIB))

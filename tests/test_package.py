@@ -190,7 +190,7 @@ UNREAD_PUBLIC = {
 def test_every_public_name_is_read_by_package_code_the_benchmark_or_the_readme(monkeypatch):
     # the package's reads leave out __init__, whose imports only re-export; the CLI looks its runners up by
     # name, the benchmark's tracer by the names it lists, and its set-up probe imports what it times
-    tracing = load_tracing(monkeypatch)
+    tracing = load_benchmark(monkeypatch)
     traced = {part for names in tracing.NAMED.values() for name in names for part in name.split(".")}
     elsewhere = (
         {runner for _, runner in _VERBS.values()}
@@ -295,19 +295,30 @@ def test_blas_uses_are_found_in_every_form(tmp_path):
     ]
 
 
-def load_tracing(monkeypatch):
-    """The benchmark's tracer module, loaded by path."""
+def load_benchmark(monkeypatch, path=TRACING):
+    """A module of the benchmark, by default its tracer, loaded by path."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # the benchmark's directory stays as committed
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("verb", ["propagate", "xcorr", "eta-scan", "depth-scan", "wigner", "sample"])
+def test_default_outputs_pass_the_benchmark_output_checks(monkeypatch, tmp_path, verb):
+    # the benchmark counts a verb's run as failed when its files miss the reference outputs (each CSV column by
+    # 1e-9 of its peak, propagate's round-off amp_im column too) or a frozen constant: the same check fails here
+    # first, with the benchmark's own code
+    checks = load_benchmark(monkeypatch, TRACING.with_name("checks.py"))
+    seed = 7
+    assert main([verb, "--out", str(tmp_path), "--set", f"sampling.seed={seed}"]) == 0
+    assert checks.Reference().check(verb, tmp_path, seed) == []
 
 
 def test_benchmark_tracer_finds_every_function_it_names(monkeypatch):
     # a traced benchmark run leaves out each per-layer metric whose function the tracer cannot find, or whose
     # per-call argument it cannot read by name: a renamed function or parameter drops metrics silently
-    tracing = load_tracing(monkeypatch)
+    tracing = load_benchmark(monkeypatch)
     assert {layer: tracing._targets(layer)[1] for layer in tracing.LAYERS} == dict.fromkeys(tracing.LAYERS, [])
     for name, parameter in [(tracing.DELAY_SCAN, "delays"), ("runners._write_csv", "path")]:
         assert name in tracing.VALUES
@@ -316,10 +327,10 @@ def test_benchmark_tracer_finds_every_function_it_names(monkeypatch):
 
 
 def test_benchmark_tracer_sees_every_real_transform(monkeypatch, tmp_path):
-    # the tracer counts FFTs at fields.to_spectrum and fields.to_time, the only real transforms: one of the
-    # input pulse as set-up, then per medium xcorr's even-lag scan, and depth-scan's two searches, its LO and
-    # the LO's band-rate spectrum
-    tracing = load_tracing(monkeypatch)
+    # the tracer counts FFTs at fields.to_spectrum and fields.to_time, the only real transforms: none as set-up,
+    # as the input's spectrum is in closed form, then per medium xcorr's even-lag scan, and depth-scan's two
+    # searches, its LO and the LO's band-rate spectrum
+    tracing = load_benchmark(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -330,4 +341,4 @@ def test_benchmark_tracer_sees_every_real_transform(monkeypatch, tmp_path):
         tracer.remove()
     counts = {row["verb"]: row for row in tracing.verb_counts(tracer.spans, tracer.invocations)}
     read = {verb: (row["media"], row["fft_setup"], row["fft_per_medium"]) for verb, row in counts.items()}
-    assert read == {"xcorr": (5, 1, 1.0), "depth-scan": (5, 1, 4.0)}
+    assert read == {"xcorr": (5, 0, 1.0), "depth-scan": (5, 0, 4.0)}
